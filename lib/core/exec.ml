@@ -946,7 +946,6 @@ let execute_baseline ~exact_post ~bloom_fpr ~scratch catalog public plan =
             Hashtbl.replace hidden_readers (table, column) r;
             r
         in
-        let emit_bytes = ref 0 in
         let out =
           List.map
             (fun row ->
@@ -961,7 +960,6 @@ let execute_baseline ~exact_post ~bloom_fpr ~scratch catalog public plan =
                            Value.Int row.ids.(level_of table)
                          else begin
                            let col = Schema.find_column tbl column in
-                           emit_bytes := !emit_bytes + Value.ty_width col.Column.ty;
                            if Column.is_hidden col then begin
                              match row.delta_hidden with
                              | Some assoc when table = root ->
@@ -981,7 +979,6 @@ let execute_baseline ~exact_post ~bloom_fpr ~scratch catalog public plan =
                          end)
                       plan.Plan.query.Bind.projections)
                in
-               emit_bytes := !emit_bytes + (4 * List.length plan.Plan.query.Bind.projections);
                tuple)
             !rows
         in
@@ -1000,8 +997,6 @@ let execute_baseline ~exact_post ~bloom_fpr ~scratch catalog public plan =
                  * max 1 (List.length spec.Ghost_sql.Aggregate.output))
             in
             Ram.with_alloc ctx.ram ~label:"aggregate-groups" group_bytes (fun _ -> ());
-            emit_bytes :=
-              List.length grouped * 8 * max 1 (List.length spec.Ghost_sql.Aggregate.output);
             grouped
         in
         (* ORDER BY / LIMIT: the output rows are sorted in device RAM
@@ -1016,7 +1011,10 @@ let execute_baseline ~exact_post ~bloom_fpr ~scratch catalog public plan =
               (max 16 (n * 8))
               (fun _ -> Ghost_sql.Postproc.apply ~order_by ~limit out)
         in
-        emit_rows ctx ~count:(List.length out) ~bytes:!emit_bytes;
+        (* Emission is priced after LIMIT: only emitted rows cross the
+           display link. *)
+        emit_rows ctx ~count:(List.length out)
+          ~bytes:(List.length out * emit_row_width ctx);
         (out, List.length out))
     in
     (* 6. Reclaim the scratch region (block erases count). Live bytes,

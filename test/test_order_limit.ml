@@ -127,6 +127,36 @@ let test_top_k_shape () =
   check Alcotest.bool "descending" true
     (quantities = List.sort (fun a b -> Int.compare b a) quantities)
 
+(* Emission is priced after LIMIT: the result event carries exactly the
+   emitted rows' bytes (2 projected columns: 2 x 4 framing + the
+   8-byte Quantity), never the pre-LIMIT match count's. *)
+let test_limit_emission_bytes () =
+  let db, _ = Lazy.force instance in
+  let sql =
+    "SELECT Pre.PreID, Pre.Quantity FROM Prescription Pre WHERE Pre.Quantity >= 3 \
+     LIMIT 5"
+  in
+  let plan, _ = List.hd (Ghost_db.plans db sql) in
+  List.iter
+    (fun mode ->
+       Ghost_db.clear_trace db;
+       let r = Ghost_db.run_plan db (Plan.with_mode plan mode) in
+       check Alcotest.int "five rows" 5 r.Exec.row_count;
+       match
+         List.filter_map
+           (fun (e : Ghost_device.Trace.event) ->
+              match e.Ghost_device.Trace.payload with
+              | Ghost_device.Trace.Result_tuples { count } ->
+                Some (count, e.Ghost_device.Trace.bytes)
+              | _ -> None)
+           (Ghost_device.Trace.events (Ghost_db.trace db))
+       with
+       | [ (count, bytes) ] ->
+         check Alcotest.int "emitted count" 5 count;
+         check Alcotest.int "emitted bytes = 5 x row width" (5 * 16) bytes
+       | l -> Alcotest.failf "expected one result event, got %d" (List.length l))
+    [ Ghost_oblivious.Oblivious.Off; Ghost_oblivious.Oblivious.Pad ]
+
 let suite = [
   Alcotest.test_case "parse order/limit" `Quick test_parse;
   Alcotest.test_case "parse errors" `Quick test_parse_errors;
@@ -135,4 +165,5 @@ let suite = [
   Alcotest.test_case "engine ordered output (all plans)" `Quick test_engine_ordered_output;
   Alcotest.test_case "order by aggregate group" `Quick test_order_by_aggregate_group;
   Alcotest.test_case "top-k shape" `Quick test_top_k_shape;
+  Alcotest.test_case "LIMIT emission bytes" `Quick test_limit_emission_bytes;
 ]
