@@ -242,7 +242,7 @@ let hit_ratio cat (cfg : Device.config) =
   end
 
 (* Fixed-shape estimate ([Plan.oblivious = Full]): mirrors the
-   oblivious executor stage by stage instead of scaling by
+   executor's Full shape stage by stage instead of scaling by
    selectivities — by construction its cost is a function of the
    schema and public bounds alone, so nothing here consults a
    predicate's selectivity except to predict [est_results]. *)

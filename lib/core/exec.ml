@@ -49,11 +49,13 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Exec_error s)) fmt
 (* A candidate row mid-flight: the SKT id vector plus visible values
    attached by the projection joins so far (reverse order). Rows coming
    from the insert delta log carry their own hidden values (they are
-   not in the column stores). *)
+   not in the column stores). [live] is false only under [Full], for a
+   row that failed a test but still travels the whole pipeline. *)
 type row = {
   ids : int array;
   mutable attached : Value.t list;
   delta_hidden : (string * Value.t) list option;
+  live : bool;
 }
 
 type context = {
@@ -66,7 +68,6 @@ type context = {
   cache : Page_cache.t option;  (* shared buffer manager, when configured *)
   resources : Resources.t;
   mutable ops_rev : op_stats list;
-  exact_post : bool;
   bloom_fpr : float;
   mutable bloom_fps : int;
   mutable shipped : (string * int array) list;
@@ -143,6 +144,14 @@ let column_store_exn ctx ~table ~column =
   match Catalog.column_store ctx.catalog ~table ~column with
   | Some cs -> cs
   | None -> fail "no device column store for %s.%s" table column
+
+(* A buffered reader on a device column store, closed when the plan's
+   resources are released. *)
+let open_column ctx ~table ~column =
+  let cs = column_store_exn ctx ~table ~column in
+  let r = Column_store.open_reader ~ram:ctx.ram ~buffer_bytes:256 ?cache:ctx.cache cs in
+  Resources.defer ctx.resources (fun () -> Column_store.close_reader r);
+  r
 
 (* ---- oblivious metering ----
 
@@ -259,21 +268,28 @@ let union ctx sources =
     ~resources:ctx.resources ~cpu:(cpu ctx) sources
 
 (* The sorted id list a set of visible predicates selects, shipped into
-   the device. *)
+   the device. Under [Full] each list ships as its own frame padded to
+   the table cardinality, with the CPU charged at that bound; the real
+   intersection stays device-side for membership tests. *)
 let ship_visible_ids ctx ~table preds =
-  measure ctx (Printf.sprintf "ShipIds(%s)" table) ~tuples_in:0 (fun () ->
+  let full = ctx.plan.Plan.oblivious = Oblivious.Full in
+  measure ctx
+    (Printf.sprintf (if full then "ShipPadded(%s)" else "ShipIds(%s)") table)
+    ~tuples_in:0
+    (fun () ->
+    let ship () =
+      List.map
+        (fun p ->
+           let ids = Public_store.select_ids ctx.public ~trace:(Device.trace ctx.device) p in
+           receive_ids ctx ~table ids;
+           cpu ctx
+             (if full then Public_store.cardinality ctx.public table else Array.length ids);
+           ids)
+        preds
+    in
     (* The per-predicate lists ship as one coalesced frame under the
        compact wire format (a no-op batch under the verbose default). *)
-    let lists =
-      Device.with_usb_batch ctx.device (fun () ->
-        List.map
-          (fun p ->
-             let ids = Public_store.select_ids ctx.public ~trace:(Device.trace ctx.device) p in
-             receive_ids ctx ~table ids;
-             cpu ctx (Array.length ids);
-             ids)
-          preds)
-    in
+    let lists = if full then ship () else Device.with_usb_batch ctx.device ship in
     let ids =
       match lists with
       | [] -> [||]
@@ -571,9 +587,33 @@ let check_bloom_fpr fpr =
       (Printf.sprintf
          "Exec: bloom_fpr must lie strictly between 0 and 1, got %g" fpr)
 
-let execute_baseline ~exact_post ~bloom_fpr ~scratch catalog public plan =
+(* ---- the plan body ----
+
+   One pipeline runs every plan; [Plan.oblivious] picks its shape at
+   three points (DESIGN.md section 15.3):
+
+   - candidate generation: the Pre-filter sources merged into candidate
+     ids (Merge+Index), Bloom filters, and SKT probes of the candidates
+     (AccessSKT); under [Full], padded visible shipments (ShipPadded)
+     and a bound-depth SKT scan of every loaded root id (BoundScan);
+   - predicate evaluation: short-circuit; under [Full], uniform — every
+     test runs and charges its CPU whatever the earlier ones returned,
+     since a skipped check would show on the clock;
+   - the delta scan and projection streams: a key-fenced, filtered scan
+     and selection-filtered streams with verifying joins; under [Full],
+     the whole log and full-column streams, keeping every row.
+
+   Under [Full] the rows failing a test travel to the end with
+   [live = false] and are dropped only after tuple building, so all the
+   spy observes — frame count and lengths, page touches, the device
+   clock — is a function of the schema and public bounds (table
+   cardinalities, live root count, log lengths), never of hidden data.
+   RAM occupancy inside the tamper-resistant device may vary with the
+   data; it is on no spy-visible link. *)
+let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
   Plan.validate plan;
   check_bloom_fpr bloom_fpr;
+  let full = plan.Plan.oblivious = Oblivious.Full in
   let device = catalog.Catalog.device in
   Resources.with_resources (fun resources ->
     let ctx =
@@ -587,7 +627,6 @@ let execute_baseline ~exact_post ~bloom_fpr ~scratch catalog public plan =
         cache = Device.page_cache device;
         resources;
         ops_rev = [];
-        exact_post;
         bloom_fpr;
         bloom_fps = 0;
         shipped = [];
@@ -638,122 +677,155 @@ let execute_baseline ~exact_post ~bloom_fpr ~scratch catalog public plan =
           cpu ctx (Array.length ids);
           (ids, Array.length ids))
     in
-    (* 1. Pre-filter: candidate R ids ("Merge+Index"). *)
-    let pre_cursors = List.filter_map (group_pre_cursor ctx) plan.Plan.groups in
+    (* Row tests over SKT id vectors, and their conjunction: the fold
+       keeps evaluating after a miss on purpose. *)
+    let all_pass tests x =
+      if full then List.fold_left (fun acc t -> let ok = t x in acc && ok) true tests
+      else List.for_all (fun t -> t x) tests
+    in
+    let not_deleted ids = not (Sorted_ids.member tombstones ids.(0)) in
+    (* Membership in the shipped visible selections; charged only under
+       [Full], where it stands in for the Pre-filter's intersections. *)
+    let shipped_tests () =
+      List.map
+        (fun (table, shipped) ->
+           let lvl = level_of table in
+           fun ids ->
+             if full then cpu ctx 2;
+             Sorted_ids.member shipped ids.(lvl))
+        ctx.shipped
+    in
+    let bloom_test b ids =
+      cpu ctx (Bloom.k b.bf);
+      Bloom.mem b.bf ids.(b.bf_level)
+    in
+    let check_test hc ids =
+      cpu ctx 2;
+      Predicate.holds hc.hc_pred (Column_store.get hc.hc_reader ids.(hc.hc_level))
+    in
+    (* 1. Candidate root ids. *)
     let n_root = Catalog.table_count catalog root in
     let candidates =
-      measure ctx "Merge+Index" ~tuples_in:0 (fun () ->
-        let c =
-          match intersect_cursors pre_cursors with
-          | Some c -> c
-          | None ->
-            (* No pre source: enumerate all root ids (dense). *)
-            let i = ref 0 in
-            Cursor.make (fun () ->
-              incr i;
-              if !i > n_root then None else Some !i)
-        in
-        let arr = Cursor.to_array c in
-        cpu ctx (Array.length arr);
-        let arr =
-          (* A visible pre-filter on the root ships public-store ids,
-             which include rows inserted after the load. The SKT and
-             the column stores do not cover those: drop them here (the
-             delta scan below finds them through the same id lists). *)
-          let n = Array.length arr in
-          if n = 0 || arr.(n - 1) <= n_root then arr
-          else begin
-            let k = ref 0 in
-            while !k < n && arr.(!k) <= n_root do incr k done;
-            Array.sub arr 0 !k
-          end
-        in
-        let arr =
-          if Array.length tombstones = 0 then arr
-          else Sorted_ids.difference arr tombstones
-        in
-        (arr, Array.length arr))
+      if full then begin
+        List.iter
+          (fun (g : Plan.group) ->
+             if g.Plan.g_visible <> [] then
+               ignore (ship_visible_ids ctx ~table:g.Plan.g_table g.Plan.g_visible))
+          plan.Plan.groups;
+        Array.init n_root (fun i -> i + 1)
+      end
+      else begin
+        (* Pre-filter ("Merge+Index"). *)
+        let pre_cursors = List.filter_map (group_pre_cursor ctx) plan.Plan.groups in
+        measure ctx "Merge+Index" ~tuples_in:0 (fun () ->
+          let c =
+            match intersect_cursors pre_cursors with
+            | Some c -> c
+            | None ->
+              (* No pre source: enumerate all root ids (dense). *)
+              let i = ref 0 in
+              Cursor.make (fun () ->
+                incr i;
+                if !i > n_root then None else Some !i)
+          in
+          let arr = Cursor.to_array c in
+          cpu ctx (Array.length arr);
+          let arr =
+            (* A visible pre-filter on the root ships public-store ids,
+               which include rows inserted after the load. The SKT and
+               the column stores do not cover those: drop them here (the
+               delta scan below finds them through the same id lists). *)
+            let n = Array.length arr in
+            if n = 0 || arr.(n - 1) <= n_root then arr
+            else begin
+              let k = ref 0 in
+              while !k < n && arr.(!k) <= n_root do incr k done;
+              Array.sub arr 0 !k
+            end
+          in
+          let arr =
+            if Array.length tombstones = 0 then arr
+            else Sorted_ids.difference arr tombstones
+          in
+          (arr, Array.length arr))
+      end
     in
-    (* 2. Post-filter structures. *)
-    let post_groups =
-      List.filter
-        (fun (g : Plan.group) ->
-           g.Plan.g_visible <> []
-           &&
-           match g.Plan.g_visible_strategy with
-           | Plan.V_post | Plan.V_cross_post -> true
-           | Plan.V_pre | Plan.V_cross_pre -> false)
-        plan.Plan.groups
+    (* 2. Post-filter structures: Bloom filters, hidden-column checks
+       (every hidden predicate under [Full]). *)
+    let blooms =
+      if full then []
+      else
+        List.filter
+          (fun (g : Plan.group) ->
+             g.Plan.g_visible <> []
+             &&
+             match g.Plan.g_visible_strategy with
+             | Plan.V_post | Plan.V_cross_post -> true
+             | Plan.V_pre | Plan.V_cross_pre -> false)
+          plan.Plan.groups
+        |> List.map (fun g -> build_bloom ctx ~level_of g)
     in
-    let blooms = List.map (fun g -> build_bloom ctx ~level_of g) post_groups in
     List.iter (fun b -> Resources.defer resources (fun () -> Ram.free ctx.ram b.bf_cell)) blooms;
     let checks =
       List.concat_map
         (fun (g : Plan.group) ->
            List.filter_map
              (fun (h : Plan.hidden_pred) ->
-                if h.Plan.h_strategy <> Plan.H_check then None
-                else begin
-                  let cs =
-                    column_store_exn ctx ~table:g.Plan.g_table
+                if full || h.Plan.h_strategy = Plan.H_check then begin
+                  let reader =
+                    open_column ctx ~table:g.Plan.g_table
                       ~column:h.Plan.h_pred.Predicate.column
                   in
-                  let reader =
-                    Column_store.open_reader ~ram:ctx.ram ~buffer_bytes:256
-                      ?cache:ctx.cache cs
-                  in
-                  Resources.defer resources (fun () -> Column_store.close_reader reader);
                   Some
                     {
                       hc_pred = h.Plan.h_pred;
                       hc_level = level_of g.Plan.g_table;
                       hc_reader = reader;
                     }
-                end)
+                end
+                else None)
              g.Plan.g_hidden)
         plan.Plan.groups
     in
-    (* 3. SKT access + probes. *)
+    (* 3. SKT access + probes. Under [Full] every root id is a
+       candidate, so tombstones and visible selections are tested here;
+       the Pre-filtered candidates passed both in Merge+Index. *)
+    let tests =
+      if full then (not_deleted :: List.map check_test checks) @ shipped_tests ()
+      else List.map bloom_test blooms @ List.map check_test checks
+    in
     let surviving =
-      measure ctx "AccessSKT" ~tuples_in:(Array.length candidates) (fun () ->
-        (* Point probes: a small window keeps the charged read close to
-           the row size while still batching adjacent candidates. *)
-        let reader =
-          Option.map
-            (fun skt -> Skt.open_reader ~ram:ctx.ram ~buffer_bytes:64 ?cache:ctx.cache skt)
-            skt_opt
-        in
-        Option.iter
-          (fun r -> Resources.defer resources (fun () -> Skt.close_reader r))
-          reader;
-        let rows =
-          Array.to_list candidates
-          |> List.filter_map (fun id ->
-            let ids =
-              match reader with
-              | Some r -> Skt.get r id
-              | None -> [| id |]
-            in
-            let pass_blooms =
-              List.for_all
-                (fun b ->
-                   cpu ctx (Bloom.k b.bf);
-                   Bloom.mem b.bf ids.(b.bf_level))
-                blooms
-            in
-            let pass_checks =
-              pass_blooms
-              && List.for_all
-                   (fun hc ->
-                      cpu ctx 2;
-                      Predicate.holds hc.hc_pred
-                        (Column_store.get hc.hc_reader ids.(hc.hc_level)))
-                   checks
-            in
-            if pass_checks then Some { ids; attached = []; delta_hidden = None }
-            else None)
-        in
-        (rows, List.length rows))
+      measure ctx
+        (if full then "BoundScan" else "AccessSKT")
+        ~tuples_in:(Array.length candidates)
+        (fun () ->
+           (* Point probes: a small window keeps the charged read close
+              to the row size while still batching adjacent candidates. *)
+           let reader =
+             Option.map
+               (fun skt -> Skt.open_reader ~ram:ctx.ram ~buffer_bytes:64 ?cache:ctx.cache skt)
+               skt_opt
+           in
+           Option.iter
+             (fun r -> Resources.defer resources (fun () -> Skt.close_reader r))
+             reader;
+           let n_live = ref 0 in
+           let rows =
+             Array.to_list candidates
+             |> List.filter_map (fun id ->
+               let ids =
+                 match reader with
+                 | Some r -> Skt.get r id
+                 | None -> [| id |]
+               in
+               if full then cpu ctx 1;
+               let live = all_pass tests ids in
+               if live then incr n_live;
+               if live || full then
+                 Some { ids; attached = []; delta_hidden = None; live }
+               else None)
+           in
+           (rows, !n_live))
     in
     (* Rows inserted after the load live in the delta log: scan it,
        applying every predicate directly (indexes do not cover them).
@@ -764,61 +836,62 @@ let execute_baseline ~exact_post ~bloom_fpr ~scratch catalog public plan =
       match Catalog.delta catalog root with
       | None -> []
       | Some log ->
-        measure ctx "DeltaScan" ~tuples_in:(Delta_log.count log) (fun () ->
-          let hidden_evals =
-            List.concat_map
-              (fun (g : Plan.group) ->
-                 List.map
-                   (fun (h : Plan.hidden_pred) ->
-                      let table = g.Plan.g_table in
-                      let pred = h.Plan.h_pred in
-                      if table = root then
-                        fun (r : Delta_log.row) ->
-                          Predicate.holds pred
-                            (Delta_log.hidden_value log r pred.Predicate.column)
-                      else begin
-                        let cs =
-                          column_store_exn ctx ~table ~column:pred.Predicate.column
-                        in
-                        let reader =
-                          Column_store.open_reader ~ram:ctx.ram ~buffer_bytes:256
-                            ?cache:ctx.cache cs
-                        in
-                        Resources.defer resources (fun () ->
-                          Column_store.close_reader reader);
-                        let lvl = level_of table in
-                        fun (r : Delta_log.row) ->
-                          Predicate.holds pred
-                            (Column_store.get reader r.Delta_log.ids.(lvl))
-                      end)
-                   g.Plan.g_hidden)
-              plan.Plan.groups
+        (* Under [Full] the log is read end to end: its length is public
+           (the spy watched every insert, and compaction folding depends
+           only on the public insert/delete volume). *)
+        measure ctx "DeltaScan"
+          ~tuples_in:(if full then Delta_log.physical_records log else Delta_log.count log)
+          (fun () ->
+          (* Root columns ride in the record; deeper ones are read
+             through the check readers under [Full], fresh ones
+             otherwise. *)
+          let from_record pred r = Delta_log.hidden_value log r pred.Predicate.column in
+          let through reader lvl (r : Delta_log.row) =
+            Column_store.get reader r.Delta_log.ids.(lvl)
           in
-          let visible_pre_checks =
-            List.filter_map
-              (fun (g : Plan.group) ->
-                 if g.Plan.g_visible = [] then None
-                 else
-                   match g.Plan.g_visible_strategy with
-                   | Plan.V_pre | Plan.V_cross_pre ->
-                     let lvl = level_of g.Plan.g_table in
-                     (match List.assoc_opt g.Plan.g_table ctx.shipped with
-                      | Some ids ->
-                        Some
-                          (fun (r : Delta_log.row) ->
-                             Sorted_ids.member ids r.Delta_log.ids.(lvl))
-                      | None ->
-                        fail "delta scan: no shipped id list for %s" g.Plan.g_table)
-                   | Plan.V_post | Plan.V_cross_post -> None)
-              plan.Plan.groups
+          let hidden =
+            if full then
+              List.map
+                (fun hc ->
+                   ( hc.hc_pred,
+                     if hc.hc_level = 0 then from_record hc.hc_pred
+                     else through hc.hc_reader hc.hc_level ))
+                checks
+            else
+              List.concat_map
+                (fun (g : Plan.group) ->
+                   List.map
+                     (fun (h : Plan.hidden_pred) ->
+                        let table = g.Plan.g_table in
+                        let pred = h.Plan.h_pred in
+                        ( pred,
+                          if table = root then from_record pred
+                          else
+                            through
+                              (open_column ctx ~table ~column:pred.Predicate.column)
+                              (level_of table) ))
+                     g.Plan.g_hidden)
+                plan.Plan.groups
+          in
+          let on_ids test (r : Delta_log.row) = test r.Delta_log.ids in
+          let tests =
+            on_ids not_deleted
+            :: List.map
+                 (fun (pred, read) r ->
+                    if full then cpu ctx 2;
+                    Predicate.holds pred (read r))
+                 hidden
+            @ List.map on_ids (shipped_tests ())
+            @ List.map (fun b -> on_ids (bloom_test b)) blooms
           in
           (* Merge-on-read bounds: with leveled runs, a Pre-filtered
              root selection fences the scan — run pages outside the
              shipped id range are skipped (superset emission; the
-             membership check below still decides). The flat log has
-             no runs, so the bounds change nothing there. *)
+             membership test still decides). The flat log has no runs,
+             and [Full] never lets the touched page set depend on the
+             selection. *)
           let lo, hi =
-            if not (Delta_log.runs_enabled log) then (None, None)
+            if full || not (Delta_log.runs_enabled log) then (None, None)
             else begin
               let root_pre =
                 List.exists
@@ -841,27 +914,21 @@ let execute_baseline ~exact_post ~bloom_fpr ~scratch catalog public plan =
             end
           in
           let out = ref [] in
+          let n_live = ref 0 in
           Delta_log.scan_range ?lo ?hi log (fun r ->
             cpu ctx 5;
-            let ok =
-              not (Sorted_ids.member tombstones r.Delta_log.ids.(0))
-              && List.for_all (fun f -> f r) hidden_evals
-              && List.for_all (fun f -> f r) visible_pre_checks
-              && List.for_all
-                   (fun b ->
-                      cpu ctx (Bloom.k b.bf);
-                      Bloom.mem b.bf r.Delta_log.ids.(b.bf_level))
-                   blooms
-            in
-            if ok then
+            let live = all_pass tests r in
+            if live then incr n_live;
+            if live || full then
               out :=
                 {
                   ids = r.Delta_log.ids;
                   attached = [];
                   delta_hidden = Some (Delta_log.hidden_assoc log r);
+                  live;
                 }
                 :: !out);
-          (List.rev !out, List.length !out))
+          (List.rev !out, !n_live))
     in
     let surviving = surviving @ delta_rows in
     (* 4. Projection joins: visible projected columns + verification of
@@ -903,7 +970,7 @@ let execute_baseline ~exact_post ~bloom_fpr ~scratch catalog public plan =
          let fetch () =
            let stream =
              Public_store.stream_column ctx.public ~trace ~table ~column
-               ~preds:(visible_preds_on table)
+               ~preds:(if full then [] else visible_preds_on table)
            in
            receive_stream ctx ~table ~column ~ty stream;
            stream
@@ -927,7 +994,9 @@ let execute_baseline ~exact_post ~bloom_fpr ~scratch catalog public plan =
                 let ids = ship_visible_ids ctx ~table preds in
                 Array.map (fun id -> (id, Value.Null)) ids))
       verify_only_tables;
-    (* 5. Final projection + emission to the secure display. *)
+    (* 5. Final projection + emission to the secure display. Tuples are
+       built for dead rows too (identical hidden-column page touches),
+       then dropped. *)
     let attach_order = List.map (fun (t, c, _) -> (t, c)) projected_visible in
     let result_rows =
       measure ctx "Project" ~tuples_in:(List.length !rows) (fun () ->
@@ -937,17 +1006,12 @@ let execute_baseline ~exact_post ~bloom_fpr ~scratch catalog public plan =
           match Hashtbl.find_opt hidden_readers (table, column) with
           | Some r -> r
           | None ->
-            let cs = column_store_exn ctx ~table ~column in
-            let r =
-              Column_store.open_reader ~ram:ctx.ram ~buffer_bytes:256
-                ?cache:ctx.cache cs
-            in
-            Resources.defer resources (fun () -> Column_store.close_reader r);
+            let r = open_column ctx ~table ~column in
             Hashtbl.replace hidden_readers (table, column) r;
             r
         in
         let out =
-          List.map
+          List.filter_map
             (fun row ->
                let attached = Array.of_list (List.rev row.attached) in
                let tuple =
@@ -979,16 +1043,17 @@ let execute_baseline ~exact_post ~bloom_fpr ~scratch catalog public plan =
                          end)
                       plan.Plan.query.Bind.projections)
                in
-               tuple)
+               if row.live then Some tuple else None)
             !rows
         in
+        let n_in = List.length !rows in
         (* Aggregate queries fold the base rows on the device; the group
            table is RAM-resident. *)
         let out =
           match plan.Plan.query.Bind.aggregate with
           | None -> out
           | Some spec ->
-            cpu ctx (5 * List.length out);
+            cpu ctx (5 * n_in);
             let grouped = Ghost_sql.Aggregate.apply spec out in
             let group_bytes =
               max 16
@@ -1000,12 +1065,13 @@ let execute_baseline ~exact_post ~bloom_fpr ~scratch catalog public plan =
             grouped
         in
         (* ORDER BY / LIMIT: the output rows are sorted in device RAM
-           just before emission. *)
+           just before emission — under [Full], priced at the padded
+           input count. *)
         let out =
           match plan.Plan.query.Bind.order_by, plan.Plan.query.Bind.limit with
           | [], None -> out
           | order_by, limit ->
-            let n = List.length out in
+            let n = if full then n_in else List.length out in
             cpu ctx (n * Ext_sort.log2_ceil n);
             Ram.with_alloc ctx.ram ~label:"order-by"
               (max 16 (n * 8))
@@ -1058,397 +1124,6 @@ let execute_baseline ~exact_post ~bloom_fpr ~scratch catalog public plan =
       padding_bytes = ctx.pad_bytes;
     })
 
-(* The fixed-shape path ([Plan.oblivious = Full]). Everything the spy
-   observes — frame count, frame lengths, page-touch counts, the
-   simulated clock — is a function of the schema and of public bounds
-   (table cardinalities, live root count, delta / tombstone log
-   lengths), never of hidden data:
-
-   - visible id lists ship padded to the table cardinality, one fixed
-     frame per predicate (the predicate count rides in the query
-     text); the real intersection stays host-side for membership;
-   - the SKT is scanned bound-depth: every loaded root id is visited
-     and EVERY hidden predicate evaluated on every candidate — no
-     short-circuiting, a skipped check would show on the clock;
-   - projection streams fetch the full column ([preds:[]]), so the
-     stream length is the table cardinality;
-   - the result is emitted padded to the live root count (capped by
-     the public LIMIT); dummies are stripped before rows return.
-
-   Filtering rides on live/dead flags carried beside each row, so the
-   answer is still exact. RAM occupancy inside the tamper-resistant
-   device may vary with the data; it is not on any spy-visible link. *)
-let execute_oblivious ~scratch catalog public plan =
-  Plan.validate plan;
-  let device = catalog.Catalog.device in
-  Resources.with_resources (fun resources ->
-    let ctx =
-      {
-        catalog;
-        public;
-        plan;
-        device;
-        ram = Device.ram device;
-        scratch;
-        cache = Device.page_cache device;
-        resources;
-        ops_rev = [];
-        exact_post = true;
-        bloom_fpr = 0.01;
-        bloom_fps = 0;
-        shipped = [];
-        pad_bytes = 0;
-      }
-    in
-    let schema = catalog.Catalog.schema in
-    let root = plan.Plan.root in
-    let trace = Device.trace device in
-    let global_scope = Ram.open_scope ctx.ram in
-    Resources.defer resources (fun () ->
-      ignore (Ram.close_scope ctx.ram global_scope));
-    let run_start = Device.snapshot device in
-    ignore
-      (measure ctx "ReceiveQuery" ~tuples_in:0 (fun () ->
-         Device.receive_query device plan.Plan.query.Bind.text;
-         ((), 0)));
-    let skt_opt = Catalog.skt catalog root in
-    let levels =
-      match skt_opt with
-      | Some skt -> Skt.levels skt
-      | None -> [ root ]
-    in
-    let level_of table =
-      let rec loop i = function
-        | [] -> fail "table %s is not in the subtree of %s" table root
-        | t :: rest -> if t = table then i else loop (i + 1) rest
-      in
-      loop 0 levels
-    in
-    let tombstones =
-      match Catalog.tombstone catalog root with
-      | None -> [||]
-      | Some log ->
-        measure ctx "TombstoneLoad" ~tuples_in:0 (fun () ->
-          let ids = Tombstone_log.load_sorted log in
-          let cell =
-            Ram.alloc ctx.ram ~label:"tombstones" (max 4 (4 * Array.length ids))
-          in
-          Resources.defer resources (fun () -> Ram.free ctx.ram cell);
-          cpu ctx (Array.length ids);
-          (ids, Array.length ids))
-    in
-    (* Padded visible shipments, CPU charged at the bound. *)
-    List.iter
-      (fun (g : Plan.group) ->
-         if g.Plan.g_visible <> [] then begin
-           let table = g.Plan.g_table in
-           ignore
-             (measure ctx (Printf.sprintf "ShipPadded(%s)" table) ~tuples_in:0
-                (fun () ->
-                   let lists =
-                     List.map
-                       (fun p ->
-                          let ids =
-                            Public_store.select_ids ctx.public ~trace p
-                          in
-                          receive_ids ctx ~table ids;
-                          cpu ctx (Public_store.cardinality ctx.public table);
-                          ids)
-                       g.Plan.g_visible
-                   in
-                   let ids = Sorted_ids.intersect_many lists in
-                   ctx.shipped <- (table, ids) :: ctx.shipped;
-                   ((), Array.length ids)))
-         end)
-      plan.Plan.groups;
-    (* Every hidden predicate becomes a per-candidate check. *)
-    let checks =
-      List.concat_map
-        (fun (g : Plan.group) ->
-           List.map
-             (fun (h : Plan.hidden_pred) ->
-                let cs =
-                  column_store_exn ctx ~table:g.Plan.g_table
-                    ~column:h.Plan.h_pred.Predicate.column
-                in
-                let reader =
-                  Column_store.open_reader ~ram:ctx.ram ~buffer_bytes:256
-                    ?cache:ctx.cache cs
-                in
-                Resources.defer resources (fun () ->
-                  Column_store.close_reader reader);
-                {
-                  hc_pred = h.Plan.h_pred;
-                  hc_level = level_of g.Plan.g_table;
-                  hc_reader = reader;
-                })
-             g.Plan.g_hidden)
-        plan.Plan.groups
-    in
-    (* Bound-depth scan: all the predicate work, on all the rows. The
-       folds below keep evaluating after a miss on purpose. *)
-    let n_root = Catalog.table_count catalog root in
-    let scanned =
-      measure ctx "BoundScan" ~tuples_in:n_root (fun () ->
-        let reader =
-          Option.map
-            (fun skt ->
-               Skt.open_reader ~ram:ctx.ram ~buffer_bytes:64 ?cache:ctx.cache skt)
-            skt_opt
-        in
-        Option.iter
-          (fun r -> Resources.defer resources (fun () -> Skt.close_reader r))
-          reader;
-        let out = ref [] in
-        let live_out = ref 0 in
-        for id = 1 to n_root do
-          let ids =
-            match reader with
-            | Some r -> Skt.get r id
-            | None -> [| id |]
-          in
-          cpu ctx 1;
-          let dead = Sorted_ids.member tombstones id in
-          let hidden_ok =
-            List.fold_left
-              (fun acc hc ->
-                 cpu ctx 2;
-                 let v = Column_store.get hc.hc_reader ids.(hc.hc_level) in
-                 let ok = Predicate.holds hc.hc_pred v in
-                 acc && ok)
-              true checks
-          in
-          let visible_ok =
-            List.fold_left
-              (fun acc (table, shipped) ->
-                 cpu ctx 2;
-                 let m = Sorted_ids.member shipped ids.(level_of table) in
-                 acc && m)
-              true ctx.shipped
-          in
-          let live = (not dead) && hidden_ok && visible_ok in
-          if live then incr live_out;
-          out := ({ ids; attached = []; delta_hidden = None }, live) :: !out
-        done;
-        (List.rev !out, !live_out))
-    in
-    (* The delta log is scanned end to end (its length is public: the
-       spy watched every insert, and compaction folding depends only on
-       the public insert/delete volume), same uniform evaluation. No
-       run-fence skipping here — the oblivious path never lets the
-       touched page set depend on the selection. *)
-    let delta_rows =
-      match Catalog.delta catalog root with
-      | None -> []
-      | Some log ->
-        measure ctx "DeltaScan" ~tuples_in:(Delta_log.physical_records log)
-          (fun () ->
-          let out = ref [] in
-          let live_out = ref 0 in
-          Delta_log.scan log (fun r ->
-            cpu ctx 5;
-            let dead = Sorted_ids.member tombstones r.Delta_log.ids.(0) in
-            let hidden_ok =
-              List.fold_left
-                (fun acc hc ->
-                   cpu ctx 2;
-                   let v =
-                     if hc.hc_level = 0 then
-                       Delta_log.hidden_value log r hc.hc_pred.Predicate.column
-                     else
-                       Column_store.get hc.hc_reader
-                         r.Delta_log.ids.(hc.hc_level)
-                   in
-                   let ok = Predicate.holds hc.hc_pred v in
-                   acc && ok)
-                true checks
-            in
-            let visible_ok =
-              List.fold_left
-                (fun acc (table, shipped) ->
-                   cpu ctx 2;
-                   let m =
-                     Sorted_ids.member shipped r.Delta_log.ids.(level_of table)
-                   in
-                   acc && m)
-                true ctx.shipped
-            in
-            let live = (not dead) && hidden_ok && visible_ok in
-            if live then incr live_out;
-            out :=
-              ( {
-                  ids = r.Delta_log.ids;
-                  attached = [];
-                  delta_hidden = Some (Delta_log.hidden_assoc log r);
-                },
-                live )
-              :: !out);
-          (List.rev !out, !live_out))
-    in
-    let all_pairs = scanned @ delta_rows in
-    let all_rows = List.map fst all_pairs in
-    (* Projection joins over ALL rows (live and dead) against the full
-       column stream: [verify:false] keeps every row, attaching values
-       in place. *)
-    let projected_visible =
-      List.filter_map
-        (fun (table, column) ->
-           let tbl = Schema.find_table schema table in
-           if column = tbl.Schema.key then None
-           else begin
-             let col = Schema.find_column tbl column in
-             if Column.is_hidden col then None
-             else Some (table, column, col.Column.ty)
-           end)
-        plan.Plan.query.Bind.projections
-      |> List.sort_uniq compare
-    in
-    List.iter
-      (fun (table, column, ty) ->
-         let width = Value.ty_width ty in
-         let fetch () =
-           let stream =
-             Public_store.stream_column ctx.public ~trace ~table ~column
-               ~preds:[]
-           in
-           receive_stream ctx ~table ~column ~ty stream;
-           stream
-         in
-         ignore
-           (join_stream ctx
-              ~label:(Printf.sprintf "Project+Join(%s.%s)" table column)
-              ~level:(level_of table) ~verify:false ~attach_value:true
-              ~value_width:width ~rows:all_rows fetch))
-      projected_visible;
-    (* Projection + padded emission: tuples are materialised for dead
-       rows too (identical hidden-column page touches), then dropped. *)
-    let attach_order = List.map (fun (t, c, _) -> (t, c)) projected_visible in
-    let result_rows =
-      measure ctx "Project" ~tuples_in:(List.length all_pairs) (fun () ->
-        let hidden_readers = Hashtbl.create 8 in
-        let reader_for table column =
-          match Hashtbl.find_opt hidden_readers (table, column) with
-          | Some r -> r
-          | None ->
-            let cs = column_store_exn ctx ~table ~column in
-            let r =
-              Column_store.open_reader ~ram:ctx.ram ~buffer_bytes:256
-                ?cache:ctx.cache cs
-            in
-            Resources.defer resources (fun () -> Column_store.close_reader r);
-            Hashtbl.replace hidden_readers (table, column) r;
-            r
-        in
-        let out =
-          List.filter_map
-            (fun (row, live) ->
-               let attached = Array.of_list (List.rev row.attached) in
-               let tuple =
-                 Array.of_list
-                   (List.map
-                      (fun (table, column) ->
-                         cpu ctx 2;
-                         let tbl = Schema.find_table schema table in
-                         if column = tbl.Schema.key then
-                           Value.Int row.ids.(level_of table)
-                         else begin
-                           let col = Schema.find_column tbl column in
-                           if Column.is_hidden col then begin
-                             match row.delta_hidden with
-                             | Some assoc when table = root ->
-                               List.assoc column assoc
-                             | Some _ | None ->
-                               Column_store.get (reader_for table column)
-                                 row.ids.(level_of table)
-                           end
-                           else begin
-                             let rec pos i = function
-                               | [] ->
-                                 fail "projection %s.%s not attached" table
-                                   column
-                               | (t, c) :: rest ->
-                                 if t = table && c = column then i
-                                 else pos (i + 1) rest
-                             in
-                             attached.(pos 0 attach_order)
-                           end
-                         end)
-                      plan.Plan.query.Bind.projections)
-               in
-               if live then Some tuple else None)
-            all_pairs
-        in
-        let padded_in = List.length all_pairs in
-        let out =
-          match plan.Plan.query.Bind.aggregate with
-          | None -> out
-          | Some spec ->
-            cpu ctx (5 * padded_in);
-            let grouped = Ghost_sql.Aggregate.apply spec out in
-            let group_bytes =
-              max 16
-                (List.length grouped
-                 * 8
-                 * max 1 (List.length spec.Ghost_sql.Aggregate.output))
-            in
-            Ram.with_alloc ctx.ram ~label:"aggregate-groups" group_bytes
-              (fun _ -> ());
-            grouped
-        in
-        let out =
-          match plan.Plan.query.Bind.order_by, plan.Plan.query.Bind.limit with
-          | [], None -> out
-          | order_by, limit ->
-            cpu ctx (padded_in * Ext_sort.log2_ceil (max 1 padded_in));
-            Ram.with_alloc ctx.ram ~label:"order-by"
-              (max 16 (padded_in * 8))
-              (fun _ -> Ghost_sql.Postproc.apply ~order_by ~limit out)
-        in
-        emit_rows ctx ~count:(List.length out)
-          ~bytes:(List.length out * emit_row_width ctx);
-        (out, List.length out))
-    in
-    let scratch = ctx.scratch in
-    if Flash.live_bytes scratch > 0 then
-      ignore
-        (measure ctx "ScratchReclaim" ~tuples_in:0 (fun () ->
-           Flash.erase_live_blocks scratch;
-           ((), 0)));
-    Resources.release resources;
-    (match ctx.cache with
-     | Some c ->
-       let s = Page_cache.stats c in
-       Trace.record trace Trace.Device_to_display
-         (Trace.Cache_stats
-            {
-              hits = s.Page_cache.hits;
-              misses = s.Page_cache.misses;
-              evictions = s.Page_cache.evictions;
-            })
-         ~bytes:0
-     | None -> ());
-    let total =
-      Device.usage_between device ~before:run_start ~after:(Device.snapshot device)
-    in
-    let ram_peak = Ram.close_scope ctx.ram global_scope in
-    {
-      rows = result_rows;
-      row_count = List.length result_rows;
-      ops = List.rev ctx.ops_rev;
-      total;
-      elapsed_us = total.Device.total_us;
-      ram_peak;
-      bloom_fp_candidates = 0;
-      oblivious = Oblivious.Full;
-      padding_bytes = ctx.pad_bytes;
-    })
-
-let execute_once ~exact_post ~bloom_fpr ~scratch catalog public plan =
-  match plan.Plan.oblivious with
-  | Oblivious.Full -> execute_oblivious ~scratch catalog public plan
-  | Oblivious.Off | Oblivious.Pad ->
-    execute_baseline ~exact_post ~bloom_fpr ~scratch catalog public plan
-
 (* Graceful degradation under a detected integrity failure. A caught
    {!Flash.Integrity_error} aborts the attempt cleanly (the deferred
    RAM-scope close runs, the scratch region is reclaimable), the
@@ -1459,7 +1134,7 @@ let execute_once ~exact_post ~bloom_fpr ~scratch catalog public plan =
    persistent and the session fails with the original error — never
    with silently wrong rows. *)
 let execute ~exact_post ~bloom_fpr ~scratch catalog public plan =
-  try execute_once ~exact_post ~bloom_fpr ~scratch catalog public plan with
+  try execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan with
   | Flash.Integrity_error { page; _ } as e ->
     let device = catalog.Catalog.device in
     (match Device.page_cache device with
@@ -1468,7 +1143,7 @@ let execute ~exact_post ~bloom_fpr ~scratch catalog public plan =
     let transient = Flash.page_intact (Device.flash device) ~page in
     Device.note_integrity_error device ~transient;
     if transient then
-      execute_once ~exact_post ~bloom_fpr ~scratch catalog public plan
+      execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan
     else raise e
 
 let run ?(exact_post = true) ?(bloom_fpr = 0.01) catalog public plan =

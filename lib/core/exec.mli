@@ -18,14 +18,16 @@ module Oblivious = Ghost_oblivious.Oblivious
     reports the per-operator statistics the demo GUI shows (tuples
     processed, local RAM consumption, processing time).
 
-    When the plan carries {!Plan.t.oblivious} = [Pad], the same
-    pipeline runs but the three length-bearing USB sites (id
-    shipments, projection streams, result emission) are padded up to
-    power-of-two buckets under their public bounds. Under [Full] a
-    separate fixed-shape path runs instead: bound-depth SKT scan,
-    uniform predicate evaluation, full-column streams and
-    bound-padded emission, making the spy-visible trace (and the
-    device clock) a function of schema and public bounds alone. *)
+    Every plan runs through this one pipeline; {!Plan.t.oblivious}
+    only picks its shape. Under [Pad] the three length-bearing USB
+    sites (id shipments, projection streams, result emission) are
+    padded up to power-of-two buckets under their public bounds. Under
+    [Full] the pipeline also takes its fixed shape: padded shipments
+    and a bound-depth SKT scan instead of Pre-filter walks, uniform
+    (non-short-circuit) predicate evaluation, a whole-log delta scan,
+    full-column streams and bound-padded emission. That makes the
+    spy-visible trace (and the device clock) a function of schema and
+    public bounds alone. *)
 
 type op_stats = {
   op_label : string;

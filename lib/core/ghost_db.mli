@@ -175,8 +175,8 @@ val query :
     and 1 or the call raises [Invalid_argument] before touching the
     device.
 
-    [oblivious] (default false) runs the query through the fixed-shape
-    path ({!Planner.oblivious} + the [Full] executor): the spy-visible
+    [oblivious] (default false) runs the query in its fixed shape
+    ({!Planner.oblivious}, executed in [Full] mode): the spy-visible
     trace becomes a function of the schema and public bounds alone —
     two queries with the same visible part and the same public bounds
     produce byte-identical traces whatever their hidden constants.
