@@ -538,8 +538,7 @@ let decode t b off =
   in
   { ids; hidden }
 
-let scan_range ?ram ?lo ?hi t f =
-  ignore ram;
+let scan_range ?lo ?hi t f =
   (* Runs first (they hold the oldest records), then L0: rows stream in
      ascending root-id order just like the flat log's append order. The
      bounds skip run pages via their key fences; the L0 prefix is
@@ -564,7 +563,7 @@ let scan_range ?ram ?lo ?hi t f =
   | Some page -> read_page page (List.length t.tail)
   | None -> ()
 
-let scan ?ram t f = scan_range ?ram t f
+let scan t f = scan_range t f
 
 let hidden_assoc t row =
   Array.to_list (Array.mapi (fun i (name, _) -> (name, row.hidden.(i))) t.hidden_cols)

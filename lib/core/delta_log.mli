@@ -194,14 +194,12 @@ type row = {
   hidden : Value.t array;  (** aligned with [hidden_cols] *)
 }
 
-val scan :
-  ?ram:Ghost_device.Ram.t -> t -> (row -> unit) -> unit
+val scan : t -> (row -> unit) -> unit
 (** Sequential metered read of the whole log: installed runs oldest
     first, then the L0 pages — ascending root-id order throughout,
     matching the flat log's append order. *)
 
-val scan_range :
-  ?ram:Ghost_device.Ram.t -> ?lo:int -> ?hi:int -> t -> (row -> unit) -> unit
+val scan_range : ?lo:int -> ?hi:int -> t -> (row -> unit) -> unit
 (** {!scan} that skips run pages whose key fences fall outside
     [[lo, hi]] — the merge-on-read fast path. Emits a {e superset} of
     the rows in range (page granularity; L0 is always read whole), so

@@ -276,6 +276,31 @@ let test_rejected_frame_commits_nothing () =
     check Alcotest.bool "ids" true (got = ids)
   | Ok _ | Error _ -> Alcotest.fail "frame 2 did not decode after commit"
 
+(* A compact frame around hand-built message bytes: magic, body, CRC-32. *)
+let raw_frame body =
+  let body = "\xC7" ^ body in
+  let n = String.length body in
+  let f = Bytes.create (n + 4) in
+  Bytes.blit_string body 0 f 0 n;
+  Ghost_kernel.Codec.put_u32 f n
+    (Ghost_kernel.Codec.crc32 (Bytes.of_string body) ~pos:0 ~len:n);
+  f
+
+(* A 9-byte varint reaches the sign bit of OCaml's 63-bit int: an id
+   that wraps negative must be rejected, never returned as data. *)
+let test_id_overflow () =
+  let expect what body =
+    let f = raw_frame body in
+    match Wire.decode_frame (Wire.decoder ()) f ~pos:0 ~len:(Bytes.length f) with
+    | Error e -> check Alcotest.string what "id overflow" e
+    | Ok _ -> Alcotest.failf "%s: overflowing id accepted" what
+  in
+  (* Id_list, inline label "t", 2 ids: 5, then a delta of 2^62 (negative) *)
+  expect "id list" ("\x02\x00\x01t\x02\x05" ^ String.make 8 '\x80' ^ "\x40");
+  (* Value_stream "t"."c" INTEGER, 2 NULL pairs: id 5, then an id delta
+     of max_int (tagged varint of all-ones) *)
+  expect "value stream" ("\x03\x00\x01t\x00\x01c\x00\x02\x0B" ^ String.make 8 '\xFF' ^ "\x7F")
+
 (* ---- device integration ---- *)
 
 let trace_sums trace =
@@ -493,6 +518,7 @@ let suite =
     Alcotest.test_case "fuzz: truncation and bit flips rejected" `Quick test_fuzz_rejection;
     Alcotest.test_case "rejected frames commit no labels" `Quick
       test_rejected_frame_commits_nothing;
+    Alcotest.test_case "overflowing ids rejected" `Quick test_id_overflow;
     Alcotest.test_case "batching coalesces frames" `Quick test_batch_coalesces;
     Alcotest.test_case "trace totals = device counters" `Quick
       test_trace_totals_match_counters;
