@@ -67,9 +67,9 @@ let test_entropy () =
 
 (* ---- auditing the two executors on the medical workload --------- *)
 
-let fresh () =
+let fresh ?device_config () =
   let rows = Medical.generate Medical.tiny in
-  let db = Ghost_db.of_schema (Medical.schema ()) rows in
+  let db = Ghost_db.of_schema ?device_config (Medical.schema ()) rows in
   let refdb = Reference.db_of_rows (Ghost_db.schema db) rows in
   (db, refdb)
 
@@ -226,9 +226,24 @@ let test_rows_match_reference () =
     ]
 
 (* Delta-log and tombstone coverage: the fixed-shape scan must see
-   fresh inserts and stop seeing deleted roots, like the baseline. *)
-let test_rows_after_mutations () =
-  let db, _ = fresh () in
+   fresh inserts and stop seeing deleted roots, like the baseline. With
+   [leveled], the device keeps durable logs in leveled runs (small
+   pages, so the inserts spill) and compaction runs between the inserts
+   and the deletes and after them, so the whole-log scan crosses sorted
+   runs and folded tombstones. *)
+let rows_after_mutations ~leveled () =
+  let device_config =
+    if not leveled then None
+    else
+      Some
+        {
+          Device.default_config with
+          Device.durable_logs = true;
+          flash_geometry = { Ghost_flash.Flash.page_size = 256; pages_per_block = 8 };
+          log_runs = Some { Device.l0_spill_pages = 2; run_fanout = 2 };
+        }
+  in
+  let db, _ = fresh ?device_config () in
   let rng = Rng.create 11 in
   let next = Medical.tiny.Medical.prescriptions + 1 in
   let batch =
@@ -243,7 +258,14 @@ let test_rows_after_mutations () =
       |])
   in
   Ghost_db.insert db batch;
+  if leveled then Ghost_db.compact db;
   Ghost_db.delete db [ 1; 7; 42; next + 3 ];
+  if leveled then begin
+    Ghost_db.compact db;
+    let log = Option.get (Catalog.delta (Ghost_db.catalog db) "Prescription") in
+    check Alcotest.bool "inserts spilled into sorted runs" true
+      (Ghostdb.Delta_log.run_count log > 0)
+  end;
   List.iter
     (fun (name, sql) ->
        let expected = (Ghost_db.query db sql).Exec.rows in
@@ -388,6 +410,8 @@ let suite =
     Alcotest.test_case "trace equality: hidden range" `Quick
       test_trace_equality_hidden_range;
     Alcotest.test_case "rows match reference" `Quick test_rows_match_reference;
-    Alcotest.test_case "rows after mutations" `Quick test_rows_after_mutations;
+    Alcotest.test_case "rows after mutations" `Quick (rows_after_mutations ~leveled:false);
+    Alcotest.test_case "rows after mutations: leveled log" `Quick
+      (rows_after_mutations ~leveled:true);
     prop_trace_equality;
   ]
