@@ -71,7 +71,7 @@ type context = {
   bloom_fpr : float;
   mutable bloom_fps : int;
   mutable shipped : (string * int array) list;
-      (* visible Pre-filter id lists, kept for the delta scan *)
+      (* shipped visible id lists, kept for membership tests *)
   mutable pad_bytes : int;
       (* dummy-padding bytes shipped or emitted so far (Pad / Full) *)
 }
