@@ -196,6 +196,135 @@ let test_tombstone_power_cut_recovery () =
   Tombstone_log.append log [ 7; 4 ];
   check Alcotest.int "resumes" 6 (Tombstone_log.count log)
 
+(* ---- golden on-Flash bytes ----
+
+   A fixed script per log format on small-page Flash, pinned to a
+   CRC-32 over every programmed page (id and bytes) plus the Flash
+   read, program and time counters. Any change to the page images or
+   to the order, offset or length of a metered Flash operation moves
+   the pin. *)
+
+let flash_digest f =
+  let s = Flash.stats f in
+  let crc = ref 0 in
+  for page = 0 to Flash.page_count f - 1 do
+    if Flash.is_programmed f page then begin
+      let id = Bytes.create 4 in
+      Ghost_kernel.Codec.put_u32 id 0 page;
+      crc := Ghost_kernel.Codec.crc32 ~crc:!crc id ~pos:0 ~len:4;
+      let b = Flash.read_page f page in
+      crc := Ghost_kernel.Codec.crc32 ~crc:!crc b ~pos:0 ~len:(Bytes.length b)
+    end
+  done;
+  Printf.sprintf "pages=%d crc=%08x reads=%d read_bytes=%d programs=%d \
+                  program_bytes=%d read_us=%h write_us=%h"
+    (Flash.page_count f) !crc s.Flash.page_reads s.Flash.bytes_read
+    s.Flash.page_programs s.Flash.bytes_programmed s.Flash.read_time_us
+    s.Flash.write_time_us
+
+let tear f k run =
+  Flash.arm_power_cut f ~after_programs:k;
+  try run (); Alcotest.fail "expected Power_cut" with Flash.Power_cut _ -> ()
+
+let golden_delta durability =
+  let f = flash () in
+  let log =
+    Delta_log.create ~durability f ~table:"R" ~levels:[ "R"; "A"; "B" ]
+      ~hidden_cols:[ ("q", Value.T_int); ("s", Value.T_char 8) ]
+  in
+  append_n log 20;
+  let recovered =
+    match durability with
+    | Delta_log.Plain -> ""
+    | Delta_log.Checksummed ->
+      tear f 1 (fun () -> append_n log 1);
+      let r = Delta_log.recover log in
+      Printf.sprintf " recovered=%d lost=%d" r.Delta_log.recovered r.Delta_log.lost
+  in
+  append_n log 13;
+  let rows = List.length (scanned_ids log) in
+  Printf.sprintf "rows=%d%s %s" rows recovered (flash_digest f)
+
+let golden_tombstones durability =
+  let f = flash () in
+  let log = Tombstone_log.create ~durability f ~table:"R" in
+  Tombstone_log.append log (List.init 150 (fun i -> (7 * i) + 1));
+  let recovered =
+    match durability with
+    | Tombstone_log.Plain -> ""
+    | Tombstone_log.Checksummed ->
+      tear f 2 (fun () -> Tombstone_log.append log [ 2000; 2001; 2002 ]);
+      let r = Tombstone_log.recover log in
+      Printf.sprintf " recovered=%d lost=%d" r.Tombstone_log.recovered
+        r.Tombstone_log.lost
+  in
+  Tombstone_log.append log (List.init 30 (fun i -> 3000 + i));
+  let ids = Array.length (Tombstone_log.load_sorted log) in
+  Printf.sprintf "ids=%d%s %s" ids recovered (flash_digest f)
+
+let golden_runs () =
+  let f = flash () in
+  let log =
+    Delta_log.create ~durability:Delta_log.Checksummed
+      ~runs:{ Delta_log.l0_spill_pages = 2; run_fanout = 2 }
+      f ~table:"R" ~levels:[ "R"; "A"; "B" ]
+      ~hidden_cols:[ ("q", Value.T_int); ("s", Value.T_char 8) ]
+  in
+  let installs = ref [] in
+  let drain () =
+    while Delta_log.compaction_pending log do
+      match Delta_log.compact_step ~drop:(fun id -> id mod 5 = 0) log ~max_pages:1 with
+      | Delta_log.Installed i -> installs := i.Delta_log.inst_spill :: !installs
+      | Delta_log.Idle | Delta_log.Worked -> ()
+    done
+  in
+  let append_range lo hi =
+    for i = lo to hi do
+      Delta_log.append log ~ids:[| 100 + i; i; (2 * i) + 1 |]
+        ~hidden:[| Value.Int (i * 3); Value.Str (Printf.sprintf "s%d" i) |]
+    done
+  in
+  append_range 1 17;
+  drain ();
+  append_range 18 33;
+  drain ();
+  let rows = List.length (scanned_ids log) in
+  let fenced = ref 0 in
+  Delta_log.scan_range ~lo:110 ~hi:115 log (fun _ -> incr fenced);
+  Printf.sprintf "installs=%s rows=%d fenced=%d runs=%d l0=%d %s"
+    (String.concat "," (List.rev_map (fun s -> if s then "spill" else "merge") !installs))
+    rows !fenced (Delta_log.run_count log) (Delta_log.l0_pages log) (flash_digest f)
+
+let test_golden_bytes () =
+  List.iter
+    (fun (name, expected, actual) -> check Alcotest.string name expected (actual ()))
+    [
+      ( "delta plain",
+        "rows=33 pages=33 crc=9a094d22 reads=4 read_bytes=924 programs=33 \
+         program_bytes=4368 read_us=0x1.ec66666666666p+6 \
+         write_us=0x1.b511eb851eb86p+12",
+        fun () -> golden_delta Delta_log.Plain );
+      ( "delta checksummed",
+        "rows=33 recovered=20 lost=1 pages=34 crc=fe83bed8 reads=8 \
+         read_bytes=1692 programs=34 program_bytes=4797 \
+         read_us=0x1.e499999999999p+7 write_us=0x1.c3fbae147ae15p+12",
+        fun () -> golden_delta Delta_log.Checksummed );
+      ( "tombstones plain",
+        "ids=180 pages=180 crc=2428479e reads=3 read_bytes=720 programs=180 \
+         program_bytes=22152 read_us=0x1.74p+6 write_us=0x1.28d35c28f5c29p+15",
+        fun () -> golden_tombstones Tombstone_log.Plain );
+      ( "tombstones checksummed",
+        "ids=181 recovered=151 lost=1 pages=182 crc=7cc1bc66 reads=7 \
+         read_bytes=1492 programs=182 program_bytes=24978 \
+         read_us=0x1.a89999999999bp+7 write_us=0x1.2df00a3d70a3ep+15",
+        fun () -> golden_tombstones Tombstone_log.Checksummed );
+      ( "delta runs",
+        "installs=spill,spill,merge rows=27 fenced=9 runs=1 l0=1 pages=41 \
+         crc=79117fe4 reads=15 read_bytes=2632 programs=41 program_bytes=6432 \
+         read_us=0x1.b8ccccccccccdp+8 write_us=0x1.12570a3d70a3ep+13",
+        golden_runs );
+    ]
+
 let suite = [
   Alcotest.test_case "delta roundtrip" `Quick test_delta_roundtrip;
   Alcotest.test_case "delta checksummed roundtrip" `Quick test_delta_checksummed_roundtrip;
@@ -208,4 +337,5 @@ let suite = [
   Alcotest.test_case "delta write amplification" `Quick test_delta_write_amplification;
   Alcotest.test_case "tombstones" `Quick test_tombstones;
   Alcotest.test_case "tombstones across pages" `Quick test_tombstones_many_pages;
+  Alcotest.test_case "golden on-flash bytes" `Quick test_golden_bytes;
 ]
