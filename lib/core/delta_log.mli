@@ -34,14 +34,11 @@ module Flash = Ghost_flash.Flash
     changes: the flat format and all observable behavior stay
     bit-identical to the seed. See DESIGN.md section 16. *)
 
-type durability =
+type durability = Ghost_store.Append_log.durability =
   | Plain  (** raw records, no torn-write detection (the seed format) *)
   | Checksummed
-      (** every page carries a header — magic, the sequence number of
-          its first record, a record count and a CRC-32 over header and
-          payload (see {!Ghost_kernel.Codec.crc32}) — so a page torn by
-          a power cut or corrupted by uncorrected bit-rot is
-          detectable, at the price of [20] bytes per page *)
+      (** sealed pages, recoverable after a power cut (see
+          {!Ghost_store.Append_log.Checksummed}) *)
 
 type runs_policy = {
   l0_spill_pages : int;
@@ -65,14 +62,13 @@ val create :
   t
 (** [levels] — the subtree preorder (the SKT level layout of the
     table); [hidden_cols] — the table's own hidden columns, in
-    declaration order. [durability] defaults to [Plain] (bit-identical
+    declaration order. The L0 pages are a {!Ghost_store.Append_log}
+    tagged ["GDLT"]; [durability] defaults to [Plain] (bit-identical
     to the original format). [cache] — the device's shared page cache;
-    each append invalidates the page it programs there, since
-    {!Flash.append} recycles erased pages the cache may still hold.
-    [runs] — omit for the seed's flat log; supply a policy to enable
-    leveled compaction. *)
-
-val durability : t -> durability
+    every append and compaction program invalidates the page it
+    programs there, since {!Flash.append} recycles erased pages the
+    cache may still hold. [runs] — omit for the seed's flat log; supply
+    a policy to enable leveled compaction. *)
 
 val table : t -> string
 val count : t -> int
@@ -175,19 +171,20 @@ val needs_recovery : t -> bool
 (** True after a power cut tore a program of this log and until
     {!recover} completes. *)
 
-type recovery = {
-  recovered : int;  (** records in the log after recovery *)
+type recovery = Ghost_store.Append_log.recovery = {
+  recovered : int;  (** live records after recovery (folded ones excluded) *)
   lost : int;  (** in-memory records dropped (never acknowledged) *)
   torn_pages : int;  (** pages found torn or checksum-invalid *)
 }
 
 val recover : t -> recovery
-(** Post-crash scan (metered): re-validates installed runs, abandons
-    any interrupted compaction build, then re-reads the L0 pages and
-    keeps the longest checksum-valid prefix continuing the spilled
-    sequence — exactly the acknowledged appends, no phantom records.
-    Only a [Checksummed] log can recover; raises [Invalid_argument] on
-    a [Plain] one. Idempotent; clears {!needs_recovery}. *)
+(** Post-crash scan (metered): abandons any interrupted compaction
+    build, re-validates installed runs, then recovers the L0 pages with
+    {!Ghost_store.Append_log.recover} — the longest checksum-valid
+    prefix continuing the spilled sequence, exactly the acknowledged
+    appends, no phantom records. Only a [Checksummed] log can recover;
+    raises [Invalid_argument] on a [Plain] one. Idempotent; clears
+    {!needs_recovery}. *)
 
 type row = {
   ids : int array;  (** aligned with [levels] *)

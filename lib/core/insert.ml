@@ -14,10 +14,9 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Insert_error s)) fmt
 
 (* Logs are created on first use; the device config decides whether
    they use the crash-safe checksummed page format. *)
-let log_durability cat =
-  if (Device.config cat.Catalog.device).Device.durable_logs then
-    Delta_log.Checksummed
-  else Delta_log.Plain
+let log_durability cat : Ghost_store.Append_log.durability =
+  if (Device.config cat.Catalog.device).Device.durable_logs then Checksummed
+  else Plain
 
 let log_runs cat =
   match (Device.config cat.Catalog.device).Device.log_runs with
@@ -28,11 +27,6 @@ let log_runs cat =
         Delta_log.l0_spill_pages = p.Device.l0_spill_pages;
         run_fanout = p.Device.run_fanout;
       }
-
-let tombstone_durability cat =
-  if (Device.config cat.Catalog.device).Device.durable_logs then
-    Tombstone_log.Checksummed
-  else Tombstone_log.Plain
 
 let delta_log_for cat root =
   match Catalog.delta cat root with
@@ -93,7 +87,7 @@ let delete_root cat public ids =
     | Some log -> log
     | None ->
       let log =
-        Tombstone_log.create ~durability:(tombstone_durability cat)
+        Tombstone_log.create ~durability:(log_durability cat)
           ?cache:(Device.page_cache cat.Catalog.device)
           (Device.flash cat.Catalog.device) ~table:root
       in

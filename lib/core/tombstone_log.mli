@@ -11,12 +11,11 @@ module Flash = Ghost_flash.Flash
 
     Like inserts, deletes apply to the schema root only. *)
 
-type durability =
+type durability = Ghost_store.Append_log.durability =
   | Plain  (** raw ids, no torn-write detection (the seed format) *)
   | Checksummed
-      (** pages carry the same header as {!Delta_log.Checksummed}
-          (magic, first sequence number, count, CRC-32), enabling
-          post-crash recovery *)
+      (** sealed pages, recoverable after a power cut (see
+          {!Ghost_store.Append_log.Checksummed}) *)
 
 type t
 
@@ -26,15 +25,15 @@ val create :
   Flash.t ->
   table:string ->
   t
-(** [durability] defaults to [Plain] (bit-identical to the original
-    format). [cache] — the device's shared page cache; each append
+(** The ids live in a {!Ghost_store.Append_log} of 4-byte records
+    tagged ["GTMB"]. [durability] defaults to [Plain] (bit-identical to
+    the original format). [cache] — the device's shared page cache; each append
     invalidates the page it programs there (see {!Delta_log.create}). *)
 
 val table : t -> string
 val count : t -> int
 val size_bytes : t -> int
 val dead_bytes : t -> int
-val durability : t -> durability
 
 val append : t -> int list -> unit
 (** Records deletions (same tail-page re-programming discipline as
@@ -45,16 +44,17 @@ val append : t -> int list -> unit
 
 val needs_recovery : t -> bool
 
-type recovery = {
+type recovery = Ghost_store.Append_log.recovery = {
   recovered : int;  (** ids in the log after recovery *)
   lost : int;  (** volatile ids dropped (never acknowledged) *)
   torn_pages : int;  (** pages found torn or checksum-invalid *)
 }
 
 val recover : t -> recovery
-(** Post-crash scan (metered); see {!Delta_log.recover}. Rebuilds the
-    host-side membership table from the durable pages. Raises
-    [Invalid_argument] on a [Plain] log. *)
+(** Post-crash scan (metered); see {!Ghost_store.Append_log.recover}.
+    Rebuilds the host-side membership table from the records that walk
+    parsed, with no further read. Raises [Invalid_argument] on a
+    [Plain] log. *)
 
 val mem : t -> int -> bool
 (** Host-side membership (validation); not Flash-metered. *)

@@ -1,11 +1,11 @@
 module Codec = Ghost_kernel.Codec
 module Flash = Ghost_flash.Flash
 
-(* Run page header:
-     magic (u32) | level (u32) | ordinal (u32) | count (u32) |
+(* Run page header, sealed by {!Sealed_page}:
+     tag (u32) | level (u32) | ordinal (u32) | count (u32) |
      flags (u32, bit 0 = sealed final page) | min_key (u32) |
-     max_key (u32) | crc32 (u32) over the first 28 bytes + payload. *)
-let magic = 0x4744524E (* "GDRN" *)
+     max_key (u32) | crc32 (u32). *)
+let tag = "GDRN"
 let header_bytes = 32
 let flag_final = 1
 
@@ -65,23 +65,15 @@ let built_pages b = List.rev_map (fun m -> m.pp_page) b.b_pages
 let programmed_records b = b.b_count - List.length b.b_pending
 
 let build_page b ~final records =
-  let payload = String.concat "" records in
-  let page = Bytes.create (header_bytes + String.length payload) in
-  Codec.put_u32 page 0 magic;
-  Codec.put_u32 page 4 b.b_level;
-  Codec.put_u32 page 8 b.b_ordinal;
-  Codec.put_u32 page 12 (List.length records);
-  Codec.put_u32 page 16 (if final then flag_final else 0);
-  Codec.put_u32 page 20 (key (List.hd records));
-  Codec.put_u32 page 24 (key (List.nth records (List.length records - 1)));
-  Bytes.blit_string payload 0 page header_bytes (String.length payload);
-  let crc =
-    Codec.crc32 page ~pos:0 ~len:28
-    |> fun crc ->
-    Codec.crc32 ~crc page ~pos:header_bytes ~len:(String.length payload)
-  in
-  Codec.put_u32 page 28 crc;
-  page
+  Sealed_page.seal ~tag ~header_bytes
+    (fun page ->
+       Codec.put_u32 page 4 b.b_level;
+       Codec.put_u32 page 8 b.b_ordinal;
+       Codec.put_u32 page 12 (List.length records);
+       Codec.put_u32 page 16 (if final then flag_final else 0);
+       Codec.put_u32 page 20 (key (List.hd records));
+       Codec.put_u32 page 24 (key (List.nth records (List.length records - 1))))
+    (String.concat "" records)
 
 let flush ?on_program b ~final =
   let records = List.rev b.b_pending in
@@ -132,31 +124,17 @@ let parse_page flash ~record_bytes page =
   match Flash.read_page flash page with
   | exception Invalid_argument _ -> None (* erased, e.g. a zero-byte tear *)
   | b ->
-    if Bytes.length b < header_bytes || Codec.get_u32 b 0 <> magic then None
-    else begin
-      let level = Codec.get_u32 b 4 in
-      let ordinal = Codec.get_u32 b 8 in
-      let n = Codec.get_u32 b 12 in
-      let flags = Codec.get_u32 b 16 in
-      let stored_crc = Codec.get_u32 b 28 in
-      let per_page = (Bytes.length b - header_bytes) / record_bytes in
-      if n < 1 || n > per_page then None
-      else begin
-        let crc =
-          Codec.crc32 b ~pos:0 ~len:28
-          |> fun crc ->
-          Codec.crc32 ~crc b ~pos:header_bytes ~len:(n * record_bytes)
-        in
-        if crc <> stored_crc then None
-        else begin
-          let records =
-            List.init n (fun i ->
-                Bytes.sub_string b (header_bytes + (i * record_bytes)) record_bytes)
-          in
-          Some (level, ordinal, flags, records)
-        end
-      end
-    end
+    let n = Codec.get_u32 b 12 in
+    let per_page = (Bytes.length b - header_bytes) / record_bytes in
+    if n < 1 || n > per_page
+       || not (Sealed_page.verify ~tag ~header_bytes ~payload_bytes:(n * record_bytes) b)
+    then None
+    else
+      let records =
+        List.init n (fun i ->
+            Bytes.sub_string b (header_bytes + (i * record_bytes)) record_bytes)
+      in
+      Some (Codec.get_u32 b 4, Codec.get_u32 b 8, Codec.get_u32 b 16, records)
 
 let iter flash ~record_bytes ?lo ?hi t f =
   let lo = Option.value ~default:min_int lo in
