@@ -197,7 +197,8 @@ let recover ?(on_record = ignore) t =
   let expected_seq = t.base_seq + (n_full * t.records_per_page) in
   (* Newest tail program whose sequence continues the full prefix. A
      corrupted full page invalidates everything after it, tail
-     included. *)
+     included. A valid program of an earlier page (superseded when that
+     page filled) is skipped but is not torn. *)
   let candidates =
     if not full_intact then []
     else (match t.tail_page with Some p -> [ p ] | None -> []) @ t.stale_tails
@@ -208,7 +209,8 @@ let recover ?(on_record = ignore) t =
       (match parse_page t p with
        | Some (first_seq, records) when first_seq = expected_seq ->
          (Some (p, records), rest)
-       | _ ->
+       | Some _ -> pick rest
+       | None ->
          incr torn;
          pick rest)
   in

@@ -196,6 +196,32 @@ let test_tombstone_power_cut_recovery () =
   Tombstone_log.append log [ 7; 4 ];
   check Alcotest.int "resumes" 6 (Tombstone_log.count log)
 
+(* A tear on the first program of a fresh page leaves the previous
+   page's superseded tails behind as valid pages whose sequence does
+   not continue the prefix: they are not torn. *)
+let test_tear_on_fresh_page () =
+  let f = flash () in
+  let log = make_durable_delta f in
+  append_n log 8;  (* exactly one full page *)
+  Flash.arm_power_cut f ~after_programs:1;
+  (try append_n log 1; Alcotest.fail "expected Power_cut"
+   with Flash.Power_cut _ -> ());
+  let r = Delta_log.recover log in
+  check Alcotest.int "delta recovered" 8 r.Delta_log.recovered;
+  check Alcotest.int "delta lost" 1 r.Delta_log.lost;
+  check Alcotest.int "delta torn pages" 1 r.Delta_log.torn_pages;
+  let f = flash () in
+  let log = Tombstone_log.create ~durability:Tombstone_log.Checksummed f ~table:"R" in
+  (* 59 ids per 236-byte payload: exactly one full page *)
+  Tombstone_log.append log (List.init 59 (fun i -> i + 1));
+  Flash.arm_power_cut f ~after_programs:1;
+  (try Tombstone_log.append log [ 60 ]; Alcotest.fail "expected Power_cut"
+   with Flash.Power_cut _ -> ());
+  let r = Tombstone_log.recover log in
+  check Alcotest.int "tombstones recovered" 59 r.Tombstone_log.recovered;
+  check Alcotest.int "tombstones lost" 1 r.Tombstone_log.lost;
+  check Alcotest.int "tombstone torn pages" 1 r.Tombstone_log.torn_pages
+
 (* ---- golden on-Flash bytes ----
 
    A fixed script per log format on small-page Flash, pinned to a
@@ -338,4 +364,6 @@ let suite = [
   Alcotest.test_case "tombstones" `Quick test_tombstones;
   Alcotest.test_case "tombstones across pages" `Quick test_tombstones_many_pages;
   Alcotest.test_case "golden on-flash bytes" `Quick test_golden_bytes;
+  Alcotest.test_case "tear on a fresh page counts one torn page" `Quick
+    test_tear_on_fresh_page;
 ]
