@@ -884,14 +884,14 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
             @ List.map on_ids (shipped_tests ())
             @ List.map (fun b -> on_ids (bloom_test b)) blooms
           in
-          (* Merge-on-read bounds: with leveled runs, a Pre-filtered
-             root selection fences the scan — run pages outside the
-             shipped id range are skipped (superset emission; the
-             membership test still decides). The flat log has no runs,
-             and [Full] never lets the touched page set depend on the
-             selection. *)
+          (* Merge-on-read bounds: a Pre-filtered root selection fences
+             the scan — run pages outside the shipped id range are
+             skipped (superset emission; the membership test still
+             decides). A flat log has no runs, so the fence changes
+             nothing there; [Full] never lets the touched page set
+             depend on the selection. *)
           let lo, hi =
-            if full || not (Delta_log.runs_enabled log) then (None, None)
+            if full then (None, None)
             else begin
               let root_pre =
                 List.exists

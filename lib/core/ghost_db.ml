@@ -255,9 +255,11 @@ exception Image_error of string
    config gained its wire-format field and the device its wire
    encoder; to 6 when the config gained verify_pages and the Flash
    regions their authentication flag and latent-corruption table; to 7
-   when trace events gained their oblivious leakage annotation:
-   older marshalled images are incompatible. *)
-let image_magic = "GHOSTDB-IMAGE-8\n"
+   when trace events gained their oblivious leakage annotation; to 8
+   when the delta log gained its leveled runs; to 9 when both logs
+   moved onto a shared append log: older marshalled images are
+   incompatible. *)
+let image_magic = "GHOSTDB-IMAGE-9\n"
 
 (* Image layout: magic | u64 payload length | payload (marshalled
    instance) | u32 CRC-32 of the payload. Written to [<path>.tmp] and

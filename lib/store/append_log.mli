@@ -63,8 +63,8 @@ val append : t -> string -> unit
     append is {e acknowledged} only when this call returns: if the
     program is torn by a power cut, [Flash.Power_cut] propagates, the
     record is not durable, and the log refuses further appends until
-    {!recover} runs. Raises [Invalid_argument] on a record of the wrong
-    width or while the log {!needs_recovery}. *)
+    {!recover} runs. Raises [Invalid_argument] while the log
+    {!needs_recovery}. *)
 
 val release : t -> int -> unit
 (** [release t n] drops the [n] oldest full pages from the log (their

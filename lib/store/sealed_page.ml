@@ -1,7 +1,6 @@
 module Codec = Ghost_kernel.Codec
 
 let tag_u32 tag =
-  if String.length tag <> 4 then invalid_arg "Sealed_page: tag must be 4 bytes";
   String.fold_left (fun acc c -> (acc lsl 8) lor Char.code c) 0 tag
 
 let crc b ~header_bytes ~payload_bytes =

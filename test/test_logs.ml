@@ -2,6 +2,7 @@
    tombstones): encoding, Flash behaviour, write amplification. *)
 
 module Value = Ghost_kernel.Value
+module Codec = Ghost_kernel.Codec
 module Flash = Ghost_flash.Flash
 module Delta_log = Ghostdb.Delta_log
 module Tombstone_log = Ghostdb.Tombstone_log
@@ -222,6 +223,39 @@ let test_tear_on_fresh_page () =
   check Alcotest.int "tombstones lost" 1 r.Tombstone_log.lost;
   check Alcotest.int "tombstone torn pages" 1 r.Tombstone_log.torn_pages
 
+(* Two flipped bits are past ECC: the damaged full page fails its CRC,
+   so recovery keeps the pages before it and drops everything after,
+   tail included. Every append programs the next fresh page, so the
+   k-th full page is the program of the (k * records_per_page)-th
+   append. *)
+let test_bit_rot_truncates () =
+  let rot f page =
+    Flash.corrupt_stored f ~page ~bit:200;
+    Flash.corrupt_stored f ~page ~bit:201
+  in
+  let f = flash () in
+  let log = make_durable_delta f in
+  append_n log 30;  (* 3 full pages of 8 + a tail of 6 *)
+  rot f 15;  (* the 2nd full page *)
+  let r = Delta_log.recover log in
+  check Alcotest.int "delta keeps the 1st page" 8 r.Delta_log.recovered;
+  check Alcotest.int "delta drops the rest" 22 r.Delta_log.lost;
+  check Alcotest.int "delta damaged page torn" 1 r.Delta_log.torn_pages;
+  check Alcotest.(list int) "delta contents" (List.init 8 (fun i -> 101 + i))
+    (scanned_ids log);
+  let f = flash () in
+  let log = Tombstone_log.create ~durability:Tombstone_log.Checksummed f ~table:"R" in
+  Tombstone_log.append log (List.init 150 (fun i -> i + 1));  (* 2 pages of 59 + 32 *)
+  rot f 117;  (* the 2nd full page *)
+  let r = Tombstone_log.recover log in
+  check Alcotest.int "tombstones keep the 1st page" 59 r.Tombstone_log.recovered;
+  check Alcotest.int "tombstones drop the rest" 91 r.Tombstone_log.lost;
+  check Alcotest.int "tombstone damaged page torn" 1 r.Tombstone_log.torn_pages;
+  check Alcotest.(array int) "tombstone contents" (Array.init 59 (fun i -> i + 1))
+    (Tombstone_log.load_sorted log);
+  check Alcotest.bool "kept id is a member" true (Tombstone_log.mem log 59);
+  check Alcotest.bool "dropped id is not" false (Tombstone_log.mem log 60)
+
 (* ---- golden on-Flash bytes ----
 
    A fixed script per log format on small-page Flash, pinned to a
@@ -236,10 +270,10 @@ let flash_digest f =
   for page = 0 to Flash.page_count f - 1 do
     if Flash.is_programmed f page then begin
       let id = Bytes.create 4 in
-      Ghost_kernel.Codec.put_u32 id 0 page;
-      crc := Ghost_kernel.Codec.crc32 ~crc:!crc id ~pos:0 ~len:4;
+      Codec.put_u32 id 0 page;
+      crc := Codec.crc32 ~crc:!crc id ~pos:0 ~len:4;
       let b = Flash.read_page f page in
-      crc := Ghost_kernel.Codec.crc32 ~crc:!crc b ~pos:0 ~len:(Bytes.length b)
+      crc := Codec.crc32 ~crc:!crc b ~pos:0 ~len:(Bytes.length b)
     end
   done;
   Printf.sprintf "pages=%d crc=%08x reads=%d read_bytes=%d programs=%d \
@@ -366,4 +400,6 @@ let suite = [
   Alcotest.test_case "golden on-flash bytes" `Quick test_golden_bytes;
   Alcotest.test_case "tear on a fresh page counts one torn page" `Quick
     test_tear_on_fresh_page;
+  Alcotest.test_case "bit-rot on a full page truncates the log" `Quick
+    test_bit_rot_truncates;
 ]
