@@ -23,6 +23,8 @@ module Reference = Ghost_workload.Reference
 module Ghost_db = Ghostdb.Ghost_db
 module Exec = Ghostdb.Exec
 module Plan = Ghostdb.Plan
+module Planner = Ghostdb.Planner
+module Cost = Ghostdb.Cost
 
 let short v = String.sub (Digest.to_hex (Digest.string (Marshal.to_string v []))) 0 8
 
@@ -94,9 +96,9 @@ let ledger_line db ~key run =
 
 (* The same mutation round as the oblivious suite: 20 fresh
    prescriptions, then 4 deletes (three loaded rows, one fresh one). *)
-let mutate db =
+let mutate (scale : Medical.scale) db =
   let rng = Rng.create 11 in
-  let next = Medical.tiny.Medical.prescriptions + 1 in
+  let next = scale.Medical.prescriptions + 1 in
   Ghost_db.insert db
     (List.init 20 (fun i ->
        [|
@@ -104,8 +106,8 @@ let mutate db =
          Value.Int (Rng.int_in rng 1 10);
          Value.Int (Rng.int_in rng 1 4);
          Value.Date (Rng.int_in rng Medical.date_lo Medical.date_hi);
-         Value.Int (1 + Rng.int rng Medical.tiny.Medical.medicines);
-         Value.Int (1 + Rng.int rng Medical.tiny.Medical.visits);
+         Value.Int (1 + Rng.int rng scale.Medical.medicines);
+         Value.Int (1 + Rng.int rng scale.Medical.visits);
        |]));
   Ghost_db.delete db [ 1; 7; 42; next + 3 ];
   Ghost_db.compact db
@@ -128,7 +130,7 @@ let ledger () =
                 queries
             in
             let before = phase "load" in
-            mutate db;
+            mutate Medical.tiny db;
             before @ phase "mutated")
          modes)
     configs
@@ -147,18 +149,87 @@ let rec first_diff = function
   | [], a :: _ -> Some ("-", a)
   | [], [] -> None
 
-let test_digest () =
-  let actual = ledger () in
-  match first_diff (read_lines "exec_digest.expected", actual) with
+(* Compares [actual] with the lines pinned in [expected]. On a mismatch
+   it writes [actual] next to the expected file's name with an
+   ".actual" extension and names the first line and token that
+   differ. *)
+let check_pinned ~what ~expected actual =
+  match first_diff (read_lines expected, actual) with
   | None -> ()
   | Some (e, a) ->
-    Out_channel.with_open_text "exec_digest.actual" (fun oc ->
+    let actual_file = Filename.remove_extension expected ^ ".actual" in
+    Out_channel.with_open_text actual_file (fun oc ->
       List.iter (fun l -> output_string oc (l ^ "\n")) actual);
     let tokens = String.split_on_char ' ' in
     let e_tok, a_tok = Option.get (first_diff (tokens e, tokens a)) in
-    Alcotest.failf "executor ledger moved at %s: expected %s, got %s (full ledger in %s)"
+    Alcotest.failf "%s ledger moved at %s: expected %s, got %s (full ledger in %s)" what
       (List.hd (tokens (if a = "-" then e else a)))
       e_tok a_tok
-      (Filename.concat (Sys.getcwd ()) "exec_digest.actual")
+      (Filename.concat (Sys.getcwd ()) actual_file)
 
-let suite = [ Alcotest.test_case "ledger pinned per config and mode" `Quick test_digest ]
+let test_digest () = check_pinned ~what:"executor" ~expected:"exec_digest.expected" (ledger ())
+
+(* Cost oracle. Every panel plan of every query is estimated under Off,
+   Pad and forced Full, plus the planner's fixed-shape plan, before and
+   after the mutation round, on three catalogs: the two configurations
+   above at tiny scale, and the small scale on the default device,
+   where Full's full-column streams outgrow half the RAM budget. Each
+   estimate is reduced to a line: the total (printed with %h, so
+   bit-exact), candidates, results, RAM and USB bytes, then every
+   breakdown term with its %h value. The lines are pinned in
+   [cost_digest.expected]: a refactor of the cost model must not move
+   a single estimate. Estimating runs no plan, so the case is cheap. *)
+let catalogs =
+  List.map (fun (name, config) -> (name, Medical.tiny, config)) configs
+  @ [ ("small", Medical.small, Device.default_config) ]
+
+let estimate_line ~key (e : Cost.estimate) =
+  String.concat " "
+    (key
+     :: Printf.sprintf "est=%h" e.Cost.est_time_us
+     :: Printf.sprintf "cand=%d" e.Cost.est_candidates
+     :: Printf.sprintf "res=%d" e.Cost.est_results
+     :: Printf.sprintf "ram=%d" e.Cost.est_ram_bytes
+     :: Printf.sprintf "usb=%d" e.Cost.est_usb_bytes
+     :: List.map (fun (label, us) -> Printf.sprintf "%s=%h" label us) e.Cost.breakdown)
+
+let cost_ledger () =
+  List.concat_map
+    (fun (cname, scale, device_config) ->
+       let db =
+         Ghost_db.of_schema ~device_config (Medical.schema ()) (Medical.generate scale)
+       in
+       let cat = Ghost_db.catalog db in
+       let phase tag =
+         List.concat_map
+           (fun (qname, sql) ->
+              let key mname rname = String.concat "/" [ cname; mname; tag; qname; rname ] in
+              let panel = Ghost_db.plans db sql in
+              List.concat_map
+                (fun (mname, mode) ->
+                   List.mapi
+                     (fun i (plan, _) ->
+                        estimate_line
+                          ~key:(key mname (Printf.sprintf "p%d" i))
+                          (Cost.estimate cat (Plan.with_mode plan mode)))
+                     panel)
+                modes
+              @ [
+                estimate_line ~key:(key "Full" "planner")
+                  (Cost.estimate cat (Planner.oblivious cat (Ghost_db.bind db sql)));
+              ])
+           queries
+       in
+       let before = phase "load" in
+       mutate scale db;
+       before @ phase "mutated")
+    catalogs
+
+let test_cost_digest () =
+  check_pinned ~what:"cost" ~expected:"cost_digest.expected" (cost_ledger ())
+
+let suite =
+  [
+    Alcotest.test_case "ledger pinned per config and mode" `Quick test_digest;
+    Alcotest.test_case "estimates pinned per catalog and mode" `Quick test_cost_digest;
+  ]
