@@ -347,23 +347,10 @@ let intersect_cursors cursors =
 (* The sorted R-id stream contributed by one plan group, if any. *)
 let group_pre_cursor ctx (g : Plan.group) =
   let root = ctx.plan.Plan.root in
-  let indexed =
-    List.filter (fun (h : Plan.hidden_pred) -> h.Plan.h_strategy = Plan.H_index) g.Plan.g_hidden
-  in
-  let visible_pre =
-    g.Plan.g_visible <> []
-    &&
-    match g.Plan.g_visible_strategy with
-    | Plan.V_pre | Plan.V_cross_pre -> true
-    | Plan.V_post | Plan.V_cross_post -> false
-  in
-  let cross =
-    visible_pre
-    && g.Plan.g_visible_strategy = Plan.V_cross_pre
-    && (indexed <> [] || g.Plan.g_borrowed <> [])
-  in
+  let indexed = Plan.indexed_hidden g in
+  let visible_pre = Plan.pre_filtered g in
   if indexed = [] && not visible_pre then None
-  else if cross then begin
+  else if visible_pre && Plan.crossed g then begin
     (* Intersect everything at T level, then climb once. *)
     let t_ids = ship_visible_ids ctx ~table:g.Plan.g_table g.Plan.g_visible in
     let filtered =
@@ -450,22 +437,14 @@ let build_bloom ctx ~level_of (g : Plan.group) =
     (* Cross-post: shrink the insertion set with the hidden predicates'
        own-level index lists before filling the filter. *)
     let t_ids =
-      if g.Plan.g_visible_strategy = Plan.V_cross_post then begin
-        let indexed =
-          List.filter (fun (h : Plan.hidden_pred) -> h.Plan.h_strategy = Plan.H_index)
-            g.Plan.g_hidden
-        in
-        match
-          intersect_cursors
-            (Cursor.of_array t_ids
-             :: List.map
-                  (fun (h : Plan.hidden_pred) ->
-                     hidden_pred_cursor ctx ~table ~pred:h.Plan.h_pred ~level:table)
-                  indexed)
-        with
-        | Some c -> Cursor.to_array c
-        | None -> t_ids
-      end
+      if Plan.crossed g then
+        intersect_cursors
+          (Cursor.of_array t_ids
+           :: List.map
+                (fun (h : Plan.hidden_pred) ->
+                   hidden_pred_cursor ctx ~table ~pred:h.Plan.h_pred ~level:table)
+                (Plan.indexed_hidden g))
+        |> Option.get |> Cursor.to_array
       else t_ids
     in
     let n = max 1 (Array.length t_ids) in
@@ -755,14 +734,7 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
     let blooms =
       if full then []
       else
-        List.filter
-          (fun (g : Plan.group) ->
-             g.Plan.g_visible <> []
-             &&
-             match g.Plan.g_visible_strategy with
-             | Plan.V_post | Plan.V_cross_post -> true
-             | Plan.V_pre | Plan.V_cross_pre -> false)
-          plan.Plan.groups
+        List.filter Plan.post_filtered plan.Plan.groups
         |> List.map (fun g -> build_bloom ctx ~level_of g)
     in
     List.iter (fun b -> Resources.defer resources (fun () -> Ram.free ctx.ram b.bf_cell)) blooms;
@@ -895,13 +867,7 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
             else begin
               let root_pre =
                 List.exists
-                  (fun (g : Plan.group) ->
-                     g.Plan.g_table = root
-                     && g.Plan.g_visible <> []
-                     &&
-                     match g.Plan.g_visible_strategy with
-                     | Plan.V_pre | Plan.V_cross_pre -> true
-                     | Plan.V_post | Plan.V_cross_post -> false)
+                  (fun (g : Plan.group) -> g.Plan.g_table = root && Plan.pre_filtered g)
                   plan.Plan.groups
               in
               if not root_pre then (None, None)
@@ -933,19 +899,7 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
     let surviving = surviving @ delta_rows in
     (* 4. Projection joins: visible projected columns + verification of
        Post-filtered tables. *)
-    let projected_visible =
-      List.filter_map
-        (fun (table, column) ->
-           let tbl = Schema.find_table schema table in
-           if column = tbl.Schema.key then None
-           else begin
-             let col = Schema.find_column tbl column in
-             if Column.is_hidden col then None
-             else Some (table, column, col.Column.ty)
-           end)
-        plan.Plan.query.Bind.projections
-      |> List.sort_uniq compare
-    in
+    let projected_visible = Plan.visible_projections schema plan in
     let post_tables = List.map (fun b -> b.bf_table) blooms in
     let verify_only_tables =
       if not exact_post then []
@@ -954,15 +908,7 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
           (fun t -> not (List.exists (fun (t', _, _) -> t' = t) projected_visible))
           post_tables
     in
-    let visible_preds_on table =
-      List.filter
-        (fun (p : Predicate.t) ->
-           p.Predicate.table = table
-           &&
-           let tbl = Schema.find_table schema table in
-           not (Column.is_hidden (Schema.find_column tbl p.Predicate.column)))
-        plan.Plan.query.Bind.selections
-    in
+    let visible_preds_on = Plan.visible_selections schema plan in
     let rows = ref surviving in
     List.iter
       (fun (table, column, ty) ->

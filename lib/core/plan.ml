@@ -1,3 +1,6 @@
+module Value = Ghost_kernel.Value
+module Column = Ghost_relation.Column
+module Schema = Ghost_relation.Schema
 module Predicate = Ghost_relation.Predicate
 module Bind = Ghost_sql.Bind
 module Oblivious = Ghost_oblivious.Oblivious
@@ -87,12 +90,47 @@ let with_mode t mode =
   if t.oblivious = mode then t
   else make ~oblivious:mode ~query:t.query ~root:t.root t.groups
 
-let group_produces_pre_source g =
-  List.exists (fun h -> h.h_strategy = H_index) g.g_hidden
-  || (g.g_visible <> []
-      && (match g.g_visible_strategy with
-          | V_pre | V_cross_pre -> true
-          | V_post | V_cross_post -> false))
+let indexed_hidden g = List.filter (fun h -> h.h_strategy = H_index) g.g_hidden
+
+let pre_filtered g =
+  g.g_visible <> []
+  &&
+  match g.g_visible_strategy with
+  | V_pre | V_cross_pre -> true
+  | V_post | V_cross_post -> false
+
+let post_filtered g = g.g_visible <> [] && not (pre_filtered g)
+
+let crossed g =
+  g.g_visible <> []
+  &&
+  match g.g_visible_strategy with
+  | V_cross_pre -> indexed_hidden g <> [] || g.g_borrowed <> []
+  | V_cross_post -> indexed_hidden g <> []
+  | V_pre | V_post -> false
+
+let group_produces_pre_source g = indexed_hidden g <> [] || pre_filtered g
+
+let visible_projections schema t =
+  List.filter_map
+    (fun (table, column) ->
+       let tbl = Schema.find_table schema table in
+       if column = tbl.Schema.key then None
+       else begin
+         let col = Schema.find_column tbl column in
+         if Column.is_hidden col then None else Some (table, column, col.Column.ty)
+       end)
+    t.query.Bind.projections
+  |> List.sort_uniq compare
+
+let visible_selections schema t table =
+  List.filter
+    (fun (p : Predicate.t) ->
+       p.Predicate.table = table
+       &&
+       let tbl = Schema.find_table schema table in
+       not (Column.is_hidden (Schema.find_column tbl p.Predicate.column)))
+    t.query.Bind.selections
 
 let describe t =
   let buf = Buffer.create 256 in
@@ -144,12 +182,9 @@ let describe t =
 let validate t =
   List.iter
     (fun g ->
-       let has_indexed_hidden =
-         List.exists (fun h -> h.h_strategy = H_index) g.g_hidden
-       in
        (match g.g_visible_strategy with
         | (V_cross_pre | V_cross_post) when g.g_visible <> [] ->
-          if not (has_indexed_hidden || g.g_borrowed <> []) then
+          if indexed_hidden g = [] && g.g_borrowed = [] then
             invalid_arg
               (Printf.sprintf
                  "Plan.validate: cross strategy on %s without an indexed hidden \

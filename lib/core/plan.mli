@@ -1,3 +1,5 @@
+module Value = Ghost_kernel.Value
+module Schema = Ghost_relation.Schema
 module Predicate = Ghost_relation.Predicate
 module Bind = Ghost_sql.Bind
 module Oblivious = Ghost_oblivious.Oblivious
@@ -75,9 +77,39 @@ val with_mode : t -> Oblivious.mode -> t
 val describe : t -> string
 (** Multi-line description (for the demo's plan-building phase). *)
 
+(** {2 Plan shape}
+
+    The facts the executor and the cost model both read off a plan. *)
+
+val indexed_hidden : group -> hidden_pred list
+(** The group's [H_index] hidden predicates, in order. *)
+
+val pre_filtered : group -> bool
+(** The group has visible predicates and Pre-filters them ([V_pre] or
+    [V_cross_pre]): their shipped id list is climbed to the root. *)
+
+val post_filtered : group -> bool
+(** The group has visible predicates and Post-filters them ([V_post] or
+    [V_cross_post]): their ids fill a Bloom filter probed per
+    candidate. *)
+
+val crossed : group -> bool
+(** The group's visible ids are intersected at its own level with hidden
+    index lists — its own [H_index] predicates', or borrowed ones under
+    [V_cross_pre] — before the climb or the Bloom build. *)
+
 val group_produces_pre_source : group -> bool
 (** True when the group contributes a sorted R-id stream (some
     Pre-filtered predicate). *)
+
+val visible_projections : Schema.t -> t -> (string * string * Value.ty) list
+(** The visible non-key columns the query projects, as
+    [(table, column, type)], sorted and deduplicated: each arrives as a
+    value stream joined onto the rows. *)
+
+val visible_selections : Schema.t -> t -> string -> Predicate.t list
+(** The query's selections on visible columns of one table, in query
+    order: the predicates the host applies to that table's streams. *)
 
 val validate : t -> unit
 (** Structural sanity: cross strategies require an [H_index] hidden
