@@ -20,7 +20,6 @@ type estimate = {
 
 let chunk = 256.
 let avg_varint_bytes = 1.5
-let locator_bytes = 16.
 
 type env = {
   cat : Catalog.t;
@@ -150,7 +149,6 @@ let hidden_index_us env ~table (p : Predicate.t) ~level_count =
    through [chunk]-byte buffers, so each id costs at least two chunk
    reads even when its list is tiny. *)
 let climb_us env ~table m =
-  ignore locator_bytes;
   if table = env.plan.Plan.root || m <= 0. then 0.
   else begin
     let fanout =
@@ -241,126 +239,22 @@ let hit_ratio cat (cfg : Device.config) =
       (Float.of_int (cfg.Device.page_cache_frames * page) /. Float.of_int ws)
   end
 
-(* Fixed-shape estimate ([Plan.oblivious = Full]): mirrors the
-   executor's Full shape stage by stage instead of scaling by
-   selectivities — by construction its cost is a function of the
-   schema and public bounds alone, so nothing here consults a
-   predicate's selectivity except to predict [est_results]. *)
-let estimate_full env =
-  let plan = env.plan in
-  let cat = env.cat in
-  let root = plan.Plan.root in
-  let n_root = count env root in
-  let schema = cat.Catalog.schema in
-  let time = ref 0. in
-  let spend label us =
-    add env label us;
-    time := !time +. us
-  in
-  (* one full-cardinality frame per visible predicate *)
-  List.iter
-    (fun (g : Plan.group) ->
-       let t = g.Plan.g_table in
-       let n_t = count env t in
-       List.iter
-         (fun (_ : Predicate.t) ->
-            spend
-              (Printf.sprintf "ship-pad(%s)" t)
-              (usb_us env (4. *. Float.of_int n_t)
-               +. cpu_us env (Float.of_int n_t)))
-         g.Plan.g_visible)
-    plan.Plan.groups;
-  (* bound-depth SKT scan: every loaded root row, sequentially *)
-  let skt_row_bytes =
-    match Catalog.skt cat root with
-    | Some skt -> Float.of_int (Ghost_store.Skt.row_width skt)
-    | None -> 0.
-  in
-  spend "bound-scan"
-    (read_stream_us env (Float.of_int n_root *. skt_row_bytes)
-     +. cpu_us env (Float.of_int n_root *. 3.));
-  (* the delta log is scanned whole — runs and L0, never fenced — on
-     the oblivious path *)
-  let ds = delta_scan_us env ~fraction:1. in
-  if ds > 0. then spend "delta-scan" ds;
-  (* every hidden predicate checked on every candidate *)
-  List.iter
-    (fun (g : Plan.group) ->
-       List.iter
-         (fun (h : Plan.hidden_pred) ->
-            let tbl = Schema.find_table schema g.Plan.g_table in
-            let col = Schema.find_column tbl h.Plan.h_pred.Predicate.column in
-            spend
-              (Printf.sprintf "check-all(%s.%s)" g.Plan.g_table
-                 h.Plan.h_pred.Predicate.column)
-              (Float.of_int n_root
-               *. point_read_us env (Float.of_int (Value.ty_width col.Column.ty))))
-         g.Plan.g_hidden)
-    plan.Plan.groups;
-  (* full-column projection streams, joined against all rows *)
-  let projected_visible =
-    List.filter_map
-      (fun (table, column) ->
-         let tbl = Schema.find_table schema table in
-         if column = tbl.Schema.key then None
-         else begin
-           let col = Schema.find_column tbl column in
-           if Column.is_hidden col then None
-           else Some (table, column, col.Column.ty)
-         end)
-      plan.Plan.query.Bind.projections
-    |> List.sort_uniq compare
-  in
-  let tables =
-    List.sort_uniq String.compare (List.map (fun (t, _, _) -> t) projected_visible)
-  in
-  List.iter
-    (fun table ->
-       let n_t = count env table in
-       let cols = List.filter (fun (t, _, _) -> t = table) projected_visible in
-       let tys = List.map (fun (_, _, ty) -> ty) cols in
-       spend
-         (Printf.sprintf "stream-full(%s)" table)
-         (usb_us env (stream_bytes env ~n_t ~tys (Float.of_int n_t)));
-       spend
-         (Printf.sprintf "join-hash(%s)" table)
-         (cpu_us env ((Float.of_int n_t +. Float.of_int n_root) *. 4.)))
-    tables;
-  (* hidden projections read for every row, live or dead *)
-  List.iter
-    (fun (table, column) ->
-       let tbl = Schema.find_table schema table in
-       if column <> tbl.Schema.key then begin
-         let col = Schema.find_column tbl column in
-         if Column.is_hidden col then
-           spend
-             (Printf.sprintf "fetch-all(%s.%s)" table column)
-             (Float.of_int n_root
-              *. point_read_us env (Float.of_int (Value.ty_width col.Column.ty)))
-       end)
-    plan.Plan.query.Bind.projections;
-  (* emission padded to the public bound *)
-  let bound = emit_bound env in
-  spend "emit-pad" (usb_us env (Float.of_int bound *. 16.));
-  let all_sel =
-    List.fold_left
-      (fun acc (g : Plan.group) ->
-         acc
-         *. List.fold_left
-              (fun a (h : Plan.hidden_pred) -> a *. sel env h.Plan.h_pred)
-              1. g.Plan.g_hidden
-         *. visible_sel env g.Plan.g_visible)
-      1. plan.Plan.groups
-  in
-  {
-    est_time_us = !time;
-    est_candidates = n_root;
-    est_results = int_of_float (Float.round (Float.of_int n_root *. all_sel));
-    est_ram_bytes = env.ram_bytes;
-    est_usb_bytes = env.usb_bytes;
-    breakdown = List.rev env.parts;
-  }
+(* One estimator for every mode. [Plan.oblivious] picks the shape at
+   the three points where [Exec.execute_plan] picks it:
 
+   - candidate generation: index traversals, shipments, climbs and
+     Bloom builds, then SKT probes of the Pre-filtered candidates; under
+     [Full], one full-cardinality frame per visible predicate and a
+     bound-depth SKT scan of every loaded root row;
+   - hidden predicates: the [H_check] ones, read per candidate; under
+     [Full], every hidden predicate on every root row;
+   - the delta scan and projection streams: a fenced scan and
+     selection-filtered streams joined against the survivors; under
+     [Full], the whole log and full-column streams, with every row kept
+     to the end.
+
+   Under [Full] every term is thus a function of the schema and public
+   bounds alone; selectivities only predict [est_results]. *)
 let estimate cat (plan : Plan.t) =
   let cfg = Device.config cat.Catalog.device in
   let env =
@@ -375,8 +269,7 @@ let estimate cat (plan : Plan.t) =
       ram_bytes = 0;
     }
   in
-  if plan.Plan.oblivious = Oblivious.Full then estimate_full env
-  else begin
+  let full = plan.Plan.oblivious = Oblivious.Full in
   let root = plan.Plan.root in
   let n_root = count env root in
   let schema = cat.Catalog.schema in
@@ -385,159 +278,176 @@ let estimate cat (plan : Plan.t) =
     add env label us;
     time := !time +. us
   in
-  (* selectivity applied before SKT access (pre-filters) *)
-  let pre_sel = ref 1. in
-  (* selectivity of post filters (applied after SKT access) *)
-  let post_sel = ref 1. in
-  List.iter
-    (fun (g : Plan.group) ->
-       let t = g.Plan.g_table in
-       let n_t = count env t in
-       let vis_sel = visible_sel env g.Plan.g_visible in
-       let indexed, checked =
-         List.partition
-           (fun (h : Plan.hidden_pred) -> h.Plan.h_strategy = Plan.H_index)
-           g.Plan.g_hidden
-       in
-       let hidden_index_sel =
-         List.fold_left (fun acc h -> acc *. sel env h.Plan.h_pred) 1. indexed
-       in
-       let hidden_check_sel =
-         List.fold_left (fun acc h -> acc *. sel env h.Plan.h_pred) 1. checked
-       in
-       post_sel := !post_sel *. hidden_check_sel;
-       (* hidden checks: per surviving candidate, later *)
-       let strategy = g.Plan.g_visible_strategy in
-       let cross_pre =
-         strategy = Plan.V_cross_pre
-         && g.Plan.g_visible <> []
-         && (indexed <> [] || g.Plan.g_borrowed <> [])
-       in
-       (* deep cross: borrowed descendant lists read at this table's
-          level, shrinking the climbed set *)
-       let borrowed_sel =
-         List.fold_left (fun acc (_, p) -> acc *. sel env p) 1. g.Plan.g_borrowed
-       in
-       if cross_pre then
-         List.iter
-           (fun (d, p) ->
-              spend
-                (Printf.sprintf "borrow(%s.%s@%s)" d p.Predicate.column t)
-                (hidden_index_us env ~table:d p ~level_count:n_t))
-           g.Plan.g_borrowed;
-       (* hidden index traversals *)
-       List.iter
-         (fun (h : Plan.hidden_pred) ->
-            let level_count = if cross_pre then n_t else n_root in
-            spend
-              (Printf.sprintf "index(%s.%s)" t h.Plan.h_pred.Predicate.column)
-              (hidden_index_us env ~table:t h.Plan.h_pred ~level_count))
-         indexed;
-       (match g.Plan.g_visible, strategy with
-        | [], _ ->
-          if indexed <> [] then pre_sel := !pre_sel *. hidden_index_sel
-        | preds, (Plan.V_pre | Plan.V_cross_pre) ->
-          let m_vis = vis_sel *. Float.of_int n_t in
-          spend (Printf.sprintf "ship(%s)" t) (usb_us env (ship_bytes env ~n_t m_vis));
-          let m_climbed =
-            if cross_pre then m_vis *. hidden_index_sel *. borrowed_sel else m_vis
-          in
-          spend (Printf.sprintf "climb(%s)" t) (climb_us env ~table:t m_climbed);
-          ignore preds;
-          pre_sel := !pre_sel *. vis_sel *. hidden_index_sel
-        | _, (Plan.V_post | Plan.V_cross_post) ->
-          let m_vis = vis_sel *. Float.of_int n_t in
-          spend (Printf.sprintf "ship(%s)" t) (usb_us env (ship_bytes env ~n_t m_vis));
-          let m_bloom =
-            if strategy = Plan.V_cross_post && indexed <> [] then begin
-              (* reading the hidden T-level lists for the cross *)
-              List.iter
-                (fun (h : Plan.hidden_pred) ->
-                   spend
-                     (Printf.sprintf "cross-index(%s.%s)" t h.Plan.h_pred.Predicate.column)
-                     (hidden_index_us env ~table:t h.Plan.h_pred ~level_count:n_t))
-                indexed;
-              m_vis *. hidden_index_sel
-            end
-            else m_vis
-          in
-          let ideal_bytes =
-            Float.of_int (Bloom.bits_for_fpr ~n:(max 1 (int_of_float m_bloom)) ~fpr:0.01)
-            /. 8.
-          in
-          let bloom_bytes = Float.min ideal_bytes (Float.of_int cfg.Device.ram_budget /. 4.) in
-          env.ram_bytes <- env.ram_bytes + int_of_float bloom_bytes;
-          spend (Printf.sprintf "bloom-build(%s)" t) (cpu_us env (m_bloom *. 8.));
-          pre_sel := !pre_sel *. hidden_index_sel;
-          post_sel := !post_sel *. vis_sel))
-    plan.Plan.groups;
-  let candidates = Float.of_int n_root *. !pre_sel in
-  (* SKT access for every candidate *)
   let skt_row_bytes =
     match Catalog.skt cat root with
     | Some skt -> Float.of_int (Ghost_store.Skt.row_width skt)
     | None -> 0.
   in
-  if skt_row_bytes > 0. then
-    spend "access-skt" (skt_access_us env ~n_root ~candidates ~row_bytes:skt_row_bytes);
-  (* bloom probes + hidden checks per candidate *)
-  spend "probes" (cpu_us env (candidates *. 8.));
-  (* delta-log merge-on-read: a Pre-filtered root selection fences the
+  (* 1. Candidate root rows, and the share of them expected to pass the
+     tests that follow. *)
+  let candidates, post_sel =
+    if full then begin
+      List.iter
+        (fun (g : Plan.group) ->
+           let t = g.Plan.g_table in
+           let n_t = count env t in
+           List.iter
+             (fun (_ : Predicate.t) ->
+                spend
+                  (Printf.sprintf "ship-pad(%s)" t)
+                  (usb_us env (ship_bytes env ~n_t (Float.of_int n_t))
+                   +. cpu_us env (Float.of_int n_t)))
+             g.Plan.g_visible)
+        plan.Plan.groups;
+      spend "bound-scan"
+        (read_stream_us env (Float.of_int n_root *. skt_row_bytes)
+         +. cpu_us env (Float.of_int n_root *. 3.));
+      let all_sel =
+        List.fold_left
+          (fun acc (g : Plan.group) ->
+             acc
+             *. List.fold_left
+                  (fun a (h : Plan.hidden_pred) -> a *. sel env h.Plan.h_pred)
+                  1. g.Plan.g_hidden
+             *. visible_sel env g.Plan.g_visible)
+          1. plan.Plan.groups
+      in
+      (Float.of_int n_root, all_sel)
+    end
+    else begin
+      (* selectivity applied before SKT access (pre-filters) *)
+      let pre_sel = ref 1. in
+      (* selectivity of post filters (applied after SKT access) *)
+      let post_sel = ref 1. in
+      List.iter
+        (fun (g : Plan.group) ->
+           let t = g.Plan.g_table in
+           let n_t = count env t in
+           let vis_sel = visible_sel env g.Plan.g_visible in
+           let indexed, checked =
+             List.partition
+               (fun (h : Plan.hidden_pred) -> h.Plan.h_strategy = Plan.H_index)
+               g.Plan.g_hidden
+           in
+           let hidden_sel hs =
+             List.fold_left (fun acc (h : Plan.hidden_pred) -> acc *. sel env h.Plan.h_pred) 1. hs
+           in
+           let hidden_index_sel = hidden_sel indexed in
+           (* hidden checks: per surviving candidate, later *)
+           post_sel := !post_sel *. hidden_sel checked;
+           let cross_pre = Plan.pre_filtered g && Plan.crossed g in
+           (* deep cross: borrowed descendant lists read at this table's
+              level, shrinking the climbed set *)
+           let borrowed_sel =
+             List.fold_left (fun acc (_, p) -> acc *. sel env p) 1. g.Plan.g_borrowed
+           in
+           if cross_pre then
+             List.iter
+               (fun (d, p) ->
+                  spend
+                    (Printf.sprintf "borrow(%s.%s@%s)" d p.Predicate.column t)
+                    (hidden_index_us env ~table:d p ~level_count:n_t))
+               g.Plan.g_borrowed;
+           (* hidden index traversals *)
+           List.iter
+             (fun (h : Plan.hidden_pred) ->
+                let level_count = if cross_pre then n_t else n_root in
+                spend
+                  (Printf.sprintf "index(%s.%s)" t h.Plan.h_pred.Predicate.column)
+                  (hidden_index_us env ~table:t h.Plan.h_pred ~level_count))
+             indexed;
+           if Plan.pre_filtered g then begin
+             let m_vis = vis_sel *. Float.of_int n_t in
+             spend (Printf.sprintf "ship(%s)" t) (usb_us env (ship_bytes env ~n_t m_vis));
+             let m_climbed =
+               if cross_pre then m_vis *. hidden_index_sel *. borrowed_sel else m_vis
+             in
+             spend (Printf.sprintf "climb(%s)" t) (climb_us env ~table:t m_climbed);
+             pre_sel := !pre_sel *. vis_sel *. hidden_index_sel
+           end
+           else if Plan.post_filtered g then begin
+             let m_vis = vis_sel *. Float.of_int n_t in
+             spend (Printf.sprintf "ship(%s)" t) (usb_us env (ship_bytes env ~n_t m_vis));
+             let m_bloom =
+               if Plan.crossed g then begin
+                 (* reading the hidden T-level lists for the cross *)
+                 List.iter
+                   (fun (h : Plan.hidden_pred) ->
+                      spend
+                        (Printf.sprintf "cross-index(%s.%s)" t h.Plan.h_pred.Predicate.column)
+                        (hidden_index_us env ~table:t h.Plan.h_pred ~level_count:n_t))
+                   indexed;
+                 m_vis *. hidden_index_sel
+               end
+               else m_vis
+             in
+             let ideal_bytes =
+               Float.of_int (Bloom.bits_for_fpr ~n:(max 1 (int_of_float m_bloom)) ~fpr:0.01)
+               /. 8.
+             in
+             let bloom_bytes =
+               Float.min ideal_bytes (Float.of_int cfg.Device.ram_budget /. 4.)
+             in
+             env.ram_bytes <- env.ram_bytes + int_of_float bloom_bytes;
+             spend (Printf.sprintf "bloom-build(%s)" t) (cpu_us env (m_bloom *. 8.));
+             pre_sel := !pre_sel *. hidden_index_sel;
+             post_sel := !post_sel *. vis_sel
+           end
+           else pre_sel := !pre_sel *. hidden_index_sel)
+        plan.Plan.groups;
+      let candidates = Float.of_int n_root *. !pre_sel in
+      (* SKT access for every candidate *)
+      if skt_row_bytes > 0. then
+        spend "access-skt"
+          (skt_access_us env ~n_root ~candidates ~row_bytes:skt_row_bytes);
+      (* bloom probes + hidden checks per candidate *)
+      spend "probes" (cpu_us env (candidates *. 8.));
+      (candidates, !post_sel)
+    end
+  in
+  let results = candidates *. post_sel in
+  (* rows that travel on to the projection: under [Full], every one *)
+  let kept = if full then candidates else results in
+  (* 2. Delta-log merge-on-read: a Pre-filtered root selection fences the
      run scan to its shipped id range. The touched share is modeled by
      the selection's selectivity — exact for contiguous (range)
-     selections of the dense root key, optimistic for scattered
-     ones. *)
+     selections of the dense root key, optimistic for scattered ones.
+     [Full] reads the whole log. *)
   let delta_fraction =
     match
       List.find_opt (fun (g : Plan.group) -> g.Plan.g_table = root) plan.Plan.groups
     with
-    | Some g
-      when g.Plan.g_visible <> []
-           && (g.Plan.g_visible_strategy = Plan.V_pre
-               || g.Plan.g_visible_strategy = Plan.V_cross_pre) ->
-      visible_sel env g.Plan.g_visible
+    | Some g when (not full) && Plan.pre_filtered g -> visible_sel env g.Plan.g_visible
     | _ -> 1.
   in
   let ds = delta_scan_us env ~fraction:delta_fraction in
   if ds > 0. then spend "delta-scan" ds;
+  (* 3. Hidden predicates checked per candidate. *)
   List.iter
     (fun (g : Plan.group) ->
        List.iter
          (fun (h : Plan.hidden_pred) ->
-            if h.Plan.h_strategy = Plan.H_check then begin
+            if full || h.Plan.h_strategy = Plan.H_check then begin
               let tbl = Schema.find_table schema g.Plan.g_table in
               let col = Schema.find_column tbl h.Plan.h_pred.Predicate.column in
               spend
-                (Printf.sprintf "check(%s.%s)" g.Plan.g_table h.Plan.h_pred.Predicate.column)
+                (Printf.sprintf
+                   (if full then "check-all(%s.%s)" else "check(%s.%s)")
+                   g.Plan.g_table h.Plan.h_pred.Predicate.column)
                 (candidates *. point_read_us env (Float.of_int (Value.ty_width col.Column.ty)))
             end)
          g.Plan.g_hidden)
     plan.Plan.groups;
-  let survivors = candidates *. !post_sel in
-  (* projection joins *)
-  let projected_visible =
-    List.filter_map
-      (fun (table, column) ->
-         let tbl = Schema.find_table schema table in
-         if column = tbl.Schema.key then None
-         else begin
-           let col = Schema.find_column tbl column in
-           if Column.is_hidden col then None
-           else Some (table, column, col.Column.ty)
-         end)
-      plan.Plan.query.Bind.projections
-    |> List.sort_uniq compare
-  in
+  (* 4. Projection joins: one stream per table with visible projected
+     columns, plus the Post-filtered tables' verification. *)
+  let projected_visible = Plan.visible_projections schema plan in
   let post_tables =
-    List.filter_map
-      (fun (g : Plan.group) ->
-         if
-           g.Plan.g_visible <> []
-           && (g.Plan.g_visible_strategy = Plan.V_post
-               || g.Plan.g_visible_strategy = Plan.V_cross_post)
-         then Some g.Plan.g_table
-         else None)
-      plan.Plan.groups
+    if full then []
+    else
+      List.filter_map
+        (fun (g : Plan.group) ->
+           if Plan.post_filtered g then Some g.Plan.g_table else None)
+        plan.Plan.groups
   in
   let join_tables =
     List.sort_uniq String.compare
@@ -545,69 +455,60 @@ let estimate cat (plan : Plan.t) =
   in
   List.iter
     (fun table ->
-       let preds =
-         List.filter
-           (fun (p : Predicate.t) ->
-              p.Predicate.table = table
-              &&
-              let tbl = Schema.find_table schema table in
-              not (Column.is_hidden (Schema.find_column tbl p.Predicate.column)))
-           plan.Plan.query.Bind.selections
+       let n_t = count env table in
+       let preds = if full then [] else Plan.visible_selections schema plan table in
+       let tys =
+         List.filter_map
+           (fun (t, _, ty) -> if t = table then Some ty else None)
+           projected_visible
        in
-       let cols = List.filter (fun (t, _, _) -> t = table) projected_visible in
-       let tys = List.map (fun (_, _, ty) -> ty) cols in
        let width = List.fold_left (fun acc ty -> acc + Value.ty_width ty) 0 tys in
-       let n_stream = visible_sel env preds *. Float.of_int (count env table) in
+       let n_stream = visible_sel env preds *. Float.of_int n_t in
        spend
-         (Printf.sprintf "stream(%s)" table)
-         (usb_us env (stream_bytes env ~n_t:(count env table) ~tys n_stream));
+         (Printf.sprintf (if full then "stream-full(%s)" else "stream(%s)") table)
+         (usb_us env (stream_bytes env ~n_t ~tys n_stream));
        let hash_bytes = n_stream *. Float.of_int (8 + width) in
-       if hash_bytes <= Float.of_int cfg.Device.ram_budget /. 2. then
-         spend (Printf.sprintf "join-hash(%s)" table) (cpu_us env ((n_stream +. survivors) *. 4.))
+       if full || hash_bytes <= Float.of_int cfg.Device.ram_budget /. 2. then
+         spend (Printf.sprintf "join-hash(%s)" table) (cpu_us env ((n_stream +. kept) *. 4.))
        else begin
-         let row_bytes = survivors *. 24. in
+         let row_bytes = kept *. 24. in
          spend
            (Printf.sprintf "join-sort(%s)" table)
            (write_stream_us env row_bytes +. scratch_read_us env row_bytes
-            +. cpu_us env (survivors *. 20.))
+            +. cpu_us env (kept *. 20.))
        end)
     join_tables;
-  (* final projection: hidden column point reads + result emission *)
-  let hidden_proj =
-    List.filter
-      (fun (table, column) ->
-         let tbl = Schema.find_table schema table in
-         column <> tbl.Schema.key
-         && Column.is_hidden (Schema.find_column tbl column))
-      plan.Plan.query.Bind.projections
-  in
+  (* 5. Final projection: hidden column point reads + result emission,
+     padded to a power-of-two bucket under [Pad] and to the public
+     bound under [Full]. *)
   List.iter
     (fun (table, column) ->
        let tbl = Schema.find_table schema table in
        let col = Schema.find_column tbl column in
-       spend
-         (Printf.sprintf "fetch(%s.%s)" table column)
-         (survivors *. point_read_us env (Float.of_int (Value.ty_width col.Column.ty))))
-    hidden_proj;
-  let emit_n =
+       if column <> tbl.Schema.key && Column.is_hidden col then
+         spend
+           (Printf.sprintf (if full then "fetch-all(%s.%s)" else "fetch(%s.%s)") table column)
+           (kept *. point_read_us env (Float.of_int (Value.ty_width col.Column.ty))))
+    plan.Plan.query.Bind.projections;
+  let emit_label, emit_n =
     match plan.Plan.oblivious with
+    | Oblivious.Off -> ("emit", results)
     | Oblivious.Pad ->
       let bound = emit_bound env in
-      Float.of_int
-        (Oblivious.pad_count ~bound
-           (max 0 (min bound (int_of_float (ceil survivors)))))
-    | Oblivious.Off | Oblivious.Full -> survivors
+      ( "emit",
+        Float.of_int
+          (Oblivious.pad_count ~bound (max 0 (min bound (int_of_float (ceil results))))) )
+    | Oblivious.Full -> ("emit-pad", Float.of_int (emit_bound env))
   in
-  spend "emit" (usb_us env (emit_n *. 16.));
+  spend emit_label (usb_us env (emit_n *. 16.));
   {
     est_time_us = !time;
     est_candidates = int_of_float (Float.round candidates);
-    est_results = int_of_float (Float.round survivors);
+    est_results = int_of_float (Float.round results);
     est_ram_bytes = env.ram_bytes;
     est_usb_bytes = env.usb_bytes;
     breakdown = List.rev env.parts;
   }
-  end
 
 (* The scheduler's shortest-remaining-cost-first policy reorders
    runnable sessions by this on every dispatch: the estimate minus the
