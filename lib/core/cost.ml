@@ -467,8 +467,11 @@ let estimate cat (plan : Plan.t) =
        spend
          (Printf.sprintf (if full then "stream-full(%s)" else "stream(%s)") table)
          (usb_us env (stream_bytes env ~n_t ~tys n_stream));
+       (* [Exec.join_stream]'s rule: an in-RAM hash join while the stream
+          fits in half the RAM, an external sort of the kept rows past
+          it — as under [Full], whose streams are full-column *)
        let hash_bytes = n_stream *. Float.of_int (8 + width) in
-       if full || hash_bytes <= Float.of_int cfg.Device.ram_budget /. 2. then
+       if hash_bytes <= Float.of_int cfg.Device.ram_budget /. 2. then
          spend (Printf.sprintf "join-hash(%s)" table) (cpu_us env ((n_stream +. kept) *. 4.))
        else begin
          let row_bytes = kept *. 24. in
