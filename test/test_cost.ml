@@ -15,6 +15,7 @@ module Plan = Ghostdb.Plan
 module Planner = Ghostdb.Planner
 module Cost = Ghostdb.Cost
 module Exec = Ghostdb.Exec
+module Oblivious = Ghost_oblivious.Oblivious
 
 let check = Alcotest.check
 
@@ -86,13 +87,77 @@ let test_estimate_breakdown_sums () =
   let db = Lazy.force db in
   let cat = Ghost_db.catalog db in
   let q = Ghost_db.bind db Queries.demo in
+  let panel = List.map fst (Planner.with_estimates cat q) in
   List.iter
-    (fun (plan, est) ->
+    (fun plan ->
+       let est = Cost.estimate cat plan in
        let parts = List.fold_left (fun acc (_, v) -> acc +. v) 0. est.Cost.breakdown in
        if Float.abs (parts -. est.Cost.est_time_us) > 1e-6 then
          Alcotest.failf "breakdown of [%s] sums to %.1f, total %.1f" plan.Plan.label
            parts est.Cost.est_time_us)
-    (Planner.with_estimates cat q)
+    (panel
+     @ List.map (fun p -> Plan.with_mode p Oblivious.Pad) panel
+     @ List.map (fun p -> Plan.with_mode p Oblivious.Full) panel
+     @ [ Planner.oblivious cat q ])
+
+(* A Full estimate is a function of the schema and public bounds: the
+   fixed-shape plans of queries that differ only in hidden constants
+   must price identically, term by term (only [est_results] may move).
+   The last group projects the visible Pre.Frequency, whose full-column
+   stream takes the external-sort join at small scale. *)
+let hidden_constant_groups =
+  [
+    ( "hidden_only",
+      List.map
+        (Printf.sprintf
+           "SELECT Pre.PreID, Pre.Quantity FROM Prescription Pre, Visit Vis WHERE \
+            Vis.Purpose = '%s' AND Vis.VisID = Pre.VisID")
+        [ "Sclerosis"; "Checkup"; "NoSuchPurpose" ] );
+    ( "range_hidden",
+      List.map
+        (fun (lo, hi) ->
+           Printf.sprintf
+             "SELECT Pre.PreID, Pre.Quantity FROM Prescription Pre WHERE Pre.Quantity \
+              BETWEEN %d AND %d"
+             lo hi)
+        [ (8, 10); (1, 2) ] );
+    ( "visible_frequency",
+      List.map
+        (Printf.sprintf
+           "SELECT Pre.PreID, Pre.Frequency FROM Prescription Pre, Visit Vis WHERE \
+            Vis.Purpose = '%s' AND Vis.VisID = Pre.VisID")
+        [ "Sclerosis"; "Checkup"; "NoSuchPurpose" ] );
+  ]
+
+let full_estimate_ignores_hidden_data db ~sorted_join =
+  let cat = Ghost_db.catalog db in
+  let priced sql =
+    let e = Cost.estimate cat (Planner.oblivious cat (Ghost_db.bind db sql)) in
+    ( Printf.sprintf "%h" e.Cost.est_time_us,
+      e.Cost.est_usb_bytes,
+      e.Cost.est_ram_bytes,
+      List.map (fun (label, us) -> Printf.sprintf "%s=%h" label us) e.Cost.breakdown )
+  in
+  List.iter
+    (fun (name, sqls) ->
+       let first = priced (List.hd sqls) in
+       List.iteri
+         (fun i sql ->
+            if priced sql <> first then
+              Alcotest.failf "%s: variant %d prices differently from variant 0" name i)
+         sqls;
+       let _, _, _, terms = first in
+       if name = "visible_frequency" then
+         check Alcotest.bool
+           (name ^ " joins Prescription by external sort")
+           sorted_join
+           (List.exists (String.starts_with ~prefix:"join-sort(Prescription)") terms))
+    hidden_constant_groups
+
+let test_full_estimate_ignores_hidden_data () =
+  full_estimate_ignores_hidden_data ~sorted_join:false
+    (Ghost_db.of_schema (Medical.schema ()) (Medical.generate Medical.tiny));
+  full_estimate_ignores_hidden_data ~sorted_join:true (Lazy.force db)
 
 (* ---- Col_stats ---- *)
 
@@ -155,6 +220,8 @@ let suite = [
   Alcotest.test_case "estimates survive flash-cost changes" `Quick
     test_estimate_scales_with_flash_cost;
   Alcotest.test_case "breakdown sums to total" `Quick test_estimate_breakdown_sums;
+  Alcotest.test_case "full estimate ignores hidden data" `Quick
+    test_full_estimate_ignores_hidden_data;
   Alcotest.test_case "col stats exact mode" `Quick test_col_stats_exact_mode;
   Alcotest.test_case "col stats histogram mode" `Quick test_col_stats_histogram_mode;
   Alcotest.test_case "col stats empty" `Quick test_col_stats_empty;
