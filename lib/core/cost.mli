@@ -9,6 +9,15 @@ module Bind = Ghost_sql.Bind
     bytes, hierarchical merge passes), USB transfers, Bloom
     build/probe CPU, SKT accesses for surviving candidates, hidden
     column checks, and projection joins (RAM hash vs external sort).
+    One estimator covers every {!Plan.oblivious} mode and makes the
+    executor's three shape choices: [Pad] pads the same terms to
+    power-of-two buckets, while [Full] prices the fixed shape — one
+    full-cardinality frame per visible predicate, a bound-depth SKT
+    scan of every root row, every hidden predicate checked on every
+    row, the whole delta log and full-column streams with every row
+    kept, emission padded to the public bound — so a [Full] estimate
+    depends on the schema and public bounds alone (selectivities only
+    predict [est_results]).
     When the device is configured with a shared page cache
     ([page_cache_frames > 0]) the Flash components of the estimate are
     discounted by an expected hit ratio, derived from the frame-pool
