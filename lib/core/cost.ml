@@ -302,6 +302,7 @@ let estimate cat (plan : Plan.t) =
       spend "bound-scan"
         (read_stream_us env (Float.of_int n_root *. skt_row_bytes)
          +. cpu_us env (Float.of_int n_root *. 3.));
+      (* the live share: it predicts [est_results] and prices nothing *)
       let all_sel =
         List.fold_left
           (fun acc (g : Plan.group) ->
@@ -330,7 +331,9 @@ let estimate cat (plan : Plan.t) =
                g.Plan.g_hidden
            in
            let hidden_sel hs =
-             List.fold_left (fun acc (h : Plan.hidden_pred) -> acc *. sel env h.Plan.h_pred) 1. hs
+             List.fold_left
+               (fun acc (h : Plan.hidden_pred) -> acc *. sel env h.Plan.h_pred)
+               1. hs
            in
            let hidden_index_sel = hidden_sel indexed in
            (* hidden checks: per surviving candidate, later *)
@@ -467,9 +470,9 @@ let estimate cat (plan : Plan.t) =
        spend
          (Printf.sprintf (if full then "stream-full(%s)" else "stream(%s)") table)
          (usb_us env (stream_bytes env ~n_t ~tys n_stream));
-       (* [Exec.join_stream]'s rule: an in-RAM hash join while the stream
-          fits in half the RAM, an external sort of the kept rows past
-          it — as under [Full], whose streams are full-column *)
+       (* [Exec.join_stream]'s rule in every mode: an in-RAM hash join
+          while the stream fits in half the RAM, an external sort of the
+          kept rows past it *)
        let hash_bytes = n_stream *. Float.of_int (8 + width) in
        if hash_bytes <= Float.of_int cfg.Device.ram_budget /. 2. then
          spend (Printf.sprintf "join-hash(%s)" table) (cpu_us env ((n_stream +. kept) *. 4.))

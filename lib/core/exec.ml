@@ -349,7 +349,7 @@ let group_pre_cursor ctx (g : Plan.group) =
   let root = ctx.plan.Plan.root in
   let indexed = Plan.indexed_hidden g in
   let visible_pre = Plan.pre_filtered g in
-  if indexed = [] && not visible_pre then None
+  if not (Plan.group_produces_pre_source g) then None
   else if visible_pre && Plan.crossed g then begin
     (* Intersect everything at T level, then climb once. *)
     let t_ids = ship_visible_ids ctx ~table:g.Plan.g_table g.Plan.g_visible in
