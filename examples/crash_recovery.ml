@@ -74,7 +74,9 @@ let () =
   Printf.printf "inserts resume: total %d\n" (count_prescriptions db);
   let f = Device.fault_counters (Ghost_db.device db) in
   Printf.printf "device counters: %d power cut(s), %d recovered, %d lost\n"
-    f.Device.flash_power_cuts f.Device.records_recovered f.Device.records_lost;
+    (Device.count f Device.Flash_power_cuts)
+    (Device.count f Device.Records_recovered)
+    (Device.count f Device.Records_lost);
 
   (* Now the power fails *during* reorganization. With durable logs the
      rebuild runs as a checkpointed shadow build (DESIGN.md §9.4): the

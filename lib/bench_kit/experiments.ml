@@ -509,11 +509,11 @@ let robustness ?(scale = default_scale) () =
            Report.us insert_us;
            Report.us q;
            Printf.sprintf "x%.2f" (total /. Option.get !baseline);
-           string_of_int f.Device.flash_ecc_corrected;
-           string_of_int f.Device.flash_ecc_uncorrected;
-           string_of_int f.Device.flash_pages_remapped;
-           string_of_int f.Device.flash_bad_blocks;
-           string_of_int f.Device.usb_retries;
+           string_of_int (Device.count f Device.Flash_ecc_corrected);
+           string_of_int (Device.count f Device.Flash_ecc_uncorrected);
+           string_of_int (Device.count f Device.Flash_pages_remapped);
+           string_of_int (Device.count f Device.Flash_bad_blocks);
+           string_of_int (Device.count f Device.Usb_retries);
          ])
       profiles
   in
@@ -674,7 +674,9 @@ let reorg_cost ?metrics ?(scale = default_scale) () =
          let reorg_us = Device.elapsed_us device -. t0 in
          Ghost_db.flush_metrics db;
          Ghost_db.flush_metrics rebuilt;
-         let ckpts = (Device.fault_counters device).Device.reorg_checkpoints in
+         let ckpts =
+           Device.count (Device.fault_counters device) Device.Reorg_checkpoints
+         in
          (* 2. a cut tearing the Begin record: recovery rolls back *)
          let db, _ = build pending in
          attach db;
@@ -1485,7 +1487,8 @@ let integrity_sweep ?metrics ?(scale = default_scale) () =
       for s = 0 to shards - 1 do
         for r = 0 to replicas - 1 do
           let d = Ghost_db.device (Fleet.db fleet ~shard:s ~replica:r) in
-          total := !total + (Device.fault_counters d).Device.integrity_errors
+          total :=
+            !total + Device.count (Device.fault_counters d) Device.Integrity_errors
         done
       done;
       !total

@@ -52,14 +52,15 @@ let step t =
        let device = t.cat.Catalog.device in
        if i.Delta_log.inst_spill then begin
          t.spills <- t.spills + 1;
-         Device.note_log_spill device ~pages:i.Delta_log.inst_pages
-           ~records:i.Delta_log.inst_records ~dropped:i.Delta_log.inst_dropped
+         Device.note device Device.Log_spills
        end
        else begin
          t.merges <- t.merges + 1;
-         Device.note_log_merge device ~pages:i.Delta_log.inst_pages
-           ~records:i.Delta_log.inst_records ~dropped:i.Delta_log.inst_dropped
+         Device.note device Device.Log_merges
        end;
+       Device.note device ~by:i.Delta_log.inst_pages Device.Compaction_pages;
+       Device.note device ~by:i.Delta_log.inst_records Device.Records_installed;
+       Device.note device ~by:i.Delta_log.inst_dropped Device.Records_dropped;
        true)
 
 let run_pending t =

@@ -22,8 +22,9 @@ module Device = Ghost_device.Device
     idle activity learns the insert/delete rate it already observed on
     the bus.
 
-    Installed outputs are reported to the device counters
-    ({!Device.note_log_spill} / {!Device.note_log_merge}), feeding the
+    Installed outputs are reported to the device counters with
+    {!Device.note} ([Log_spills] or [Log_merges], [Compaction_pages],
+    [Records_installed], [Records_dropped]), feeding the
     [compaction.*] and [run.*] metrics the CI regression gate
     exact-matches. *)
 

@@ -1087,7 +1087,8 @@ let execute ~exact_post ~bloom_fpr ~scratch catalog public plan =
      | Some c -> Page_cache.invalidate c ~page
      | None -> ());
     let transient = Flash.page_intact (Device.flash device) ~page in
-    Device.note_integrity_error device ~transient;
+    Device.note device Device.Integrity_errors;
+    if transient then Device.note device Device.Integrity_transients;
     if transient then
       execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan
     else raise e

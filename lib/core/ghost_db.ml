@@ -139,7 +139,7 @@ let recover_reorg (t : t) =
       match Reorg.advance p with
       | catalog, public, trace ->
         t.reorg <- None;
-        Device.note_reorg_outcome device ~rolled_forward:true;
+        Device.note device Device.Reorg_rollforwards;
         Some
           (Reorg_completed
              {
@@ -157,7 +157,7 @@ let recover_reorg (t : t) =
       match Reorg.abort p with
       | () ->
         t.reorg <- None;
-        Device.note_reorg_outcome device ~rolled_forward:false;
+        Device.note device Device.Reorg_rollbacks;
         Some (Reorg_rolled_back { journal_records = Reorg.journal_pages p })
       | exception (Flash.Power_cut _ as e) ->
         Reorg.note_crash p;
@@ -181,7 +181,8 @@ let recover t =
       (r.Tombstone_log.recovered, r.Tombstone_log.lost, r.Tombstone_log.torn_pages)
     | _ -> (0, 0, 0)
   in
-  Device.note_recovery device ~recovered:(dr + tr) ~lost:(dl + tl);
+  Device.note device ~by:(dr + tr) Device.Records_recovered;
+  Device.note device ~by:(dl + tl) Device.Records_lost;
   let reorg = recover_reorg t in
   {
     delta_recovered = dr;
@@ -259,7 +260,7 @@ exception Image_error of string
    when the delta log gained its leveled runs; to 9 when both logs
    moved onto a shared append log: older marshalled images are
    incompatible. *)
-let image_magic = "GHOSTDB-IMAGE-9\n"
+let image_magic = "GHOSTDB-IMAGE-10\n"
 
 (* Image layout: magic | u64 payload length | payload (marshalled
    instance) | u32 CRC-32 of the payload. Written to [<path>.tmp] and

@@ -161,8 +161,10 @@ val recover : t -> recovery_report
 (** Runs the post-crash recovery protocol on every log that needs it
     (metered on the device clock), resolves an interrupted
     reorganization (roll forward or roll back — see {!reorg_outcome})
-    and accounts the outcomes in the device's robustness counters
-    ({!Device.fault_counters}). A power cut during a roll-forward
+    and accounts the outcomes in the device's counters with
+    {!Device.note} ([Records_recovered], [Records_lost],
+    [Reorg_rollforwards] or [Reorg_rollbacks]; {!Device.count} reads
+    them back). A power cut during a roll-forward
     resume raises {!Ghost_flash.Flash.Power_cut} again; the
     reorganization stays pending and the next [recover] picks it up
     from the checkpoints that survived. *)

@@ -168,7 +168,7 @@ let checkpoint p i ~digest =
   append_record p ~kind:Checkpoint ~phase:i ~digest
     ~name:(phase_name p.phases.(i));
   p.done_ <- i + 1;
-  Device.note_reorg_checkpoint (old_device p);
+  Device.note (old_device p) Device.Reorg_checkpoints;
   Device.emit_reorg_progress (old_device p) ~phase:(i + 1)
     ~phases:(phase_count p)
 

@@ -61,30 +61,73 @@ let default_config = {
 
 let high_speed_usb config = { config with usb_mbit_per_s = 480.0 }
 
-type fault_counters = {
-  flash_bit_flips : int;
-  flash_ecc_corrected : int;
-  flash_ecc_uncorrected : int;
-  flash_program_failures : int;
-  flash_pages_remapped : int;
-  flash_bad_blocks : int;
-  flash_power_cuts : int;
-  usb_corruptions : int;
-  usb_retries : int;
-  records_recovered : int;
-  records_lost : int;
-  reorg_checkpoints : int;
-  reorg_rollbacks : int;
-  reorg_rollforwards : int;
-  integrity_errors : int;
-  integrity_transients : int;
-  pages_scrubbed : int;
-  scrub_refreshes : int;
-  repair_rebuilds : int;
-  log_spills : int;
-  log_compactions : int;
-  compaction_pages : int;
-}
+type counter =
+  | Flash_bit_flips
+  | Flash_ecc_corrected
+  | Flash_ecc_uncorrected
+  | Flash_program_failures
+  | Flash_pages_remapped
+  | Flash_bad_blocks
+  | Flash_power_cuts
+  | Usb_corruptions
+  | Usb_retries
+  | Records_recovered
+  | Records_lost
+  | Reorg_checkpoints
+  | Reorg_rollbacks
+  | Reorg_rollforwards
+  | Integrity_errors
+  | Integrity_transients
+  | Pages_scrubbed
+  | Scrub_refreshes
+  | Repair_rebuilds
+  | Log_spills
+  | Log_merges
+  | Compaction_pages
+  | Records_installed
+  | Records_dropped
+
+(* Every counter in slot order, beside its registry name. The seven
+   Flash slots come first: [fault_counters] fills them positionally from
+   each region's [Flash.fault_stats], and [note] refuses them, so they
+   never reach the registry. *)
+let table = [|
+  (Flash_bit_flips, "flash.bit_flips");
+  (Flash_ecc_corrected, "flash.ecc_corrected");
+  (Flash_ecc_uncorrected, "flash.ecc_uncorrected");
+  (Flash_program_failures, "flash.program_failures");
+  (Flash_pages_remapped, "flash.pages_remapped");
+  (Flash_bad_blocks, "flash.bad_blocks");
+  (Flash_power_cuts, "flash.power_cuts");
+  (Usb_corruptions, "usb.corruptions");
+  (Usb_retries, "usb.retries");
+  (Records_recovered, "recovery.records_recovered");
+  (Records_lost, "recovery.records_lost");
+  (Reorg_checkpoints, "reorg.checkpoints");
+  (Reorg_rollbacks, "reorg.rollbacks");
+  (Reorg_rollforwards, "reorg.rollforwards");
+  (Integrity_errors, "integrity.errors");
+  (Integrity_transients, "integrity.transient_retries");
+  (Pages_scrubbed, "scrub.pages");
+  (Scrub_refreshes, "scrub.refreshes");
+  (Repair_rebuilds, "repair.rebuilds");
+  (Log_spills, "compaction.spills");
+  (Log_merges, "compaction.merges");
+  (Compaction_pages, "compaction.pages_written");
+  (Records_installed, "run.records_installed");
+  (Records_dropped, "compaction.records_dropped");
+|]
+
+let flash_slots = 7
+let counters = Array.to_list (Array.map fst table)
+
+let slot c =
+  let rec find i = if fst table.(i) = c then i else find (i + 1) in
+  find 0
+
+let counter_name c = snd table.(slot c)
+
+type fault_counters = int array
 
 type snapshot = {
   flash : Flash.stats;
@@ -117,21 +160,8 @@ type t = {
   mutable usb_bytes_in : int;
   mutable usb_bytes_out : int;
   mutable usb_us : float;
-  mutable usb_corruptions : int;
-  mutable usb_retries : int;
-  mutable records_recovered : int;
-  mutable records_lost : int;
-  mutable reorg_checkpoints : int;
-  mutable reorg_rollbacks : int;
-  mutable reorg_rollforwards : int;
-  mutable integrity_errors : int;
-  mutable integrity_transients : int;
-  mutable pages_scrubbed : int;
-  mutable scrub_refreshes : int;
-  mutable repair_rebuilds : int;
-  mutable log_spills : int;
-  mutable log_compactions : int;
-  mutable compaction_pages : int;
+  counts : fault_counters;
+      (* the noted counters, indexed by slot; the Flash slots stay 0 *)
   mutable cpu_ops : int;
   mutable metrics : Ghost_metrics.Metrics.t option;
       (* observability registry; [None] (the default) costs one branch
@@ -184,21 +214,7 @@ let create ?(config = default_config) ~trace () =
   usb_bytes_in = 0;
   usb_bytes_out = 0;
   usb_us = 0.;
-  usb_corruptions = 0;
-  usb_retries = 0;
-  records_recovered = 0;
-  records_lost = 0;
-  reorg_checkpoints = 0;
-  reorg_rollbacks = 0;
-  reorg_rollforwards = 0;
-  integrity_errors = 0;
-  integrity_transients = 0;
-  pages_scrubbed = 0;
-  scrub_refreshes = 0;
-  repair_rebuilds = 0;
-  log_spills = 0;
-  log_compactions = 0;
-  compaction_pages = 0;
+  counts = Array.make (Array.length table) 0;
   cpu_ops = 0;
   metrics = None;
   published = None;
@@ -210,10 +226,14 @@ let create ?(config = default_config) ~trace () =
   batch = None;
 }
 
-let metric t ?by name =
+let note t ?(by = 1) c =
+  let i = slot c in
+  if i < flash_slots then
+    invalid_arg "Device.note: Flash counters are read off the regions";
+  t.counts.(i) <- t.counts.(i) + by;
   match t.metrics with
   | None -> ()
-  | Some m -> Ghost_metrics.Metrics.incr m ?by name
+  | Some m -> Ghost_metrics.Metrics.incr m ~by (snd table.(i))
 
 let config t = t.config
 let flash t = t.flash
@@ -277,16 +297,14 @@ let transfer_frame t dir link msgs ~total =
       | _ -> false
     in
     if corrupted then begin
-      t.usb_corruptions <- t.usb_corruptions + 1;
-      metric t "usb.corruptions";
+      note t Usb_corruptions;
       let f = Option.get t.config.usb_fault in
       if k >= f.max_retries then
         raise (Usb_error
                  (Printf.sprintf "transfer of %d bytes failed after %d attempts"
                     total (k + 1)))
       else begin
-        t.usb_retries <- t.usb_retries + 1;
-        metric t "usb.retries";
+        note t Usb_retries;
         let backoff = f.backoff_us *. Float.of_int (1 lsl k) in
         (* Seeded jitter decorrelates retry schedules across fleet
            devices. It draws from its own derived-seed stream, so the
@@ -390,60 +408,6 @@ let emit_result ?obl t ~count ~bytes =
 
 let emit_ack t = transfer t Outbound Trace.Device_to_pc Trace.Ack ~bytes:1
 
-let note_recovery t ~recovered ~lost =
-  t.records_recovered <- t.records_recovered + recovered;
-  t.records_lost <- t.records_lost + lost;
-  metric t ~by:recovered "recovery.records_recovered";
-  metric t ~by:lost "recovery.records_lost"
-
-let note_reorg_checkpoint t =
-  t.reorg_checkpoints <- t.reorg_checkpoints + 1;
-  metric t "reorg.checkpoints"
-
-let note_reorg_outcome t ~rolled_forward =
-  if rolled_forward then begin
-    t.reorg_rollforwards <- t.reorg_rollforwards + 1;
-    metric t "reorg.rollforwards"
-  end
-  else begin
-    t.reorg_rollbacks <- t.reorg_rollbacks + 1;
-    metric t "reorg.rollbacks"
-  end
-
-let note_integrity_error t ~transient =
-  t.integrity_errors <- t.integrity_errors + 1;
-  metric t "integrity.errors";
-  if transient then begin
-    t.integrity_transients <- t.integrity_transients + 1;
-    metric t "integrity.transient_retries"
-  end
-
-let note_scrub t ~pages ~refreshes =
-  t.pages_scrubbed <- t.pages_scrubbed + pages;
-  t.scrub_refreshes <- t.scrub_refreshes + refreshes;
-  metric t ~by:pages "scrub.pages";
-  if refreshes > 0 then metric t ~by:refreshes "scrub.refreshes"
-
-let note_repair t =
-  t.repair_rebuilds <- t.repair_rebuilds + 1;
-  metric t "repair.rebuilds"
-
-let note_log_spill t ~pages ~records ~dropped =
-  t.log_spills <- t.log_spills + 1;
-  t.compaction_pages <- t.compaction_pages + pages;
-  metric t "compaction.spills";
-  metric t ~by:pages "compaction.pages_written";
-  metric t ~by:records "run.records_installed";
-  if dropped > 0 then metric t ~by:dropped "compaction.records_dropped"
-
-let note_log_merge t ~pages ~records ~dropped =
-  t.log_compactions <- t.log_compactions + 1;
-  t.compaction_pages <- t.compaction_pages + pages;
-  metric t "compaction.merges";
-  metric t ~by:pages "compaction.pages_written";
-  metric t ~by:records "run.records_installed";
-  if dropped > 0 then metric t ~by:dropped "compaction.records_dropped"
-
 let emit_reorg_progress t ~phase ~phases =
   transfer t Outbound Trace.Device_to_pc
     (Trace.Reorg_progress { phase; phases }) ~bytes:0
@@ -483,118 +447,44 @@ let set_session t session =
 
 let session_us t = elapsed_us t +. t.vclock_offset
 
-let zero_faults = {
-  flash_bit_flips = 0;
-  flash_ecc_corrected = 0;
-  flash_ecc_uncorrected = 0;
-  flash_program_failures = 0;
-  flash_pages_remapped = 0;
-  flash_bad_blocks = 0;
-  flash_power_cuts = 0;
-  usb_corruptions = 0;
-  usb_retries = 0;
-  records_recovered = 0;
-  records_lost = 0;
-  reorg_checkpoints = 0;
-  reorg_rollbacks = 0;
-  reorg_rollforwards = 0;
-  integrity_errors = 0;
-  integrity_transients = 0;
-  pages_scrubbed = 0;
-  scrub_refreshes = 0;
-  repair_rebuilds = 0;
-  log_spills = 0;
-  log_compactions = 0;
-  compaction_pages = 0;
-}
+let zero_faults = Array.make (Array.length table) 0
 
-let add_faults a b = {
-  flash_bit_flips = a.flash_bit_flips + b.flash_bit_flips;
-  flash_ecc_corrected = a.flash_ecc_corrected + b.flash_ecc_corrected;
-  flash_ecc_uncorrected = a.flash_ecc_uncorrected + b.flash_ecc_uncorrected;
-  flash_program_failures = a.flash_program_failures + b.flash_program_failures;
-  flash_pages_remapped = a.flash_pages_remapped + b.flash_pages_remapped;
-  flash_bad_blocks = a.flash_bad_blocks + b.flash_bad_blocks;
-  flash_power_cuts = a.flash_power_cuts + b.flash_power_cuts;
-  usb_corruptions = a.usb_corruptions + b.usb_corruptions;
-  usb_retries = a.usb_retries + b.usb_retries;
-  records_recovered = a.records_recovered + b.records_recovered;
-  records_lost = a.records_lost + b.records_lost;
-  reorg_checkpoints = a.reorg_checkpoints + b.reorg_checkpoints;
-  reorg_rollbacks = a.reorg_rollbacks + b.reorg_rollbacks;
-  reorg_rollforwards = a.reorg_rollforwards + b.reorg_rollforwards;
-  integrity_errors = a.integrity_errors + b.integrity_errors;
-  integrity_transients = a.integrity_transients + b.integrity_transients;
-  pages_scrubbed = a.pages_scrubbed + b.pages_scrubbed;
-  scrub_refreshes = a.scrub_refreshes + b.scrub_refreshes;
-  repair_rebuilds = a.repair_rebuilds + b.repair_rebuilds;
-  log_spills = a.log_spills + b.log_spills;
-  log_compactions = a.log_compactions + b.log_compactions;
-  compaction_pages = a.compaction_pages + b.compaction_pages;
-}
+(* [snapshot], [usage_between] and [add_usage] run at every operator
+   boundary: copy, then loop, with no name or constructor lookups. *)
+let add_faults a b =
+  let c = Array.copy a in
+  for i = 0 to Array.length c - 1 do
+    c.(i) <- c.(i) + b.(i)
+  done;
+  c
 
-let diff_faults ~after ~before = {
-  flash_bit_flips = after.flash_bit_flips - before.flash_bit_flips;
-  flash_ecc_corrected = after.flash_ecc_corrected - before.flash_ecc_corrected;
-  flash_ecc_uncorrected =
-    after.flash_ecc_uncorrected - before.flash_ecc_uncorrected;
-  flash_program_failures =
-    after.flash_program_failures - before.flash_program_failures;
-  flash_pages_remapped = after.flash_pages_remapped - before.flash_pages_remapped;
-  flash_bad_blocks = after.flash_bad_blocks - before.flash_bad_blocks;
-  flash_power_cuts = after.flash_power_cuts - before.flash_power_cuts;
-  usb_corruptions = after.usb_corruptions - before.usb_corruptions;
-  usb_retries = after.usb_retries - before.usb_retries;
-  records_recovered = after.records_recovered - before.records_recovered;
-  records_lost = after.records_lost - before.records_lost;
-  reorg_checkpoints = after.reorg_checkpoints - before.reorg_checkpoints;
-  reorg_rollbacks = after.reorg_rollbacks - before.reorg_rollbacks;
-  reorg_rollforwards = after.reorg_rollforwards - before.reorg_rollforwards;
-  integrity_errors = after.integrity_errors - before.integrity_errors;
-  integrity_transients = after.integrity_transients - before.integrity_transients;
-  pages_scrubbed = after.pages_scrubbed - before.pages_scrubbed;
-  scrub_refreshes = after.scrub_refreshes - before.scrub_refreshes;
-  repair_rebuilds = after.repair_rebuilds - before.repair_rebuilds;
-  log_spills = after.log_spills - before.log_spills;
-  log_compactions = after.log_compactions - before.log_compactions;
-  compaction_pages = after.compaction_pages - before.compaction_pages;
-}
+let diff_faults ~after ~before =
+  let d = Array.copy after in
+  for i = 0 to Array.length d - 1 do
+    d.(i) <- d.(i) - before.(i)
+  done;
+  d
 
-let no_faults f = f = zero_faults
+let no_faults f = Array.for_all (fun n -> n = 0) f
+let count f c = f.(slot c)
+
+(* Slots 0-6, in [table] order. *)
+let add_flash_faults a region =
+  let s = Flash.fault_stats region in
+  a.(0) <- a.(0) + s.Flash.bit_flips;
+  a.(1) <- a.(1) + s.Flash.ecc_corrected;
+  a.(2) <- a.(2) + s.Flash.ecc_uncorrected;
+  a.(3) <- a.(3) + s.Flash.program_failures;
+  a.(4) <- a.(4) + s.Flash.pages_remapped;
+  a.(5) <- a.(5) + s.Flash.bad_blocks_marked;
+  a.(6) <- a.(6) + s.Flash.power_cuts
 
 let fault_counters (t : t) =
-  let fs =
-    Flash.add_fault_stats (Flash.fault_stats t.flash) (Flash.fault_stats t.scratch)
-  in
-  let fs =
-    List.fold_left
-      (fun acc f -> Flash.add_fault_stats acc (Flash.fault_stats f))
-      fs t.session_scratch
-  in
-  {
-    flash_bit_flips = fs.Flash.bit_flips;
-    flash_ecc_corrected = fs.Flash.ecc_corrected;
-    flash_ecc_uncorrected = fs.Flash.ecc_uncorrected;
-    flash_program_failures = fs.Flash.program_failures;
-    flash_pages_remapped = fs.Flash.pages_remapped;
-    flash_bad_blocks = fs.Flash.bad_blocks_marked;
-    flash_power_cuts = fs.Flash.power_cuts;
-    usb_corruptions = t.usb_corruptions;
-    usb_retries = t.usb_retries;
-    records_recovered = t.records_recovered;
-    records_lost = t.records_lost;
-    reorg_checkpoints = t.reorg_checkpoints;
-    reorg_rollbacks = t.reorg_rollbacks;
-    reorg_rollforwards = t.reorg_rollforwards;
-    integrity_errors = t.integrity_errors;
-    integrity_transients = t.integrity_transients;
-    pages_scrubbed = t.pages_scrubbed;
-    scrub_refreshes = t.scrub_refreshes;
-    repair_rebuilds = t.repair_rebuilds;
-    log_spills = t.log_spills;
-    log_compactions = t.log_compactions;
-    compaction_pages = t.compaction_pages;
-  }
+  let a = Array.copy t.counts in
+  add_flash_faults a t.flash;
+  add_flash_faults a t.scratch;
+  List.iter (add_flash_faults a) t.session_scratch;
+  a
 
 let snapshot (t : t) : snapshot = {
   flash =
@@ -703,32 +593,3 @@ let add_usage a b = {
   faults = add_faults a.faults b.faults;
   cache = Page_cache.add_stats a.cache b.cache;
 }
-
-let pp_usage fmt u =
-  Format.fprintf fmt
-    "%.0f us (flash %.0f us / %d rd %d wr; usb %.0f us / %d B in; cpu %.0f us / %d ops)"
-    u.total_us u.flash_us u.flash_page_reads u.flash_page_programs u.used_usb_us
-    u.used_usb_bytes_in u.cpu_us u.used_cpu_ops;
-  if not (no_faults u.faults) then
-    Format.fprintf fmt
-      " [faults: %d flips (%d ecc-fixed, %d uncorrected), %d prog-fail, %d remapped, %d bad blk, %d power cuts, %d usb retries]"
-      u.faults.flash_bit_flips u.faults.flash_ecc_corrected
-      u.faults.flash_ecc_uncorrected
-      u.faults.flash_program_failures u.faults.flash_pages_remapped
-      u.faults.flash_bad_blocks u.faults.flash_power_cuts u.faults.usb_retries;
-  if u.faults.integrity_errors > 0 || u.faults.pages_scrubbed > 0
-     || u.faults.repair_rebuilds > 0 then
-    Format.fprintf fmt
-      " [integrity: %d errors (%d transient), %d scrubbed, %d refreshed, %d rebuilt]"
-      u.faults.integrity_errors u.faults.integrity_transients
-      u.faults.pages_scrubbed u.faults.scrub_refreshes
-      u.faults.repair_rebuilds;
-  if not (Page_cache.no_activity u.cache) then
-    Format.fprintf fmt " [cache: %d hit %d miss %d evict %d inval]"
-      u.cache.Page_cache.hits u.cache.Page_cache.misses
-      u.cache.Page_cache.evictions u.cache.Page_cache.invalidations;
-  if u.faults.reorg_checkpoints > 0 || u.faults.reorg_rollbacks > 0
-     || u.faults.reorg_rollforwards > 0 then
-    Format.fprintf fmt " [reorg: %d ckpt %d roll-fwd %d roll-back]"
-      u.faults.reorg_checkpoints u.faults.reorg_rollforwards
-      u.faults.reorg_rollbacks

@@ -223,41 +223,53 @@ val emit_result : ?obl:Trace.obl -> t -> count:int -> bytes:int -> unit
 val emit_ack : t -> unit
 (** A content-free protocol acknowledgement on [Device_to_pc]. *)
 
-val note_recovery : t -> recovered:int -> lost:int -> unit
-(** Accounts a log-recovery outcome (see {!Delta_log.recover}) so the
-    device's robustness counters report it. *)
+(** {2 Fault and maintenance counters}
 
-val note_reorg_checkpoint : t -> unit
-(** Accounts one durable reorganization checkpoint record (see
-    {!Reorg} in the core library). *)
+    One table holds every robustness and maintenance counter the device
+    reports. Each counter has one registry name ({!counter_name}). *)
 
-val note_reorg_outcome : t -> rolled_forward:bool -> unit
-(** Accounts the recovery outcome of an interrupted reorganization:
-    roll-forward (resumed from the last durable checkpoint) or
-    roll-back (pre-reorg image kept). *)
+type counter =
+  | Flash_bit_flips  (** raw bit errors observed by reads *)
+  | Flash_ecc_corrected  (** of which the controller ECC corrected *)
+  | Flash_ecc_uncorrected
+      (** bit errors served corrupt (ECC off or beyond correction) *)
+  | Flash_program_failures  (** program attempts that failed *)
+  | Flash_pages_remapped  (** writes moved to spare pages *)
+  | Flash_bad_blocks  (** blocks retired from allocation *)
+  | Flash_power_cuts  (** torn programs *)
+  | Usb_corruptions  (** transfer attempts the link corrupted *)
+  | Usb_retries  (** retransmissions *)
+  | Records_recovered  (** log records a recovery kept *)
+  | Records_lost  (** log records a recovery truncated *)
+  | Reorg_checkpoints  (** durable reorg checkpoint records written *)
+  | Reorg_rollbacks  (** interrupted reorgs rolled back to the old image *)
+  | Reorg_rollforwards  (** interrupted reorgs resumed from a checkpoint *)
+  | Integrity_errors  (** CRC trailer mismatches caught by readers *)
+  | Integrity_transients  (** of which a cache-bypass re-read survived *)
+  | Pages_scrubbed  (** pages the background scrubber verified *)
+  | Scrub_refreshes  (** decaying pages the scrubber rewrote in place *)
+  | Repair_rebuilds  (** replica rebuilds from a healthy fleet peer *)
+  | Log_spills  (** L0 prefixes folded into sorted level-1 runs *)
+  | Log_merges  (** level merges folding runs one level down *)
+  | Compaction_pages  (** run pages programmed by spills + merges *)
+  | Records_installed  (** records installed into runs by spills + merges *)
+  | Records_dropped  (** tombstoned records compaction folded away *)
+(** The seven [Flash_*] counters are read off the Flash regions' own
+    {!Flash.fault_stats}; every other counter moves only through
+    {!note}. *)
 
-val note_integrity_error : t -> transient:bool -> unit
-(** Accounts one caught {!Flash.Integrity_error}; [transient] marks
-    failures a cache-bypass re-read survived (stale frame) as opposed
-    to persistent cell damage. Also counts [integrity.*] metrics. *)
+val counter_name : counter -> string
+(** The counter's registry name, e.g. ["usb.retries"]. The [Flash_*]
+    names ([flash.bit_flips], ...) never reach the registry. *)
 
-val note_scrub : t -> pages:int -> refreshes:int -> unit
-(** Accounts one scrubber batch: [pages] verified, of which
-    [refreshes] were rewritten in place ([scrub.*] metrics). *)
+val counters : counter list
+(** Every counter, each once. *)
 
-val note_repair : t -> unit
-(** Accounts one fleet repair that rebuilt this device's replica from
-    a healthy peer ([repair.rebuilds] metric — recorded on the rebuilt
-    device). *)
-
-val note_log_spill : t -> pages:int -> records:int -> dropped:int -> unit
-(** Accounts one installed L0 spill: [pages] run pages programmed,
-    [records] records installed, [dropped] tombstoned records folded
-    away ([compaction.*] / [run.*] metrics). *)
-
-val note_log_merge : t -> pages:int -> records:int -> dropped:int -> unit
-(** Accounts one installed level merge, same fields as
-    {!note_log_spill} under [compaction.merges]. *)
+val note : t -> ?by:int -> counter -> unit
+(** [note t ~by c] adds [by] (default 1) to counter [c] and, when a
+    registry is attached, to the registry counter of the same name.
+    Every call reports, [~by:0] included. [Invalid_argument] on a
+    [Flash_*] counter. *)
 
 val emit_reorg_progress : t -> phase:int -> phases:int -> unit
 (** A zero-byte reorganization checkpoint notice on [Device_to_pc]
@@ -295,41 +307,20 @@ val usb_time_us : t -> float
 val elapsed_us : t -> float
 (** Flash time + USB time + CPU time, in simulated microseconds. *)
 
-type fault_counters = {
-  flash_bit_flips : int;
-  flash_ecc_corrected : int;
-  flash_ecc_uncorrected : int;
-      (** bit errors served corrupt (ECC off or beyond correction) *)
-  flash_program_failures : int;
-  flash_pages_remapped : int;
-  flash_bad_blocks : int;
-  flash_power_cuts : int;
-  usb_corruptions : int;
-  usb_retries : int;
-  records_recovered : int;
-  records_lost : int;
-  reorg_checkpoints : int;  (** durable reorg checkpoint records written *)
-  reorg_rollbacks : int;  (** interrupted reorgs rolled back to the old image *)
-  reorg_rollforwards : int;  (** interrupted reorgs resumed from a checkpoint *)
-  integrity_errors : int;  (** CRC trailer mismatches caught by readers *)
-  integrity_transients : int;  (** of which a cache-bypass re-read survived *)
-  pages_scrubbed : int;  (** pages the background scrubber verified *)
-  scrub_refreshes : int;  (** decaying pages the scrubber rewrote in place *)
-  repair_rebuilds : int;  (** replica rebuilds from a healthy fleet peer *)
-  log_spills : int;  (** L0 prefixes folded into sorted level-1 runs *)
-  log_compactions : int;  (** level merges folding runs one level down *)
-  compaction_pages : int;  (** run pages programmed by spills + merges *)
-}
-(** Robustness counters: faults injected and survived. All zero unless
-    fault injection is configured (or a recovery was noted). *)
+type fault_counters
+(** A reading of every {!counter}. All zero unless fault injection is
+    configured or some maintenance work was noted. *)
 
 val zero_faults : fault_counters
 val add_faults : fault_counters -> fault_counters -> fault_counters
 val diff_faults : after:fault_counters -> before:fault_counters -> fault_counters
 val no_faults : fault_counters -> bool
+
 val fault_counters : t -> fault_counters
-(** Both Flash regions' fault stats + USB retry counters + recovery
-    totals. *)
+(** The noted counters, plus the [Flash_*] counters summed over the
+    main, scratch and per-session Flash regions. *)
+
+val count : fault_counters -> counter -> int
 
 type snapshot = {
   flash : Flash.stats;  (** main + scratch + per-session regions combined *)
@@ -353,14 +344,10 @@ type usage = {
   used_cpu_ops : int;
   cpu_us : float;
   total_us : float;
-  faults : fault_counters;  (** faults injected within the window *)
+  faults : fault_counters;  (** counters moved within the window *)
   cache : Page_cache.stats;  (** page-cache activity within the window *)
 }
 
 val usage_between : t -> before:snapshot -> after:snapshot -> usage
 val zero_usage : usage
 val add_usage : usage -> usage -> usage
-
-val pp_usage : Format.formatter -> usage -> unit
-(** Unchanged rendering when the window saw no faults and no cache
-    activity; otherwise bracketed summaries are appended. *)

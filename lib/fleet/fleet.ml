@@ -676,7 +676,7 @@ let rebuild_from t victim peer =
   (* rebuilt but not yet trusted: a probe must pass before the picker
      treats it as healthy again *)
   victim.state <- (if victim.forced_down then Dead else Suspect);
-  Device.note_repair (Ghost_db.device fresh);
+  Device.note (Ghost_db.device fresh) Device.Repair_rebuilds;
   peer_us +. Device.elapsed_us (Ghost_db.device fresh)
 
 let repair t ~shard ~replica:victim_idx ~from =

@@ -97,7 +97,8 @@ let step t =
       t.pages_verified <- t.pages_verified + 1
     done;
     t.refreshed <- t.refreshed + !refreshes;
-    Device.note_scrub t.device ~pages:batch ~refreshes:!refreshes;
+    Device.note t.device ~by:batch Device.Pages_scrubbed;
+    Device.note t.device ~by:!refreshes Device.Scrub_refreshes;
     t.cursor <- t.cursor + batch;
     if t.cursor >= n then begin
       t.cursor <- 0;

@@ -4,6 +4,8 @@ module Ram = Ghost_device.Ram
 module Trace = Ghost_device.Trace
 module Device = Ghost_device.Device
 module Flash = Ghost_flash.Flash
+module Metrics = Ghost_metrics.Metrics
+module Json = Ghost_metrics.Json
 
 let check = Alcotest.check
 
@@ -129,14 +131,16 @@ let test_usb_retry_metered_and_traced () =
     Device.receive d (Trace.Id_list { table = "T"; count = i }) ~bytes:100
   done;
   let f = (Device.snapshot d).Device.faults in
-  check Alcotest.bool "some transfers corrupted" true (f.Device.usb_corruptions > 0);
+  check Alcotest.bool "some transfers corrupted" true
+    (Device.count f Device.Usb_corruptions > 0);
   check Alcotest.int "every corruption retried (all succeeded)"
-    f.Device.usb_corruptions f.Device.usb_retries;
+    (Device.count f Device.Usb_corruptions) (Device.count f Device.Usb_retries);
   (* every attempt is charged and spy-visible *)
   check Alcotest.int "bytes counted per attempt"
-    ((sends + f.Device.usb_retries) * 100) (Device.snapshot d).Device.usb_bytes_in;
+    ((sends + Device.count f Device.Usb_retries) * 100)
+    (Device.snapshot d).Device.usb_bytes_in;
   check Alcotest.int "retransmissions in the trace"
-    (sends + f.Device.usb_retries) (List.length (Trace.events trace));
+    (sends + Device.count f Device.Usb_retries) (List.length (Trace.events trace));
   (* backoff makes the lossy link slower than the clean one *)
   let clean = Device.create ~trace:(Trace.create ()) () in
   for i = 1 to sends do
@@ -160,8 +164,8 @@ let test_usb_retry_budget_bounded () =
    with Device.Usb_error _ -> ());
   let f = (Device.snapshot d).Device.faults in
   check Alcotest.int "initial attempt + 3 retries all corrupted" 4
-    f.Device.usb_corruptions;
-  check Alcotest.int "retry budget spent" 3 f.Device.usb_retries;
+    (Device.count f Device.Usb_corruptions);
+  check Alcotest.int "retry budget spent" 3 (Device.count f Device.Usb_retries);
   check Alcotest.int "all 4 attempts on the wire" (4 * 40)
     (Device.snapshot d).Device.usb_bytes_in
 
@@ -194,9 +198,10 @@ let test_usb_backoff_jitter () =
      draw, so the fault schedule itself is untouched *)
   let fb = (Device.snapshot base).Device.faults in
   let fj = (Device.snapshot jit).Device.faults in
-  check Alcotest.int "same corruptions" fb.Device.usb_corruptions
-    fj.Device.usb_corruptions;
-  check Alcotest.int "same retries" fb.Device.usb_retries fj.Device.usb_retries;
+  check Alcotest.int "same corruptions" (Device.count fb Device.Usb_corruptions)
+    (Device.count fj Device.Usb_corruptions);
+  check Alcotest.int "same retries" (Device.count fb Device.Usb_retries)
+    (Device.count fj Device.Usb_retries);
   check Alcotest.int "same bytes on the wire"
     (Device.snapshot base).Device.usb_bytes_in
     (Device.snapshot jit).Device.usb_bytes_in;
@@ -205,13 +210,46 @@ let test_usb_backoff_jitter () =
   check Alcotest.bool "different seeds decorrelate" true
     (Device.usb_time_us (run 0.5 7) <> Device.usb_time_us jit)
 
-let test_note_recovery_counted () =
-  let trace = Trace.create () in
-  let d = Device.create ~trace () in
-  Device.note_recovery d ~recovered:11 ~lost:2;
+(* Every counter but the Flash ones moves only through [Device.note],
+   which reports each call to the attached registry under the counter's
+   one name. The Flash counters are read off the regions and never
+   reach the registry. *)
+let test_noted_counters_report_once () =
+  let d = Device.create ~trace:(Trace.create ()) () in
+  let reg = Metrics.create () in
+  Device.set_metrics d (Some reg);
+  let is_flash c = String.starts_with ~prefix:"flash." (Device.counter_name c) in
+  let noted = List.filter (fun c -> not (is_flash c)) Device.counters in
+  List.iteri (fun i c -> Device.note d ~by:(i + 1) c) noted;
+  List.iter
+    (fun c ->
+       match Device.note d c with
+       | () -> Alcotest.failf "%s noted" (Device.counter_name c)
+       | exception Invalid_argument _ -> ())
+    (List.filter is_flash Device.counters);
   let f = Device.fault_counters d in
-  check Alcotest.int "recovered" 11 f.Device.records_recovered;
-  check Alcotest.int "lost" 2 f.Device.records_lost
+  List.iteri
+    (fun i c ->
+       let name = Device.counter_name c in
+       check Alcotest.int (name ^ " counted") (i + 1) (Device.count f c);
+       check Alcotest.int (name ^ " reported") (i + 1) (Metrics.counter reg name))
+    noted;
+  check Alcotest.int "seven flash counters" 7
+    (List.length Device.counters - List.length noted);
+  let names = List.map Device.counter_name Device.counters in
+  check Alcotest.int "names distinct" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  let reported =
+    match Json.parse (Metrics.to_json reg) with
+    | Ok json ->
+      (match Json.member "counters" json with
+       | Some (Json.Obj fields) -> List.map fst fields
+       | _ -> Alcotest.fail "no counters object")
+    | Error e -> Alcotest.fail e
+  in
+  check (Alcotest.list Alcotest.string) "registry holds the noted names only"
+    (List.sort compare (List.map Device.counter_name noted))
+    (List.sort compare reported)
 
 let suite = [
   Alcotest.test_case "ram budget enforced" `Quick test_ram_budget_enforced;
@@ -227,5 +265,5 @@ let suite = [
   Alcotest.test_case "usb retries metered and traced" `Quick test_usb_retry_metered_and_traced;
   Alcotest.test_case "usb retry budget bounded" `Quick test_usb_retry_budget_bounded;
   Alcotest.test_case "usb backoff jitter seeded and bounded" `Quick test_usb_backoff_jitter;
-  Alcotest.test_case "recovery outcome counted" `Quick test_note_recovery_counted;
+  Alcotest.test_case "every noted counter reports once" `Quick test_noted_counters_report_once;
 ]

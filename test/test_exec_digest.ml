@@ -75,33 +75,11 @@ let runs db mode sql =
 
 (* The nonzero fault and maintenance counters, by registry name, so the
    ledger does not depend on how the device stores them. *)
-let nonzero_counters (f : Device.fault_counters) =
-  List.filter
-    (fun (_, n) -> n <> 0)
-    [
-      ("flash.bit_flips", f.Device.flash_bit_flips);
-      ("flash.ecc_corrected", f.Device.flash_ecc_corrected);
-      ("flash.ecc_uncorrected", f.Device.flash_ecc_uncorrected);
-      ("flash.program_failures", f.Device.flash_program_failures);
-      ("flash.pages_remapped", f.Device.flash_pages_remapped);
-      ("flash.bad_blocks", f.Device.flash_bad_blocks);
-      ("flash.power_cuts", f.Device.flash_power_cuts);
-      ("usb.corruptions", f.Device.usb_corruptions);
-      ("usb.retries", f.Device.usb_retries);
-      ("recovery.records_recovered", f.Device.records_recovered);
-      ("recovery.records_lost", f.Device.records_lost);
-      ("reorg.checkpoints", f.Device.reorg_checkpoints);
-      ("reorg.rollbacks", f.Device.reorg_rollbacks);
-      ("reorg.rollforwards", f.Device.reorg_rollforwards);
-      ("integrity.errors", f.Device.integrity_errors);
-      ("integrity.transient_retries", f.Device.integrity_transients);
-      ("scrub.pages", f.Device.pages_scrubbed);
-      ("scrub.refreshes", f.Device.scrub_refreshes);
-      ("repair.rebuilds", f.Device.repair_rebuilds);
-      ("compaction.spills", f.Device.log_spills);
-      ("compaction.merges", f.Device.log_compactions);
-      ("compaction.pages_written", f.Device.compaction_pages);
-    ]
+let nonzero_counters f =
+  List.filter_map
+    (fun c ->
+       match Device.count f c with 0 -> None | n -> Some (Device.counter_name c, n))
+    Device.counters
 
 (* An operator's device usage: the scalar fields, the cache stats and
    the nonzero counters. *)

@@ -57,7 +57,7 @@ let test_verify_equivalence () =
     sweep_queries;
   let f = Device.fault_counters (Ghost_db.device verified) in
   Alcotest.(check int) "no integrity errors on a clean store" 0
-    f.Device.integrity_errors
+    (Device.count f Device.Integrity_errors)
 
 (* The tentpole property: a single bit flip in EVERY structure page,
    one page at a time — each query either answers correctly or raises
@@ -94,9 +94,9 @@ let test_single_flip_sweep () =
   Alcotest.(check bool) "some flips were read and detected" true (!detections > 0);
   let f = Device.fault_counters (Ghost_db.device db) in
   Alcotest.(check bool) "uncorrected ECC errors surfaced" true
-    (f.Device.flash_ecc_uncorrected > 0);
+    (Device.count f Device.Flash_ecc_uncorrected > 0);
   Alcotest.(check int) "every detection was counted" !detections
-    f.Device.integrity_errors;
+    (Device.count f Device.Integrity_errors);
   (* the store is fully restored: everything answers again *)
   List.iter2
     (fun sql want ->
@@ -126,9 +126,9 @@ let test_transient_retry () =
     sweep_queries;
   let f = Device.fault_counters (Ghost_db.device db) in
   Alcotest.(check bool) "some reads were caught and retried" true
-    (f.Device.integrity_transients > 0);
+    (Device.count f Device.Integrity_transients > 0);
   Alcotest.(check int) "all caught errors were transient"
-    f.Device.integrity_errors f.Device.integrity_transients
+    (Device.count f Device.Integrity_errors) (Device.count f Device.Integrity_transients)
 
 (* The scrubber refreshes ECC-correctable decay in place, records
    uncorrectable pages, and two identical devices scrub to identical
@@ -173,9 +173,9 @@ let test_scrub_refresh_determinism () =
     decayed;
   let f = Device.fault_counters (Ghost_db.device db1) in
   Alcotest.(check int) "scrubbed pages counted" (List.length pages1)
-    f.Device.pages_scrubbed;
+    (Device.count f Device.Pages_scrubbed);
   Alcotest.(check int) "refreshes counted" (List.length decayed)
-    f.Device.scrub_refreshes
+    (Device.count f Device.Scrub_refreshes)
 
 (* Scrubbing one batch at a time — paused and resumed — lands on the
    same state as one eager pass, and the scheduler's idle slices drive
@@ -267,7 +267,7 @@ let test_fleet_failover_and_repair () =
     (Fleet.health fleet ~shard:0 ~replica:0 = Fleet.Suspect);
   let rebuilt = Fleet.db fleet ~shard:0 ~replica:0 in
   Alcotest.(check int) "rebuild counted on the fresh device" 1
-    (Device.fault_counters (Ghost_db.device rebuilt)).Device.repair_rebuilds;
+    (Device.count (Device.fault_counters (Ghost_db.device rebuilt)) Device.Repair_rebuilds);
   (* the fleet is whole again: a second round finds nothing *)
   Alcotest.(check int) "second anti-entropy round is clean" 0
     (List.length (Fleet.anti_entropy fleet));

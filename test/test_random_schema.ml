@@ -351,7 +351,7 @@ let run_reorg_case seed =
   let db2 = Ghost_db.reorganize db in
   let ok = ref true in
   let f = Device.fault_counters (Ghost_db.device db) in
-  if f.Device.reorg_checkpoints = 0 then begin
+  if Device.count f Device.Reorg_checkpoints = 0 then begin
     Printf.printf "NO CHECKPOINTS seed=%d\n" seed;
     ok := false
   end;

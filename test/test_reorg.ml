@@ -188,8 +188,8 @@ let test_rollback_keeps_old_image_live () =
    | _ -> Alcotest.fail "expected a roll-back");
   check Alcotest.bool "recovered" false (Ghost_db.needs_recovery db);
   let f = Device.fault_counters (Ghost_db.device db) in
-  check Alcotest.int "roll-back counted" 1 f.Device.reorg_rollbacks;
-  check Alcotest.int "no roll-forward" 0 f.Device.reorg_rollforwards;
+  check Alcotest.int "roll-back counted" 1 (Device.count f Device.Reorg_rollbacks);
+  check Alcotest.int "no roll-forward" 0 (Device.count f Device.Reorg_rollforwards);
   verify "after roll-back" db;
   (* the old image is fully live: pending work intact, reorg retries *)
   check Alcotest.int "delta intact" inserted_visits (Ghost_db.delta_count db);
@@ -214,8 +214,9 @@ let test_rollforward_resumes () =
      check Alcotest.bool "snapshot phase reused" true (phases_reused >= 1);
      check Alcotest.bool "interrupted phase redone" true (phases_redone >= 1);
      let f = Device.fault_counters (Ghost_db.device db) in
-     check Alcotest.int "roll-forward counted" 1 f.Device.reorg_rollforwards;
-     check Alcotest.bool "checkpoints counted" true (f.Device.reorg_checkpoints >= 4);
+     check Alcotest.int "roll-forward counted" 1 (Device.count f Device.Reorg_rollforwards);
+     check Alcotest.bool "checkpoints counted" true
+       (Device.count f Device.Reorg_checkpoints >= 4);
      verify "rolled forward" db2;
      check Alcotest.int "delta folded" 0 (Ghost_db.delta_count db2)
    | _ -> Alcotest.fail "expected a roll-forward")
