@@ -52,23 +52,6 @@ let bytes n =
 
 let factor f = Printf.sprintf "x%.1f" f
 
-(* Hand-rolled JSON (no external deps in the simulator). *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string buf "\\\""
-       | '\\' -> Buffer.add_string buf "\\\\"
-       | '\n' -> Buffer.add_string buf "\\n"
-       | '\r' -> Buffer.add_string buf "\\r"
-       | '\t' -> Buffer.add_string buf "\\t"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 exception Would_overwrite of string
 
 let write_string ~path ?(force = false) contents =
@@ -80,13 +63,17 @@ let write_string ~path ?(force = false) contents =
     output_char oc '\n'
 
 let to_json t =
-  let str s = "\"" ^ json_escape s ^ "\"" in
-  let arr l = "[" ^ String.concat "," l ^ "]" in
-  Printf.sprintf "{\"id\":%s,\"title\":%s,\"header\":%s,\"rows\":%s,\"notes\":%s}"
-    (str t.id) (str t.title)
-    (arr (List.map str t.header))
-    (arr (List.map (fun row -> arr (List.map str row)) t.rows))
-    (arr (List.map str t.notes))
+  let module Json = Ghost_metrics.Json in
+  let strs l = Json.Arr (List.map (fun s -> Json.Str s) l) in
+  Json.to_string
+    (Json.Obj
+       [
+         ("id", Json.Str t.id);
+         ("title", Json.Str t.title);
+         ("header", strs t.header);
+         ("rows", Json.Arr (List.map strs t.rows));
+         ("notes", strs t.notes);
+       ])
 
 let write_file ~dir ?force t =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;

@@ -18,8 +18,8 @@ val to_string : t -> string
 val to_json : t -> string
 (** The same table as one JSON object
     [{"id", "title", "header", "rows", "notes"}] (all cells as
-    strings), for machine consumption of benchmark runs — e.g. the CI
-    artifact. No external JSON dependency. *)
+    strings), rendered by {!Ghost_metrics.Json}, for machine
+    consumption of benchmark runs — e.g. the CI artifact. *)
 
 exception Would_overwrite of string
 (** Raised (with the offending path) by the writers below when the

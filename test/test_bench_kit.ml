@@ -3,6 +3,7 @@
 module Report = Ghost_bench.Report
 module Experiments = Ghost_bench.Experiments
 module Medical = Ghost_workload.Medical
+module Json = Ghost_metrics.Json
 
 let check = Alcotest.check
 
@@ -20,7 +21,22 @@ let test_report_rendering () =
   in
   check Alcotest.bool "title" true (contains "== X1: demo ==");
   check Alcotest.bool "note" true (contains "note: a note");
-  check Alcotest.bool "cells" true (contains "10" && contains "20")
+  check Alcotest.bool "cells" true (contains "10" && contains "20");
+  (* a cell with a quote, a backslash, a newline and a UTF-8 byte pair
+     reparses to the same string *)
+  let odd = "say \"hi\" \\ new\nline 5 µs" in
+  let strs l = Json.Arr (List.map (fun s -> Json.Str s) l) in
+  check Alcotest.bool "json reparses to the same strings" true
+    (Json.parse (Report.to_json { r with Report.rows = [ [ odd; "2" ] ] })
+     = Ok
+         (Json.Obj
+            [
+              ("id", Json.Str "X1");
+              ("title", Json.Str "demo");
+              ("header", strs [ "a"; "bb" ]);
+              ("rows", Json.Arr [ strs [ odd; "2" ] ]);
+              ("notes", strs [ "a note" ]);
+            ]))
 
 let test_unit_rendering () =
   check Alcotest.string "us" "123 us" (Report.us 123.);
