@@ -29,7 +29,6 @@ let create ~budget =
 let budget t = t.budget
 let in_use t = t.in_use
 let peak t = t.peak
-let reset_peak t = t.peak <- t.in_use
 
 let note_usage t =
   if t.in_use > t.peak then t.peak <- t.in_use;
@@ -44,8 +43,6 @@ let alloc t ~label n =
   t.in_use <- t.in_use + n;
   note_usage t;
   { size = n; freed = false }
-
-let cell_size c = c.size
 
 let free t c =
   if not c.freed then begin
@@ -81,8 +78,6 @@ let open_scope t =
   let s = { scope_high = t.in_use; open_ = true } in
   t.scopes <- s :: t.scopes;
   s
-
-let scope_peak s = s.scope_high
 
 let close_scope t s =
   s.open_ <- false;

@@ -26,15 +26,10 @@ val create : budget:int -> t
 val budget : t -> int
 val in_use : t -> int
 val peak : t -> int
-(** High-water mark since creation (or last {!reset_peak}). *)
-
-val reset_peak : t -> unit
-(** Sets the high-water mark back to the current usage. *)
+(** High-water mark since creation. *)
 
 val alloc : t -> label:string -> int -> cell
 (** Raises {!Ram_exceeded} when the budget would be exceeded. *)
-
-val cell_size : cell -> int
 
 val free : t -> cell -> unit
 (** Double frees are ignored (the cell is already returned). *)
@@ -60,8 +55,6 @@ val would_fit : t -> int -> bool
 type scope
 
 val open_scope : t -> scope
-val scope_peak : scope -> int
-(** Highest [in_use] observed since the scope opened (so far). *)
 
 val close_scope : t -> scope -> int
 (** Closes and returns the scope's peak. *)

@@ -122,26 +122,6 @@ let zero_fault_stats = {
   power_cuts = 0;
 }
 
-let add_fault_stats a b = {
-  bit_flips = a.bit_flips + b.bit_flips;
-  ecc_corrected = a.ecc_corrected + b.ecc_corrected;
-  ecc_uncorrected = a.ecc_uncorrected + b.ecc_uncorrected;
-  program_failures = a.program_failures + b.program_failures;
-  pages_remapped = a.pages_remapped + b.pages_remapped;
-  bad_blocks_marked = a.bad_blocks_marked + b.bad_blocks_marked;
-  power_cuts = a.power_cuts + b.power_cuts;
-}
-
-let diff_fault_stats ~after ~before = {
-  bit_flips = after.bit_flips - before.bit_flips;
-  ecc_corrected = after.ecc_corrected - before.ecc_corrected;
-  ecc_uncorrected = after.ecc_uncorrected - before.ecc_uncorrected;
-  program_failures = after.program_failures - before.program_failures;
-  pages_remapped = after.pages_remapped - before.pages_remapped;
-  bad_blocks_marked = after.bad_blocks_marked - before.bad_blocks_marked;
-  power_cuts = after.power_cuts - before.power_cuts;
-}
-
 type page_state =
   | Erased
   | Programmed of { data : bytes; len : int }
@@ -154,13 +134,13 @@ type power_line = { mutable cut_after : int option }
 
 type t = {
   geometry : geometry;
-  mutable cost : cost;
+  cost : cost;
   mutable pages : page_state array;
   mutable page_high_water : int;  (* pages ever allocated *)
   mutable free : int list;  (* erased pages below the high-water mark *)
   mutable stats : stats;
-  mutable fault : fault_config option;
-  mutable rng : Rng.t option;
+  fault : fault_config option;
+  rng : Rng.t option;
   bad_blocks : (int, unit) Hashtbl.t;
   mutable power : power_line;  (* countdown over page programs *)
   mutable fault_stats : fault_stats;
@@ -190,12 +170,6 @@ let create ?(geometry = default_geometry) ?(cost = default_cost) ?fault () = {
 }
 
 let geometry t = t.geometry
-let set_cost t cost = t.cost <- cost
-
-let set_fault t fault =
-  t.fault <- fault;
-  t.rng <- Option.map (fun f -> Rng.create f.fault_seed) fault
-
 let set_authenticated t flag = t.authenticated <- flag
 let authenticated t = t.authenticated
 

@@ -56,10 +56,10 @@ val total_time_us : stats -> float
     Real NAND exhibits read bit-rot, program failures that retire whole
     blocks, and torn pages when power is cut mid-program. The simulator
     reproduces all three, deterministically, from a seeded
-    {!Ghost_kernel.Rng}: a [fault_config] attached at creation (or via
-    {!set_fault}) drives probabilistic bit flips and program failures,
-    while {!arm_power_cut} schedules an abrupt power loss at an exact
-    future program. With no fault config and no armed power cut (the
+    {!Ghost_kernel.Rng}: a [fault_config] attached at creation drives
+    probabilistic bit flips and program failures, while
+    {!arm_power_cut} schedules an abrupt power loss at an exact future
+    program. With no fault config and no armed power cut (the
     default), every code path, counter and cost is bit-identical to the
     fault-free simulator. *)
 
@@ -88,8 +88,6 @@ type fault_stats = {
 }
 
 val zero_fault_stats : fault_stats
-val add_fault_stats : fault_stats -> fault_stats -> fault_stats
-val diff_fault_stats : after:fault_stats -> before:fault_stats -> fault_stats
 
 type t
 
@@ -112,11 +110,6 @@ exception Integrity_error of { page : int; what : string }
 
 val create : ?geometry:geometry -> ?cost:cost -> ?fault:fault_config -> unit -> t
 val geometry : t -> geometry
-val set_cost : t -> cost -> unit
-
-val set_fault : t -> fault_config option -> unit
-(** Replaces the fault model (and reseeds its generator). [None]
-    restores fault-free operation. *)
 
 val arm_power_cut : t -> after_programs:int -> unit
 (** [arm_power_cut t ~after_programs:n] makes the [n]-th page program
