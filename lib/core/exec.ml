@@ -1088,9 +1088,10 @@ let execute ~exact_post ~bloom_fpr ~scratch catalog public plan =
      | None -> ());
     let transient = Flash.page_intact (Device.flash device) ~page in
     Device.note device Device.Integrity_errors;
-    if transient then Device.note device Device.Integrity_transients;
-    if transient then
+    if transient then begin
+      Device.note device Device.Integrity_transients;
       execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan
+    end
     else raise e
 
 let run ?(exact_post = true) ?(bloom_fpr = 0.01) catalog public plan =

@@ -258,8 +258,8 @@ exception Image_error of string
    regions their authentication flag and latent-corruption table; to 7
    when trace events gained their oblivious leakage annotation; to 8
    when the delta log gained its leveled runs; to 9 when both logs
-   moved onto a shared append log: older marshalled images are
-   incompatible. *)
+   moved onto a shared append log; to 10 when the device's counters
+   became one table: older marshalled images are incompatible. *)
 let image_magic = "GHOSTDB-IMAGE-10\n"
 
 (* Image layout: magic | u64 payload length | payload (marshalled

@@ -129,6 +129,8 @@ let counter_name c = snd table.(slot c)
 
 type fault_counters = int array
 
+let zero_faults = Array.make (Array.length table) 0
+
 type snapshot = {
   flash : Flash.stats;
   usb_bytes_in : int;
@@ -160,8 +162,10 @@ type t = {
   mutable usb_bytes_in : int;
   mutable usb_bytes_out : int;
   mutable usb_us : float;
-  counts : fault_counters;
-      (* the noted counters, indexed by slot; the Flash slots stay 0 *)
+  mutable counts : fault_counters;
+      (* the noted counters, by slot; the Flash slots stay 0. [note]
+         replaces the array and never writes into it, so a reading
+         can share it *)
   mutable cpu_ops : int;
   mutable metrics : Ghost_metrics.Metrics.t option;
       (* observability registry; [None] (the default) costs one branch
@@ -214,7 +218,7 @@ let create ?(config = default_config) ~trace () =
   usb_bytes_in = 0;
   usb_bytes_out = 0;
   usb_us = 0.;
-  counts = Array.make (Array.length table) 0;
+  counts = zero_faults;
   cpu_ops = 0;
   metrics = None;
   published = None;
@@ -230,7 +234,9 @@ let note t ?(by = 1) c =
   let i = slot c in
   if i < flash_slots then
     invalid_arg "Device.note: Flash counters are read off the regions";
-  t.counts.(i) <- t.counts.(i) + by;
+  let a = Array.copy t.counts in
+  a.(i) <- a.(i) + by;
+  t.counts <- a;
   match t.metrics with
   | None -> ()
   | Some m -> Ghost_metrics.Metrics.incr m ~by (snd table.(i))
@@ -447,23 +453,30 @@ let set_session t session =
 
 let session_us t = elapsed_us t +. t.vclock_offset
 
-let zero_faults = Array.make (Array.length table) 0
-
 (* [snapshot], [usage_between] and [add_usage] run at every operator
-   boundary: copy, then loop, with no name or constructor lookups. *)
+   boundary. No reading is written after it is made, so when nothing
+   moved they share arrays instead of allocating; otherwise they copy,
+   then loop, with no name or constructor lookups. *)
 let add_faults a b =
-  let c = Array.copy a in
-  for i = 0 to Array.length c - 1 do
-    c.(i) <- c.(i) + b.(i)
-  done;
-  c
+  if b == zero_faults then a
+  else if a == zero_faults then b
+  else begin
+    let c = Array.copy a in
+    for i = 0 to Array.length c - 1 do
+      c.(i) <- c.(i) + b.(i)
+    done;
+    c
+  end
 
 let diff_faults ~after ~before =
-  let d = Array.copy after in
-  for i = 0 to Array.length d - 1 do
-    d.(i) <- d.(i) - before.(i)
-  done;
-  d
+  if after == before then zero_faults
+  else begin
+    let d = Array.copy after in
+    for i = 0 to Array.length d - 1 do
+      d.(i) <- d.(i) - before.(i)
+    done;
+    d
+  end
 
 let no_faults f = Array.for_all (fun n -> n = 0) f
 let count f c = f.(slot c)
@@ -479,12 +492,21 @@ let add_flash_faults a region =
   a.(5) <- a.(5) + s.Flash.bad_blocks_marked;
   a.(6) <- a.(6) + s.Flash.power_cuts
 
+(* A region that never faulted still holds [Flash.zero_fault_stats]
+   itself. *)
+let fault_free region = Flash.fault_stats region == Flash.zero_fault_stats
+
 let fault_counters (t : t) =
-  let a = Array.copy t.counts in
-  add_flash_faults a t.flash;
-  add_flash_faults a t.scratch;
-  List.iter (add_flash_faults a) t.session_scratch;
-  a
+  if fault_free t.flash && fault_free t.scratch
+     && List.for_all fault_free t.session_scratch
+  then t.counts
+  else begin
+    let a = Array.copy t.counts in
+    add_flash_faults a t.flash;
+    add_flash_faults a t.scratch;
+    List.iter (add_flash_faults a) t.session_scratch;
+    a
+  end
 
 let snapshot (t : t) : snapshot = {
   flash =

@@ -225,6 +225,7 @@ let test_noted_counters_report_once () =
       Device.counters
   in
   check Alcotest.int "seven flash counters" 7 (List.length flash);
+  let before = Device.snapshot d in
   (* a distinct amount per counter, the first one 0 *)
   List.iteri (fun i c -> Device.note d ~by:i c) noted;
   List.iter
@@ -234,6 +235,10 @@ let test_noted_counters_report_once () =
        | exception Invalid_argument _ -> ())
     flash;
   let f = Device.fault_counters d in
+  check Alcotest.bool "an earlier reading does not move" true
+    (Device.no_faults before.Device.faults);
+  check Alcotest.bool "the window holds every note" true
+    ((Device.usage_between d ~before ~after:(Device.snapshot d)).Device.faults = f);
   List.iteri
     (fun i c ->
        let name = Device.counter_name c in
