@@ -2,7 +2,7 @@
    ORDER BY .. LIMIT shape) runs under Off, Pad and Full, on two device
    configurations, before and after a round of inserts and deletes. Each
    run is reduced to a ledger line: the sorted rows, the operators in
-   order with their tuple counts, RAM peak and full device usage, the
+   order with their tuple counts, RAM peak and device usage, the
    device clock (printed with %h, so bit-exact), padding bytes, Bloom
    false positives and the spy fingerprint. The lines are pinned in
    [exec_digest.expected]: a refactor of the executor must not move a
