@@ -496,17 +496,39 @@ let estimate cat (plan : Plan.t) =
            (Printf.sprintf (if full then "fetch-all(%s.%s)" else "fetch(%s.%s)") table column)
            (kept *. point_read_us env (Float.of_int (Value.ty_width col.Column.ty))))
     plan.Plan.query.Bind.projections;
+  (* [Exec.emit_rows] charges the rows left after aggregation and LIMIT:
+     one for an aggregate without GROUP BY, at most one per group
+     otherwise. Every candidate plan of a query shares this term. *)
+  let emitted =
+    let grouped =
+      match plan.Plan.query.Bind.aggregate with
+      | None -> results
+      | Some { Ghost_sql.Aggregate.group_by = []; _ } -> 1.
+      | Some spec ->
+        List.fold_left
+          (fun acc (table, column) ->
+             acc
+             *. Float.of_int
+                  (Col_stats.distinct (Catalog.column_stats cat ~table ~column)))
+          1. spec.Ghost_sql.Aggregate.group_by
+        |> Float.min results
+    in
+    match plan.Plan.query.Bind.limit with
+    | Some l -> Float.min (Float.of_int l) grouped
+    | None -> grouped
+  in
   let emit_label, emit_n =
     match plan.Plan.oblivious with
-    | Oblivious.Off -> ("emit", results)
+    | Oblivious.Off -> ("emit", emitted)
     | Oblivious.Pad ->
       let bound = emit_bound env in
       ( "emit",
         Float.of_int
-          (Oblivious.pad_count ~bound (max 0 (min bound (int_of_float (ceil results))))) )
+          (Oblivious.pad_count ~bound (max 0 (min bound (int_of_float (ceil emitted))))) )
     | Oblivious.Full -> ("emit-pad", Float.of_int (emit_bound env))
   in
-  spend emit_label (usb_us env (emit_n *. 16.));
+  spend emit_label
+    (usb_us env (emit_n *. Float.of_int (Plan.emit_row_width schema plan)));
   {
     est_time_us = !time;
     est_candidates = int_of_float (Float.round candidates);

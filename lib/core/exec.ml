@@ -201,24 +201,7 @@ let receive_stream ctx ~table ~column ~ty stream =
       (Trace.Value_stream { table; column; count })
       ~bytes:(width * count)
 
-(* Bytes one emitted row occupies on the display link. Derived from the
-   schema and the projection list alone — it sizes padded emission, so
-   it must not depend on the data. Mirrors the baseline accounting:
-   4 bytes of framing per projected column, plus the column width for
-   non-key columns; aggregates emit 8 bytes per output column. *)
-let emit_row_width ctx =
-  let plan = ctx.plan in
-  let schema = ctx.catalog.Catalog.schema in
-  match plan.Plan.query.Bind.aggregate with
-  | Some spec -> 8 * max 1 (List.length spec.Ghost_sql.Aggregate.output)
-  | None ->
-    List.fold_left
-      (fun acc (table, column) ->
-         let tbl = Schema.find_table schema table in
-         if column = tbl.Schema.key then acc
-         else acc + Value.ty_width (Schema.find_column tbl column).Column.ty)
-      (4 * List.length plan.Plan.query.Bind.projections)
-      plan.Plan.query.Bind.projections
+let emit_row_width ctx = Plan.emit_row_width ctx.catalog.Catalog.schema ctx.plan
 
 (* Result emission. The cardinality is the one display-side count that
    depends on hidden data, so this is where the baseline's residual

@@ -123,6 +123,21 @@ let visible_projections schema t =
     t.query.Bind.projections
   |> List.sort_uniq compare
 
+(* Derived from the schema and the projection list alone: it sizes
+   padded emission, so it must not depend on the data. Mirrors the
+   baseline accounting. *)
+let emit_row_width schema t =
+  match t.query.Bind.aggregate with
+  | Some spec -> 8 * max 1 (List.length spec.Ghost_sql.Aggregate.output)
+  | None ->
+    List.fold_left
+      (fun acc (table, column) ->
+         let tbl = Schema.find_table schema table in
+         if column = tbl.Schema.key then acc
+         else acc + Value.ty_width (Schema.find_column tbl column).Column.ty)
+      (4 * List.length t.query.Bind.projections)
+      t.query.Bind.projections
+
 let visible_selections schema t table =
   List.filter
     (fun (p : Predicate.t) ->

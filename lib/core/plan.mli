@@ -107,6 +107,12 @@ val visible_projections : Schema.t -> t -> (string * string * Value.ty) list
     [(table, column, type)], sorted and deduplicated: each arrives as a
     value stream joined onto the rows. *)
 
+val emit_row_width : Schema.t -> t -> int
+(** Bytes one emitted row occupies on the display link: 4 bytes of
+    framing per projected column plus the width of each non-key one;
+    8 bytes per output column for an aggregate. A function of the
+    schema and the query alone. *)
+
 val visible_selections : Schema.t -> t -> string -> Predicate.t list
 (** The query's selections on visible columns of one table, in query
     order: the predicates the host applies to that table's streams. *)

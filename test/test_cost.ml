@@ -159,6 +159,46 @@ let test_full_estimate_ignores_hidden_data () =
     (Ghost_db.of_schema (Medical.schema ()) (Medical.generate Medical.tiny));
   full_estimate_ignores_hidden_data ~sorted_join:true (Lazy.force db)
 
+(* Emission is priced the way [Exec.emit_rows] charges it: the rows left
+   after aggregation and LIMIT, at the executor's row width. A star
+   count emits one row whatever the selectivity, so every panel plan's
+   [emit] term is one row's USB time and equals the executor's Project
+   USB charge (the Project operator ships nothing else). *)
+let test_emission_priced_after_aggregation_and_limit () =
+  let db = Lazy.force db in
+  let cfg = Device.config (Ghost_db.device db) in
+  let usb_us rows width =
+    cfg.Device.usb_per_message_us
+    +. (Float.of_int (rows * width * 8) /. cfg.Device.usb_mbit_per_s)
+  in
+  let emit (e : Cost.estimate) = List.assoc "emit" e.Cost.breakdown in
+  let count_sql =
+    "SELECT COUNT(*) FROM Prescription Pre, Visit Vis WHERE Vis.Purpose = \
+     'Sclerosis' AND Vis.VisID = Pre.VisID"
+  in
+  List.iter
+    (fun (plan, e) ->
+       let width = Plan.emit_row_width (Ghost_db.schema db) plan in
+       check (Alcotest.float 1e-9) (plan.Plan.label ^ ": one row") (usb_us 1 width)
+         (emit e);
+       let r = Ghost_db.run_plan db plan in
+       let project = List.find (fun o -> o.Exec.op_label = "Project") r.Exec.ops in
+       check (Alcotest.float 1e-9)
+         (plan.Plan.label ^ ": the executor's charge")
+         project.Exec.usage.Device.used_usb_us (emit e))
+    (Ghost_db.plans db count_sql);
+  let limit_sql =
+    "SELECT Pre.PreID FROM Prescription Pre WHERE Pre.Quantity >= 3 LIMIT 5"
+  in
+  List.iter
+    (fun (plan, e) ->
+       let width = Plan.emit_row_width (Ghost_db.schema db) plan in
+       check Alcotest.bool
+         (plan.Plan.label ^ ": at most 5 rows")
+         true
+         (emit e <= usb_us 5 width && e.Cost.est_results > 5))
+    (Ghost_db.plans db limit_sql)
+
 (* ---- Col_stats ---- *)
 
 let test_col_stats_exact_mode () =
@@ -222,6 +262,8 @@ let suite = [
   Alcotest.test_case "breakdown sums to total" `Quick test_estimate_breakdown_sums;
   Alcotest.test_case "full estimate ignores hidden data" `Quick
     test_full_estimate_ignores_hidden_data;
+  Alcotest.test_case "emission priced after aggregation and LIMIT" `Quick
+    test_emission_priced_after_aggregation_and_limit;
   Alcotest.test_case "col stats exact mode" `Quick test_col_stats_exact_mode;
   Alcotest.test_case "col stats histogram mode" `Quick test_col_stats_histogram_mode;
   Alcotest.test_case "col stats empty" `Quick test_col_stats_empty;
