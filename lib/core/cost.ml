@@ -243,7 +243,8 @@ let hit_ratio cat (cfg : Device.config) =
    the three points where [Exec.execute_plan] picks it:
 
    - candidate generation: index traversals, shipments, climbs and
-     Bloom builds, then SKT probes of the Pre-filtered candidates; under
+     Bloom builds, then SKT probes of the Pre-filtered candidates when
+     [Plan.reads_skt] holds; under
      [Full], one full-cardinality frame per visible predicate and a
      bound-depth SKT scan of every loaded root row;
    - hidden predicates: the [H_check] ones, read per candidate; under
@@ -399,8 +400,8 @@ let estimate cat (plan : Plan.t) =
            else pre_sel := !pre_sel *. hidden_index_sel)
         plan.Plan.groups;
       let candidates = Float.of_int n_root *. !pre_sel in
-      (* SKT access for every candidate *)
-      if skt_row_bytes > 0. then
+      (* SKT access for every candidate, unless the plan is index-only *)
+      if skt_row_bytes > 0. && Plan.reads_skt plan then
         spend "access-skt"
           (skt_access_us env ~n_root ~candidates ~row_bytes:skt_row_bytes);
       (* bloom probes + hidden checks per candidate *)

@@ -7,7 +7,8 @@ module Bind = Ghost_sql.Bind
     cost structure: climbing-index traversals (directory probes + list
     bytes), climbs of shipped id lists (per-id locator reads, list
     bytes, hierarchical merge passes), USB transfers, Bloom
-    build/probe CPU, SKT accesses for surviving candidates, hidden
+    build/probe CPU, SKT accesses for surviving candidates (none for
+    an index-only plan, see {!Plan.reads_skt}), hidden
     column checks, and projection joins (RAM hash vs external sort).
     One estimator covers every {!Plan.oblivious} mode and makes the
     executor's three shape choices: [Pad] pads the same terms to

@@ -556,7 +556,8 @@ let check_bloom_fpr fpr =
 
    - candidate generation: the Pre-filter sources merged into candidate
      ids (Merge+Index), Bloom filters, and SKT probes of the candidates
-     (AccessSKT); under [Full], padded visible shipments (ShipPadded)
+     (AccessSKT, which reads no SKT row when {!Plan.reads_skt} is
+     false); under [Full], padded visible shipments (ShipPadded)
      and a bound-depth SKT scan of every loaded root id (BoundScan);
    - predicate evaluation: short-circuit; under [Full], uniform — every
      test runs and charges its CPU whatever the earlier ones returned,
@@ -755,11 +756,14 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
         ~tuples_in:(Array.length candidates)
         (fun () ->
            (* Point probes: a small window keeps the charged read close
-              to the row size while still batching adjacent candidates. *)
+              to the row size while still batching adjacent candidates.
+              An index-only plan probes nothing: the candidate id is the
+              whole vector. *)
            let reader =
-             Option.map
-               (fun skt -> Skt.open_reader ~ram:ctx.ram ~buffer_bytes:64 ?cache:ctx.cache skt)
-               skt_opt
+             match skt_opt with
+             | Some skt when Plan.reads_skt plan ->
+               Some (Skt.open_reader ~ram:ctx.ram ~buffer_bytes:64 ?cache:ctx.cache skt)
+             | Some _ | None -> None
            in
            Option.iter
              (fun r -> Resources.defer resources (fun () -> Skt.close_reader r))

@@ -111,6 +111,18 @@ let crossed g =
 
 let group_produces_pre_source g = indexed_hidden g <> [] || pre_filtered g
 
+(* Pre-filters below the root were intersected in Merge+Index and need
+   no SKT level; a projection, a Bloom test or a column check below the
+   root reads that table's id off the candidate's SKT row. *)
+let reads_skt t =
+  t.oblivious = Oblivious.Full
+  || List.exists (fun (table, _) -> table <> t.root) t.query.Bind.projections
+  || List.exists
+       (fun g ->
+          g.g_table <> t.root
+          && (post_filtered g || List.exists (fun h -> h.h_strategy = H_check) g.g_hidden))
+       t.groups
+
 let visible_projections schema t =
   List.filter_map
     (fun (table, column) ->

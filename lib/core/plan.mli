@@ -102,6 +102,16 @@ val group_produces_pre_source : group -> bool
 (** True when the group contributes a sorted R-id stream (some
     Pre-filtered predicate). *)
 
+val reads_skt : t -> bool
+(** True when a step after candidate generation reads an id below the
+    root off the candidates' SKT rows: under [Full] (its bound-depth
+    scan), or when a projected column (GROUP BY and aggregate arguments
+    included), a Post-filtered group or an [H_check] predicate sits on
+    a table below the root. When false the plan is index-only: the
+    candidate root id is the whole id vector and no SKT row is read.
+    A function of the plan alone, so the choice shows nothing about
+    the data. *)
+
 val visible_projections : Schema.t -> t -> (string * string * Value.ty) list
 (** The visible non-key columns the query projects, as
     [(table, column, type)], sorted and deduplicated: each arrives as a

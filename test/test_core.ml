@@ -18,6 +18,7 @@ module Exec = Ghostdb.Exec
 module Cost = Ghostdb.Cost
 module Privacy = Ghostdb.Privacy
 module Col_stats = Ghostdb.Col_stats
+module Oblivious = Ghost_oblivious.Oblivious
 
 let check = Alcotest.check
 
@@ -217,6 +218,158 @@ let prop_random_plans_match_reference =
                rows_equal result.Exec.rows expected)
             picked))
 
+(* ---- index-only plans ----
+
+   [Plan.reads_skt] is false when no step after Merge+Index reads a
+   level below the root: AccessSKT then reads no SKT row at all. *)
+
+let hidden_strategies (p : Plan.t) =
+  List.concat_map
+    (fun (g : Plan.group) ->
+       List.map (fun (h : Plan.hidden_pred) -> (g.Plan.g_table, h.Plan.h_strategy))
+         g.Plan.g_hidden)
+    p.Plan.groups
+
+let any_plan (_ : Plan.t) = true
+let indexed_only p = List.for_all (fun (_, s) -> s = Plan.H_index) (hidden_strategies p)
+let checks table p = List.mem (table, Plan.H_check) (hidden_strategies p)
+
+let filters table ~post (p : Plan.t) =
+  List.exists
+    (fun (g : Plan.group) ->
+       g.Plan.g_table = table && g.Plan.g_visible <> [] && Plan.post_filtered g = post)
+    p.Plan.groups
+
+let count_quantity lo hi =
+  Printf.sprintf
+    "SELECT COUNT(*) FROM Prescription Pre WHERE Pre.Quantity BETWEEN %d AND %d" lo hi
+
+let count_purpose purpose =
+  Printf.sprintf
+    "SELECT COUNT(*) FROM Prescription Pre, Visit Vis WHERE Vis.Purpose = '%s' AND \
+     Vis.VisID = Pre.VisID"
+    purpose
+
+let count_bmi =
+  "SELECT COUNT(*) FROM Prescription Pre, Visit Vis, Patient Pat WHERE \
+   Pat.BodyMassIndex >= 30.00 AND Vis.PatID = Pat.PatID AND Pre.VisID = Vis.VisID"
+
+let by_medicine_type =
+  "SELECT Pre.PreID FROM Medicine Med, Prescription Pre WHERE Med.Type = \
+   'Antibiotic' AND Med.MedID = Pre.MedID"
+
+let grouped_by_purpose =
+  "SELECT Vis.Purpose, COUNT(*) FROM Prescription Pre, Visit Vis WHERE \
+   Pre.Quantity BETWEEN 8 AND 10 AND Vis.VisID = Pre.VisID GROUP BY Vis.Purpose"
+
+let query name = List.assoc name Queries.all
+
+(* (case, SQL, the panel plans it covers, [Plan.reads_skt] on them) *)
+let reads_skt_cases =
+  [
+    ("count_quantity", count_quantity 8 10, any_plan, false);
+    ("count_purpose indexed", count_purpose "Sclerosis", indexed_only, false);
+    ("count_bmi indexed", count_bmi, indexed_only, false);
+    ("range_hidden", query "range_hidden", any_plan, false);
+    ("hidden_only indexed", query "hidden_only", indexed_only, false);
+    ("Medicine pre-filtered", by_medicine_type, filters "Medicine" ~post:false, false);
+    ("demo", Queries.demo, any_plan, true);
+    ("deep_climb", query "deep_climb", any_plan, true);
+    ("Medicine post-filtered", by_medicine_type, filters "Medicine" ~post:true, true);
+    ("Visit.Purpose checked", query "hidden_only", checks "Visit", true);
+    ("grouped by Visit.Purpose", grouped_by_purpose, any_plan, true);
+  ]
+
+let test_reads_skt_cases () =
+  let db, _ = Lazy.force instance in
+  let cat = Ghost_db.catalog db in
+  List.iter
+    (fun (name, sql, covers, expected) ->
+       let plans = List.filter covers (List.map fst (Ghost_db.plans db sql)) in
+       check Alcotest.bool (name ^ ": covers a panel plan") true (plans <> []);
+       List.iter
+         (fun p ->
+            let case mode = Printf.sprintf "%s [%s]" name (Plan.with_mode p mode).Plan.label in
+            check Alcotest.bool (case Oblivious.Off) expected (Plan.reads_skt p);
+            check Alcotest.bool (case Oblivious.Pad) expected
+              (Plan.reads_skt (Plan.with_mode p Oblivious.Pad));
+            check Alcotest.bool (case Oblivious.Full) true
+              (Plan.reads_skt (Plan.with_mode p Oblivious.Full)))
+         plans;
+       check Alcotest.bool (name ^ ": the oblivious plan") true
+         (Plan.reads_skt (Planner.oblivious cat (Ghost_db.bind db sql))))
+    reads_skt_cases
+
+let small_instance =
+  lazy
+    (let rows = Medical.generate Medical.small in
+     let db = Ghost_db.of_schema (Medical.schema ()) rows in
+     (db, Reference.db_of_rows (Ghost_db.schema db) rows))
+
+(* Every panel plan of the cases' queries, plus the oblivious plan,
+   returns the reference rows, and the SKT scan reads Flash exactly when
+   [Plan.reads_skt] says it does. A plan with [H_check] predicates reads
+   their columns inside the same operator, so only the plans without
+   one have their pages counted. *)
+let skt_pages_follow_reads_skt (db, refdb) =
+  let sqls = List.sort_uniq compare (List.map (fun (_, sql, _, _) -> sql) reads_skt_cases) in
+  let probed = ref 0 and skipped = ref 0 in
+  List.iter
+    (fun sql ->
+       let expected = reference_rows db refdb sql in
+       let plans =
+         Planner.oblivious (Ghost_db.catalog db) (Ghost_db.bind db sql)
+         :: List.map fst (Ghost_db.plans db sql)
+       in
+       List.iter
+         (fun (p : Plan.t) ->
+            let r = Ghost_db.run_plan db p in
+            if not (rows_equal r.Exec.rows expected) then
+              Alcotest.failf "%s: plan [%s] differs from the reference" sql p.Plan.label;
+            let scan =
+              List.find
+                (fun o -> o.Exec.op_label = "AccessSKT" || o.Exec.op_label = "BoundScan")
+                r.Exec.ops
+            in
+            let pages = scan.Exec.usage.Device.flash_page_reads in
+            let case = Printf.sprintf "%s [%s]: SKT pages read" sql p.Plan.label in
+            if List.exists (fun (_, s) -> s = Plan.H_check) (hidden_strategies p) then ()
+            else if not (Plan.reads_skt p) then begin
+              check Alcotest.int case 0 pages;
+              if scan.Exec.tuples_in > 0 then incr skipped
+            end
+            else if scan.Exec.tuples_in > 0 then begin
+              check Alcotest.bool case true (pages >= 1);
+              incr probed
+            end)
+         plans)
+    sqls;
+  check Alcotest.bool "index-only runs had candidates" true (!skipped > 0);
+  check Alcotest.bool "probing runs had candidates" true (!probed > 0)
+
+let test_index_only_plans_tiny () = skt_pages_follow_reads_skt (Lazy.force instance)
+let test_index_only_plans_small () = skt_pages_follow_reads_skt (Lazy.force small_instance)
+
+(* Skipping the probe is decided from the plan alone: under [Pad], an
+   index-only shape shows the spy the same trace for two hidden
+   constants of the same length. *)
+let test_index_only_pad_fingerprint () =
+  let db, _ = Lazy.force instance in
+  let cat = Ghost_db.catalog db in
+  let fingerprint sql =
+    let plan = Plan.with_mode (Planner.all_pre cat (Ghost_db.bind db sql)) Oblivious.Pad in
+    check Alcotest.bool (sql ^ ": index-only") false (Plan.reads_skt plan);
+    Ghost_db.clear_trace db;
+    ignore (Ghost_db.run_plan db plan);
+    Oblivious.fingerprint (Ghost_db.trace db)
+  in
+  check Alcotest.string "Purpose constants"
+    (fingerprint (count_purpose "Sclerosis"))
+    (fingerprint (count_purpose "Influenza"));
+  check Alcotest.string "Quantity bounds"
+    (fingerprint (count_quantity 1 9))
+    (fingerprint (count_quantity 8 9))
+
 let suite = [
   Alcotest.test_case "all queries x all plans = reference" `Slow test_all_queries_all_plans;
   Alcotest.test_case "optimizer pick runs" `Quick test_optimizer_pick_runs;
@@ -229,5 +382,12 @@ let suite = [
   Alcotest.test_case "operator stats consistency" `Quick test_op_stats_consistency;
   Alcotest.test_case "exact post beats bad bloom" `Quick test_exact_post_blocks_bloom_fps;
   Alcotest.test_case "cost estimates finite" `Quick test_estimates_are_finite;
+  Alcotest.test_case "reads_skt per plan shape" `Quick test_reads_skt_cases;
+  Alcotest.test_case "index-only plans: rows and SKT pages (tiny)" `Quick
+    test_index_only_plans_tiny;
+  Alcotest.test_case "index-only plans: rows and SKT pages (small)" `Slow
+    test_index_only_plans_small;
+  Alcotest.test_case "index-only plans: Pad fingerprint" `Quick
+    test_index_only_pad_fingerprint;
   prop_random_plans_match_reference;
 ]
