@@ -49,7 +49,8 @@ let delta_log_for cat root =
 
 (* The SKT-style id vector of a new root tuple: its own id followed by,
    per child subtree, the ids read from the child's SKT (or the child id
-   itself for leaves). *)
+   itself for leaves). Each probe reads one row through a row-sized
+   buffer charged to the device's RAM arena. *)
 let id_vector cat root ~new_id row =
   let schema = cat.Catalog.schema in
   let tbl = Schema.find_table schema root in
@@ -70,10 +71,13 @@ let id_vector cat root ~new_id row =
          match Catalog.skt cat child with
          | None -> [ c_id ]
          | Some skt ->
-           let reader = Skt.open_reader skt in
-           let ids = Skt.get reader c_id in
-           Skt.close_reader reader;
-           Array.to_list ids)
+           let reader =
+             Skt.open_reader ~ram:(Device.ram cat.Catalog.device)
+               ~buffer_bytes:(Skt.row_width skt) skt
+           in
+           Fun.protect
+             ~finally:(fun () -> Skt.close_reader reader)
+             (fun () -> Array.to_list (Skt.get reader c_id)))
       (Schema.children schema root)
   in
   Array.of_list (new_id :: child_ids)

@@ -4,6 +4,7 @@
 module Value = Ghost_kernel.Value
 module Rng = Ghost_kernel.Rng
 module Ram = Ghost_device.Ram
+module Schema = Ghost_relation.Schema
 module Device = Ghost_device.Device
 module Medical = Ghost_workload.Medical
 module Queries = Ghost_workload.Queries
@@ -12,6 +13,8 @@ module Ghost_db = Ghostdb.Ghost_db
 module Exec = Ghostdb.Exec
 module Plan = Ghostdb.Plan
 module Insert = Ghostdb.Insert
+module Catalog = Ghostdb.Catalog
+module Skt = Ghost_store.Skt
 module Baseline = Ghost_baseline.Baseline
 
 let check = Alcotest.check
@@ -120,6 +123,43 @@ let test_insert_costs_flash_writes () =
   let after = (Ghost_flash.Flash.stats flash).Ghost_flash.Flash.page_programs in
   check Alcotest.bool "programs happened" true (after > before)
 
+(* The id vector of an inserted row takes one SKT row per child
+   subtree, read through a row-sized buffer charged to the RAM arena
+   and released afterwards. At small scale the Visit SKT spans many
+   pages, and Visit 2's row sits inside the first one. *)
+let test_insert_reads_one_skt_row () =
+  let small = Medical.small in
+  let db = Ghost_db.of_schema (Medical.schema ()) (Medical.generate small) in
+  let device = Ghost_db.device db in
+  let schema = Ghost_db.schema db in
+  let child_skts =
+    List.filter_map
+      (fun (child, _) -> Catalog.skt (Ghost_db.catalog db) child)
+      (Schema.children schema (Schema.root schema).Schema.name)
+  in
+  check Alcotest.bool "the root has a child SKT" true (child_skts <> []);
+  let ram = Device.ram device in
+  let in_use = Ram.in_use ram in
+  let scope = Ram.open_scope ram in
+  let before = Device.snapshot device in
+  Ghost_db.insert db
+    [
+      [|
+        Value.Int (small.Medical.prescriptions + 1); Value.Int 5; Value.Int 2;
+        Value.Date Medical.date_lo; Value.Int 1; Value.Int 2;
+      |];
+    ];
+  let usage = Device.usage_between device ~before ~after:(Device.snapshot device) in
+  let peak = Ram.close_scope ram scope in
+  check Alcotest.bool
+    (Printf.sprintf "at most one page per child SKT (%d pages read)"
+       usage.Device.flash_page_reads)
+    true
+    (usage.Device.flash_page_reads <= List.length child_skts);
+  check Alcotest.bool "the read buffer is charged to the arena" true
+    (peak >= in_use + List.fold_left (fun m skt -> max m (Skt.row_width skt)) 0 child_skts);
+  check Alcotest.int "the arena returns to its earlier value" in_use (Ram.in_use ram)
+
 let test_insert_privacy () =
   let db, _ = make () in
   Ghost_db.insert db (new_prescriptions db 20);
@@ -167,6 +207,8 @@ let suite = [
   Alcotest.test_case "aggregates see the delta" `Quick test_insert_aggregates_see_delta;
   Alcotest.test_case "validation applies atomically" `Quick test_insert_validation;
   Alcotest.test_case "inserts cost flash programs" `Quick test_insert_costs_flash_writes;
+  Alcotest.test_case "one SKT row per child, charged to the arena" `Quick
+    test_insert_reads_one_skt_row;
   Alcotest.test_case "privacy holds with delta" `Quick test_insert_privacy;
   Alcotest.test_case "baselines refuse pending inserts" `Quick test_baselines_refuse_delta;
   Alcotest.test_case "multiple batches + DeltaScan op" `Quick test_multiple_batches;
