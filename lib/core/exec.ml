@@ -201,8 +201,6 @@ let receive_stream ctx ~table ~column ~ty stream =
       (Trace.Value_stream { table; column; count })
       ~bytes:(width * count)
 
-let emit_row_width ctx = Plan.emit_row_width ctx.catalog.Catalog.schema ctx.plan
-
 (* Result emission. The cardinality is the one display-side count that
    depends on hidden data, so this is where the baseline's residual
    leakage concentrates: [Off] emits the real count annotated as
@@ -230,7 +228,7 @@ let emit_rows ctx ~count ~bytes =
       ~obl:{ Trace.obl_bound = bound; obl_values = bound + 1; obl_pad_bytes = 0 }
       ~count ~bytes
   | (Oblivious.Pad | Oblivious.Full) as m ->
-    let width = emit_row_width ctx in
+    let width = Plan.emit_row_width ctx.catalog.Catalog.schema ctx.plan in
     let padded, values =
       match m with
       | Oblivious.Pad ->
@@ -1013,7 +1011,7 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
         (* Emission is priced after LIMIT: only emitted rows cross the
            display link. *)
         emit_rows ctx ~count:(List.length out)
-          ~bytes:(List.length out * emit_row_width ctx);
+          ~bytes:(List.length out * Plan.emit_row_width schema plan);
         (out, List.length out))
     in
     (* 6. Reclaim the scratch region (block erases count). Live bytes,
