@@ -542,9 +542,9 @@ let page_cache_sweep ?metrics ?(scale = default_scale) () =
   let page = Device.default_config.Device.flash_geometry.Flash.page_size in
   (* Hidden-predicate COUNT queries: nearly all their time is
      device-side Flash traffic — climbing-index directory probes,
-     id-list decoding, SKT row probes, hidden-column checks — while USB
-     carries only the query text and a one-row result. That isolates
-     what the buffer manager can save. *)
+     id-list decoding, hidden-column checks; their index-only plans read
+     no SKT row — while USB carries only the query text and a one-row
+     result. That isolates what the buffer manager can save. *)
   let queries =
     [
       "SELECT COUNT(*) FROM Prescription Pre WHERE Pre.Quantity BETWEEN 8 AND 10";

@@ -8,8 +8,9 @@
    [exec_digest.expected]: a refactor of the executor must not move a
    single charge. On a mismatch the test names the first query and
    operator that differ and writes the whole ledger to
-   [exec_digest.actual] in the test's build directory; copy that file
-   over the expected one only when a change is meant to move charges. *)
+   [exec_digest.actual] in the test's build directory (CI uploads it as
+   an artifact when the suite fails); copy that file over the expected
+   one only when a change is meant to move charges. *)
 
 module Value = Ghost_kernel.Value
 module Rng = Ghost_kernel.Rng
