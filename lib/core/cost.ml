@@ -47,17 +47,19 @@ let scratch_read_us env bytes =
 (* Time to stream [bytes] off the main Flash region: cache hits are
    free, so the expected cost is the miss fraction of the uncached
    stream. *)
-let read_stream_us env bytes = (1. -. env.cache_hit) *. scratch_read_us env bytes
+let read_stream_us ?hit env bytes =
+  (1. -. Option.value hit ~default:env.cache_hit) *. scratch_read_us env bytes
 
 (* One small random read (locator, directory entry, SKT row...) off the
    main region. With a cache a hit is free and a miss fills a whole
    frame — the expected cost can exceed the uncached partial read when
    the hit ratio is poor, which is exactly the regime where a tiny
    cache loses. *)
-let point_read_us env bytes =
-  if env.cache_hit > 0. then
+let point_read_us ?hit env bytes =
+  let hit = Option.value hit ~default:env.cache_hit in
+  if hit > 0. then
     let page = Float.of_int env.cfg.Device.flash_geometry.Flash.page_size in
-    (1. -. env.cache_hit)
+    (1. -. hit)
     *. (env.fc.Flash.read_seek_us +. (page *. env.fc.Flash.read_byte_us))
   else env.fc.Flash.read_seek_us +. (bytes *. env.fc.Flash.read_byte_us)
 
@@ -239,6 +241,55 @@ let hit_ratio cat (cfg : Device.config) =
       (Float.of_int (cfg.Device.page_cache_frames * page) /. Float.of_int ws)
   end
 
+(* The same over the index directories alone: a counted plan
+   ([Plan.count_source]) reads nothing else, so the list, SKT and column
+   pages it never touches do not compete for its frames. A first step
+   toward a ratio fed by the pages a plan actually revisits. *)
+let directory_hit_ratio cat (cfg : Device.config) =
+  if cfg.Device.page_cache_frames <= 0 then 0.
+  else begin
+    let page = cfg.Device.flash_geometry.Flash.page_size in
+    let dir i = Ghost_store.Climbing_index.directory_bytes i in
+    let ws =
+      List.fold_left
+        (fun acc (_, (e : Catalog.table_entry)) ->
+           acc
+           + (match e.Catalog.key_index with Some i -> dir i | None -> 0)
+           + List.fold_left (fun a (_, i) -> a + dir i) 0 e.Catalog.attr_indexes)
+        0 cat.Catalog.entries
+    in
+    Float.min 0.95
+      (Float.of_int (cfg.Device.page_cache_frames * page) /. Float.of_int (max page ws))
+  end
+
+(* Summing one hidden predicate's directory counts ([Plan.count_source]):
+   the binary search of [hidden_index_us], then the matched entries'
+   locators read off the directory in one run and one CPU op each — no
+   list byte, no merge. Behind a cache a missed page of the run fills a
+   whole frame, as in [point_read_us], and the rest of the page hits;
+   the hit ratio is the directories' own ([directory_hit_ratio]). *)
+let count_index_us env ~table (p : Predicate.t) =
+  let stats = Catalog.column_stats env.cat ~table ~column:p.Predicate.column in
+  let distinct = Float.of_int (max 1 (Col_stats.distinct stats)) in
+  let dir_probes = Float.max 1. (log distinct /. log 2.) in
+  let matched_values = Float.max 1. (sel env p *. distinct) in
+  let entry_bytes =
+    match Catalog.attr_index env.cat ~table ~column:p.Predicate.column with
+    | Some idx ->
+      Float.of_int (Ghost_store.Climbing_index.directory_bytes idx)
+      /. Float.of_int (max 1 (Ghost_store.Climbing_index.entry_count idx))
+    | None -> 40.
+  in
+  let hit = directory_hit_ratio env.cat env.cfg in
+  let run_bytes = matched_values *. entry_bytes in
+  let run_us =
+    if hit > 0. then
+      let page = Float.of_int env.cfg.Device.flash_geometry.Flash.page_size in
+      Float.max 1. (ceil (run_bytes /. page)) *. point_read_us ~hit env page
+    else scratch_read_us env run_bytes
+  in
+  point_read_us ~hit env 40. *. dir_probes +. run_us +. cpu_us env matched_values
+
 (* One estimator for every mode. [Plan.oblivious] picks the shape at
    the three points where [Exec.execute_plan] picks it:
 
@@ -283,6 +334,9 @@ let estimate cat (plan : Plan.t) =
     match Catalog.skt cat root with
     | Some skt -> Float.of_int (Ghost_store.Skt.row_width skt)
     | None -> 0.
+  in
+  let counted =
+    Plan.count_source ~tombstones:(Catalog.tombstone_count cat root) plan <> None
   in
   (* 1. Candidate root rows, and the share of them expected to pass the
      tests that follow. *)
@@ -355,10 +409,16 @@ let estimate cat (plan : Plan.t) =
            (* hidden index traversals *)
            List.iter
              (fun (h : Plan.hidden_pred) ->
-                let level_count = if cross_pre then n_t else n_root in
-                spend
-                  (Printf.sprintf "index(%s.%s)" t h.Plan.h_pred.Predicate.column)
-                  (hidden_index_us env ~table:t h.Plan.h_pred ~level_count))
+                let column = h.Plan.h_pred.Predicate.column in
+                if counted then
+                  spend
+                    (Printf.sprintf "count(%s.%s)" t column)
+                    (count_index_us env ~table:t h.Plan.h_pred)
+                else
+                  let level_count = if cross_pre then n_t else n_root in
+                  spend
+                    (Printf.sprintf "index(%s.%s)" t column)
+                    (hidden_index_us env ~table:t h.Plan.h_pred ~level_count))
              indexed;
            if Plan.pre_filtered g then begin
              let m_vis = vis_sel *. Float.of_int n_t in
@@ -404,8 +464,9 @@ let estimate cat (plan : Plan.t) =
       if skt_row_bytes > 0. && Plan.reads_skt plan then
         spend "access-skt"
           (skt_access_us env ~n_root ~candidates ~row_bytes:skt_row_bytes);
-      (* bloom probes + hidden checks per candidate *)
-      spend "probes" (cpu_us env (candidates *. 8.));
+      (* bloom probes + hidden checks per candidate; a counted plan has
+         no candidate rows *)
+      if not counted then spend "probes" (cpu_us env (candidates *. 8.));
       (candidates, !post_sel)
     end
   in

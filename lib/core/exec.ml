@@ -664,10 +664,32 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
       cpu ctx 2;
       Predicate.holds hc.hc_pred (Column_store.get hc.hc_reader ids.(hc.hc_level))
     in
-    (* 1. Candidate root ids. *)
+    (* 1. Candidate root ids. A countable plan (see {!Plan.count_source})
+       sums the directory counts of its one predicate instead: no id is
+       read, and Merge+Index and AccessSKT stay in the ledger empty. *)
     let n_root = Catalog.table_count catalog root in
+    let counted =
+      Plan.count_source ~tombstones:(Catalog.tombstone_count catalog root) plan
+      |> Option.map (fun (table, pred) ->
+        let n =
+          measure ctx
+            (Printf.sprintf "IndexLookup(%s)" table)
+            ~tuples_in:1
+            (fun () ->
+               let idx = attr_index_exn ctx ~table ~column:pred.Predicate.column in
+               let entries, n =
+                 Climbing_index.count_cmp ~ram:ctx.ram ?cache:ctx.cache idx
+                   pred.Predicate.cmp ~level:root
+               in
+               cpu ctx entries;
+               (n, 1))
+        in
+        ignore (measure ctx "Merge+Index" ~tuples_in:0 (fun () -> ((), 0)));
+        n)
+    in
     let candidates =
-      if full then begin
+      if counted <> None then [||]
+      else if full then begin
         List.iter
           (fun (g : Plan.group) ->
              if g.Plan.g_visible <> [] then
@@ -986,6 +1008,15 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
           | Some spec ->
             cpu ctx (5 * n_in);
             let grouped = Ghost_sql.Aggregate.apply spec out in
+            (* A counted plan's main rows come in as their count. *)
+            let grouped =
+              match counted with
+              | None -> grouped
+              | Some n ->
+                List.map
+                  (Array.map (function Value.Int c -> Value.Int (c + n) | v -> v))
+                  grouped
+            in
             let group_bytes =
               max 16
                 (List.length grouped

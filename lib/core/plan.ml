@@ -3,6 +3,7 @@ module Column = Ghost_relation.Column
 module Schema = Ghost_relation.Schema
 module Predicate = Ghost_relation.Predicate
 module Bind = Ghost_sql.Bind
+module Aggregate = Ghost_sql.Aggregate
 module Oblivious = Ghost_oblivious.Oblivious
 
 type hidden_strategy =
@@ -122,6 +123,26 @@ let reads_skt t =
           g.g_table <> t.root
           && (post_filtered g || List.exists (fun h -> h.h_strategy = H_check) g.g_hidden))
        t.groups
+
+(* One hidden predicate's root-level lists are disjoint, so their
+   directory counts sum to the COUNT( * ) it asks for. *)
+let count_source ~tombstones t =
+  let hidden =
+    List.concat_map (fun g -> List.map (fun h -> (g.g_table, h)) g.g_hidden) t.groups
+  in
+  match t.query.Bind.aggregate, hidden with
+  | ( Some
+        {
+          Aggregate.group_by = [];
+          aggs = [ { Aggregate.a_fn = Aggregate.Count; a_arg = None; _ } ];
+          _;
+        },
+      [ (table, { h_strategy = H_index; h_pred }) ] )
+    when tombstones = 0
+         && t.oblivious <> Oblivious.Full
+         && List.for_all (fun g -> g.g_visible = [] && g.g_borrowed = []) t.groups ->
+    Some (table, h_pred)
+  | _ -> None
 
 let visible_projections schema t =
   List.filter_map

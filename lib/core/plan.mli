@@ -112,6 +112,17 @@ val reads_skt : t -> bool
     A function of the plan alone, so the choice shows nothing about
     the data. *)
 
+val count_source : tombstones:int -> t -> (string * Predicate.t) option
+(** [Some (table, pred)] when the plan is a [COUNT( * )] without GROUP
+    BY whose only selection is one [H_index] hidden predicate on
+    [table], outside [Full], and [tombstones] (the root's tombstone
+    count) is 0. The predicate's lists at the root level are disjoint,
+    so the executor sums their directory counts instead of reading any
+    id, and the estimate prices that. A tombstoned row stays in the
+    lists, so any tombstone rules counting out; the deletes that set
+    one are spy-visible. Rows inserted since the load are still counted
+    by the delta scan. *)
+
 val visible_projections : Schema.t -> t -> (string * string * Value.ty) list
 (** The visible non-key columns the query projects, as
     [(table, column, type)], sorted and deduplicated: each arrives as a

@@ -230,50 +230,36 @@ let with_dir_readers ~ram ?cache t f =
     Pager.with_reader ~ram ~buffer_bytes:chunk_bytes ?cache t.flash t.keys (fun keys ->
       f ~dir ~keys))
 
-let lookup_eq ~ram ?cache t v ~level =
+(* Folds [f] over the locators of the entries [cmp] selects at
+   [level], in key order, without reading any list: the selection
+   behind both {!lookup_cmp} and {!count_cmp}. A range first
+   binary-searches its bounds, then reads the run's locators through
+   fresh directory readers. *)
+let fold_cmp ~ram ?cache t cmp ~level f init =
   let lvl = level_pos t level in
-  with_dir_readers ~ram ?cache t (fun ~dir ~keys ->
-    let i = bound t ~dir_reader:dir ~keys_reader:keys ~strict:false v in
-    if i < t.entry_count && compare_entry t ~dir_reader:dir ~keys_reader:keys i v = 0
-    then Some (make_source t ~ram ?cache (read_locator t dir ~entry:i ~level:lvl))
-    else None)
-
-let count_eq ~ram ?cache t v ~level =
-  let lvl = level_pos t level in
-  with_dir_readers ~ram ?cache t (fun ~dir ~keys ->
-    let i = bound t ~dir_reader:dir ~keys_reader:keys ~strict:false v in
-    if i < t.entry_count && compare_entry t ~dir_reader:dir ~keys_reader:keys i v = 0
-    then (read_locator t dir ~entry:i ~level:lvl).loc_count
-    else 0)
-
-let range_sources ~ram ?cache t ~level ~first ~last_exclusive
-    ?(exclude = fun _ -> false) () =
-  with_dir_readers ~ram ?cache t (fun ~dir ~keys ->
-    ignore keys;
-    let rec collect i acc =
-      if i >= last_exclusive then List.rev acc
-      else if exclude i then collect (i + 1) acc
-      else
-        collect (i + 1)
-          (make_source t ~ram ?cache (read_locator t dir ~entry:i ~level) :: acc)
-    in
-    collect first [])
-
-let lookup_cmp ~ram ?cache t cmp ~level =
-  let lvl = level_pos t level in
-  let bounds f = with_dir_readers ~ram ?cache t f in
+  let bounds g = with_dir_readers ~ram ?cache t g in
+  let bound_of ~strict v =
+    bounds (fun ~dir ~keys -> bound t ~dir_reader:dir ~keys_reader:keys ~strict v)
+  in
+  let eq acc v =
+    with_dir_readers ~ram ?cache t (fun ~dir ~keys ->
+      let i = bound t ~dir_reader:dir ~keys_reader:keys ~strict:false v in
+      if i < t.entry_count && compare_entry t ~dir_reader:dir ~keys_reader:keys i v = 0
+      then f acc (read_locator t dir ~entry:i ~level:lvl)
+      else acc)
+  in
+  let range ?(exclude = fun _ -> false) first last_exclusive =
+    with_dir_readers ~ram ?cache t (fun ~dir ~keys ->
+      ignore keys;
+      let acc = ref init in
+      for i = first to last_exclusive - 1 do
+        if not (exclude i) then acc := f !acc (read_locator t dir ~entry:i ~level:lvl)
+      done;
+      !acc)
+  in
   match cmp with
-  | Predicate.Eq v ->
-    (match lookup_eq ~ram ?cache t v ~level with
-     | Some s -> [ s ]
-     | None -> [])
-  | Predicate.In vs ->
-    List.concat_map
-      (fun v ->
-         match lookup_eq ~ram ?cache t v ~level with
-         | Some s -> [ s ]
-         | None -> [])
-      (List.sort_uniq Value.compare vs)
+  | Predicate.Eq v -> eq init v
+  | Predicate.In vs -> List.fold_left eq init (List.sort_uniq Value.compare vs)
   | Predicate.Ne v ->
     let eq_idx =
       bounds (fun ~dir ~keys ->
@@ -282,28 +268,18 @@ let lookup_cmp ~ram ?cache t cmp ~level =
         then Some i
         else None)
     in
-    range_sources ~ram ?cache t ~level:lvl ~first:0 ~last_exclusive:t.entry_count
-      ~exclude:(fun i -> Some i = eq_idx)
-      ()
-  | Predicate.Lt v ->
-    let last = bounds (fun ~dir ~keys -> bound t ~dir_reader:dir ~keys_reader:keys ~strict:false v) in
-    range_sources ~ram ?cache t ~level:lvl ~first:0 ~last_exclusive:last ()
-  | Predicate.Le v ->
-    let last = bounds (fun ~dir ~keys -> bound t ~dir_reader:dir ~keys_reader:keys ~strict:true v) in
-    range_sources ~ram ?cache t ~level:lvl ~first:0 ~last_exclusive:last ()
-  | Predicate.Gt v ->
-    let first = bounds (fun ~dir ~keys -> bound t ~dir_reader:dir ~keys_reader:keys ~strict:true v) in
-    range_sources ~ram ?cache t ~level:lvl ~first ~last_exclusive:t.entry_count ()
-  | Predicate.Ge v ->
-    let first = bounds (fun ~dir ~keys -> bound t ~dir_reader:dir ~keys_reader:keys ~strict:false v) in
-    range_sources ~ram ?cache t ~level:lvl ~first ~last_exclusive:t.entry_count ()
+    range ~exclude:(fun i -> Some i = eq_idx) 0 t.entry_count
+  | Predicate.Lt v -> range 0 (bound_of ~strict:false v)
+  | Predicate.Le v -> range 0 (bound_of ~strict:true v)
+  | Predicate.Gt v -> range (bound_of ~strict:true v) t.entry_count
+  | Predicate.Ge v -> range (bound_of ~strict:false v) t.entry_count
   | Predicate.Between (lo, hi) ->
     let first, last =
       bounds (fun ~dir ~keys ->
         ( bound t ~dir_reader:dir ~keys_reader:keys ~strict:false lo,
           bound t ~dir_reader:dir ~keys_reader:keys ~strict:true hi ))
     in
-    range_sources ~ram ?cache t ~level:lvl ~first ~last_exclusive:last ()
+    range first last
   | Predicate.Prefix p ->
     let lo = Value.Str p in
     let first, last =
@@ -314,7 +290,23 @@ let lookup_cmp ~ram ?cache t cmp ~level =
             bound t ~dir_reader:dir ~keys_reader:keys ~strict:false (Value.Str u)
           | None -> t.entry_count ))
     in
-    range_sources ~ram ?cache t ~level:lvl ~first ~last_exclusive:last ()
+    range first last
+
+let lookup_cmp ~ram ?cache t cmp ~level =
+  fold_cmp ~ram ?cache t cmp ~level (fun acc loc -> make_source t ~ram ?cache loc :: acc) []
+  |> List.rev
+
+let lookup_eq ~ram ?cache t v ~level =
+  match lookup_cmp ~ram ?cache t (Predicate.Eq v) ~level with
+  | [ s ] -> Some s
+  | _ -> None
+
+let count_cmp ~ram ?cache t cmp ~level =
+  fold_cmp ~ram ?cache t cmp ~level
+    (fun (entries, ids) loc -> (entries + 1, ids + loc.loc_count))
+    (0, 0)
+
+let count_eq ~ram ?cache t v ~level = snd (count_cmp ~ram ?cache t (Predicate.Eq v) ~level)
 
 let lookup_id ~ram ?cache t id ~level : Merge_union.source =
   if not t.dense then invalid_arg "Climbing_index.lookup_id: not a dense index";

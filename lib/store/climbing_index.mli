@@ -94,6 +94,16 @@ val lookup_cmp :
   level:string -> Merge_union.source list
 (** One source per matching value (range scan of the directory). *)
 
+val count_cmp :
+  ram:Ram.t -> ?cache:Pager.Cache.t -> t -> Predicate.comparison ->
+  level:string -> int * int
+(** [(entries, ids)]: how many values {!lookup_cmp} selects and the
+    summed lengths of their lists at [level], read off the directory's
+    locators with the same page reads and no list read. The lists of
+    distinct values are disjoint at every level (a row there reaches
+    one row of the indexed table), so [ids] is the size of their
+    union. *)
+
 val lookup_id :
   ram:Ram.t -> ?cache:Pager.Cache.t -> t -> int -> level:string ->
   Merge_union.source

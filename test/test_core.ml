@@ -7,6 +7,8 @@ module Rng = Ghost_kernel.Rng
 module Ram = Ghost_device.Ram
 module Device = Ghost_device.Device
 module Predicate = Ghost_relation.Predicate
+module Schema = Ghost_relation.Schema
+module Bind = Ghost_sql.Bind
 module Medical = Ghost_workload.Medical
 module Queries = Ghost_workload.Queries
 module Reference = Ghost_workload.Reference
@@ -370,6 +372,161 @@ let test_index_only_pad_fingerprint () =
     (fingerprint (count_quantity 1 9))
     (fingerprint (count_quantity 8 9))
 
+(* ---- counted plans ----
+
+   [Plan.count_source] picks out a COUNT( * ) whose only selection is
+   one indexed hidden predicate: the executor then sums the directory
+   counts of the predicate's lists and reads no id. *)
+
+let count_two_hidden =
+  "SELECT COUNT(*) FROM Prescription Pre, Visit Vis WHERE Pre.Quantity BETWEEN 8 AND \
+   10 AND Vis.Purpose = 'Sclerosis' AND Vis.VisID = Pre.VisID"
+
+let count_hidden_and_visible =
+  "SELECT COUNT(*) FROM Medicine Med, Prescription Pre, Visit Vis WHERE Vis.Purpose = \
+   'Sclerosis' AND Med.Type = 'Antibiotic' AND Med.MedID = Pre.MedID AND Vis.VisID = \
+   Pre.VisID"
+
+let count_a_column =
+  "SELECT COUNT(Pre.Quantity) FROM Prescription Pre WHERE Pre.Quantity BETWEEN 8 AND 10"
+
+(* (case, SQL, the panel plans it covers, [Plan.count_source] is set) *)
+let count_source_cases =
+  [
+    ("count_quantity indexed", count_quantity 8 10, indexed_only, true);
+    ("count_purpose indexed", count_purpose "Sclerosis", indexed_only, true);
+    ("count_bmi indexed", count_bmi, indexed_only, true);
+    ("count_quantity checked", count_quantity 8 10, checks "Prescription", false);
+    ("count_purpose checked", count_purpose "Sclerosis", checks "Visit", false);
+    ("two hidden predicates", count_two_hidden, any_plan, false);
+    ("a visible predicate beside", count_hidden_and_visible, any_plan, false);
+    ("COUNT of a column", count_a_column, any_plan, false);
+    ("grouped by Visit.Purpose", grouped_by_purpose, any_plan, false);
+    ("range_hidden", query "range_hidden", any_plan, false);
+  ]
+
+let test_count_source_cases () =
+  let db, _ = Lazy.force instance in
+  let cat = Ghost_db.catalog db in
+  List.iter
+    (fun (name, sql, covers, expected) ->
+       let plans = List.filter covers (List.map fst (Ghost_db.plans db sql)) in
+       check Alcotest.bool (name ^ ": covers a panel plan") true (plans <> []);
+       List.iter
+         (fun p ->
+            let counted m = Plan.count_source ~tombstones:0 (Plan.with_mode p m) <> None in
+            let case = Printf.sprintf "%s [%s]" name p.Plan.label in
+            check Alcotest.bool (case ^ " Off") expected (counted Oblivious.Off);
+            check Alcotest.bool (case ^ " Pad") expected (counted Oblivious.Pad);
+            check Alcotest.bool (case ^ " Full") false (counted Oblivious.Full);
+            check Alcotest.bool (case ^ " tombstoned") false
+              (Plan.count_source ~tombstones:1 p <> None))
+         plans;
+       check Alcotest.bool (name ^ ": the oblivious plan") false
+         (Plan.count_source ~tombstones:0 (Planner.oblivious cat (Ghost_db.bind db sql))
+            <> None))
+    count_source_cases
+
+let find_op label (r : Exec.result) =
+  match List.find_opt (fun o -> o.Exec.op_label = label) r.Exec.ops with
+  | Some o -> o
+  | None -> Alcotest.failf "no %s operator" label
+
+(* A counted plan returns the reference count, leaves Merge+Index and
+   AccessSKT empty and programs no scratch page. Its index lookup reads
+   what the same plan reads before any list when it projects the root
+   key instead, and the run as a whole reads fewer pages: no list is
+   read. *)
+let counted_plans_read_no_id (db, refdb) =
+  let total f (r : Exec.result) =
+    List.fold_left (fun n o -> n + f o.Exec.usage) 0 r.Exec.ops
+  in
+  List.iter
+    (fun (name, sql, covers, expected) ->
+       if expected then begin
+         let rows = reference_rows db refdb sql in
+         List.iter
+           (fun (p : Plan.t) ->
+              let table, _ = Option.get (Plan.count_source ~tombstones:0 p) in
+              let lookup = Printf.sprintf "IndexLookup(%s)" table in
+              let r = Ghost_db.run_plan db p in
+              let ids =
+                let root = p.Plan.root in
+                let key = (Schema.find_table (Ghost_db.schema db) root).Schema.key in
+                let query =
+                  { p.Plan.query with Bind.aggregate = None; projections = [ (root, key) ] }
+                in
+                Ghost_db.run_plan db (Plan.make ~query ~root p.Plan.groups)
+              in
+              let case what = Printf.sprintf "%s [%s]: %s" name p.Plan.label what in
+              if not (rows_equal r.Exec.rows rows) then Alcotest.failf "%s" (case "rows");
+              List.iter
+                (fun label ->
+                   check (Alcotest.float 0.) (case label) 0.
+                     (find_op label r).Exec.usage.Device.total_us)
+                [ "Merge+Index"; "AccessSKT" ];
+              check Alcotest.int (case "pages programmed") 0
+                (total (fun u -> u.Device.flash_page_programs) r);
+              let reads r = (find_op lookup r).Exec.usage.Device.flash_page_reads in
+              check Alcotest.bool (case "lookup reads no more than the id plan's") true
+                (reads r <= reads ids);
+              check Alcotest.bool (case "fewer pages than reading the ids") true
+                (total (fun u -> u.Device.flash_page_reads) r
+                 < total (fun u -> u.Device.flash_page_reads) ids))
+           (List.filter covers (List.map fst (Ghost_db.plans db sql)))
+       end)
+    count_source_cases
+
+let test_counted_plans_tiny () = counted_plans_read_no_id (Lazy.force instance)
+let test_counted_plans_small () = counted_plans_read_no_id (Lazy.force small_instance)
+
+(* Rows inserted since the load still count (the delta scan adds
+   them); once a root row is tombstoned the lists overcount, so the
+   executor and the estimate both go back to reading ids. *)
+let test_counted_plans_after_mutations () =
+  let rows = Medical.generate Medical.tiny in
+  let db = Ghost_db.of_schema (Medical.schema ()) rows in
+  let sql = count_quantity 8 10 in
+  let plan () = List.find indexed_only (List.map fst (Ghost_db.plans db sql)) in
+  let counted () =
+    (find_op "Merge+Index" (Ghost_db.run_plan db (plan ()))).Exec.tuples_out = 0
+  in
+  let estimated_term prefix =
+    List.exists
+      (fun (label, _) -> String.starts_with ~prefix label)
+      (Cost.estimate (Ghost_db.catalog db) (plan ())).Cost.breakdown
+  in
+  let with_prescriptions rows f =
+    List.map (fun (name, rs) -> (name, if name = "Prescription" then f rs else rs)) rows
+  in
+  let expect what rows =
+    let refdb = Reference.db_of_rows (Ghost_db.schema db) rows in
+    let r = Ghost_db.run_plan db (plan ()) in
+    if not (rows_equal r.Exec.rows (reference_rows db refdb sql)) then
+      Alcotest.failf "%s: count differs from the reference" what
+  in
+  let next = Medical.tiny.Medical.prescriptions + 1 in
+  let inserted =
+    [| Value.Int next; Value.Int 9; Value.Int 2; Value.Date Medical.date_lo;
+       Value.Int 1; Value.Int 1 |]
+  in
+  Ghost_db.insert db [ inserted ];
+  let rows = with_prescriptions rows (fun rs -> rs @ [ inserted ]) in
+  expect "after an insert" rows;
+  check Alcotest.bool "counted after an insert" true (counted ());
+  check Alcotest.bool "estimate counts" true (estimated_term "count(");
+  let victim =
+    List.find
+      (fun row -> match row.(1) with Value.Int q -> q >= 8 | _ -> false)
+      (List.assoc "Prescription" rows)
+  in
+  let victim_id = match victim.(0) with Value.Int id -> id | _ -> assert false in
+  Ghost_db.delete db [ victim_id ];
+  expect "after a delete" (with_prescriptions rows (List.filter (fun r -> r != victim)));
+  check Alcotest.bool "reads ids after a delete" false (counted ());
+  check Alcotest.bool "estimate reads the index" true (estimated_term "index(");
+  check Alcotest.bool "estimate no longer counts" false (estimated_term "count(")
+
 let suite = [
   Alcotest.test_case "all queries x all plans = reference" `Slow test_all_queries_all_plans;
   Alcotest.test_case "optimizer pick runs" `Quick test_optimizer_pick_runs;
@@ -389,5 +546,10 @@ let suite = [
     test_index_only_plans_small;
   Alcotest.test_case "index-only plans: Pad fingerprint" `Quick
     test_index_only_pad_fingerprint;
+  Alcotest.test_case "count_source per plan shape" `Quick test_count_source_cases;
+  Alcotest.test_case "counted plans read no id (tiny)" `Quick test_counted_plans_tiny;
+  Alcotest.test_case "counted plans read no id (small)" `Slow test_counted_plans_small;
+  Alcotest.test_case "counted plans after insert and delete" `Quick
+    test_counted_plans_after_mutations;
   prop_random_plans_match_reference;
 ]
