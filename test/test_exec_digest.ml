@@ -4,7 +4,9 @@
    run is reduced to a ledger line: the sorted rows, the operators in
    order with their tuple counts, RAM peak and device usage, the
    device clock (printed with %h, so bit-exact), padding bytes, Bloom
-   false positives and the spy fingerprint. The lines are pinned in
+   false positives and the spy fingerprint. A panel plan's line is
+   keyed by the plan's label and the lines are listed by key, so an
+   estimate that reorders the panel moves no key. The lines are pinned in
    [exec_digest.expected]: a refactor of the executor must not move a
    single charge. On a mismatch the test names the first query and
    operator that differ and writes the whole ledger to
@@ -55,24 +57,42 @@ let queries =
 
 let modes = [ ("Off", Oblivious.Off); ("Pad", Oblivious.Pad); ("Full", Oblivious.Full) ]
 
+(* A panel plan's ledger key: its label with the spaces taken out, so
+   the key stays one token. The panel is sorted by estimate, so keying
+   by rank would move every line behind a plan whose estimate changed
+   although no charge did. *)
+let plan_key (p : Plan.t) = String.map (function ' ' -> '_' | c -> c) p.Plan.label
+
+(* The panel's plans keyed by label, in panel order; the labels must
+   tell them apart. *)
+let keyed_panel db sql =
+  let panel = List.map (fun (p, _) -> (plan_key p, p)) (Ghost_db.plans db sql) in
+  let keys = List.map fst panel in
+  if List.length (List.sort_uniq String.compare keys) <> List.length keys then
+    Alcotest.failf "two panel plans of %S share a label" sql;
+  panel
+
+let by_key lines = List.stable_sort (fun (a, _) (b, _) -> String.compare a b) lines
+
 (* The runs of one query in one mode: Off and Pad run every candidate
    plan of the optimizer's panel in that mode (Pre, Post, cross and
    index strategies all appear there); Full runs the planner's
    fixed-shape plan, like [Ghost_db.query ~oblivious:true], and the
-   best plan forced to Full. *)
+   best plan forced to Full. The runs go in panel order, because a run
+   leaves the device clock and the page cache to the next one; the
+   ledger lists them by key. *)
 let runs db mode sql =
-  let panel = Ghost_db.plans db sql in
   match mode with
   | Oblivious.Full ->
+    let best = fst (List.hd (Ghost_db.plans db sql)) in
     [
       ("planner", fun () -> Ghost_db.query db ~oblivious:true sql);
-      ("forced", fun () -> Ghost_db.run_plan db ~oblivious:true (fst (List.hd panel)));
+      ("forced", fun () -> Ghost_db.run_plan db ~oblivious:true best);
     ]
   | Oblivious.Off | Oblivious.Pad ->
-    List.mapi
-      (fun i (plan, _) ->
-         (Printf.sprintf "p%d" i, fun () -> Ghost_db.run_plan db (Plan.with_mode plan mode)))
-      panel
+    List.map
+      (fun (key, plan) -> (key, fun () -> Ghost_db.run_plan db (Plan.with_mode plan mode)))
+      (keyed_panel db sql)
 
 (* The nonzero fault and maintenance counters, by registry name, so the
    ledger does not depend on how the device stores them. *)
@@ -147,9 +167,11 @@ let ledger () =
                 (fun (qname, sql) ->
                    List.map
                      (fun (rname, run) ->
-                        ledger_line db run
-                          ~key:(String.concat "/" [ cname; mname; tag; qname; rname ]))
-                     (runs db mode sql))
+                        ( rname,
+                          ledger_line db run
+                            ~key:(String.concat "/" [ cname; mname; tag; qname; rname ]) ))
+                     (runs db mode sql)
+                   |> by_key |> List.map snd)
                 queries
             in
             let before = phase "load" in
@@ -227,13 +249,12 @@ let cost_ledger () =
          List.concat_map
            (fun (qname, sql) ->
               let key mname rname = String.concat "/" [ cname; mname; tag; qname; rname ] in
-              let panel = Ghost_db.plans db sql in
+              let panel = by_key (keyed_panel db sql) in
               List.concat_map
                 (fun (mname, mode) ->
-                   List.mapi
-                     (fun i (plan, _) ->
-                        estimate_line
-                          ~key:(key mname (Printf.sprintf "p%d" i))
+                   List.map
+                     (fun (rname, plan) ->
+                        estimate_line ~key:(key mname rname)
                           (Cost.estimate cat (Plan.with_mode plan mode)))
                      panel)
                 modes
