@@ -5,8 +5,8 @@
    order with their tuple counts, RAM peak and device usage, the
    device clock (printed with %h, so bit-exact), padding bytes, Bloom
    false positives and the spy fingerprint. A panel plan's line is
-   keyed by the plan's label and the lines are listed by key, so an
-   estimate that reorders the panel moves no key. The lines are pinned in
+   keyed by the plan's label, and the panel runs in key order, so an
+   estimate that reorders the panel moves no line. The lines are pinned in
    [exec_digest.expected]: a refactor of the executor must not move a
    single charge. On a mismatch the test names the first query and
    operator that differ and writes the whole ledger to
@@ -63,24 +63,27 @@ let modes = [ ("Off", Oblivious.Off); ("Pad", Oblivious.Pad); ("Full", Oblivious
    although no charge did. *)
 let plan_key (p : Plan.t) = String.map (function ' ' -> '_' | c -> c) p.Plan.label
 
-(* The panel's plans keyed by label, in panel order; the labels must
-   tell them apart. *)
+(* The panel's plans keyed by label, in key order; the labels must tell
+   them apart. *)
 let keyed_panel db sql =
-  let panel = List.map (fun (p, _) -> (plan_key p, p)) (Ghost_db.plans db sql) in
+  let panel =
+    List.sort (fun (a, _) (b, _) -> String.compare a b)
+      (List.map (fun (p, _) -> (plan_key p, p)) (Ghost_db.plans db sql))
+  in
   let keys = List.map fst panel in
   if List.length (List.sort_uniq String.compare keys) <> List.length keys then
     Alcotest.failf "two panel plans of %S share a label" sql;
   panel
 
-let by_key lines = List.stable_sort (fun (a, _) (b, _) -> String.compare a b) lines
-
 (* The runs of one query in one mode: Off and Pad run every candidate
    plan of the optimizer's panel in that mode (Pre, Post, cross and
    index strategies all appear there); Full runs the planner's
    fixed-shape plan, like [Ghost_db.query ~oblivious:true], and the
-   best plan forced to Full. The runs go in panel order, because a run
-   leaves the device clock and the page cache to the next one; the
-   ledger lists them by key. *)
+   best plan forced to Full. The panel runs go in key order, not panel
+   order: each run leaves the device clock (whose float differences
+   round with its absolute value) and the page cache to the next one,
+   so running in estimate order would move lines whenever an estimate
+   reordered the panel. *)
 let runs db mode sql =
   match mode with
   | Oblivious.Full ->
@@ -167,11 +170,9 @@ let ledger () =
                 (fun (qname, sql) ->
                    List.map
                      (fun (rname, run) ->
-                        ( rname,
-                          ledger_line db run
-                            ~key:(String.concat "/" [ cname; mname; tag; qname; rname ]) ))
-                     (runs db mode sql)
-                   |> by_key |> List.map snd)
+                        ledger_line db run
+                          ~key:(String.concat "/" [ cname; mname; tag; qname; rname ]))
+                     (runs db mode sql))
                 queries
             in
             let before = phase "load" in
@@ -249,7 +250,7 @@ let cost_ledger () =
          List.concat_map
            (fun (qname, sql) ->
               let key mname rname = String.concat "/" [ cname; mname; tag; qname; rname ] in
-              let panel = by_key (keyed_panel db sql) in
+              let panel = keyed_panel db sql in
               List.concat_map
                 (fun (mname, mode) ->
                    List.map
