@@ -375,6 +375,9 @@ let estimate cat (plan : Plan.t) =
       let pre_sel = ref 1. in
       (* selectivity of post filters (applied after SKT access) *)
       let post_sel = ref 1. in
+      (* CPU ops AccessSKT spends testing one candidate: [Bloom.k] per
+         Bloom filter, 2 per [H_check] predicate *)
+      let probe_ops = ref 0. in
       List.iter
         (fun (g : Plan.group) ->
            let t = g.Plan.g_table in
@@ -393,6 +396,7 @@ let estimate cat (plan : Plan.t) =
            let hidden_index_sel = hidden_sel indexed in
            (* hidden checks: per surviving candidate, later *)
            post_sel := !post_sel *. hidden_sel checked;
+           probe_ops := !probe_ops +. (2. *. Float.of_int (List.length checked));
            let cross_pre = Plan.pre_filtered g && Plan.crossed g in
            (* deep cross: borrowed descendant lists read at this table's
               level, shrinking the climbed set *)
@@ -454,6 +458,13 @@ let estimate cat (plan : Plan.t) =
              in
              env.ram_bytes <- env.ram_bytes + int_of_float bloom_bytes;
              spend (Printf.sprintf "bloom-build(%s)" t) (cpu_us env (m_bloom *. 8.));
+             (* [Exec.build_bloom]'s sizing: at least 64 bytes *)
+             probe_ops :=
+               !probe_ops
+               +. Float.of_int
+                    (Bloom.optimal_k
+                       ~m_bits:(8 * max 64 (int_of_float bloom_bytes))
+                       ~n:(max 1 (int_of_float m_bloom)));
              pre_sel := !pre_sel *. hidden_index_sel;
              post_sel := !post_sel *. vis_sel
            end
@@ -464,9 +475,11 @@ let estimate cat (plan : Plan.t) =
       if skt_row_bytes > 0. && Plan.reads_skt plan then
         spend "access-skt"
           (skt_access_us env ~n_root ~candidates ~row_bytes:skt_row_bytes);
-      (* bloom probes + hidden checks per candidate; a counted plan has
-         no candidate rows *)
-      if not counted then spend "probes" (cpu_us env (candidates *. 8.));
+      (* Bloom probes + hidden checks per candidate, as AccessSKT
+         charges them; none when the plan runs no test, and a counted
+         plan has no candidate rows *)
+      if (not counted) && !probe_ops > 0. then
+        spend "probes" (cpu_us env (candidates *. !probe_ops));
       (candidates, !post_sel)
     end
   in
