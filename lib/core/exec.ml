@@ -153,6 +153,47 @@ let open_column ctx ~table ~column =
   Resources.defer ctx.resources (fun () -> Column_store.close_reader r);
   r
 
+(* ---- delta bitmaps ----
+
+   A hidden predicate on a table below the root selects a set of that
+   table's ids, which the climbing index keeps at the table's own level
+   as one sorted list per matching value. The lists are disjoint, so
+   streaming them one at a time fills a bitmap over 1..n_T with no
+   merge and no spill, at one CPU op per id. The bitmap is charged to
+   the arena; [None] when it and the two 256-byte directory readers of
+   the lookup do not fit, and the caller reads the column instead. *)
+let delta_bitmap ctx ~table (pred : Predicate.t) =
+  let n = Catalog.table_count ctx.catalog table in
+  let bytes = (n + 7) / 8 in
+  if not (Ram.would_fit ctx.ram (bytes + (2 * 256))) then None
+  else begin
+    let cell =
+      Ram.alloc ctx.ram
+        ~label:(Printf.sprintf "bitmap(%s.%s)" table pred.Predicate.column)
+        (max 1 bytes)
+    in
+    Resources.defer ctx.resources (fun () -> Ram.free ctx.ram cell);
+    let bits = Bytes.make bytes '\000' in
+    let idx = attr_index_exn ctx ~table ~column:pred.Predicate.column in
+    List.iter
+      (fun (source : Merge_union.source) ->
+         let ids, close = source () in
+         Fun.protect ~finally:close (fun () ->
+           Cursor.iter
+             (fun id ->
+                cpu ctx 1;
+                let i = id - 1 in
+                Bytes.set_uint8 bits (i lsr 3)
+                  (Bytes.get_uint8 bits (i lsr 3) lor (1 lsl (i land 7))))
+             ids))
+      (Climbing_index.lookup_cmp ~ram:ctx.ram ?cache:ctx.cache idx pred.Predicate.cmp
+         ~level:table);
+    Some
+      (fun id ->
+         let i = id - 1 in
+         i >= 0 && i < n && Bytes.get_uint8 bits (i lsr 3) land (1 lsl (i land 7)) <> 0)
+  end
+
 (* ---- oblivious metering ----
 
    The three USB sites whose lengths could betray hidden data: id-list
@@ -742,26 +783,30 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
         |> List.map (fun g -> build_bloom ctx ~level_of g)
     in
     List.iter (fun b -> Resources.defer resources (fun () -> Ram.free ctx.ram b.bf_cell)) blooms;
-    let checks =
+    let hidden =
       List.concat_map
         (fun (g : Plan.group) ->
-           List.filter_map
+           List.map
              (fun (h : Plan.hidden_pred) ->
-                if full || h.Plan.h_strategy = Plan.H_check then begin
-                  let reader =
-                    open_column ctx ~table:g.Plan.g_table
-                      ~column:h.Plan.h_pred.Predicate.column
-                  in
-                  Some
-                    {
-                      hc_pred = h.Plan.h_pred;
-                      hc_level = level_of g.Plan.g_table;
-                      hc_reader = reader;
-                    }
-                end
-                else None)
+                let reader =
+                  if full || h.Plan.h_strategy = Plan.H_check then
+                    Some
+                      (open_column ctx ~table:g.Plan.g_table
+                         ~column:h.Plan.h_pred.Predicate.column)
+                  else None
+                in
+                (g, h, reader))
              g.Plan.g_hidden)
         plan.Plan.groups
+    in
+    let checks =
+      List.filter_map
+        (fun ((g : Plan.group), (h : Plan.hidden_pred), reader) ->
+           Option.map
+             (fun r ->
+                { hc_pred = h.Plan.h_pred; hc_level = level_of g.Plan.g_table; hc_reader = r })
+             reader)
+        hidden
     in
     (* 3. SKT access + probes. Under [Full] every root id is a
        candidate, so tombstones and visible selections are tested here;
@@ -821,45 +866,48 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
         measure ctx "DeltaScan"
           ~tuples_in:(if full then Delta_log.physical_records log else Delta_log.count log)
           (fun () ->
-          (* Root columns ride in the record; deeper ones are read
-             through the check readers under [Full], fresh ones
-             otherwise. *)
-          let from_record pred r = Delta_log.hidden_value log r pred.Predicate.column in
-          let through reader lvl (r : Delta_log.row) =
-            Column_store.get reader r.Delta_log.ids.(lvl)
-          in
-          let hidden =
-            if full then
-              List.map
-                (fun hc ->
-                   ( hc.hc_pred,
-                     if hc.hc_level = 0 then from_record hc.hc_pred
-                     else through hc.hc_reader hc.hc_level ))
-                checks
+          (* Root columns ride in the record. A deeper predicate that
+             {!Plan.delta_bitmap} names tests one bit of a bitmap filled
+             when the first record needs it, or reads a fresh reader per
+             record when the arena refuses the bitmap; every other one
+             reads its check reader per record. *)
+          let hidden_test ((g : Plan.group), (h : Plan.hidden_pred), reader) =
+            let pred = h.Plan.h_pred in
+            let table = g.Plan.g_table in
+            let lvl = level_of table in
+            let holds v =
+              if full then cpu ctx 2;
+              Predicate.holds pred v
+            in
+            if lvl = 0 then fun (r : Delta_log.row) ->
+              holds (Delta_log.hidden_value log r pred.Predicate.column)
+            else if Plan.delta_bitmap plan g h then begin
+              let test = ref None in
+              fun r ->
+                let mem =
+                  match !test with
+                  | Some mem -> mem
+                  | None ->
+                    let mem =
+                      match delta_bitmap ctx ~table pred with
+                      | Some mem -> mem
+                      | None ->
+                        let reader = open_column ctx ~table ~column:pred.Predicate.column in
+                        fun id -> holds (Column_store.get reader id)
+                    in
+                    test := Some mem;
+                    mem
+                in
+                mem r.Delta_log.ids.(lvl)
+            end
             else
-              List.concat_map
-                (fun (g : Plan.group) ->
-                   List.map
-                     (fun (h : Plan.hidden_pred) ->
-                        let table = g.Plan.g_table in
-                        let pred = h.Plan.h_pred in
-                        ( pred,
-                          if table = root then from_record pred
-                          else
-                            through
-                              (open_column ctx ~table ~column:pred.Predicate.column)
-                              (level_of table) ))
-                     g.Plan.g_hidden)
-                plan.Plan.groups
+              let reader = Option.get reader in
+              fun r -> holds (Column_store.get reader r.Delta_log.ids.(lvl))
           in
           let on_ids test (r : Delta_log.row) = test r.Delta_log.ids in
           let tests =
             on_ids not_deleted
-            :: List.map
-                 (fun (pred, read) r ->
-                    if full then cpu ctx 2;
-                    Predicate.holds pred (read r))
-                 hidden
+            :: List.map hidden_test hidden
             @ List.map on_ids (shipped_tests ())
             @ List.map (fun b -> on_ids (bloom_test b)) blooms
           in

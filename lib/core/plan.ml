@@ -124,6 +124,9 @@ let reads_skt t =
           && (post_filtered g || List.exists (fun h -> h.h_strategy = H_check) g.g_hidden))
        t.groups
 
+let delta_bitmap t g h =
+  t.oblivious <> Oblivious.Full && g.g_table <> t.root && h.h_strategy = H_index
+
 (* One hidden predicate's root-level lists are disjoint, so their
    directory counts sum to the COUNT( * ) it asks for. *)
 let count_source ~tombstones t =

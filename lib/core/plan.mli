@@ -112,6 +112,17 @@ val reads_skt : t -> bool
     A function of the plan alone, so the choice shows nothing about
     the data. *)
 
+val delta_bitmap : t -> group -> hidden_pred -> bool
+(** True for an [H_index] predicate of a group below the root, outside
+    [Full]. Rows inserted since the load are not in the climbing
+    indexes, and their id vectors reach the table only at its own
+    level, so the delta scan tests such a predicate against a bitmap of
+    the table's matching ids, filled once per scan from the index's
+    lists at that level, instead of reading the column once per
+    record. Every other hidden predicate below the root is read per
+    record through its check reader. The cost model prices the same
+    split. *)
+
 val count_source : tombstones:int -> t -> (string * Predicate.t) option
 (** [Some (table, pred)] when the plan is a [COUNT( * )] without GROUP
     BY whose only selection is one [H_index] hidden predicate on
