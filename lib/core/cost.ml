@@ -133,18 +133,35 @@ let merge_passes_us env ~k ~bytes =
     +. cpu_us env (bytes /. avg_varint_bytes *. 5.)
   end
 
-(* Traversing one hidden predicate's climbing index at [level]:
-   directory binary search + list bytes. *)
-let hidden_index_us env ~table (p : Predicate.t) ~level_count =
+(* Reading one hidden predicate's climbing index at a level of
+   [level_count] rows: the directory binary search plus the list bytes,
+   with the matched values (one list each), the list bytes and the ids
+   they hold. *)
+let index_read env ~table (p : Predicate.t) ~level_count =
   let stats = Catalog.column_stats env.cat ~table ~column:p.Predicate.column in
   let distinct = Float.of_int (max 1 (Col_stats.distinct stats)) in
   let s = sel env p in
   let dir_probes = Float.max 1. (log distinct /. log 2.) in
-  let list_bytes = s *. Float.of_int level_count *. avg_varint_bytes in
+  let ids = s *. Float.of_int level_count in
+  let list_bytes = ids *. avg_varint_bytes in
   let matched_values = Float.max 1. (s *. distinct) in
-  point_read_us env 40. *. dir_probes
-  +. read_stream_us env list_bytes
-  +. merge_passes_us env ~k:(int_of_float matched_values) ~bytes:list_bytes
+  ( point_read_us env 40. *. dir_probes +. read_stream_us env list_bytes,
+    matched_values,
+    list_bytes,
+    ids )
+
+(* Traversing one hidden predicate's climbing index at [level]: the
+   read, then the merge of its lists. *)
+let hidden_index_us env ~table p ~level_count =
+  let read_us, matched_values, list_bytes, _ = index_read env ~table p ~level_count in
+  read_us +. merge_passes_us env ~k:(int_of_float matched_values) ~bytes:list_bytes
+
+(* Filling a delta bitmap ([Plan.delta_bitmap]): the predicate's lists
+   at the table's own level, read one at a time — they are disjoint, so
+   no merge pass — and one CPU op per id set. *)
+let delta_index_us env ~table p =
+  let read_us, _, _, ids = index_read env ~table p ~level_count:(count env table) in
+  read_us +. cpu_us env ids
 
 (* Climbing [m] T-ids to the root: per-id locator chunk read + per-id
    list chunk read(s) + hierarchical merge passes. The executor reads
@@ -190,18 +207,17 @@ let emit_bound env =
   | Some l -> max 0 (min l live)
   | None -> live
 
-(* Merge-on-read charge for the delta log under leveled runs: the read
-   amplification is the run pages surviving fence skipping plus the
-   (bounded) L0 pages, at scratch speed — run pages are recycled
-   constantly, so the cache never fronts them — plus the executor's 5
-   CPU ops per record scanned. [fraction] is the expected share of run
-   pages a fenced scan touches (1 for an unfenced or oblivious scan).
-   Zero — no term, no label — on a flat log, so the seed's estimates
-   stay bit-identical. *)
-let delta_scan_us env ~fraction =
+(* Merge-on-read charge for the delta log: the read amplification is
+   the run pages surviving fence skipping plus the (bounded) L0 pages,
+   at scratch speed — run pages are recycled constantly, so the cache
+   never fronts them — plus the executor's 5 CPU ops per record
+   scanned. [fraction] is the expected share of run pages a fenced scan
+   touches (1 for an unfenced or oblivious scan); a flat log is all L0.
+   Also returns the records scanned, which the per-record hidden tests
+   are priced on. *)
+let delta_scan env ~fraction =
   match Catalog.delta env.cat env.plan.Plan.root with
-  | None -> 0.
-  | Some log when not (Delta_log.runs_enabled log) -> 0.
+  | None -> (0., 0.)
   | Some log ->
     let page = Float.of_int env.cfg.Device.flash_geometry.Flash.page_size in
     let run_pages = Float.of_int (Delta_log.run_pages log) in
@@ -209,8 +225,8 @@ let delta_scan_us env ~fraction =
     let touched = (fraction *. run_pages) +. l0_pages in
     let total = run_pages +. l0_pages in
     let share = if total <= 0. then 0. else touched /. total in
-    scratch_read_us env (touched *. page)
-    +. cpu_us env (5. *. share *. Float.of_int (Delta_log.physical_records log))
+    let records = share *. Float.of_int (Delta_log.physical_records log) in
+    (scratch_read_us env (touched *. page) +. cpu_us env (5. *. records), records)
 
 (* Bytes the query-time point-read paths keep going back to: index
    directories (binary searches revisit the top levels constantly),
@@ -300,10 +316,13 @@ let count_index_us env ~table (p : Predicate.t) =
      bound-depth SKT scan of every loaded root row;
    - hidden predicates: the [H_check] ones, read per candidate; under
      [Full], every hidden predicate on every root row;
-   - the delta scan and projection streams: a fenced scan and
-     selection-filtered streams joined against the survivors; under
-     [Full], the whole log and full-column streams, with every row kept
-     to the end.
+   - the delta scan and projection streams: a fenced scan, whose
+     hidden predicates below the root test a bitmap filled from the
+     climbing index ([Plan.delta_bitmap]) or read the column per
+     record, and selection-filtered streams joined against the
+     survivors; under [Full], the whole log with every such predicate
+     read per record, and full-column streams, with every row kept to
+     the end.
 
    Under [Full] every term is thus a function of the schema and public
    bounds alone; selectivities only predict [est_results]. *)
@@ -498,8 +517,35 @@ let estimate cat (plan : Plan.t) =
     | Some g when (not full) && Plan.pre_filtered g -> visible_sel env g.Plan.g_visible
     | _ -> 1.
   in
-  let ds = delta_scan_us env ~fraction:delta_fraction in
+  let ds, records = delta_scan env ~fraction:delta_fraction in
   if ds > 0. then spend "delta-scan" ds;
+  (* The scanned records' hidden predicates below the root (root ones
+     ride in the record): a [Plan.delta_bitmap] predicate fills its
+     bitmap once and tests a bit per record; any other one reads its
+     column once per record. *)
+  if records > 0. then
+    List.iter
+      (fun (g : Plan.group) ->
+         let t = g.Plan.g_table in
+         List.iter
+           (fun (h : Plan.hidden_pred) ->
+              let column = h.Plan.h_pred.Predicate.column in
+              if t = root then ()
+              else if Plan.delta_bitmap plan g h then begin
+                env.ram_bytes <- env.ram_bytes + ((Catalog.table_count cat t + 7) / 8);
+                spend
+                  (Printf.sprintf "delta-index(%s.%s)" t column)
+                  (delta_index_us env ~table:t h.Plan.h_pred)
+              end
+              else begin
+                let col = Schema.find_column (Schema.find_table schema t) column in
+                spend
+                  (Printf.sprintf "delta-check(%s.%s)" t column)
+                  (records
+                   *. point_read_us env (Float.of_int (Value.ty_width col.Column.ty)))
+              end)
+           g.Plan.g_hidden)
+      plan.Plan.groups;
   (* 3. Hidden predicates checked per candidate. *)
   List.iter
     (fun (g : Plan.group) ->
