@@ -1753,6 +1753,12 @@ let write_heavy ?metrics ?(scale = default_scale) () =
          Pre.PreID BETWEEN %d AND %d AND Pre.Quantity >= 1"
         lo (lo + 30))
   in
+  (* ghostbench write_mix's hidden join: its Purpose predicate sits
+     below the root, so each delta record is tested against it *)
+  let join_sql =
+    "SELECT COUNT(*) FROM Prescription Pre, Visit Vis WHERE Vis.Purpose = \
+     'Sclerosis' AND Vis.VisID = Pre.VisID"
+  in
   let p95 xs =
     let a = Array.of_list xs in
     Array.sort compare a;
@@ -1789,6 +1795,7 @@ let write_heavy ?metrics ?(scale = default_scale) () =
           Delta_log.count log )
     in
     let report_rows = ref [] in
+    let join_lat = ref [] in
     for round = 1 to rounds do
       Ghost_db.insert db (rows_for db rng batch);
       (* retire some of the previous round's inserts, so compaction has
@@ -1801,6 +1808,8 @@ let write_heavy ?metrics ?(scale = default_scale) () =
       (* idle time between bursts: the compactor drains its backlog *)
       Option.iter Compaction.run_pending compactor;
       let lat = List.map probe_once probe_sqls in
+      let join = probe_once join_sql in
+      join_lat := join :: !join_lat;
       let physical, l0, runs, run_pages, total = depth () in
       report_rows :=
         [
@@ -1813,6 +1822,7 @@ let write_heavy ?metrics ?(scale = default_scale) () =
           string_of_int run_pages;
           Report.us (mean lat);
           Report.us (p95 lat);
+          Report.us join;
         ]
         :: !report_rows
     done;
@@ -1829,17 +1839,19 @@ let write_heavy ?metrics ?(scale = default_scale) () =
          Metrics.incr m (Printf.sprintf "write_heavy_run_pages.%s" name)
            ~by:run_pages;
          Metrics.add_gauge m (Printf.sprintf "write_heavy.%s.p95_us" name)
-           (p95 final_lat))
+           (p95 final_lat);
+         Metrics.add_gauge m (Printf.sprintf "write_heavy.%s.join_p95_us" name)
+           (p95 !join_lat))
       metrics;
-    (List.rev !report_rows, p95 final_lat)
+    (List.rev !report_rows, p95 final_lat, p95 !join_lat)
   in
-  let flat_rows, flat_p95 = run_mode false in
-  let leveled_rows, leveled_p95 = run_mode true in
+  let flat_rows, flat_p95, flat_join = run_mode false in
+  let leveled_rows, leveled_p95, leveled_join = run_mode true in
   Report.make ~id:"E23"
     ~title:"Write-heavy: probe p95 vs delta-log depth, compaction off/on"
     ~header:
       [ "mode"; "round"; "delta recs"; "physical"; "L0 pages"; "runs";
-        "run pages"; "probe mean"; "probe p95" ]
+        "run pages"; "probe mean"; "probe p95"; "join" ]
     ~notes:
       [
         Printf.sprintf
@@ -1847,6 +1859,10 @@ let write_heavy ?metrics ?(scale = default_scale) () =
            the compactor drain, then runs %d fenced window probes (visible \
            PreID range + hidden Quantity predicate, forced Pre strategy)"
           batch deletes_per_round probes;
+        "join: one ghostbench write_mix Purpose COUNT(*) join per round \
+         (forced Pre strategy, so Visit.Purpose goes through its climbing \
+         index); the delta scan tests each inserted row's visit against a \
+         RAM bitmap of the matching visits, filled from the index";
         "flat: the append-only log grows unbounded and every probe scans all \
          of it; leveled: L0 spills into sorted runs whose [min,max] key \
          fences let the probe skip non-overlapping pages, and folding \
@@ -1855,6 +1871,8 @@ let write_heavy ?metrics ?(scale = default_scale) () =
           "final probe p95: flat %s vs leveled %s (%s)"
           (Report.us flat_p95) (Report.us leveled_p95)
           (Report.factor (flat_p95 /. Float.max leveled_p95 1e-9));
+        Printf.sprintf "join p95 over the rounds: flat %s vs leveled %s"
+          (Report.us flat_join) (Report.us leveled_join);
       ]
     (flat_rows @ leveled_rows)
 
