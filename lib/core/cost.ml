@@ -133,35 +133,23 @@ let merge_passes_us env ~k ~bytes =
     +. cpu_us env (bytes /. avg_varint_bytes *. 5.)
   end
 
-(* Reading one hidden predicate's climbing index at a level of
-   [level_count] rows: the directory binary search plus the list bytes,
-   with the matched values (one list each), the list bytes and the ids
-   they hold. *)
-let index_read env ~table (p : Predicate.t) ~level_count =
+(* Traversing one hidden predicate's climbing index at [level]:
+   directory binary search + list bytes, then the merge of its lists.
+   A delta bitmap ([Plan.delta_bitmap], [bitmap]) reads the lists one
+   at a time instead — they are disjoint, so there is no merge pass —
+   at one CPU op per id it sets. *)
+let hidden_index_us ?(bitmap = false) env ~table (p : Predicate.t) ~level_count =
   let stats = Catalog.column_stats env.cat ~table ~column:p.Predicate.column in
   let distinct = Float.of_int (max 1 (Col_stats.distinct stats)) in
   let s = sel env p in
   let dir_probes = Float.max 1. (log distinct /. log 2.) in
-  let ids = s *. Float.of_int level_count in
-  let list_bytes = ids *. avg_varint_bytes in
+  let list_bytes = s *. Float.of_int level_count *. avg_varint_bytes in
   let matched_values = Float.max 1. (s *. distinct) in
-  ( point_read_us env 40. *. dir_probes +. read_stream_us env list_bytes,
-    matched_values,
-    list_bytes,
-    ids )
-
-(* Traversing one hidden predicate's climbing index at [level]: the
-   read, then the merge of its lists. *)
-let hidden_index_us env ~table p ~level_count =
-  let read_us, matched_values, list_bytes, _ = index_read env ~table p ~level_count in
-  read_us +. merge_passes_us env ~k:(int_of_float matched_values) ~bytes:list_bytes
-
-(* Filling a delta bitmap ([Plan.delta_bitmap]): the predicate's lists
-   at the table's own level, read one at a time — they are disjoint, so
-   no merge pass — and one CPU op per id set. *)
-let delta_index_us env ~table p =
-  let read_us, _, _, ids = index_read env ~table p ~level_count:(count env table) in
-  read_us +. cpu_us env ids
+  point_read_us env 40. *. dir_probes
+  +. read_stream_us env list_bytes
+  +.
+  if bitmap then cpu_us env (s *. Float.of_int level_count)
+  else merge_passes_us env ~k:(int_of_float matched_values) ~bytes:list_bytes
 
 (* Climbing [m] T-ids to the root: per-id locator chunk read + per-id
    list chunk read(s) + hierarchical merge passes. The executor reads
@@ -535,7 +523,8 @@ let estimate cat (plan : Plan.t) =
                 env.ram_bytes <- env.ram_bytes + ((Catalog.table_count cat t + 7) / 8);
                 spend
                   (Printf.sprintf "delta-index(%s.%s)" t column)
-                  (delta_index_us env ~table:t h.Plan.h_pred)
+                  (hidden_index_us ~bitmap:true env ~table:t h.Plan.h_pred
+                     ~level_count:(count env t))
               end
               else begin
                 let col = Schema.find_column (Schema.find_table schema t) column in

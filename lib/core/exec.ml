@@ -437,12 +437,6 @@ type bloom_filter = {
   bf_cell : Ram.cell;
 }
 
-type hidden_check = {
-  hc_pred : Predicate.t;
-  hc_level : int;
-  hc_reader : Column_store.reader;
-}
-
 let build_bloom ctx ~level_of (g : Plan.group) =
   let table = g.Plan.g_table in
   measure ctx (Printf.sprintf "BloomBuild(%s)" table) ~tuples_in:0 (fun () ->
@@ -701,10 +695,6 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
       cpu ctx (Bloom.k b.bf);
       Bloom.mem b.bf ids.(b.bf_level)
     in
-    let check_test hc ids =
-      cpu ctx 2;
-      Predicate.holds hc.hc_pred (Column_store.get hc.hc_reader ids.(hc.hc_level))
-    in
     (* 1. Candidate root ids. A countable plan (see {!Plan.count_source})
        sums the directory counts of its one predicate instead: no id is
        read, and Merge+Index and AccessSKT stay in the ledger empty. *)
@@ -775,7 +765,8 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
       end
     in
     (* 2. Post-filter structures: Bloom filters, hidden-column checks
-       (every hidden predicate under [Full]). *)
+       (every hidden predicate under [Full]). Each check's reader is
+       opened once, for AccessSKT and DeltaScan alike. *)
     let blooms =
       if full then []
       else
@@ -803,8 +794,10 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
       List.filter_map
         (fun ((g : Plan.group), (h : Plan.hidden_pred), reader) ->
            Option.map
-             (fun r ->
-                { hc_pred = h.Plan.h_pred; hc_level = level_of g.Plan.g_table; hc_reader = r })
+             (fun r ids ->
+                cpu ctx 2;
+                Predicate.holds h.Plan.h_pred
+                  (Column_store.get r ids.(level_of g.Plan.g_table)))
              reader)
         hidden
     in
@@ -812,8 +805,8 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
        candidate, so tombstones and visible selections are tested here;
        the Pre-filtered candidates passed both in Merge+Index. *)
     let tests =
-      if full then (not_deleted :: List.map check_test checks) @ shipped_tests ()
-      else List.map bloom_test blooms @ List.map check_test checks
+      if full then (not_deleted :: checks) @ shipped_tests ()
+      else List.map bloom_test blooms @ checks
     in
     let surviving =
       measure ctx
