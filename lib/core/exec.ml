@@ -845,10 +845,11 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
            (rows, !n_live))
     in
     (* Rows inserted after the load live in the delta log: scan it,
-       applying every predicate directly (indexes do not cover them).
-       Visible Pre-filter predicates use the shipped id lists; Post
-       predicates use the Bloom filters (plus the exact verification
-       joins below, like main rows). *)
+       applying every predicate directly (the root-level index lists do
+       not cover them; a table below the root gains no row, so its own
+       level does). Visible Pre-filter predicates use the shipped id
+       lists; Post predicates use the Bloom filters (plus the exact
+       verification joins below, like main rows). *)
     let delta_rows =
       match Catalog.delta catalog root with
       | None -> []

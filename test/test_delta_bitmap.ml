@@ -47,17 +47,18 @@ let queries =
     ("count_bmi", count_bmi "30.00");
   ]
 
-(* Durable leveled logs whose inserts spill into sorted runs: small
-   pages at tiny scale, write_mix's device at small scale. *)
-let leveled (scale : Medical.scale) =
-  let runs = { Device.default_config with durable_logs = true } in
-  if scale == Medical.tiny then
-    {
-      runs with
-      Device.flash_geometry = { Flash.page_size = 256; pages_per_block = 8 };
-      log_runs = Some { Device.l0_spill_pages = 2; run_fanout = 2 };
-    }
-  else { runs with Device.log_runs = Some Device.default_log_runs }
+(* Durable leveled logs: small pages at tiny scale, so its few inserts
+   spill into sorted runs; write_mix's device at small scale. *)
+let tiny_leveled =
+  {
+    Device.default_config with
+    Device.durable_logs = true;
+    flash_geometry = { Flash.page_size = 256; pages_per_block = 8 };
+    log_runs = Some { Device.l0_spill_pages = 2; run_fanout = 2 };
+  }
+
+let small_leveled =
+  { Device.default_config with durable_logs = true; log_runs = Some Device.default_log_runs }
 
 let new_rows (scale : Medical.scale) rng ~first n =
   List.init n (fun i ->
@@ -139,7 +140,7 @@ let check_panels st ~what =
 
 (* Inserts, then deletes of loaded and inserted rows, then compaction,
    on a flat and a leveled log; the panels are checked after each. *)
-let rows_match_reference (scale : Medical.scale) ~inserts () =
+let rows_match_reference (scale : Medical.scale) ~leveled ~inserts () =
   List.iter
     (fun (log, device_config) ->
        let st = load ?device_config scale in
@@ -156,7 +157,7 @@ let rows_match_reference (scale : Medical.scale) ~inserts () =
            (Delta_log.run_count
               (Option.get (Catalog.delta (Ghost_db.catalog st.db) "Prescription"))
             > 0))
-    [ ("flat", None); ("leveled", Some (leveled scale)) ]
+    [ ("flat", None); ("leveled", Some leveled) ]
 
 (* The indexed Purpose join of write_mix, its plan and its run. *)
 let purpose_join st =
@@ -264,9 +265,9 @@ let test_pad_fingerprint_after_inserts () =
 let suite =
   [
     Alcotest.test_case "panel rows = reference after mutations (tiny)" `Quick
-      (rows_match_reference Medical.tiny ~inserts:60);
+      (rows_match_reference Medical.tiny ~leveled:tiny_leveled ~inserts:60);
     Alcotest.test_case "panel rows = reference after mutations (small)" `Slow
-      (rows_match_reference Medical.small ~inserts:400);
+      (rows_match_reference Medical.small ~leveled:small_leveled ~inserts:400);
     Alcotest.test_case "delta scan reads grow by log pages only" `Quick
       test_reads_grow_by_log_pages;
     Alcotest.test_case "bitmap charged to the arena" `Quick test_bitmap_in_arena;
