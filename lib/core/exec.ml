@@ -793,11 +793,11 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
     let checks =
       List.filter_map
         (fun ((g : Plan.group), (h : Plan.hidden_pred), reader) ->
+           let lvl = level_of g.Plan.g_table in
            Option.map
              (fun r ids ->
                 cpu ctx 2;
-                Predicate.holds h.Plan.h_pred
-                  (Column_store.get r ids.(level_of g.Plan.g_table)))
+                Predicate.holds h.Plan.h_pred (Column_store.get r ids.(lvl)))
              reader)
         hidden
     in
