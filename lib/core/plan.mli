@@ -114,14 +114,13 @@ val reads_skt : t -> bool
 
 val delta_bitmap : t -> group -> hidden_pred -> bool
 (** True for an [H_index] predicate of a group below the root, outside
-    [Full]. Rows inserted since the load are not in the climbing
-    indexes, and their id vectors reach the table only at its own
-    level, so the delta scan tests such a predicate against a bitmap of
-    the table's matching ids, filled once per scan from the index's
-    lists at that level, instead of reading the column once per
-    record. Every other hidden predicate below the root is read per
-    record through its check reader. The cost model prices the same
-    split. *)
+    [Full]. A root row inserted since the load is in no climbing index,
+    but the row of the group's table it joins is: the index's lists at
+    that table's own level hold its matching ids. So the delta scan
+    tests such a predicate against a bitmap of those ids, filled once
+    per scan, instead of reading the column once per record. Every
+    other hidden predicate below the root is read per record through
+    its check reader. The cost model prices the same split. *)
 
 val count_source : tombstones:int -> t -> (string * Predicate.t) option
 (** [Some (table, pred)] when the plan is a [COUNT( * )] without GROUP
