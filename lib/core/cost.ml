@@ -63,6 +63,15 @@ let point_read_us ?hit env bytes =
     *. (env.fc.Flash.read_seek_us +. (page *. env.fc.Flash.read_byte_us))
   else env.fc.Flash.read_seek_us +. (bytes *. env.fc.Flash.read_byte_us)
 
+(* Time to read [bytes] in order through a paged window, as
+   [Exec]'s [Full] scans do: one Flash read per page. *)
+let page_stream_us env bytes =
+  if bytes <= 0. then 0.
+  else
+    let page = Float.of_int env.cfg.Device.flash_geometry.Flash.page_size in
+    (1. -. env.cache_hit)
+    *. ((ceil (bytes /. page) *. env.fc.Flash.read_seek_us) +. (bytes *. env.fc.Flash.read_byte_us))
+
 let write_stream_us env bytes =
   if bytes <= 0. then 0.
   else
@@ -361,9 +370,14 @@ let estimate cat (plan : Plan.t) =
                    +. cpu_us env (Float.of_int n_t)))
              g.Plan.g_visible)
         plan.Plan.groups;
+      (* the SKT read in order, page by page, at one CPU op a row and 2
+         per shipped list tested *)
+      let shipped =
+        List.length (List.filter (fun (g : Plan.group) -> g.Plan.g_visible <> []) plan.Plan.groups)
+      in
       spend "bound-scan"
-        (read_stream_us env (Float.of_int n_root *. skt_row_bytes)
-         +. cpu_us env (Float.of_int n_root *. 3.));
+        (page_stream_us env (Float.of_int n_root *. skt_row_bytes)
+         +. cpu_us env (Float.of_int n_root *. (1. +. (2. *. Float.of_int shipped))));
       (* the live share: it predicts [est_results] and prices nothing *)
       let all_sel =
         List.fold_left
@@ -508,9 +522,10 @@ let estimate cat (plan : Plan.t) =
   let ds, records = delta_scan env ~fraction:delta_fraction in
   if ds > 0. then spend "delta-scan" ds;
   (* The scanned records' hidden predicates below the root (root ones
-     ride in the record): a [Plan.delta_bitmap] predicate fills its
-     bitmap once and tests a bit per record; any other one reads its
-     column once per record. *)
+     ride in the record), per [Plan.delta_bitmap]: a bitmap filled from
+     the index lists once, a bit tested per record; BoundScan's bitmap
+     under [Full], priced with its fill below; or a read of the column
+     per record. *)
   if records > 0. then
     List.iter
       (fun (g : Plan.group) ->
@@ -518,37 +533,53 @@ let estimate cat (plan : Plan.t) =
          List.iter
            (fun (h : Plan.hidden_pred) ->
               let column = h.Plan.h_pred.Predicate.column in
-              if t = root then ()
-              else if Plan.delta_bitmap plan g h then begin
-                env.ram_bytes <- env.ram_bytes + ((Catalog.table_count cat t + 7) / 8);
-                spend
-                  (Printf.sprintf "delta-index(%s.%s)" t column)
-                  (hidden_index_us ~bitmap:true env ~table:t h.Plan.h_pred
-                     ~level_count:(count env t))
-              end
-              else begin
-                let col = Schema.find_column (Schema.find_table schema t) column in
-                spend
-                  (Printf.sprintf "delta-check(%s.%s)" t column)
-                  (records
-                   *. point_read_us env (Float.of_int (Value.ty_width col.Column.ty)))
-              end)
+              if t <> root then
+                match Plan.delta_bitmap plan g h with
+                | Some Plan.Index_lists ->
+                  env.ram_bytes <- env.ram_bytes + ((Catalog.table_count cat t + 7) / 8);
+                  spend
+                    (Printf.sprintf "delta-index(%s.%s)" t column)
+                    (hidden_index_us ~bitmap:true env ~table:t h.Plan.h_pred
+                       ~level_count:(count env t))
+                | Some Plan.Column_scan -> ()
+                | None ->
+                  let col = Schema.find_column (Schema.find_table schema t) column in
+                  spend
+                    (Printf.sprintf "delta-check(%s.%s)" t column)
+                    (records
+                     *. point_read_us env (Float.of_int (Value.ty_width col.Column.ty))))
            g.Plan.g_hidden)
       plan.Plan.groups;
-  (* 3. Hidden predicates checked per candidate. *)
+  (* 3. Hidden predicates checked per candidate. Under [Full], a root
+     column is read in root-id order with the SKT, and one below the
+     root is scanned once into its bitmap, at 2 CPU ops a value either
+     way. *)
   List.iter
     (fun (g : Plan.group) ->
+       let t = g.Plan.g_table in
        List.iter
          (fun (h : Plan.hidden_pred) ->
-            if full || h.Plan.h_strategy = Plan.H_check then begin
-              let tbl = Schema.find_table schema g.Plan.g_table in
-              let col = Schema.find_column tbl h.Plan.h_pred.Predicate.column in
+            let column = h.Plan.h_pred.Predicate.column in
+            let width =
+              Float.of_int
+                (Value.ty_width (Schema.find_column (Schema.find_table schema t) column).Column.ty)
+            in
+            if full then begin
+              let n =
+                if t = root then candidates
+                else begin
+                  env.ram_bytes <- env.ram_bytes + ((Catalog.table_count cat t + 7) / 8);
+                  Float.of_int (Catalog.table_count cat t)
+                end
+              in
               spend
-                (Printf.sprintf
-                   (if full then "check-all(%s.%s)" else "check(%s.%s)")
-                   g.Plan.g_table h.Plan.h_pred.Predicate.column)
-                (candidates *. point_read_us env (Float.of_int (Value.ty_width col.Column.ty)))
-            end)
+                (Printf.sprintf "check-all(%s.%s)" t column)
+                (page_stream_us env (n *. width) +. cpu_us env (2. *. n))
+            end
+            else if h.Plan.h_strategy = Plan.H_check then
+              spend
+                (Printf.sprintf "check(%s.%s)" t column)
+                (candidates *. point_read_us env width))
          g.Plan.g_hidden)
     plan.Plan.groups;
   (* 4. Projection joins: one stream per table with visible projected
@@ -594,17 +625,20 @@ let estimate cat (plan : Plan.t) =
             +. cpu_us env (kept *. 20.))
        end)
     join_tables;
-  (* 5. Final projection: hidden column point reads + result emission,
+  (* 5. Final projection: hidden column point reads — under [Full], a
+     root column in root-id order, page by page — + result emission,
      padded to a power-of-two bucket under [Pad] and to the public
      bound under [Full]. *)
   List.iter
     (fun (table, column) ->
        let tbl = Schema.find_table schema table in
        let col = Schema.find_column tbl column in
+       let width = Float.of_int (Value.ty_width col.Column.ty) in
        if column <> tbl.Schema.key && Column.is_hidden col then
          spend
            (Printf.sprintf (if full then "fetch-all(%s.%s)" else "fetch(%s.%s)") table column)
-           (kept *. point_read_us env (Float.of_int (Value.ty_width col.Column.ty))))
+           (if full && table = root then page_stream_us env (kept *. width)
+            else kept *. point_read_us env width))
     plan.Plan.query.Bind.projections;
   (* [Exec.emit_rows] charges the rows left after aggregation and LIMIT:
      one for an aggregate without GROUP BY, at most one per group

@@ -146,52 +146,77 @@ let column_store_exn ctx ~table ~column =
   | None -> fail "no device column store for %s.%s" table column
 
 (* A buffered reader on a device column store, closed when the plan's
-   resources are released. *)
-let open_column ctx ~table ~column =
+   resources are released (or earlier: closing is idempotent). A paged
+   reader buffers a whole page, for reads in id order. *)
+let open_column ?(paged = false) ctx ~table ~column =
   let cs = column_store_exn ctx ~table ~column in
-  let r = Column_store.open_reader ~ram:ctx.ram ~buffer_bytes:256 ?cache:ctx.cache cs in
+  let r =
+    if paged then Column_store.open_reader ~ram:ctx.ram ~paged ?cache:ctx.cache cs
+    else Column_store.open_reader ~ram:ctx.ram ~buffer_bytes:256 ?cache:ctx.cache cs
+  in
   Resources.defer ctx.resources (fun () -> Column_store.close_reader r);
   r
 
-(* ---- delta bitmaps ----
+let page_size ctx = (Device.config ctx.device).Device.flash_geometry.Flash.page_size
 
-   A hidden predicate on a table below the root selects a set of that
-   table's ids, which the climbing index keeps at the table's own level
-   as one sorted list per matching value. The lists are disjoint, so
-   streaming them one at a time fills a bitmap over 1..n_T with no
-   merge and no spill, at one CPU op per id. The bitmap is charged to
-   the arena; [None] when it and the two 256-byte directory readers of
-   the lookup do not fit, and the caller reads the column instead. *)
-let delta_bitmap ctx ~table (pred : Predicate.t) =
+(* ---- predicate bitmaps ----
+
+   A hidden predicate on a table T below the root selects a set of T's
+   ids; a bitmap over 1..n_T tests it with one bit at the row's level-T
+   id. {!Plan.delta_bitmap} names the fill. [Index_lists] streams the
+   climbing index's lists at T's own level one at a time — they are
+   disjoint, so there is no merge and no spill — at one CPU op per id.
+   [Column_scan] reads the column once in id order through a paged
+   reader and charges 2 ops per value whatever it holds, so its clock
+   and its page reads are the same for any data. The bitmap is charged
+   to the arena until its cell is freed, at the latest with the plan;
+   [None] when it and the fill's readers do not fit, and the caller
+   reads the column per row instead. *)
+let pred_bitmap ctx fill ~table (pred : Predicate.t) =
   let n = Catalog.table_count ctx.catalog table in
   let bytes = (n + 7) / 8 in
-  if not (Ram.would_fit ctx.ram (bytes + (2 * 256))) then None
+  let readers =
+    match fill with
+    | Plan.Index_lists -> 2 * 256
+    | Plan.Column_scan -> page_size ctx
+  in
+  if not (Ram.would_fit ctx.ram (bytes + readers)) then None
   else begin
+    let column = pred.Predicate.column in
     let cell =
-      Ram.alloc ctx.ram
-        ~label:(Printf.sprintf "bitmap(%s.%s)" table pred.Predicate.column)
-        (max 1 bytes)
+      Ram.alloc ctx.ram ~label:(Printf.sprintf "bitmap(%s.%s)" table column) (max 1 bytes)
     in
     Resources.defer ctx.resources (fun () -> Ram.free ctx.ram cell);
     let bits = Bytes.make bytes '\000' in
-    let idx = attr_index_exn ctx ~table ~column:pred.Predicate.column in
-    List.iter
-      (fun (source : Merge_union.source) ->
-         let ids, close = source () in
-         Fun.protect ~finally:close (fun () ->
-           Cursor.iter
-             (fun id ->
-                cpu ctx 1;
-                let i = id - 1 in
-                Bytes.set_uint8 bits (i lsr 3)
-                  (Bytes.get_uint8 bits (i lsr 3) lor (1 lsl (i land 7))))
-             ids))
-      (Climbing_index.lookup_cmp ~ram:ctx.ram ?cache:ctx.cache idx pred.Predicate.cmp
-         ~level:table);
+    let set id =
+      let i = id - 1 in
+      Bytes.set_uint8 bits (i lsr 3) (Bytes.get_uint8 bits (i lsr 3) lor (1 lsl (i land 7)))
+    in
+    (match fill with
+     | Plan.Index_lists ->
+       List.iter
+         (fun (source : Merge_union.source) ->
+            let ids, close = source () in
+            Fun.protect ~finally:close (fun () ->
+              Cursor.iter
+                (fun id ->
+                   cpu ctx 1;
+                   set id)
+                ids))
+         (Climbing_index.lookup_cmp ~ram:ctx.ram ?cache:ctx.cache
+            (attr_index_exn ctx ~table ~column) pred.Predicate.cmp ~level:table)
+     | Plan.Column_scan ->
+       let r = open_column ~paged:true ctx ~table ~column in
+       for id = 1 to n do
+         cpu ctx 2;
+         if Predicate.holds pred (Column_store.get r id) then set id
+       done;
+       Column_store.close_reader r);
     Some
-      (fun id ->
-         let i = id - 1 in
-         i >= 0 && i < n && Bytes.get_uint8 bits (i lsr 3) land (1 lsl (i land 7)) <> 0)
+      ( (fun id ->
+          let i = id - 1 in
+          i >= 0 && i < n && Bytes.get_uint8 bits (i lsr 3) land (1 lsl (i land 7)) <> 0),
+        cell )
   end
 
 (* ---- oblivious metering ----
@@ -764,9 +789,9 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
           (arr, Array.length arr))
       end
     in
-    (* 2. Post-filter structures: Bloom filters, hidden-column checks
-       (every hidden predicate under [Full]). Each check's reader is
-       opened once, for AccessSKT and DeltaScan alike. *)
+    (* 2. Post-filter structures: Bloom filters, and a reader for each
+       [H_check] predicate, opened once for AccessSKT and DeltaScan
+       alike. [Full] opens its readers in BoundScan. *)
     let blooms =
       if full then []
       else
@@ -780,7 +805,7 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
            List.map
              (fun (h : Plan.hidden_pred) ->
                 let reader =
-                  if full || h.Plan.h_strategy = Plan.H_check then
+                  if (not full) && h.Plan.h_strategy = Plan.H_check then
                     Some
                       (open_column ctx ~table:g.Plan.g_table
                          ~column:h.Plan.h_pred.Predicate.column)
@@ -790,42 +815,74 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
              g.Plan.g_hidden)
         plan.Plan.groups
     in
-    let checks =
-      List.filter_map
-        (fun ((g : Plan.group), (h : Plan.hidden_pred), reader) ->
-           let lvl = level_of g.Plan.g_table in
-           Option.map
-             (fun r ids ->
-                cpu ctx 2;
-                Predicate.holds h.Plan.h_pred (Column_store.get r ids.(lvl)))
-             reader)
-        hidden
+    let check (g : Plan.group) (h : Plan.hidden_pred) r =
+      let lvl = level_of g.Plan.g_table in
+      fun ids ->
+        cpu ctx 2;
+        Predicate.holds h.Plan.h_pred (Column_store.get r ids.(lvl))
     in
+    (* Under [Full] a scan in root-id order reads through a paged window
+       when the arena holds a page, through the point-read window
+       otherwise. *)
+    let paged () = full && Ram.would_fit ctx.ram (page_size ctx) in
+    (* [Full]'s bitmaps, filled by BoundScan for the predicates below the
+       root and tested again by DeltaScan; freed after it, with the
+       readers DeltaScan opens. *)
+    let bitmaps = ref [] in
+    let after_delta = ref [] in
     (* 3. SKT access + probes. Under [Full] every root id is a
        candidate, so tombstones and visible selections are tested here;
        the Pre-filtered candidates passed both in Merge+Index. *)
-    let tests =
-      if full then (not_deleted :: checks) @ shipped_tests ()
-      else List.map bloom_test blooms @ checks
-    in
     let surviving =
       measure ctx
         (if full then "BoundScan" else "AccessSKT")
         ~tuples_in:(Array.length candidates)
         (fun () ->
+           (* [Full] closes the readers it opens here when the scan ends. *)
+           let closes = ref [] in
+           let checks =
+             List.filter_map
+               (fun ((g : Plan.group), (h : Plan.hidden_pred), reader) ->
+                  if not full then Option.map (check g h) reader
+                  else begin
+                    let table = g.Plan.g_table in
+                    let column = h.Plan.h_pred.Predicate.column in
+                    match
+                      Option.bind (Plan.delta_bitmap plan g h) (fun fill ->
+                        pred_bitmap ctx fill ~table h.Plan.h_pred)
+                    with
+                    | Some ((mem, _) as bitmap) ->
+                      bitmaps := (h, bitmap) :: !bitmaps;
+                      let lvl = level_of table in
+                      Some (fun ids -> mem ids.(lvl))
+                    | None ->
+                      let r = open_column ~paged:(table = root && paged ()) ctx ~table ~column in
+                      closes := (fun () -> Column_store.close_reader r) :: !closes;
+                      Some (check g h r)
+                  end)
+               hidden
+           in
+           let tests =
+             if full then (not_deleted :: checks) @ shipped_tests ()
+             else List.map bloom_test blooms @ checks
+           in
            (* Point probes: a small window keeps the charged read close
-              to the row size while still batching adjacent candidates.
-              An index-only plan probes nothing: the candidate id is the
+              to the row size while still batching adjacent candidates;
+              [Full] walks every row in order, page by page. An
+              index-only plan probes nothing: the candidate id is the
               whole vector. *)
            let reader =
              match skt_opt with
              | Some skt when Plan.reads_skt plan ->
-               Some (Skt.open_reader ~ram:ctx.ram ~buffer_bytes:64 ?cache:ctx.cache skt)
+               let r =
+                 if paged () then Skt.open_reader ~ram:ctx.ram ~paged:true ?cache:ctx.cache skt
+                 else Skt.open_reader ~ram:ctx.ram ~buffer_bytes:64 ?cache:ctx.cache skt
+               in
+               Resources.defer resources (fun () -> Skt.close_reader r);
+               closes := (fun () -> Skt.close_reader r) :: !closes;
+               Some r
              | Some _ | None -> None
            in
-           Option.iter
-             (fun r -> Resources.defer resources (fun () -> Skt.close_reader r))
-             reader;
            let n_live = ref 0 in
            let rows =
              Array.to_list candidates
@@ -842,6 +899,7 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
                  Some { ids; attached = []; delta_hidden = None; live }
                else None)
            in
+           if full then List.iter (fun close -> close ()) !closes;
            (rows, !n_live))
     in
     (* Rows inserted after the load live in the delta log: scan it,
@@ -861,10 +919,11 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
           ~tuples_in:(if full then Delta_log.physical_records log else Delta_log.count log)
           (fun () ->
           (* Root columns ride in the record. A deeper predicate that
-             {!Plan.delta_bitmap} names tests one bit of a bitmap filled
-             when the first record needs it, or reads a fresh reader per
-             record when the arena refuses the bitmap; every other one
-             reads its check reader per record. *)
+             {!Plan.delta_bitmap} names tests one bit of a bitmap — under
+             [Full] BoundScan's, otherwise one filled when the first
+             record needs it — or reads a fresh reader per record when
+             the arena refused the bitmap; every other one reads its
+             check reader per record. *)
           let hidden_test ((g : Plan.group), (h : Plan.hidden_pred), reader) =
             let pred = h.Plan.h_pred in
             let table = g.Plan.g_table in
@@ -873,30 +932,42 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
               if full then cpu ctx 2;
               Predicate.holds pred v
             in
+            let read_column () =
+              let reader = open_column ctx ~table ~column:pred.Predicate.column in
+              if full then after_delta := (fun () -> Column_store.close_reader reader) :: !after_delta;
+              fun id -> holds (Column_store.get reader id)
+            in
             if lvl = 0 then fun (r : Delta_log.row) ->
               holds (Delta_log.hidden_value log r pred.Predicate.column)
-            else if Plan.delta_bitmap plan g h then begin
-              let test = ref None in
-              fun r ->
-                let mem =
-                  match !test with
-                  | Some mem -> mem
-                  | None ->
-                    let mem =
-                      match delta_bitmap ctx ~table pred with
-                      | Some mem -> mem
-                      | None ->
-                        let reader = open_column ctx ~table ~column:pred.Predicate.column in
-                        fun id -> holds (Column_store.get reader id)
-                    in
-                    test := Some mem;
-                    mem
-                in
-                mem r.Delta_log.ids.(lvl)
+            else if full then begin
+              let mem =
+                match List.assq_opt h !bitmaps with
+                | Some (mem, _) -> mem
+                | None -> read_column ()
+              in
+              fun r -> mem r.Delta_log.ids.(lvl)
             end
             else
-              let reader = Option.get reader in
-              fun r -> holds (Column_store.get reader r.Delta_log.ids.(lvl))
+              match Plan.delta_bitmap plan g h, reader with
+              | Some fill, _ ->
+                let test = ref None in
+                fun r ->
+                  let mem =
+                    match !test with
+                    | Some mem -> mem
+                    | None ->
+                      let mem =
+                        match pred_bitmap ctx fill ~table pred with
+                        | Some (mem, _) -> mem
+                        | None -> read_column ()
+                      in
+                      test := Some mem;
+                      mem
+                  in
+                  mem r.Delta_log.ids.(lvl)
+              | None, reader ->
+                let reader = Option.get reader in
+                fun r -> holds (Column_store.get reader r.Delta_log.ids.(lvl))
           in
           let on_ids test (r : Delta_log.row) = test r.Delta_log.ids in
           let tests =
@@ -943,8 +1014,10 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
                   live;
                 }
                 :: !out);
+          List.iter (fun close -> close ()) !after_delta;
           (List.rev !out, !n_live))
     in
+    List.iter (fun (_, (_, cell)) -> Ram.free ctx.ram cell) !bitmaps;
     let surviving = surviving @ delta_rows in
     (* 4. Projection joins: visible projected columns + verification of
        Post-filtered tables. *)
@@ -995,13 +1068,14 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
     let attach_order = List.map (fun (t, c, _) -> (t, c)) projected_visible in
     let result_rows =
       measure ctx "Project" ~tuples_in:(List.length !rows) (fun () ->
-        (* Readers for projected hidden columns. *)
+        (* Readers for projected hidden columns; the rows arrive in
+           root-id order, so a root column reads by pages under [Full]. *)
         let hidden_readers = Hashtbl.create 8 in
         let reader_for table column =
           match Hashtbl.find_opt hidden_readers (table, column) with
           | Some r -> r
           | None ->
-            let r = open_column ctx ~table ~column in
+            let r = open_column ~paged:(table = root && paged ()) ctx ~table ~column in
             Hashtbl.replace hidden_readers (table, column) r;
             r
         in

@@ -124,8 +124,15 @@ let reads_skt t =
           && (post_filtered g || List.exists (fun h -> h.h_strategy = H_check) g.g_hidden))
        t.groups
 
+type bitmap_fill =
+  | Index_lists
+  | Column_scan
+
 let delta_bitmap t g h =
-  t.oblivious <> Oblivious.Full && g.g_table <> t.root && h.h_strategy = H_index
+  if g.g_table = t.root then None
+  else if t.oblivious = Oblivious.Full then Some Column_scan
+  else if h.h_strategy = H_index then Some Index_lists
+  else None
 
 (* One hidden predicate's root-level lists are disjoint, so their
    directory counts sum to the COUNT( * ) it asks for. *)

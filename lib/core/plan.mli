@@ -112,15 +112,28 @@ val reads_skt : t -> bool
     A function of the plan alone, so the choice shows nothing about
     the data. *)
 
-val delta_bitmap : t -> group -> hidden_pred -> bool
-(** True for an [H_index] predicate of a group below the root, outside
-    [Full]. A root row inserted since the load is in no climbing index,
-    but the row of the group's table it joins is: the index's lists at
-    that table's own level hold its matching ids. So the delta scan
-    tests such a predicate against a bitmap of those ids, filled once
-    per scan, instead of reading the column once per record. Every
-    other hidden predicate below the root is read per record through
-    its check reader. The cost model prices the same split. *)
+type bitmap_fill =
+  | Index_lists
+      (** the climbing index's lists at the table's own level, streamed
+          one at a time: they are disjoint, so nothing is merged *)
+  | Column_scan
+      (** one scan of the hidden column in id order, through a paged
+          window, charging the same CPU for every value *)
+
+val delta_bitmap : t -> group -> hidden_pred -> bitmap_fill option
+(** [Some fill] for a hidden predicate of a group below the root that
+    is tested on a bitmap of its table's matching ids, one bit at the
+    row's id at that table's level, instead of a read of the column per
+    row. Outside [Full] these are the [H_index] predicates, tested so
+    by the delta scan alone: a root row inserted since the load is in no
+    climbing index, but the row of the group's table it joins is, so the
+    index's lists at that table's level hold its matching ids. Under
+    [Full] every predicate below the root is, in the bound-depth scan
+    and the delta scan alike: the column scan reads every value in id
+    order, so the reads no longer follow the hidden foreign keys that
+    lead to the table. [None] for root predicates (read off the root
+    row) and for the [H_check] ones outside [Full] (read per row through
+    their check reader). The cost model prices the same split. *)
 
 val count_source : tombstones:int -> t -> (string * Predicate.t) option
 (** [Some (table, pred)] when the plan is a [COUNT( * )] without GROUP

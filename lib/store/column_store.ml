@@ -38,10 +38,10 @@ type reader = {
   scratch : Bytes.t;  (* one encoded value, reused across point reads *)
 }
 
-let open_reader ?ram ?buffer_bytes ?cache t =
+let open_reader ?ram ?buffer_bytes ?paged ?cache t =
   {
     store = t;
-    pr = Pager.Reader.open_ ?ram ?buffer_bytes ?cache t.flash t.segment;
+    pr = Pager.Reader.open_ ?ram ?buffer_bytes ?paged ?cache t.flash t.segment;
     scratch = Bytes.create t.width;
   }
 

@@ -84,6 +84,7 @@ module Reader = struct
     cap : int;  (* payload bytes per page (mirrors the writer's) *)
     verify : bool;  (* check CRC trailers on cache-miss fetches *)
     buffer_bytes : int;
+    paged : bool;  (* windows hold whole pages, see [paged_read] *)
     window : Bytes.t;  (* cached window *)
     mutable win_off : int;
     mutable win_len : int;
@@ -93,10 +94,12 @@ module Reader = struct
     mutable closed : bool;
   }
 
-  let open_ ?ram ?buffer_bytes ?cache flash segment =
+  let open_ ?ram ?buffer_bytes ?(paged = false) ?cache flash segment =
     let page_size = (Flash.geometry flash).Flash.page_size in
     let buffer_bytes = Option.value buffer_bytes ~default:page_size in
     if buffer_bytes <= 0 then invalid_arg "Pager.Reader.open_: buffer_bytes <= 0";
+    if paged && buffer_bytes < page_size then
+      invalid_arg "Pager.Reader.open_: a paged reader buffers a whole page";
     (* The cache fronts exactly one Flash region; readers over any
        other (the scratch Flash) silently bypass it. *)
     let cache =
@@ -115,6 +118,7 @@ module Reader = struct
       cap = (if authed then page_size - Flash.auth_trailer_bytes else page_size);
       verify = authed;
       buffer_bytes;
+      paged;
       window = Bytes.make buffer_bytes '\000';
       win_off = 0;
       win_len = 0;
@@ -159,6 +163,25 @@ module Reader = struct
       remaining := !remaining - chunk
     done
 
+  (* A paged window holds the payload of the page under [off]. A value
+     that runs past the window's end keeps its head from the window and
+     reads on from the next page, which becomes the window: a scan in
+     offset order reads each page of the segment once. *)
+  let rec paged_read t ~off ~len dst ~pos =
+    let win_end = t.win_off + t.win_len in
+    if off >= t.win_off && off + len <= win_end then
+      Bytes.blit t.window (off - t.win_off) dst pos len
+    else begin
+      let head = if off >= t.win_off && off < win_end then win_end - off else 0 in
+      if head > 0 then Bytes.blit t.window (off - t.win_off) dst pos head;
+      let page_off = if head > 0 then win_end else off - (off mod t.cap) in
+      let win_len = min t.cap (t.segment.length - page_off) in
+      fetch t ~off:page_off ~len:win_len t.window 0;
+      t.win_off <- page_off;
+      t.win_len <- win_len;
+      paged_read t ~off:(off + head) ~len:(len - head) dst ~pos:(pos + head)
+    end
+
   let read_into t ~off ~len dst ~pos =
     if t.closed then invalid_arg "Pager.Reader.read_into: closed";
     if off < 0 || len < 0 || off + len > t.segment.length then
@@ -168,6 +191,7 @@ module Reader = struct
     if pos < 0 || pos + len > Bytes.length dst then
       invalid_arg "Pager.Reader.read_into: destination range out of bounds";
     if len = 0 then ()
+    else if t.paged then paged_read t ~off ~len dst ~pos
     else if off >= t.win_off && off + len <= t.win_off + t.win_len then
       Bytes.blit t.window (off - t.win_off) dst pos len
     else if len >= t.buffer_bytes then

@@ -53,14 +53,24 @@ val write_segment : Flash.t -> string -> segment
 module Reader : sig
   type t
 
-  val open_ : ?ram:Ram.t -> ?buffer_bytes:int -> ?cache:Cache.t -> Flash.t -> segment -> t
+  val open_ :
+    ?ram:Ram.t -> ?buffer_bytes:int -> ?paged:bool -> ?cache:Cache.t -> Flash.t ->
+    segment -> t
   (** [buffer_bytes] (default one page) is the read-buffer size charged
       to [ram] while the reader is open. Smaller buffers let many
       readers coexist in tiny RAM at the price of more Flash seeks.
       When [cache] fronts the same Flash region, page fills are served
       through it: a resident page costs nothing, a miss fills a frame
       with one full-page read. A cache over a different Flash region is
-      ignored. *)
+      ignored.
+
+      [paged] (default false) aligns the window to pages: a miss fills
+      the payload of the page holding the offset, and a read running
+      past the window's end keeps its head and fills the next page. Reads
+      in offset order then cost one Flash read per page of the segment,
+      however the values straddle page boundaries. A paged reader needs
+      a [buffer_bytes] of at least one page; raises [Invalid_argument]
+      otherwise. *)
 
   val read : t -> off:int -> len:int -> bytes
   (** Random access; spans pages transparently. Consecutive reads from

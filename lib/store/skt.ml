@@ -63,10 +63,10 @@ type reader = {
   scratch : Bytes.t;  (* one row, reused across point reads *)
 }
 
-let open_reader ?ram ?buffer_bytes ?cache t =
+let open_reader ?ram ?buffer_bytes ?paged ?cache t =
   {
     skt = t;
-    pr = Pager.Reader.open_ ?ram ?buffer_bytes ?cache t.flash t.segment;
+    pr = Pager.Reader.open_ ?ram ?buffer_bytes ?paged ?cache t.flash t.segment;
     scratch = Bytes.create t.row_width;
   }
 

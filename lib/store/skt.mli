@@ -36,9 +36,10 @@ val pages : t -> int list
 type reader
 
 val open_reader :
-  ?ram:Ram.t -> ?buffer_bytes:int -> ?cache:Pager.Cache.t -> t -> reader
-(** [cache] routes page fills through the device's shared page cache
-    (see {!Pager.Reader.open_}). *)
+  ?ram:Ram.t -> ?buffer_bytes:int -> ?paged:bool -> ?cache:Pager.Cache.t -> t -> reader
+(** [paged] aligns the read window to pages and [cache] routes page
+    fills through the device's shared page cache (see
+    {!Pager.Reader.open_}). *)
 
 val close_reader : reader -> unit
 

@@ -1,16 +1,20 @@
-(* Delta bitmaps. Rows inserted since the load live in the delta log,
-   outside the climbing indexes. DeltaScan tests an indexed hidden
+(* Predicate bitmaps. Rows inserted since the load live in the delta
+   log, outside the climbing indexes. DeltaScan tests an indexed hidden
    predicate on a table below the root ({!Plan.delta_bitmap}) against a
    RAM bitmap of that table's matching ids, filled from the index's
    lists at the table's own level, instead of reading the column once
    per record; when the arena cannot hold the bitmap it reads the
-   column as before. *)
+   column as before. Under [Full] every hidden predicate below the root
+   tests a bitmap filled by one paged scan of its column, in BoundScan
+   and DeltaScan alike, and BoundScan reads the SKT by pages. *)
 
 module Value = Ghost_kernel.Value
 module Rng = Ghost_kernel.Rng
 module Flash = Ghost_flash.Flash
 module Ram = Ghost_device.Ram
 module Device = Ghost_device.Device
+module Skt = Ghost_store.Skt
+module Column_store = Ghost_store.Column_store
 module Oblivious = Ghost_oblivious.Oblivious
 module Medical = Ghost_workload.Medical
 module Queries = Ghost_workload.Queries
@@ -112,7 +116,8 @@ let find_op label (r : Exec.result) =
 
 let uses_bitmap (p : Plan.t) =
   List.exists
-    (fun (g : Plan.group) -> List.exists (Plan.delta_bitmap p g) g.Plan.g_hidden)
+    (fun (g : Plan.group) ->
+       List.exists (fun h -> Plan.delta_bitmap p g h <> None) g.Plan.g_hidden)
     p.Plan.groups
 
 (* Every Off and Pad panel plan of [queries] returns the reference rows;
@@ -262,6 +267,131 @@ let test_pad_fingerprint_after_inserts () =
     (fingerprint (count_bmi "30.00"))
     (fingerprint (count_bmi "25.00"))
 
+(* {2 Under [Full]} *)
+
+let full_plan st sql = Plan.with_mode (fst (List.hd (Ghost_db.plans st.db sql))) Oblivious.Full
+
+let pages_of_column cat ~table ~column =
+  List.length (Column_store.pages (Option.get (Catalog.column_store cat ~table ~column)))
+
+(* BoundScan reads the SKT and each hidden predicate's column once, in
+   id order, through page-aligned windows: its Flash reads stay within
+   those segments' pages, plus one straddling read per segment. *)
+let test_bound_scan_reads_by_pages () =
+  let st = load Medical.tiny in
+  let cat = Ghost_db.catalog st.db in
+  List.iter
+    (fun (qname, sql) ->
+       let plan = full_plan st sql in
+       let segments =
+         (match Catalog.skt cat plan.Plan.root with
+          | Some skt -> [ List.length (Skt.pages skt) ]
+          | None -> [])
+         @ List.concat_map
+             (fun (g : Plan.group) ->
+                List.map
+                  (fun (h : Plan.hidden_pred) ->
+                     pages_of_column cat ~table:g.Plan.g_table
+                       ~column:h.Plan.h_pred.Ghost_relation.Predicate.column)
+                  g.Plan.g_hidden)
+             plan.Plan.groups
+       in
+       let bound = List.fold_left (fun acc pages -> acc + pages + 1) 0 segments in
+       let reads = (find_op "BoundScan" (Ghost_db.run_plan st.db plan)).Exec.usage.Device.flash_page_reads in
+       if reads > bound then
+         Alcotest.failf "%s: BoundScan read %d pages, over the %d of its segments" qname reads
+           bound)
+    Queries.all
+
+let page_size st = (Device.config (Ghost_db.device st.db)).Device.flash_geometry.Flash.page_size
+
+let hidden_only purpose =
+  Printf.sprintf
+    "SELECT Pre.PreID, Pre.Quantity FROM Prescription Pre, Visit Vis WHERE Vis.Purpose = \
+     '%s' AND Vis.VisID = Pre.VisID"
+    purpose
+
+(* With the arena filled so that Visit's bitmap and the column scan's
+   page do not fit, BoundScan and DeltaScan read Visit.Purpose per row,
+   as before bitmaps: the rows still equal the reference, and two
+   Purpose constants of the same length still show the spy the same
+   trace, page reads and clock. The query joins no visible stream, so
+   it runs in what the fill leaves. *)
+let test_full_fallback () =
+  let probe purpose =
+    let st = load Medical.tiny in
+    insert st Medical.tiny (Rng.create 5) 20;
+    let ram = Device.ram (Ghost_db.device st.db) in
+    let free = bitmap_bytes st "Visit" + page_size st - 1 in
+    let fill = Ram.alloc ram ~label:"test-fill" (Ram.budget ram - Ram.in_use ram - free) in
+    let sql = hidden_only purpose in
+    Ghost_db.clear_trace st.db;
+    let r =
+      Fun.protect ~finally:(fun () -> Ram.free ram fill) (fun () ->
+        Ghost_db.run_plan st.db (full_plan st sql))
+    in
+    check Alcotest.bool (purpose ^ ": reference rows") true
+      (Reference.sort_rows r.Exec.rows = reference st sql);
+    let cat = Ghost_db.catalog st.db in
+    let paged_bound =
+      List.length (Skt.pages (Option.get (Catalog.skt cat "Prescription")))
+      + pages_of_column cat ~table:"Visit" ~column:"Purpose"
+      + 2
+    in
+    check Alcotest.bool (purpose ^ ": the column was read per row") true
+      ((find_op "BoundScan" r).Exec.usage.Device.flash_page_reads > paged_bound);
+    (Oblivious.fingerprint (Ghost_db.trace st.db), r)
+  in
+  let fp1, r1 = probe "Sclerosis" in
+  let fp2, r2 = probe "Influenza" in
+  check Alcotest.string "spy fingerprints" fp1 fp2;
+  check Alcotest.int "page reads" r1.Exec.total.Device.flash_page_reads
+    r2.Exec.total.Device.flash_page_reads;
+  check Alcotest.int "cpu ops" r1.Exec.total.Device.used_cpu_ops
+    r2.Exec.total.Device.used_cpu_ops;
+  check (Alcotest.float 0.) "device clock" r1.Exec.elapsed_us r2.Exec.elapsed_us
+
+(* The demo query without its hidden predicate: the same joins and
+   projections, so the same RAM in every operator but the bitmap. *)
+let demo_without_purpose =
+  Printf.sprintf
+    {|SELECT Med.Name, Pre.Quantity, Vis.Date
+FROM Medicine Med, Prescription Pre, Visit Vis
+WHERE Vis.Date > '%s'
+  AND Med.Type = 'Antibiotic'
+  AND Med.MedID = Pre.MedID
+  AND Vis.VisID = Pre.VisID|}
+    (Ghost_kernel.Date.to_string (Medical.date_cutoff_for_selectivity 0.05))
+
+(* Visit's bitmap is live from BoundScan through DeltaScan and gone
+   before the first projection join, which so keeps the RAM it has
+   without the predicate; the arena returns to its starting value. *)
+let test_full_bitmap_lifetime () =
+  let st = load Medical.tiny in
+  insert st Medical.tiny (Rng.create 5) 20;
+  let ram = Device.ram (Ghost_db.device st.db) in
+  let before = Ram.in_use ram in
+  let run sql = Ghost_db.run_plan st.db (full_plan st sql) in
+  let r = run Queries.demo in
+  check Alcotest.int "Ram.in_use back to its starting value" before (Ram.in_use ram);
+  let bare = run demo_without_purpose in
+  let first_join (r : Exec.result) =
+    match
+      List.find_opt
+        (fun o -> String.starts_with ~prefix:"Project+Join" o.Exec.op_label)
+        r.Exec.ops
+    with
+    | Some o -> o
+    | None -> Alcotest.fail "no projection join"
+  in
+  check Alcotest.int "first Project+Join RAM peak, with and without the predicate"
+    (first_join bare).Exec.ram_peak (first_join r).Exec.ram_peak;
+  let held = (find_op "DeltaScan" r).Exec.ram_peak - (find_op "DeltaScan" bare).Exec.ram_peak in
+  let bytes = bitmap_bytes st "Visit" in
+  if held < bytes then
+    Alcotest.failf "DeltaScan held %d B more than without the predicate, under the %d-byte bitmap"
+      held bytes
+
 let suite =
   [
     Alcotest.test_case "panel rows = reference after mutations (tiny)" `Quick
@@ -275,4 +405,7 @@ let suite =
       test_fallback_when_full;
     Alcotest.test_case "Pad fingerprint after inserts" `Quick
       test_pad_fingerprint_after_inserts;
+    Alcotest.test_case "Full: BoundScan reads by pages" `Quick test_bound_scan_reads_by_pages;
+    Alcotest.test_case "Full: fallback keeps rows and trace" `Quick test_full_fallback;
+    Alcotest.test_case "Full: bitmap freed before the joins" `Quick test_full_bitmap_lifetime;
   ]

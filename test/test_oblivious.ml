@@ -197,6 +197,51 @@ let test_trace_equality_hidden_range () =
   let p2 = oblivious_probe (q 8 9) in
   check_indistinguishable "range bounds" p1 p2
 
+(* ---- hidden foreign keys do not move the clock ------------------ *)
+
+(* Tiny Medical as generated, and with Prescription.VisID sorted: the
+   same multiset of hidden foreign keys, the same visible columns and
+   cardinalities. Every workload query under [Full] must show the spy
+   the same trace, and the device the same clock, page reads and CPU
+   on both, with the reference rows on each. *)
+let test_hidden_fks_keep_the_clock () =
+  let schema = Medical.schema () in
+  let rows = Medical.generate Medical.tiny in
+  let col =
+    Ghost_relation.Schema.column_index
+      (Ghost_relation.Schema.find_table schema "Prescription")
+      "VisID"
+  in
+  let sorted =
+    List.map
+      (fun (t, rs) ->
+         if t <> "Prescription" then (t, rs)
+         else
+           let keys = List.sort compare (List.map (fun r -> r.(col)) rs) in
+           ( t,
+             List.map2
+               (fun r k ->
+                  let r = Array.copy r in
+                  r.(col) <- k;
+                  r)
+               rs keys ))
+      rows
+  in
+  check Alcotest.bool "sorting moves some key" true (sorted <> rows);
+  let probe rows sql =
+    let db = Ghost_db.of_schema schema rows in
+    let expected = reference_rows db (Reference.db_of_rows schema rows) sql in
+    Ghost_db.clear_trace db;
+    let r = Ghost_db.query db ~oblivious:true sql in
+    check Alcotest.bool "rows = reference" true (rows_equal r.Exec.rows expected);
+    (Oblivious.fingerprint (Ghost_db.trace db), r)
+  in
+  List.iter
+    (fun (name, sql) ->
+       check_indistinguishable (name ^ ", shuffled vs sorted VisID") (probe rows sql)
+         (probe sorted sql))
+    Queries.all
+
 (* ---- correctness: every workload query, also after mutations ---- *)
 
 let test_rows_match_reference () =
@@ -275,9 +320,18 @@ let rows_after_mutations ~leveled () =
            r.Exec.row_count (List.length expected))
     Queries.all;
   Ghost_db.clear_trace db;
-  ignore (Ghost_db.query db ~oblivious:true Queries.demo);
+  let r = Ghost_db.query db ~oblivious:true Queries.demo in
   let v = Ghost_db.audit ~access:(Ghost_db.access_profile db ~fixed_shape:true) db in
-  check feq "0 bits with delta and tombstones" 0. v.Privacy.data_dependent_bits
+  check feq "0 bits with delta and tombstones" 0. v.Privacy.data_dependent_bits;
+  (* the Purpose predicate sits below the root: the delta scan tests
+     the bitmap BoundScan filled and reads nothing but the log *)
+  let log = Option.get (Catalog.delta (Ghost_db.catalog db) "Prescription") in
+  let scan = List.find (fun o -> o.Exec.op_label = "DeltaScan") r.Exec.ops in
+  check Alcotest.bool "DeltaScan met records" true (scan.Exec.tuples_in > 0);
+  if
+    scan.Exec.usage.Device.flash_page_reads
+    > Ghostdb.Delta_log.l0_pages log + Ghostdb.Delta_log.run_pages log
+  then Alcotest.fail "DeltaScan read more than the log's pages"
 
 (* ---- property: random tree schemas ------------------------------ *)
 
@@ -409,6 +463,8 @@ let suite =
       test_trace_equality_hidden_constant;
     Alcotest.test_case "trace equality: hidden range" `Quick
       test_trace_equality_hidden_range;
+    Alcotest.test_case "hidden foreign keys keep the clock" `Quick
+      test_hidden_fks_keep_the_clock;
     Alcotest.test_case "rows match reference" `Quick test_rows_match_reference;
     Alcotest.test_case "rows after mutations" `Quick (rows_after_mutations ~leveled:false);
     Alcotest.test_case "rows after mutations: leveled log" `Quick

@@ -49,6 +49,31 @@ let test_pager_window_caching () =
     check Alcotest.bool "first read hits flash" true (after_first > before);
     check Alcotest.int "window serves next reads" after_first after_cached)
 
+(* A paged reader walking 24-byte values in order reads each 256-byte
+   page once, though most values straddle a page boundary. *)
+let test_pager_paged_scan () =
+  let f = flash () in
+  let payload = String.init 1000 (fun i -> Char.chr (i mod 251)) in
+  let seg = Pager.write_segment f payload in
+  let r = Pager.Reader.open_ ~paged:true f seg in
+  let before = (Flash.stats f).Flash.page_reads in
+  let off = ref 0 in
+  while !off < 1000 do
+    let len = min 24 (1000 - !off) in
+    check Alcotest.string
+      (Printf.sprintf "value at %d" !off)
+      (String.sub payload !off len)
+      (Bytes.to_string (Pager.Reader.read r ~off:!off ~len));
+    off := !off + len
+  done;
+  check Alcotest.int "one read per page" (Array.length seg.Pager.pages)
+    ((Flash.stats f).Flash.page_reads - before);
+  check Alcotest.string "a jump back" (String.sub payload 250 12)
+    (Bytes.to_string (Pager.Reader.read r ~off:250 ~len:12));
+  Alcotest.check_raises "a paged window holds a page"
+    (Invalid_argument "Pager.Reader.open_: a paged reader buffers a whole page")
+    (fun () -> ignore (Pager.Reader.open_ ~buffer_bytes:64 ~paged:true f seg))
+
 let test_pager_ram_accounting () =
   let f = flash () in
   let ram = Ram.create ~budget:4096 in
@@ -380,6 +405,7 @@ let test_ext_sort_wrong_width () =
 let suite = [
   Alcotest.test_case "pager roundtrip" `Quick test_pager_roundtrip;
   Alcotest.test_case "pager window caching" `Quick test_pager_window_caching;
+  Alcotest.test_case "pager paged scan" `Quick test_pager_paged_scan;
   Alcotest.test_case "pager ram accounting" `Quick test_pager_ram_accounting;
   Alcotest.test_case "pager bounds" `Quick test_pager_bounds;
   qtest prop_id_list_roundtrip;
