@@ -826,10 +826,8 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
        otherwise. *)
     let paged () = full && Ram.would_fit ctx.ram (page_size ctx) in
     (* [Full]'s bitmaps, filled by BoundScan for the predicates below the
-       root and tested again by DeltaScan; freed after it, with the
-       readers DeltaScan opens. *)
+       root, tested again by DeltaScan and freed after it. *)
     let bitmaps = ref [] in
-    let after_delta = ref [] in
     (* 3. SKT access + probes. Under [Full] every root id is a
        candidate, so tombstones and visible selections are tested here;
        the Pre-filtered candidates passed both in Merge+Index. *)
@@ -934,7 +932,6 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
             in
             let read_column () =
               let reader = open_column ctx ~table ~column:pred.Predicate.column in
-              if full then after_delta := (fun () -> Column_store.close_reader reader) :: !after_delta;
               fun id -> holds (Column_store.get reader id)
             in
             if lvl = 0 then fun (r : Delta_log.row) ->
@@ -1014,7 +1011,6 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
                   live;
                 }
                 :: !out);
-          List.iter (fun close -> close ()) !after_delta;
           (List.rev !out, !n_live))
     in
     List.iter (fun (_, (_, cell)) -> Ram.free ctx.ram cell) !bitmaps;
