@@ -69,8 +69,9 @@ let page_stream_us env bytes =
   if bytes <= 0. then 0.
   else
     let page = Float.of_int env.cfg.Device.flash_geometry.Flash.page_size in
+    let pages = ceil (bytes /. page) in
     (1. -. env.cache_hit)
-    *. ((ceil (bytes /. page) *. env.fc.Flash.read_seek_us) +. (bytes *. env.fc.Flash.read_byte_us))
+    *. ((pages *. env.fc.Flash.read_seek_us) +. (bytes *. env.fc.Flash.read_byte_us))
 
 let write_stream_us env bytes =
   if bytes <= 0. then 0.
@@ -373,7 +374,8 @@ let estimate cat (plan : Plan.t) =
       (* the SKT read in order, page by page, at one CPU op a row and 2
          per shipped list tested *)
       let shipped =
-        List.length (List.filter (fun (g : Plan.group) -> g.Plan.g_visible <> []) plan.Plan.groups)
+        List.length
+          (List.filter (fun (g : Plan.group) -> g.Plan.g_visible <> []) plan.Plan.groups)
       in
       spend "bound-scan"
         (page_stream_us env (Float.of_int n_root *. skt_row_bytes)
@@ -560,10 +562,8 @@ let estimate cat (plan : Plan.t) =
        List.iter
          (fun (h : Plan.hidden_pred) ->
             let column = h.Plan.h_pred.Predicate.column in
-            let width =
-              Float.of_int
-                (Value.ty_width (Schema.find_column (Schema.find_table schema t) column).Column.ty)
-            in
+            let col = Schema.find_column (Schema.find_table schema t) column in
+            let width = Float.of_int (Value.ty_width col.Column.ty) in
             if full then begin
               let n =
                 if t = root then candidates

@@ -15,7 +15,8 @@ module Bind = Ghost_sql.Bind
     power-of-two buckets, while [Full] prices the fixed shape — one
     full-cardinality frame per visible predicate, a bound-depth SKT
     scan of every root row, every hidden predicate checked on every
-    row, the whole delta log and full-column streams with every row
+    row (a paged scan of its column, into a bitmap below the root),
+    the whole delta log and full-column streams with every row
     kept, emission padded to the public bound — so a [Full] estimate
     depends on the schema and public bounds alone (selectivities only
     predict [est_results]).

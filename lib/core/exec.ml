@@ -854,7 +854,8 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
                       let lvl = level_of table in
                       Some (fun ids -> mem ids.(lvl))
                     | None ->
-                      let r = open_column ~paged:(table = root && paged ()) ctx ~table ~column in
+                      let paged = table = root && paged () in
+                      let r = open_column ~paged ctx ~table ~column in
                       closes := (fun () -> Column_store.close_reader r) :: !closes;
                       Some (check g h r)
                   end)
@@ -873,7 +874,8 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
              match skt_opt with
              | Some skt when Plan.reads_skt plan ->
                let r =
-                 if paged () then Skt.open_reader ~ram:ctx.ram ~paged:true ?cache:ctx.cache skt
+                 if paged () then
+                   Skt.open_reader ~ram:ctx.ram ~paged:true ?cache:ctx.cache skt
                  else Skt.open_reader ~ram:ctx.ram ~buffer_bytes:64 ?cache:ctx.cache skt
                in
                Resources.defer resources (fun () -> Skt.close_reader r);

@@ -23,11 +23,14 @@ module Oblivious = Ghost_oblivious.Oblivious
     sites (id shipments, projection streams, result emission) are
     padded up to power-of-two buckets under their public bounds. Under
     [Full] the pipeline also takes its fixed shape: padded shipments
-    and a bound-depth SKT scan instead of Pre-filter walks, uniform
-    (non-short-circuit) predicate evaluation, a whole-log delta scan,
-    full-column streams and bound-padded emission. That makes the
-    spy-visible trace (and the device clock) a function of schema and
-    public bounds alone. *)
+    and a bound-depth SKT scan, read page by page, instead of
+    Pre-filter walks; uniform (non-short-circuit) predicate evaluation,
+    with each hidden predicate below the root tested on a bitmap filled
+    by one scan of its column; a whole-log delta scan; full-column
+    streams and bound-padded emission. That makes the spy-visible trace
+    (and the device clock) a function of schema and public bounds
+    alone, save a projected hidden column below the root, which is
+    still read row by row in SKT order. *)
 
 type op_stats = {
   op_label : string;

@@ -41,7 +41,7 @@ val cross : Catalog.t -> Bind.query -> Plan.t
 
 val oblivious : Catalog.t -> Bind.query -> Plan.t
 (** The single fixed-shape plan ([Plan.oblivious = Full]): hidden
-    predicates as per-candidate checks over a bound-depth scan,
+    predicates as checks on every row of a bound-depth scan,
     visible predicates as shipped-list membership — no data-dependent
     index walks, so the executor can make the spy-visible trace a
     function of schema and public bounds alone. *)

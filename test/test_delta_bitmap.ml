@@ -15,6 +15,7 @@ module Ram = Ghost_device.Ram
 module Device = Ghost_device.Device
 module Skt = Ghost_store.Skt
 module Column_store = Ghost_store.Column_store
+module Predicate = Ghost_relation.Predicate
 module Oblivious = Ghost_oblivious.Oblivious
 module Medical = Ghost_workload.Medical
 module Queries = Ghost_workload.Queries
@@ -269,7 +270,8 @@ let test_pad_fingerprint_after_inserts () =
 
 (* {2 Under [Full]} *)
 
-let full_plan st sql = Plan.with_mode (fst (List.hd (Ghost_db.plans st.db sql))) Oblivious.Full
+(* The fixed-shape plan [~oblivious:true] runs. *)
+let full_plan st sql = Planner.oblivious (Ghost_db.catalog st.db) (Ghost_db.bind st.db sql)
 
 let pages_of_column cat ~table ~column =
   List.length (Column_store.pages (Option.get (Catalog.column_store cat ~table ~column)))
@@ -292,18 +294,20 @@ let test_bound_scan_reads_by_pages () =
                 List.map
                   (fun (h : Plan.hidden_pred) ->
                      pages_of_column cat ~table:g.Plan.g_table
-                       ~column:h.Plan.h_pred.Ghost_relation.Predicate.column)
+                       ~column:h.Plan.h_pred.Predicate.column)
                   g.Plan.g_hidden)
              plan.Plan.groups
        in
        let bound = List.fold_left (fun acc pages -> acc + pages + 1) 0 segments in
-       let reads = (find_op "BoundScan" (Ghost_db.run_plan st.db plan)).Exec.usage.Device.flash_page_reads in
+       let scan = find_op "BoundScan" (Ghost_db.run_plan st.db plan) in
+       let reads = scan.Exec.usage.Device.flash_page_reads in
        if reads > bound then
-         Alcotest.failf "%s: BoundScan read %d pages, over the %d of its segments" qname reads
-           bound)
+         Alcotest.failf "%s: BoundScan read %d pages, over the %d of its segments" qname
+           reads bound)
     Queries.all
 
-let page_size st = (Device.config (Ghost_db.device st.db)).Device.flash_geometry.Flash.page_size
+let page_size st =
+  (Device.config (Ghost_db.device st.db)).Device.flash_geometry.Flash.page_size
 
 let hidden_only purpose =
   Printf.sprintf
@@ -386,11 +390,14 @@ let test_full_bitmap_lifetime () =
   in
   check Alcotest.int "first Project+Join RAM peak, with and without the predicate"
     (first_join bare).Exec.ram_peak (first_join r).Exec.ram_peak;
-  let held = (find_op "DeltaScan" r).Exec.ram_peak - (find_op "DeltaScan" bare).Exec.ram_peak in
+  let held =
+    (find_op "DeltaScan" r).Exec.ram_peak - (find_op "DeltaScan" bare).Exec.ram_peak
+  in
   let bytes = bitmap_bytes st "Visit" in
   if held < bytes then
-    Alcotest.failf "DeltaScan held %d B more than without the predicate, under the %d-byte bitmap"
-      held bytes
+    Alcotest.failf
+      "DeltaScan held %d B more than without the predicate, under the %d-byte bitmap" held
+      bytes
 
 let suite =
   [
@@ -405,7 +412,9 @@ let suite =
       test_fallback_when_full;
     Alcotest.test_case "Pad fingerprint after inserts" `Quick
       test_pad_fingerprint_after_inserts;
-    Alcotest.test_case "Full: BoundScan reads by pages" `Quick test_bound_scan_reads_by_pages;
+    Alcotest.test_case "Full: BoundScan reads by pages" `Quick
+      test_bound_scan_reads_by_pages;
     Alcotest.test_case "Full: fallback keeps rows and trace" `Quick test_full_fallback;
-    Alcotest.test_case "Full: bitmap freed before the joins" `Quick test_full_bitmap_lifetime;
+    Alcotest.test_case "Full: bitmap freed before the joins" `Quick
+      test_full_bitmap_lifetime;
   ]
