@@ -77,6 +77,7 @@ let create ?durability ?cache ?runs flash ~table ~levels ~hidden_cols =
 
 let table t = t.table
 let count t = Append_log.count t.l0
+let acknowledged t = Append_log.acknowledged t.l0
 let record_bytes t = t.record_bytes
 let needs_recovery t = Append_log.needs_recovery t.l0
 
@@ -99,7 +100,12 @@ let size_bytes t =
       (fun a r -> a + Log_run.size_bytes r ~record_bytes:t.record_bytes)
       0 t.runs
 
-let encode t ~ids ~hidden =
+type row = {
+  ids : int array;
+  hidden : Value.t array;
+}
+
+let encode t { ids; hidden } =
   if Array.length ids <> Array.length t.levels then
     invalid_arg "Delta_log.append: id vector misaligned with levels";
   if Array.length hidden <> Array.length t.hidden_cols then
@@ -118,7 +124,7 @@ let encode t ~ids ~hidden =
     hidden;
   Buffer.contents buf
 
-let append t ~ids ~hidden = Append_log.append t.l0 (encode t ~ids ~hidden)
+let append t rows = Append_log.append t.l0 (List.map (encode t) rows)
 
 (* ---- leveled compaction (runs mode) ---- *)
 
@@ -317,11 +323,6 @@ let recover t =
     lost = r.lost + !run_lost;
     torn_pages = r.torn_pages + !runs_torn;
   }
-
-type row = {
-  ids : int array;
-  hidden : Value.t array;
-}
 
 let decode t b off =
   let n_levels = Array.length t.levels in

@@ -6,9 +6,9 @@ module Flash = Ghost_flash.Flash
     NAND Flash forbids in-place writes, so freshly inserted root-table
     tuples cannot be folded into the SKT / climbing-index structures
     (those are rebuilt offline, in the secure setting, like the initial
-    load). Instead each insert appends one fixed-width record — the
-    tuple's full SKT-style id vector plus its own hidden column values
-    — to a log on the device Flash. Query execution scans the (small)
+    load). Instead each inserted tuple becomes one fixed-width record —
+    its full SKT-style id vector plus its own hidden column values —
+    in a log on the device Flash; an insert batch is one append. Query execution scans the (small)
     log next to the indexed main structures; see {!Exec}.
 
     Only the schema root accepts inserts in this reproduction: new
@@ -28,7 +28,7 @@ module Flash = Ghost_flash.Flash
     appears in at most one delta record, L0 is already key-sorted and
     the newest-wins merge is trivially correct. Compaction never runs
     inline in {!append} (a power cut mid-spill must not disturb the
-    acknowledged-prefix protocol {!Insert} relies on); it runs in
+    acknowledged-record protocol {!Insert} relies on); it runs in
     background slices via {!compact_step}, typically driven by
     {!Compaction} under the scheduler. Without a policy nothing
     changes: the flat format and all observable behavior stay
@@ -76,6 +76,11 @@ val count : t -> int
     across compaction — {!Catalog} derives the next dense root id from
     it — and unchanged by tombstone folding. *)
 
+val acknowledged : t -> int
+(** Logical records whose program completed: {!count} minus the torn
+    program's new records after a power cut, until {!recover} (see
+    {!Ghost_store.Append_log.acknowledged}). *)
+
 val record_bytes : t -> int
 val size_bytes : t -> int
 (** Live bytes of the log (runs + full pages + current tail). *)
@@ -85,15 +90,24 @@ val dead_bytes : t -> int
     and abandoned partial builds — the write amplification of the
     no-rewrite discipline, reclaimed only by offline reorganization. *)
 
-val append : t -> ids:int array -> hidden:Value.t array -> unit
-(** Appends one record; programs a Flash page per page-full of records
-    (partially filled tail pages are reprogrammed into fresh pages, as
-    the no-rewrite discipline demands — the write amplification is
-    metered). Raises [Invalid_argument] on misaligned input, or when
-    the log {!needs_recovery}. An append is {e acknowledged} only when
-    this call returns: if the page program is torn by a simulated power
-    cut, [Flash.Power_cut] propagates, the record is not durable, and
-    the log refuses further appends until {!recover} runs. *)
+type row = {
+  ids : int array;  (** aligned with [levels] *)
+  hidden : Value.t array;  (** aligned with [hidden_cols] *)
+}
+
+val append : t -> row list -> unit
+(** Appends a batch of records, oldest first, as one
+    {!Ghost_store.Append_log.append}: one program per L0 page the batch
+    fills and one for its last partial page (the partial tail is
+    reprogrammed into a fresh page by the next batch, as the no-rewrite
+    discipline demands — the write amplification is metered). Raises
+    [Invalid_argument] on a misaligned record (before anything is
+    programmed), or when the log {!needs_recovery}. Each program
+    {e acknowledges} the records it carries: if a simulated power cut
+    tears one, [Flash.Power_cut] propagates, the records of the
+    completed programs are durable ({!acknowledged}), the torn
+    program's are not, and the log refuses further appends until
+    {!recover} runs. *)
 
 (** {2 Leveled compaction} *)
 
@@ -155,10 +169,10 @@ val compact_step : ?drop:(int -> bool) -> t -> max_pages:int -> step
 
 (** {2 Crash safety}
 
-    A power cut can tear the in-flight tail program. Because every
-    append programs a {e fresh} page and the superseded tail programs
-    stay on flash until reorganization, the previous tail page still
-    holds every acknowledged record — recovery only has to find it.
+    A power cut can tear the in-flight program. Because every program
+    goes to a {e fresh} page and the superseded tail programs stay on
+    flash until reorganization, the completed programs still hold every
+    acknowledged record — recovery only has to find them.
 
     Compaction adds two cases, both resolved by the run seal flag
     (DESIGN.md section 16): an {e installed} run was committed by its
@@ -173,7 +187,7 @@ val needs_recovery : t -> bool
 
 type recovery = Ghost_store.Append_log.recovery = {
   recovered : int;  (** live records after recovery (folded ones excluded) *)
-  lost : int;  (** in-memory records dropped (never acknowledged) *)
+  lost : int;  (** in-memory records dropped (the torn program's) *)
   torn_pages : int;  (** pages found torn or checksum-invalid *)
 }
 
@@ -182,14 +196,9 @@ val recover : t -> recovery
     build, re-validates installed runs, then recovers the L0 pages with
     {!Ghost_store.Append_log.recover} — the longest checksum-valid
     prefix continuing the spilled sequence, exactly the acknowledged
-    appends, no phantom records. Only a [Checksummed] log can recover;
+    records, no phantom records. Only a [Checksummed] log can recover;
     raises [Invalid_argument] on a [Plain] one. Idempotent; clears
     {!needs_recovery}. *)
-
-type row = {
-  ids : int array;  (** aligned with [levels] *)
-  hidden : Value.t array;  (** aligned with [hidden_cols] *)
-}
 
 val scan : t -> (row -> unit) -> unit
 (** Sequential metered read of the whole log: installed runs oldest

@@ -82,6 +82,14 @@ let id_vector cat root ~new_id row =
   in
   Array.of_list (new_id :: child_ids)
 
+(* A write batch is one append per log. Each page program that
+   completes acknowledges the records it carries, so a power cut can
+   leave a durable prefix of the batch: the first [acknowledged - before]
+   rows. Those are mirrored on the public side before the cut
+   propagates, so both stores agree once recovery drops the torn
+   program's records. *)
+let prefix n xs = List.filteri (fun i _ -> i < n) xs
+
 let delete_root cat public ids =
   let schema = cat.Catalog.schema in
   let root = (Schema.root schema).Schema.name in
@@ -106,13 +114,11 @@ let delete_root cat public ids =
        if Hashtbl.mem seen id then fail "delete from %s: duplicate id %d in batch" root id;
        Hashtbl.add seen id ())
     ids;
-  (* A power cut can tear the batch: ids already durable on the device
-     must also leave the public store, or the two sides disagree after
-     recovery. The torn id itself is dropped by {!Tombstone_log.recover}. *)
-  let applied = ref 0 in
-  (try List.iter (fun id -> Tombstone_log.append log [ id ]; incr applied) ids
+  let before = Tombstone_log.acknowledged log in
+  (try Tombstone_log.append log ids
    with Flash.Power_cut _ as e ->
-     Public_store.delete_rows public root (List.filteri (fun i _ -> i < !applied) ids);
+     let durable = Tombstone_log.acknowledged log - before in
+     Public_store.delete_rows public root (prefix durable ids);
      raise e);
   Public_store.delete_rows public root ids
 
@@ -154,23 +160,16 @@ let insert_root cat public rows =
                 (fun (name, _) -> row.(Schema.column_index tbl name))
                 entry.Catalog.hidden_columns)
          in
-         (row, ids, hidden))
+         (row, { Delta_log.ids; hidden }))
       rows
   in
   let log = delta_log_for cat root in
-  (* Each append that returns is acknowledged and durable (the torn
-     record of a power cut is not: recovery drops it). If the batch is
-     interrupted, mirror the acknowledged prefix on the public side so
-     both stores agree after {!Delta_log.recover}. *)
-  let applied = ref 0 in
-  (try
-     List.iter
-       (fun (_, ids, hidden) -> Delta_log.append log ~ids ~hidden; incr applied)
-       prepared
+  let rows = List.map fst prepared in
+  let before = Delta_log.acknowledged log in
+  (try Delta_log.append log (List.map snd prepared)
    with Flash.Power_cut _ as e ->
-     Public_store.append_rows public root
-       (List.filteri (fun i _ -> i < !applied) prepared
-        |> List.map (fun (r, _, _) -> r));
+     let durable = Delta_log.acknowledged log - before in
+     Public_store.append_rows public root (prefix durable rows);
      raise e);
-  (try Public_store.append_rows public root (List.map (fun (r, _, _) -> r) prepared)
+  (try Public_store.append_rows public root rows
    with Invalid_argument msg -> fail "insert into %s: %s" root msg)

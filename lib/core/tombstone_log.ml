@@ -22,6 +22,7 @@ let create ?durability ?cache flash ~table =
 
 let table t = t.table
 let count t = Append_log.count t.log
+let acknowledged t = Append_log.acknowledged t.log
 let size_bytes t = Append_log.size_bytes t.log
 let dead_bytes t = Append_log.dead_bytes t.log
 let needs_recovery t = Append_log.needs_recovery t.log
@@ -32,13 +33,14 @@ let id_of record = Codec.get_u32 (Bytes.unsafe_of_string record) 0
 let append t ids =
   if needs_recovery t then
     invalid_arg "Tombstone_log.append: log needs recovery after a power cut";
-  List.iter
-    (fun id ->
-       let b = Bytes.create 4 in
-       Codec.put_u32 b 0 id;
-       Hashtbl.replace t.members id ();
-       Append_log.append t.log (Bytes.unsafe_to_string b))
-    ids
+  List.iter (fun id -> Hashtbl.replace t.members id ()) ids;
+  Append_log.append t.log
+    (List.map
+       (fun id ->
+          let b = Bytes.create 4 in
+          Codec.put_u32 b 0 id;
+          Bytes.unsafe_to_string b)
+       ids)
 
 type recovery = Append_log.recovery = {
   recovered : int;

@@ -35,18 +35,25 @@ val count : t -> int
 val size_bytes : t -> int
 val dead_bytes : t -> int
 
+val acknowledged : t -> int
+(** Ids whose program completed (see
+    {!Ghost_store.Append_log.acknowledged}). *)
+
 val append : t -> int list -> unit
-(** Records deletions (same tail-page re-programming discipline as
-    {!Delta_log}). Duplicates are the caller's responsibility. Each id
-    programs its own tail page, so a power cut mid-batch leaves a
-    durable prefix of the batch; on [Flash.Power_cut] the log refuses
-    further appends until {!recover} runs. *)
+(** Records a batch of deletions as one
+    {!Ghost_store.Append_log.append}: one program per page the batch
+    fills and one for its last partial page (same tail-page
+    re-programming discipline as {!Delta_log}). Duplicates are the
+    caller's responsibility. A power cut mid-batch leaves the ids of
+    the completed programs durable; on [Flash.Power_cut] the log
+    refuses further appends until {!recover} runs, and {!mem} may
+    answer for the torn ids until then. *)
 
 val needs_recovery : t -> bool
 
 type recovery = Ghost_store.Append_log.recovery = {
   recovered : int;  (** ids in the log after recovery *)
-  lost : int;  (** volatile ids dropped (never acknowledged) *)
+  lost : int;  (** volatile ids dropped (the torn program's) *)
   torn_pages : int;  (** pages found torn or checksum-invalid *)
 }
 

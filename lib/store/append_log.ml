@@ -25,6 +25,7 @@ type t = {
   mutable tail_page : int option;  (* current (latest) program of the tail *)
   mutable stale_tails : int list;  (* superseded tail programs, newest first *)
   mutable count : int;
+  mutable acked : int;  (* records whose program completed *)
   mutable dead_bytes : int;  (* superseded tail programs *)
   mutable needs_recovery : bool;  (* a program was torn by a power cut *)
   mutable torn_page : int option;  (* the page that tore, if known *)
@@ -51,6 +52,7 @@ let create ?(durability = Plain) ?cache flash ~tag ~record_bytes =
     tail_page = None;
     stale_tails = [];
     count = 0;
+    acked = 0;
     dead_bytes = 0;
     needs_recovery = false;
     torn_page = None;
@@ -59,6 +61,7 @@ let create ?(durability = Plain) ?cache flash ~tag ~record_bytes =
 let durability t = t.durability
 let records_per_page t = t.records_per_page
 let count t = t.count
+let acknowledged t = t.acked
 let size_bytes t = (t.count - t.base_seq) * t.record_bytes
 let dead_bytes t = t.dead_bytes
 let needs_recovery t = t.needs_recovery
@@ -105,16 +108,13 @@ let parse_page t page =
           List.init n (fun i ->
               Bytes.sub_string b (header_bytes + (i * t.record_bytes)) t.record_bytes) )
 
-let append t record =
-  if t.needs_recovery then
-    invalid_arg "Append_log.append: log needs recovery after a power cut";
-  t.tail <- record :: t.tail;
-  t.count <- t.count + 1;
+(* Programs the tail as a fresh page (no in-place writes). The tail
+   program it supersedes, holding the [prior] records before this
+   batch, becomes dead space until reorganization. *)
+let program_tail t ~prior =
   let n = List.length t.tail in
-  (* Program the tail as a fresh page (no in-place writes); the
-     previous tail program becomes dead space until reorganization. *)
   (match t.tail_page with
-   | Some _ -> t.dead_bytes <- t.dead_bytes + ((n - 1) * t.record_bytes)
+   | Some _ -> t.dead_bytes <- t.dead_bytes + (prior * t.record_bytes)
    | None -> ());
   let data = build_page t ~first_seq:(t.count - n) (List.rev t.tail) in
   match Flash.append t.flash data with
@@ -130,10 +130,34 @@ let append t record =
       t.tail <- [];
       t.tail_page <- None
     end
-    else t.tail_page <- Some page
+    else t.tail_page <- Some page;
+    t.acked <- t.count
   | exception (Flash.Power_cut { page; _ } as e) ->
     note_power_cut t page;
     raise e
+
+(* Fills the tail a page at a time: one program per page the batch
+   fills, then one for its last partial page. Only the first program
+   can supersede a tail program; every later one opens a fresh page. *)
+let append t records =
+  if t.needs_recovery then
+    invalid_arg "Append_log.append: log needs recovery after a power cut";
+  let rec fill records =
+    if records <> [] then begin
+      let prior = List.length t.tail in
+      let rec take room = function
+        | r :: rest when room > 0 ->
+          t.tail <- r :: t.tail;
+          t.count <- t.count + 1;
+          take (room - 1) rest
+        | rest -> rest
+      in
+      let rest = take (t.records_per_page - prior) records in
+      program_tail t ~prior;
+      fill rest
+    end
+  in
+  fill records
 
 let release t pages =
   let keep = List.length t.full_pages - pages in
@@ -166,10 +190,9 @@ type recovery = {
 
 (* After a power cut the volatile state is untrusted: re-scan the
    on-flash pages, keep the longest checksum-valid, sequence-continuous
-   prefix, and truncate the in-memory state to it. The record torn
-   mid-program (never acknowledged to the caller) is dropped; its
-   superseded predecessor page, still programmed, carries the durable
-   tail. *)
+   prefix, and truncate the in-memory state to it. The new records of
+   the torn program (never acknowledged) are dropped; its superseded
+   predecessor page, still programmed, carries the durable tail. *)
 let recover ?(on_record = ignore) t =
   if t.durability = Plain then
     invalid_arg "Append_log.recover: log is not checksummed (create ~durability:Checksummed)";
@@ -224,6 +247,7 @@ let recover ?(on_record = ignore) t =
      t.tail_page <- None;
      t.stale_tails <- [];
      t.count <- expected_seq);
+  t.acked <- t.count;
   t.full_pages <- full_rev;
   t.needs_recovery <- false;
   t.torn_page <- None;

@@ -3,12 +3,14 @@ module Flash = Ghost_flash.Flash
 (** A crash-safe page log of fixed-width records.
 
     The common machinery under the delta log's L0 pages and the
-    tombstone log. NAND forbids in-place writes, so every append
-    programs a {e fresh} page holding the whole tail; the superseded
-    tail program is dead space, tracked as a stale tail because after a
+    tombstone log. NAND forbids in-place writes, so an append programs
+    a {e fresh} page holding the whole tail; the superseded tail
+    program is dead space, tracked as a stale tail because after a
     torn program it still holds every acknowledged record. A tail that
-    reaches [records_per_page] becomes a full page and the next append
-    opens a new tail.
+    reaches [records_per_page] becomes a full page and the next program
+    opens a new tail. An append takes a batch of records and programs
+    once per page it fills plus once for its last partial page (group
+    commit), so a write batch costs one program per page it touches.
 
     Records carry implicit sequence numbers: the log's base sequence
     (records already released, see {!release}) plus their position.
@@ -44,7 +46,15 @@ val durability : t -> durability
 val records_per_page : t -> int
 
 val count : t -> int
-(** Records ever appended, released ones included. *)
+(** Records ever appended, released ones included. After a torn
+    program and until {!recover} it still counts the torn program's
+    records. *)
+
+val acknowledged : t -> int
+(** Records whose program completed, released ones included: {!count}
+    minus the torn program's new records after a power cut. A caller
+    whose batch was torn mirrors exactly the records between its
+    [acknowledged] before the batch and after the [Power_cut]. *)
 
 val size_bytes : t -> int
 (** Record bytes of the unreleased pages (full pages + current tail). *)
@@ -58,13 +68,17 @@ val page_count : t -> int
 val full_pages : t -> int list
 (** Unreleased full pages, oldest first. *)
 
-val append : t -> string -> unit
-(** Appends one record, programming the tail into a fresh page. An
-    append is {e acknowledged} only when this call returns: if the
-    program is torn by a power cut, [Flash.Power_cut] propagates, the
-    record is not durable, and the log refuses further appends until
-    {!recover} runs. Raises [Invalid_argument] while the log
-    {!needs_recovery}. *)
+val append : t -> string list -> unit
+(** Appends a batch of records, oldest first. The tail fills a page at
+    a time: each page the batch completes is programmed once, and the
+    batch's last partial page once more, so a one-record batch programs
+    exactly the tail page. Each program {e acknowledges} the records it
+    carries when it completes: if a power cut tears one,
+    [Flash.Power_cut] propagates, the records of the completed programs
+    are durable ({!acknowledged}), the torn program's records are not,
+    the rest of the batch is never written, and the log refuses further
+    appends until {!recover} runs. An empty batch programs nothing.
+    Raises [Invalid_argument] while the log {!needs_recovery}. *)
 
 val release : t -> int -> unit
 (** [release t n] drops the [n] oldest full pages from the log (their
@@ -90,7 +104,9 @@ val note_power_cut : t -> int -> unit
 
 type recovery = {
   recovered : int;  (** records in the log after recovery *)
-  lost : int;  (** in-memory records dropped (never acknowledged) *)
+  lost : int;
+      (** in-memory records dropped: the torn program's new records
+          (never acknowledged), plus whatever a damaged page cut off *)
   torn_pages : int;  (** pages found torn or checksum-invalid *)
 }
 
@@ -98,7 +114,7 @@ val recover : ?on_record:(string -> unit) -> t -> recovery
 (** Post-crash scan (metered): keeps the longest prefix of full pages
     that are checksum-valid and continue the base sequence, then the
     newest tail program that continues that prefix — exactly the
-    acknowledged appends, no phantom records. A damaged full page
+    records of completed programs, no phantom records. A damaged full page
     truncates the log there, tail included. [on_record] sees every
     durable record, oldest first, as the walk parses it. Only a
     [Checksummed] log can recover; raises [Invalid_argument] on a

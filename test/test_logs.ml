@@ -15,14 +15,22 @@ let make_delta f =
   Delta_log.create f ~table:"R" ~levels:[ "R"; "A"; "B" ]
     ~hidden_cols:[ ("q", Value.T_int); ("s", Value.T_char 8) ]
 
+(* The i-th record of the scripts below. *)
+let row i =
+  {
+    Delta_log.ids = [| 100 + i; i; (2 * i) + 1 |];
+    hidden = [| Value.Int (i * 3); Value.Str (Printf.sprintf "s%d" i) |];
+  }
+
+(* A record with root id [k] and blank hidden values. *)
+let blank k = { Delta_log.ids = [| k; 1; 1 |]; hidden = [| Value.Int 0; Value.Str "" |] }
+
 let test_delta_roundtrip () =
   let f = flash () in
   let log = make_delta f in
   check Alcotest.int "record bytes" (12 + 8 + 8) (Delta_log.record_bytes log);
   for i = 1 to 25 do
-    Delta_log.append log
-      ~ids:[| 100 + i; i; (2 * i) + 1 |]
-      ~hidden:[| Value.Int (i * 3); Value.Str (Printf.sprintf "s%d" i) |]
+    Delta_log.append log [ row i ]
   done;
   check Alcotest.int "count" 25 (Delta_log.count log);
   let seen = ref 0 in
@@ -40,11 +48,12 @@ let test_delta_roundtrip () =
 let test_delta_validation () =
   let log = make_delta (flash ()) in
   (try
-     Delta_log.append log ~ids:[| 1 |] ~hidden:[| Value.Int 1; Value.Str "a" |];
+     Delta_log.append log
+       [ { Delta_log.ids = [| 1 |]; hidden = [| Value.Int 1; Value.Str "a" |] } ];
      Alcotest.fail "expected misaligned ids"
    with Invalid_argument _ -> ());
   try
-    Delta_log.append log ~ids:[| 1; 2; 3 |] ~hidden:[| Value.Int 1 |];
+    Delta_log.append log [ { Delta_log.ids = [| 1; 2; 3 |]; hidden = [| Value.Int 1 |] } ];
     Alcotest.fail "expected misaligned hidden"
   with Invalid_argument _ -> ()
 
@@ -54,7 +63,7 @@ let test_delta_write_amplification () =
   (* 256-byte pages, 28-byte records: 9 per page. Every append
      re-programs the tail page. *)
   for i = 1 to 9 do
-    Delta_log.append log ~ids:[| i; 1; 1 |] ~hidden:[| Value.Int 0; Value.Str "" |]
+    Delta_log.append log [ blank i ]
   done;
   let s = Flash.stats f in
   check Alcotest.int "one program per append" 9 s.Flash.page_programs;
@@ -92,9 +101,7 @@ let make_durable_delta f =
 
 let append_n log n =
   for i = 1 to n do
-    Delta_log.append log
-      ~ids:[| 100 + i; i; (2 * i) + 1 |]
-      ~hidden:[| Value.Int (i * 3); Value.Str (Printf.sprintf "s%d" i) |]
+    Delta_log.append log [ row i ]
   done
 
 let scanned_ids log =
@@ -116,16 +123,16 @@ let test_delta_dead_bytes_quantified () =
   let log = make_delta f in
   (* rpp = 9 (plain): k tail reprograms strand 0+1+...+(k-1) records *)
   for k = 1 to 8 do
-    Delta_log.append log ~ids:[| k; 1; 1 |] ~hidden:[| Value.Int 0; Value.Str "" |];
+    Delta_log.append log [ blank k ];
     check Alcotest.int (Printf.sprintf "dead after %d" k)
       (28 * (k * (k - 1) / 2)) (Delta_log.dead_bytes log)
   done;
   (* the 9th append completes the page: its superseded predecessor
      still counts, and the next append opens a fresh tail with no dead
      space *)
-  Delta_log.append log ~ids:[| 9; 1; 1 |] ~hidden:[| Value.Int 0; Value.Str "" |];
+  Delta_log.append log [ blank 9 ];
   check Alcotest.int "dead after full page" (28 * 36) (Delta_log.dead_bytes log);
-  Delta_log.append log ~ids:[| 10; 1; 1 |] ~hidden:[| Value.Int 0; Value.Str "" |];
+  Delta_log.append log [ blank 10 ];
   check Alcotest.int "fresh tail adds none" (28 * 36) (Delta_log.dead_bytes log)
 
 let test_delta_power_cut_recovery () =
@@ -134,8 +141,7 @@ let test_delta_power_cut_recovery () =
   append_n log 11;  (* one full page (8) + tail of 3 *)
   Flash.arm_power_cut f ~after_programs:1;
   (try
-     Delta_log.append log ~ids:[| 112; 12; 25 |]
-       ~hidden:[| Value.Int 36; Value.Str "s12" |];
+     Delta_log.append log [ row 12 ];
      Alcotest.fail "expected Power_cut"
    with Flash.Power_cut _ -> ());
   check Alcotest.bool "needs recovery" true (Delta_log.needs_recovery log);
@@ -153,8 +159,7 @@ let test_delta_power_cut_recovery () =
   check Alcotest.(list int) "contents = acknowledged appends"
     (List.init 11 (fun i -> 101 + i)) (scanned_ids log);
   (* the log is usable again *)
-  Delta_log.append log ~ids:[| 112; 12; 25 |]
-    ~hidden:[| Value.Int 36; Value.Str "s12" |];
+  Delta_log.append log [ row 12 ];
   check Alcotest.int "append after recovery" 12 (Delta_log.count log)
 
 let test_delta_power_cut_on_first_append () =
@@ -181,21 +186,48 @@ let test_tombstone_power_cut_recovery () =
   let f = flash () in
   let log = Tombstone_log.create ~durability:Tombstone_log.Checksummed f ~table:"R" in
   Tombstone_log.append log [ 5; 1; 9 ];
-  (* tear the program of the 2nd id of the next batch: the 1st id is
-     durable, the 2nd is not *)
+  (* 59 ids per checksummed page: the next batch of 60 completes the
+     tail's page (56 ids) and spills 4 into a fresh one. Tear its 2nd
+     program: the 1st program's ids are durable, the torn one's are
+     not. *)
+  let first = [ 2; 7; 4 ] @ List.init 53 (fun i -> 100 + i) in
+  let torn = [ 153; 154; 155; 156 ] in
   Flash.arm_power_cut f ~after_programs:2;
-  (try Tombstone_log.append log [ 2; 7; 4 ]; Alcotest.fail "expected Power_cut"
+  (try Tombstone_log.append log (first @ torn); Alcotest.fail "expected Power_cut"
    with Flash.Power_cut _ -> ());
   check Alcotest.bool "needs recovery" true (Tombstone_log.needs_recovery log);
+  check Alcotest.int "acknowledged = the completed program" 59
+    (Tombstone_log.acknowledged log);
   let r = Tombstone_log.recover log in
-  check Alcotest.int "durable prefix of the batch" 4 r.Tombstone_log.recovered;
-  check Alcotest.int "torn id lost" 1 r.Tombstone_log.lost;
-  check Alcotest.(array int) "sorted load" [| 1; 2; 5; 9 |]
+  check Alcotest.int "durable prefix of the batch" 59 r.Tombstone_log.recovered;
+  check Alcotest.int "torn program's ids lost" 4 r.Tombstone_log.lost;
+  check Alcotest.(array int) "sorted load"
+    (Array.of_list (List.sort compare ([ 5; 1; 9 ] @ first)))
     (Tombstone_log.load_sorted log);
   check Alcotest.bool "membership rebuilt" true (Tombstone_log.mem log 2);
-  check Alcotest.bool "torn id not a member" false (Tombstone_log.mem log 7);
-  Tombstone_log.append log [ 7; 4 ];
-  check Alcotest.int "resumes" 6 (Tombstone_log.count log)
+  check Alcotest.bool "torn id not a member" false (Tombstone_log.mem log 153);
+  Tombstone_log.append log torn;
+  check Alcotest.int "resumes" 63 (Tombstone_log.count log)
+
+(* A batch programs once per page it fills and once for its last
+   partial page; only its first program supersedes a tail program. *)
+let test_batch_programs_per_page () =
+  let f = flash () in
+  let log = make_durable_delta f in
+  let programs () = (Flash.stats f).Flash.page_programs in
+  Delta_log.append log (List.init 3 (fun i -> row (i + 1)));
+  check Alcotest.int "a partial page is one program" 1 (programs ());
+  (* 8 records per checksummed page: 3 + 22 = 25 completes the tail's
+     page, fills two more and leaves a tail of 1 *)
+  Delta_log.append log (List.init 22 (fun i -> row (i + 4)));
+  check Alcotest.int "one program per page touched" 5 (programs ());
+  check Alcotest.int "dead bytes = the superseded tail" (3 * 28)
+    (Delta_log.dead_bytes log);
+  check Alcotest.int "acknowledged" 25 (Delta_log.acknowledged log);
+  check Alcotest.(list int) "records in order" (List.init 25 (fun i -> 101 + i))
+    (scanned_ids log);
+  Delta_log.append log [];
+  check Alcotest.int "an empty batch programs nothing" 5 (programs ())
 
 (* A tear on the first program of a fresh page leaves the previous
    page's superseded tails behind as valid pages whose sequence does
@@ -225,9 +257,10 @@ let test_tear_on_fresh_page () =
 
 (* Two flipped bits are past ECC: the damaged full page fails its CRC,
    so recovery keeps the pages before it and drops everything after,
-   tail included. Every append programs the next fresh page, so the
-   k-th full page is the program of the (k * records_per_page)-th
-   append. *)
+   tail included. Every program takes the next fresh page: appended
+   one record at a time, the k-th full page is the program of the
+   (k * records_per_page)-th append; appended as one batch, it is the
+   batch's k-th program. *)
 let test_bit_rot_truncates () =
   let rot f page =
     Flash.corrupt_stored f ~page ~bit:200;
@@ -246,7 +279,7 @@ let test_bit_rot_truncates () =
   let f = flash () in
   let log = Tombstone_log.create ~durability:Tombstone_log.Checksummed f ~table:"R" in
   Tombstone_log.append log (List.init 150 (fun i -> i + 1));  (* 2 pages of 59 + 32 *)
-  rot f 117;  (* the 2nd full page *)
+  rot f 1;  (* the 2nd full page *)
   let r = Tombstone_log.recover log in
   check Alcotest.int "tombstones keep the 1st page" 59 r.Tombstone_log.recovered;
   check Alcotest.int "tombstones drop the rest" 91 r.Tombstone_log.lost;
@@ -338,12 +371,7 @@ let golden_runs () =
       | Delta_log.Idle | Delta_log.Worked -> ()
     done
   in
-  let append_range lo hi =
-    for i = lo to hi do
-      Delta_log.append log ~ids:[| 100 + i; i; (2 * i) + 1 |]
-        ~hidden:[| Value.Int (i * 3); Value.Str (Printf.sprintf "s%d" i) |]
-    done
-  in
+  let append_range lo hi = for i = lo to hi do Delta_log.append log [ row i ] done in
   append_range 1 17;
   drain ();
   append_range 18 33;
@@ -393,6 +421,7 @@ let suite = [
   Alcotest.test_case "delta power cut on first append" `Quick test_delta_power_cut_on_first_append;
   Alcotest.test_case "plain log cannot recover" `Quick test_delta_plain_cannot_recover;
   Alcotest.test_case "tombstone power-cut recovery" `Quick test_tombstone_power_cut_recovery;
+  Alcotest.test_case "a batch programs once per page" `Quick test_batch_programs_per_page;
   Alcotest.test_case "delta validation" `Quick test_delta_validation;
   Alcotest.test_case "delta write amplification" `Quick test_delta_write_amplification;
   Alcotest.test_case "tombstones" `Quick test_tombstones;

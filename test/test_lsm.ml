@@ -52,8 +52,8 @@ let make_log ?(runs = policy) f =
 let append_ids log lo hi =
   for i = lo to hi do
     Delta_log.append log
-      ~ids:[| i; i mod 7; i mod 5 |]
-      ~hidden:[| Value.Int (i * 3); Value.Str (Printf.sprintf "s%d" i) |]
+      [ { Delta_log.ids = [| i; i mod 7; i mod 5 |];
+          hidden = [| Value.Int (i * 3); Value.Str (Printf.sprintf "s%d" i) |] } ]
   done
 
 let drain ?drop log =

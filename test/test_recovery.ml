@@ -12,14 +12,31 @@ module Queries = Ghost_workload.Queries
 module Reference = Ghost_workload.Reference
 module Ghost_db = Ghostdb.Ghost_db
 module Exec = Ghostdb.Exec
+module Catalog = Ghostdb.Catalog
+module Delta_log = Ghostdb.Delta_log
+module Public_store = Ghost_public.Public_store
 
 let check = Alcotest.check
 
-let durable_config = { Device.default_config with Device.durable_logs = true }
+(* 512-byte pages, so a write batch spans log pages at tiny scale: 9
+   Prescription delta records or 123 tombstones per sealed page. The
+   leveled layout spills every two full L0 pages into a run. *)
+let durable_config ~leveled =
+  {
+    Device.default_config with
+    Device.durable_logs = true;
+    flash_geometry = { Flash.page_size = 512; pages_per_block = 8 };
+    log_runs =
+      (if leveled then Some { Device.l0_spill_pages = 2; run_fanout = 2 } else None);
+  }
 
-let make () =
+let layouts = [ ("flat", false); ("leveled", true) ]
+
+let make ~leveled =
   let rows = Medical.generate Medical.tiny in
-  let db = Ghost_db.of_schema ~device_config:durable_config (Medical.schema ()) rows in
+  let db =
+    Ghost_db.of_schema ~device_config:(durable_config ~leveled) (Medical.schema ()) rows
+  in
   (db, rows)
 
 let scale = Medical.tiny
@@ -37,6 +54,28 @@ let new_prescriptions ?(seed = 5) db n =
       Value.Int (1 + Rng.int rng scale.Medical.visits);
     |])
 
+(* Records per sealed log page: the page minus its 20-byte header. *)
+let per_page db ~record_bytes =
+  ((Flash.geometry (Device.flash (Ghost_db.device db))).Flash.page_size - 20)
+  / record_bytes
+
+let delta_per_page db =
+  match Catalog.delta (Ghost_db.catalog db) "Prescription" with
+  | Some log -> per_page db ~record_bytes:(Delta_log.record_bytes log)
+  | None -> Alcotest.fail "no delta log"
+
+(* Inserts 2 pages and 3 rows of a third, then compacts (a leveled log
+   spills its full pages into a run): the L0 tail holds 3 records. *)
+let grow db =
+  let first = new_prescriptions ~seed:4 db 3 in
+  Ghost_db.insert db first;
+  let more = new_prescriptions ~seed:3 db (2 * delta_per_page db) in
+  Ghost_db.insert db more;
+  Ghost_db.compact db;
+  first @ more
+
+let key row = match row.(0) with Value.Int k -> k | _ -> Alcotest.fail "key"
+
 let count_rows db =
   match (Ghost_db.query db "SELECT COUNT(*) FROM Prescription Pre").Exec.rows with
   | [ [| Value.Int n |] ] -> n
@@ -44,95 +83,171 @@ let count_rows db =
 
 let rows_equal got expected = Reference.sort_rows got = Reference.sort_rows expected
 
-let test_power_cut_during_insert () =
-  let db, _ = make () in
-  let flash = Device.flash (Ghost_db.device db) in
-  Ghost_db.insert db (new_prescriptions db 10);
-  (* the 3rd record of the next batch tears mid-program *)
-  Flash.arm_power_cut flash ~after_programs:3;
-  let batch = new_prescriptions ~seed:6 db 8 in
-  (try
-     Ghost_db.insert db batch;
-     Alcotest.fail "expected Power_cut"
-   with Flash.Power_cut _ -> ());
-  check Alcotest.bool "needs recovery" true (Ghost_db.needs_recovery db);
-  (* mutations refuse until recovered *)
-  (try
-     Ghost_db.insert db (new_prescriptions ~seed:7 db 1);
-     Alcotest.fail "insert must refuse"
-   with Invalid_argument _ -> ());
-  (try
-     ignore (Ghost_db.reorganize db);
-     Alcotest.fail "reorganize must refuse"
-   with Failure _ -> ());
-  let r = Ghost_db.recover db in
-  (* 10 acknowledged + the 2 durable records of the torn batch *)
-  check Alcotest.int "delta recovered" 12 r.Ghost_db.delta_recovered;
-  check Alcotest.int "torn record lost" 1 r.Ghost_db.delta_lost;
-  check Alcotest.bool "torn page reported" true (r.Ghost_db.delta_torn_pages >= 1);
-  check Alcotest.int "tombstone log untouched" 0 r.Ghost_db.tombstone_torn_pages;
-  check Alcotest.bool "recovered" false (Ghost_db.needs_recovery db);
-  check Alcotest.int "delta count" 12 (Ghost_db.delta_count db);
-  (* the device's robustness counters saw all of it *)
-  let f = Device.fault_counters (Ghost_db.device db) in
-  check Alcotest.int "power cut counted" 1 (Device.count f Device.Flash_power_cuts);
-  check Alcotest.int "recovered counted" 12 (Device.count f Device.Records_recovered);
-  check Alcotest.int "lost counted" 1 (Device.count f Device.Records_lost);
-  (* queries see exactly the acknowledged prefix, visible + hidden *)
-  check Alcotest.int "row count" (scale.Medical.prescriptions + 12) (count_rows db);
-  (* the log accepts appends again, continuing the key sequence *)
-  Ghost_db.insert db (new_prescriptions ~seed:8 db 3);
-  check Alcotest.int "inserts resume" 15 (Ghost_db.delta_count db);
-  (* reorganization folds the recovered state in cleanly *)
-  let db2 = Ghost_db.reorganize db in
-  check Alcotest.int "reorganized count" (scale.Medical.prescriptions + 15) (count_rows db2);
-  check Alcotest.int "delta folded" 0 (Ghost_db.delta_count db2)
-
-let test_power_cut_insert_query_matches_reference () =
-  let db, rows = make () in
-  let flash = Device.flash (Ghost_db.device db) in
-  let batch = new_prescriptions ~seed:11 db 6 in
-  Flash.arm_power_cut flash ~after_programs:4;
-  (try Ghost_db.insert db batch; Alcotest.fail "expected Power_cut"
-   with Flash.Power_cut _ -> ());
-  ignore (Ghost_db.recover db);
-  let acked = List.filteri (fun i _ -> i < 3) batch in
-  let full_rows =
-    List.map
-      (fun (name, rs) ->
-         if name = "Prescription" then (name, rs @ acked) else (name, rs))
-      rows
+(* The public store and the device agree on exactly the durable rows:
+   the base rows plus [inserted] minus [deleted], in the visible row
+   count, in COUNT( * ) and in the demo query's rows. *)
+let check_mirrors ~tag db rows ~inserted ~deleted =
+  let live =
+    List.filter (fun r -> not (List.mem (key r) deleted))
+      (List.assoc "Prescription" rows @ inserted)
   in
-  let refdb = Reference.db_of_rows (Ghost_db.schema db) full_rows in
-  let q = Ghost_db.bind db Queries.demo in
-  let expected = Reference.run (Ghost_db.schema db) refdb q in
-  let r = Ghost_db.query db Queries.demo in
-  check Alcotest.bool "query matches acknowledged prefix" true
-    (rows_equal r.Exec.rows expected)
+  check Alcotest.int (tag ^ "public rows") (List.length live)
+    (Public_store.cardinality (Ghost_db.public db) "Prescription");
+  check Alcotest.int (tag ^ "COUNT(*)") (List.length live) (count_rows db);
+  let refdb =
+    Reference.db_of_rows (Ghost_db.schema db)
+      (List.map
+         (fun (name, rs) -> if name = "Prescription" then (name, live) else (name, rs))
+         rows)
+  in
+  let expected = Reference.run (Ghost_db.schema db) refdb (Ghost_db.bind db Queries.demo) in
+  check Alcotest.bool (tag ^ "demo rows = reference") true
+    (rows_equal (Ghost_db.query db Queries.demo).Exec.rows expected)
 
-let test_power_cut_during_delete () =
-  let db, _ = make () in
+(* A second recover finds nothing to do and touches no Flash. *)
+let check_second_recover_noop ~tag db =
   let flash = Device.flash (Ghost_db.device db) in
-  Ghost_db.delete db [ 1; 2 ];
-  check Alcotest.int "two tombstones" 2 (Ghost_db.tombstone_count db);
-  (* the 2nd id of the next batch tears *)
-  Flash.arm_power_cut flash ~after_programs:2;
-  (try
-     Ghost_db.delete db [ 3; 4; 5 ];
-     Alcotest.fail "expected Power_cut"
-   with Flash.Power_cut _ -> ());
-  check Alcotest.bool "needs recovery" true (Ghost_db.needs_recovery db);
+  let before = Flash.stats flash in
   let r = Ghost_db.recover db in
-  check Alcotest.int "durable tombstones" 3 r.Ghost_db.tombstones_recovered;
-  check Alcotest.int "torn tombstone lost" 1 r.Ghost_db.tombstones_lost;
-  check Alcotest.int "tombstone count" 3 (Ghost_db.tombstone_count db);
-  (* rows 4 and 5 survived the torn delete: public and device agree *)
-  check Alcotest.int "row count" (scale.Medical.prescriptions - 3) (count_rows db);
-  (* the failed ids can be deleted again *)
-  Ghost_db.delete db [ 4; 5 ];
-  check Alcotest.int "delete resumes" 5 (Ghost_db.tombstone_count db);
-  check Alcotest.int "row count after resume" (scale.Medical.prescriptions - 5)
-    (count_rows db)
+  check Alcotest.(list int) (tag ^ "second recover is a no-op") [ 0; 0; 0; 0; 0; 0 ]
+    [
+      r.Ghost_db.delta_recovered; r.Ghost_db.delta_lost; r.Ghost_db.delta_torn_pages;
+      r.Ghost_db.tombstones_recovered; r.Ghost_db.tombstones_lost;
+      r.Ghost_db.tombstone_torn_pages;
+    ];
+  let after = Flash.stats flash in
+  check Alcotest.(pair int int) (tag ^ "no Flash traffic")
+    (before.Flash.page_reads, before.Flash.page_programs)
+    (after.Flash.page_reads, after.Flash.page_programs)
+
+let prefix n xs = List.filteri (fun i _ -> i < n) xs
+
+(* The torn insert batch completes the L0 tail's page (its first
+   program) and spills 5 rows into a fresh page: the cut tears that
+   2nd program. *)
+let test_power_cut_during_insert () =
+  List.iter
+    (fun (layout, leveled) ->
+       let tag = layout ^ ": " in
+       let db, rows = make ~leveled in
+       let flash = Device.flash (Ghost_db.device db) in
+       let inserted = grow db in
+       let rpp = delta_per_page db in
+       let before = Ghost_db.delta_count db in
+       let batch = new_prescriptions ~seed:6 db (rpp - 3 + 5) in
+       Flash.arm_power_cut flash ~after_programs:2;
+       (try
+          Ghost_db.insert db batch;
+          Alcotest.fail "expected Power_cut"
+        with Flash.Power_cut _ -> ());
+       check Alcotest.bool (tag ^ "needs recovery") true (Ghost_db.needs_recovery db);
+       (* mutations refuse until recovered *)
+       (try
+          Ghost_db.insert db (new_prescriptions ~seed:7 db 1);
+          Alcotest.fail "insert must refuse"
+        with Invalid_argument _ -> ());
+       (try
+          ignore (Ghost_db.reorganize db);
+          Alcotest.fail "reorganize must refuse"
+        with Failure _ -> ());
+       let acked = prefix (rpp - 3) batch in
+       let r = Ghost_db.recover db in
+       let durable = before + List.length acked in
+       check Alcotest.int (tag ^ "delta recovered") durable r.Ghost_db.delta_recovered;
+       check Alcotest.int (tag ^ "torn program's rows lost") 5 r.Ghost_db.delta_lost;
+       check Alcotest.bool (tag ^ "torn page reported") true
+         (r.Ghost_db.delta_torn_pages >= 1);
+       check Alcotest.int (tag ^ "tombstone log untouched") 0
+         r.Ghost_db.tombstone_torn_pages;
+       check Alcotest.bool (tag ^ "recovered") false (Ghost_db.needs_recovery db);
+       check Alcotest.int (tag ^ "delta count") durable (Ghost_db.delta_count db);
+       (* the device's robustness counters saw all of it *)
+       let f = Device.fault_counters (Ghost_db.device db) in
+       check Alcotest.int (tag ^ "power cut counted") 1
+         (Device.count f Device.Flash_power_cuts);
+       check Alcotest.int (tag ^ "recovered counted") durable
+         (Device.count f Device.Records_recovered);
+       check Alcotest.int (tag ^ "lost counted") 5 (Device.count f Device.Records_lost);
+       let inserted = inserted @ acked in
+       check_mirrors ~tag db rows ~inserted ~deleted:[];
+       check_second_recover_noop ~tag db;
+       check_mirrors ~tag:(tag ^ "after a second recover: ") db rows ~inserted ~deleted:[];
+       (* the log accepts appends again, continuing the key sequence *)
+       let resumed = new_prescriptions ~seed:8 db 3 in
+       Ghost_db.insert db resumed;
+       check Alcotest.int (tag ^ "inserts resume") (durable + 3) (Ghost_db.delta_count db);
+       check_mirrors ~tag:(tag ^ "resumed: ") db rows ~inserted:(inserted @ resumed)
+         ~deleted:[];
+       (* reorganization folds the recovered state in cleanly *)
+       let db2 = Ghost_db.reorganize db in
+       check Alcotest.int (tag ^ "reorganized count")
+         (scale.Medical.prescriptions + durable + 3) (count_rows db2);
+       check Alcotest.int (tag ^ "delta folded") 0 (Ghost_db.delta_count db2))
+    layouts
+
+(* One row, then a batch of two pages and 4 rows: the batch's 1st
+   program completes the first page, the cut tears its 2nd (a full
+   page), so the log keeps exactly its first page. *)
+let test_power_cut_insert_query_matches_reference () =
+  List.iter
+    (fun (layout, leveled) ->
+       let tag = layout ^ ": " in
+       let db, rows = make ~leveled in
+       let flash = Device.flash (Ghost_db.device db) in
+       (* a one-row batch creates the log, so its page size is known *)
+       let first = new_prescriptions ~seed:10 db 1 in
+       Ghost_db.insert db first;
+       let rpp = delta_per_page db in
+       let batch = new_prescriptions ~seed:11 db ((2 * rpp) + 4) in
+       Flash.arm_power_cut flash ~after_programs:2;
+       (try Ghost_db.insert db batch; Alcotest.fail "expected Power_cut"
+        with Flash.Power_cut _ -> ());
+       let r = Ghost_db.recover db in
+       let acked = prefix (rpp - 1) batch in
+       check Alcotest.int (tag ^ "recovered the 1st page") rpp r.Ghost_db.delta_recovered;
+       check Alcotest.int (tag ^ "lost the torn page") rpp r.Ghost_db.delta_lost;
+       check_mirrors ~tag db rows ~inserted:(first @ acked) ~deleted:[];
+       check_second_recover_noop ~tag db;
+       check_mirrors ~tag:(tag ^ "after a second recover: ") db rows
+         ~inserted:(first @ acked) ~deleted:[])
+    layouts
+
+(* The torn delete batch completes the tombstone tail's page and spills
+   3 ids into a fresh page; the cut tears that 2nd program. *)
+let test_power_cut_during_delete () =
+  List.iter
+    (fun (layout, leveled) ->
+       let tag = layout ^ ": " in
+       let db, rows = make ~leveled in
+       let flash = Device.flash (Ghost_db.device db) in
+       let inserted = grow db in
+       Ghost_db.delete db [ 1; 2 ];
+       check Alcotest.int (tag ^ "two tombstones") 2 (Ghost_db.tombstone_count db);
+       let rpp = per_page db ~record_bytes:4 in
+       let batch = List.init (rpp - 2 + 3) (fun i -> i + 3) in
+       Flash.arm_power_cut flash ~after_programs:2;
+       (try
+          Ghost_db.delete db batch;
+          Alcotest.fail "expected Power_cut"
+        with Flash.Power_cut _ -> ());
+       check Alcotest.bool (tag ^ "needs recovery") true (Ghost_db.needs_recovery db);
+       let r = Ghost_db.recover db in
+       let acked = prefix (rpp - 2) batch in
+       let torn = List.filteri (fun i _ -> i >= rpp - 2) batch in
+       check Alcotest.int (tag ^ "durable tombstones") rpp r.Ghost_db.tombstones_recovered;
+       check Alcotest.int (tag ^ "torn program's ids lost") 3 r.Ghost_db.tombstones_lost;
+       check Alcotest.int (tag ^ "tombstone count") rpp (Ghost_db.tombstone_count db);
+       (* the torn program's rows survived the delete: public and device
+          agree *)
+       let deleted = [ 1; 2 ] @ acked in
+       check_mirrors ~tag db rows ~inserted ~deleted;
+       check_second_recover_noop ~tag db;
+       check_mirrors ~tag:(tag ^ "after a second recover: ") db rows ~inserted ~deleted;
+       (* the failed ids can be deleted again *)
+       Ghost_db.delete db torn;
+       check Alcotest.int (tag ^ "delete resumes") (rpp + 3) (Ghost_db.tombstone_count db);
+       check_mirrors ~tag:(tag ^ "resumed: ") db rows ~inserted ~deleted:(deleted @ torn))
+    layouts
 
 let test_plain_logs_have_no_recovery () =
   let rows = Medical.generate Medical.tiny in
