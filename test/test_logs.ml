@@ -346,7 +346,8 @@ let golden_tombstones durability =
     match durability with
     | Tombstone_log.Plain -> ""
     | Tombstone_log.Checksummed ->
-      tear f 2 (fun () -> Tombstone_log.append log [ 2000; 2001; 2002 ]);
+      (* 27 ids complete the tail's page, the torn 2nd program holds 13 *)
+      tear f 2 (fun () -> Tombstone_log.append log (List.init 40 (fun i -> 2000 + i)));
       let r = Tombstone_log.recover log in
       Printf.sprintf " recovered=%d lost=%d" r.Tombstone_log.recovered
         r.Tombstone_log.lost
@@ -398,13 +399,13 @@ let test_golden_bytes () =
          read_us=0x1.e499999999999p+7 write_us=0x1.c3fbae147ae15p+12",
         fun () -> golden_delta Delta_log.Checksummed );
       ( "tombstones plain",
-        "ids=180 pages=180 crc=2428479e reads=3 read_bytes=720 programs=180 \
-         program_bytes=22152 read_us=0x1.74p+6 write_us=0x1.28d35c28f5c29p+15",
+        "ids=180 pages=4 crc=382d4d78 reads=3 read_bytes=720 programs=4 \
+         program_bytes=808 read_us=0x1.74p+6 write_us=0x1.b45c28f5c28f5p+9",
         fun () -> golden_tombstones Tombstone_log.Plain );
       ( "tombstones checksummed",
-        "ids=181 recovered=151 lost=1 pages=182 crc=7cc1bc66 reads=7 \
-         read_bytes=1492 programs=182 program_bytes=24978 \
-         read_us=0x1.a89999999999bp+7 write_us=0x1.2df00a3d70a3ep+15",
+        "ids=207 recovered=177 lost=13 pages=6 crc=3b5b9137 reads=8 \
+         read_bytes=1852 programs=6 program_bytes=1092 \
+         read_us=0x1.ec9999999999bp+7 write_us=0x1.4491eb851eb85p+10",
         fun () -> golden_tombstones Tombstone_log.Checksummed );
       ( "delta runs",
         "installs=spill,spill,merge rows=27 fenced=9 runs=1 l0=1 pages=41 \
