@@ -113,20 +113,9 @@ let stream_column t ~trace ~table ~column ~preds =
 
 let append_rows t name rows =
   let tbl = Schema.find_table t.schema name in
-  let rel = Hashtbl.find t.visible name in
-  let old_rows = Array.to_list (Relation.tuples rel) in
-  let sub = Hashtbl.find t.sub_schemas name in
-  Hashtbl.replace t.visible name
-    (Relation.create sub (old_rows @ List.map (strip_row tbl) rows))
+  Relation.append (Hashtbl.find t.visible name) (List.map (strip_row tbl) rows)
 
-let delete_rows t name ids =
-  let rel = Hashtbl.find t.visible name in
-  let sub = Hashtbl.find t.sub_schemas name in
-  let keep =
-    Array.to_list (Relation.tuples rel)
-    |> List.filter (fun row -> not (List.mem (Relation.key_of rel row) ids))
-  in
-  Hashtbl.replace t.visible name (Relation.create sub keep)
+let delete_rows t name ids = Relation.remove (Hashtbl.find t.visible name) ids
 
 let lookup t ~table ~column id =
   check_visible t ~table ~column;

@@ -5,48 +5,73 @@ type tuple = Value.t array
 
 type t = {
   schema : Schema.table;
-  tuples : tuple array;
+  mutable tuples : tuple array;
   by_key : (int, tuple) Hashtbl.t;
 }
 
-let create schema rows =
+(* Validates row [i] of the relation and indexes it by its key.
+   [fn] names the caller in the error. *)
+let index_row ~fn schema by_key i row =
   let arity = Schema.arity schema in
-  let cols = Schema.all_columns schema in
-  let by_key = Hashtbl.create (List.length rows) in
+  if Array.length row <> arity then
+    invalid_arg
+      (Printf.sprintf "Relation.%s(%s): row %d has arity %d, expected %d" fn
+         schema.Schema.name i (Array.length row) arity);
   List.iteri
-    (fun i row ->
-       if Array.length row <> arity then
+    (fun j (c : Column.t) ->
+       if not (Value.has_ty c.Column.ty row.(j)) then
          invalid_arg
-           (Printf.sprintf "Relation.create(%s): row %d has arity %d, expected %d"
-              schema.Schema.name i (Array.length row) arity);
-       List.iteri
-         (fun j (c : Column.t) ->
-            if not (Value.has_ty c.Column.ty row.(j)) then
-              invalid_arg
-                (Printf.sprintf "Relation.create(%s): row %d column %s type mismatch"
-                   schema.Schema.name i c.Column.name))
-         cols;
-       match row.(0) with
-       | Value.Int k ->
-         if Hashtbl.mem by_key k then
-           invalid_arg
-             (Printf.sprintf "Relation.create(%s): duplicate key %d" schema.Schema.name k);
-         Hashtbl.add by_key k row
-       | Value.Null | Value.Float _ | Value.Date _ | Value.Str _ ->
-         invalid_arg
-           (Printf.sprintf "Relation.create(%s): row %d key is not an integer"
-              schema.Schema.name i))
-    rows;
-  { schema; tuples = Array.of_list rows; by_key }
+           (Printf.sprintf "Relation.%s(%s): row %d column %s type mismatch" fn
+              schema.Schema.name i c.Column.name))
+    (Schema.all_columns schema);
+  match row.(0) with
+  | Value.Int k ->
+    if Hashtbl.mem by_key k then
+      invalid_arg
+        (Printf.sprintf "Relation.%s(%s): duplicate key %d" fn schema.Schema.name k);
+    Hashtbl.add by_key k row
+  | Value.Null | Value.Float _ | Value.Date _ | Value.Str _ ->
+    invalid_arg
+      (Printf.sprintf "Relation.%s(%s): row %d key is not an integer" fn
+         schema.Schema.name i)
 
-let schema t = t.schema
-let cardinality t = Array.length t.tuples
-let tuples t = t.tuples
+let create schema rows =
+  let by_key = Hashtbl.create (List.length rows) in
+  List.iteri (index_row ~fn:"create" schema by_key) rows;
+  { schema; tuples = Array.of_list rows; by_key }
 
 let key_of _t tuple =
   match tuple.(0) with
   | Value.Int k -> k
   | Value.Null | Value.Float _ | Value.Date _ | Value.Str _ -> assert false
+
+let append t rows =
+  let n = Array.length t.tuples in
+  let indexed = ref [] in
+  (try
+     List.iteri
+       (fun i row ->
+          index_row ~fn:"append" t.schema t.by_key (n + i) row;
+          indexed := row :: !indexed)
+       rows
+   with e ->
+     (* nothing is applied from a failing batch *)
+     List.iter (fun row -> Hashtbl.remove t.by_key (key_of t row)) !indexed;
+     raise e);
+  t.tuples <- Array.append t.tuples (Array.of_list rows)
+
+let remove t keys =
+  let gone = List.filter (Hashtbl.mem t.by_key) keys in
+  if gone <> [] then begin
+    List.iter (Hashtbl.remove t.by_key) gone;
+    t.tuples <-
+      Array.of_seq
+        (Seq.filter (fun row -> Hashtbl.mem t.by_key (key_of t row)) (Array.to_seq t.tuples))
+  end
+
+let schema t = t.schema
+let cardinality t = Array.length t.tuples
+let tuples t = t.tuples
 
 let find t k = Hashtbl.find_opt t.by_key k
 

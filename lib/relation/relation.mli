@@ -17,6 +17,16 @@ val create : Schema.table -> tuple list -> t
     value. Raises [Invalid_argument] on arity/type mismatch or
     duplicate keys. *)
 
+val append : t -> tuple list -> unit
+(** Appends rows in place, validating and indexing only the new ones:
+    the same checks and errors as {!create}, rows numbered by their
+    position in the relation. Nothing is applied from a failing
+    batch. *)
+
+val remove : t -> int list -> unit
+(** Removes the rows with these keys in place, keeping the order of
+    the rest; unknown keys are ignored. *)
+
 val schema : t -> Schema.table
 val cardinality : t -> int
 val tuples : t -> tuple array

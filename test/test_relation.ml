@@ -187,6 +187,33 @@ let test_relation_validation () =
     Alcotest.fail "expected type error"
   with Invalid_argument _ -> ()
 
+(* In-place writes validate only the new rows, with create's checks,
+   and keep row order; a failing batch leaves the relation as it was. *)
+let test_relation_append_remove () =
+  let t = Schema.table ~name:"T" ~key:"ID" [ Column.make "v" Value.T_int ] in
+  let row k = [| Value.Int k; Value.Int (10 * k) |] in
+  let r = Relation.create t [ row 1; row 2 ] in
+  let keys () = Array.to_list (Array.map (Relation.key_of r) (Relation.tuples r)) in
+  Relation.append r [ row 5; row 3 ];
+  check Alcotest.(list int) "appended in order" [ 1; 2; 5; 3 ] (keys ());
+  let rejects what rows =
+    match Relation.append r rows with
+    | () -> Alcotest.failf "expected %s error" what
+    | exception Invalid_argument _ ->
+      check Alcotest.(list int) (what ^ ": nothing applied") [ 1; 2; 5; 3 ] (keys ());
+      check Alcotest.bool (what ^ ": no stray key") true (Relation.find r 7 = None)
+  in
+  rejects "duplicate" [ row 7; row 2 ];
+  rejects "in-batch duplicate" [ row 7; row 7 ];
+  rejects "arity" [ row 7; [| Value.Int 8 |] ];
+  rejects "type" [ row 7; [| Value.Int 8; Value.Str "no" |] ];
+  rejects "key" [ row 7; [| Value.Str "k"; Value.Int 1 |] ];
+  Relation.remove r [ 2; 9; 3 ];
+  check Alcotest.(list int) "removed, order kept" [ 1; 5 ] (keys ());
+  check Alcotest.bool "removed key gone" true (Relation.find r 2 = None);
+  Relation.append r [ row 2 ];
+  check Alcotest.(list int) "a removed key can return" [ 1; 5; 2 ] (keys ())
+
 let suite = [
   Alcotest.test_case "column validation" `Quick test_column_validation;
   Alcotest.test_case "tree structure" `Quick test_tree_structure;
@@ -198,4 +225,5 @@ let suite = [
   Alcotest.test_case "predicate eval" `Quick test_predicate_eval;
   Alcotest.test_case "relation basics" `Quick test_relation_basics;
   Alcotest.test_case "relation validation" `Quick test_relation_validation;
+  Alcotest.test_case "relation append and remove" `Quick test_relation_append_remove;
 ]
