@@ -505,17 +505,31 @@ let build_bloom ctx ~level_of (g : Plan.group) =
 (* ---- projection phase ---- *)
 
 (* Join one sorted (id, value) stream against the rows on the ids at
-   [level]. In-RAM hash join when the stream fits, external sort-merge
-   otherwise. [verify] drops rows without a match (Bloom false
-   positives); attach_value keeps the joined value on the row. *)
+   [level]. In-RAM hash join when the stream fits in half the free
+   arena, or in all of it when the sort could not run; external
+   sort-merge otherwise. [verify] drops rows without a match (Bloom
+   false positives); attach_value keeps the joined value on the row. *)
 let join_stream ctx ~label ~level ~verify ~attach_value ~value_width ~rows fetch_stream =
   measure ctx label ~tuples_in:(List.length rows) (fun () ->
     let stream : (int * Value.t) array = fetch_stream () in
     let n = Array.length stream in
     let hash_bytes = n * (8 + value_width) in
     let free = Ram.budget ctx.ram - Ram.in_use ctx.ram in
+    (* Sort records carry the row's ids, its ordinal and its attached
+       values, so the simulated Flash traffic is honest. *)
+    let rows_arr = Array.of_list rows in
+    let record_bytes =
+      match rows with
+      | [] -> 4
+      | r :: _ -> (4 * Array.length r.ids) + 4 + (8 * List.length r.attached)
+    in
     let joined =
-      if hash_bytes <= free / 2 then begin
+      if hash_bytes <= free / 2
+         || hash_bytes <= free
+            && not
+                 (Ext_sort.fits ~ram:ctx.ram ~scratch:ctx.scratch ~record_bytes
+                    ~records:(Array.length rows_arr))
+      then begin
         (* RAM-resident hash join. *)
         Ram.with_alloc ctx.ram ~label:(label ^ "-hash") hash_bytes (fun _ ->
           let table = Hashtbl.create (max 16 n) in
@@ -543,16 +557,7 @@ let join_stream ctx ~label ~level ~verify ~attach_value ~value_width ~rows fetch
       end
       else begin
         (* Spill: sort the rows by the join id on scratch, merge with
-           the sorted stream. Records carry the row ordinal; their
-           simulated width includes the attached values so Flash
-           traffic is honest. *)
-        let rows_arr = Array.of_list rows in
-        let attached_bytes =
-          match rows with
-          | [] -> 0
-          | r :: _ -> 8 * List.length r.attached
-        in
-        let record_bytes = (4 * Array.length (if rows = [] then [||] else rows_arr.(0).ids)) + 4 + attached_bytes in
+           the sorted stream. *)
         let encode i =
           let b = Bytes.make record_bytes '\000' in
           Codec.put_u32 b 0 rows_arr.(i).ids.(level);

@@ -15,6 +15,11 @@ module Ram = Ghost_device.Ram
 val log2_ceil : int -> int
 (** Number of comparison levels of a sort of that many items (>= 1). *)
 
+val fits : ram:Ram.t -> scratch:Flash.t -> record_bytes:int -> records:int -> bool
+(** Whether {!sort} of [records] records fits the free arena: in RAM,
+    or, when it must spill, with runs of at least two records and a
+    2-way merge beside the one-page write buffer. *)
+
 val sort :
   ram:Ram.t ->
   scratch:Flash.t ->
@@ -28,7 +33,9 @@ val sort :
 (** Sorts the records of the input cursor (each exactly
     [record_bytes] long). When the whole input fits in half the free
     arena it is sorted in RAM without touching Flash; otherwise sorted
-    runs are spilled to [scratch] and k-way merged with the fan-in the
-    arena allows. The output cursor's resources are released through
+    runs are spilled to [scratch] through a one-page write buffer and
+    k-way merged with the fan-in the arena allows. Below two pages of
+    free arena the runs and read buffers shrink so the write buffer
+    fits beside them (see {!fits}). The output cursor's resources are released through
     [resources]. Raises [Invalid_argument] on a record of the wrong
     width. *)

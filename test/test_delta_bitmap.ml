@@ -355,6 +355,27 @@ let test_full_fallback () =
     r2.Exec.total.Device.used_cpu_ops;
   check (Alcotest.float 0.) "device clock" r1.Exec.elapsed_us r2.Exec.elapsed_us
 
+(* A projection join whose hash table is over half the free arena
+   takes the external sort. With under 4 KB free the sort's run buffer
+   (half the free arena) and its 2,048-byte run write buffer could not
+   both fit, and the query failed; the run buffer now leaves room for
+   the write buffer, and the join hashes in RAM when the hash fits but
+   the sort's smallest spill does not. *)
+let test_full_tight_join () =
+  List.iter
+    (fun free ->
+       let st = load Medical.tiny in
+       insert st Medical.tiny (Rng.create 5) 20;
+       let ram = Device.ram (Ghost_db.device st.db) in
+       let fill = Ram.alloc ram ~label:"test-fill" (Ram.budget ram - Ram.in_use ram - free) in
+       let r =
+         Fun.protect ~finally:(fun () -> Ram.free ram fill) (fun () ->
+           Ghost_db.run_plan st.db (full_plan st Queries.demo))
+       in
+       check Alcotest.bool (Printf.sprintf "%d B free: reference rows" free) true
+         (Reference.sort_rows r.Exec.rows = reference st Queries.demo))
+    [ 2_060; 3_000 ]
+
 (* The demo query without its hidden predicate: the same joins and
    projections, so the same RAM in every operator but the bitmap. *)
 let demo_without_purpose =
@@ -417,4 +438,5 @@ let suite =
     Alcotest.test_case "Full: fallback keeps rows and trace" `Quick test_full_fallback;
     Alcotest.test_case "Full: bitmap freed before the joins" `Quick
       test_full_bitmap_lifetime;
+    Alcotest.test_case "Full: demo joins in a tight arena" `Quick test_full_tight_join;
   ]

@@ -389,6 +389,29 @@ let prop_ext_sort_spill_path =
        && Ram.in_use ram = 0
        && (Flash.stats scratch).Flash.page_programs > 0)
 
+(* Under two pages of free arena the run and read buffers shrink so the
+   one-page write buffer fits beside them: the sort spills and merges
+   (hierarchically, with this many runs) instead of failing, down to
+   the smallest footprint {!Ext_sort.fits} admits. *)
+let test_ext_sort_tight_arena () =
+  let page = 256 in
+  let values = List.init 600 (fun i -> (i * 7919) mod 1000) in
+  List.iter
+    (fun budget ->
+       let ram = Ram.create ~budget in
+       check Alcotest.bool (Printf.sprintf "%d B: fits" budget) true
+         (Ext_sort.fits ~ram ~scratch:(flash ()) ~record_bytes:4 ~records:600);
+       let sorted, ram, scratch = run_sort ~budget values in
+       check Alcotest.(list int) (Printf.sprintf "%d B: sorted" budget)
+         (List.sort Int.compare values) sorted;
+       check Alcotest.int (Printf.sprintf "%d B: RAM released" budget) 0 (Ram.in_use ram);
+       check Alcotest.bool (Printf.sprintf "%d B: spilled" budget) true
+         ((Flash.stats scratch).Flash.page_programs > 0))
+    [ page + 32; page + 100; (2 * page) - 4 ];
+  check Alcotest.bool "below the smallest spill" false
+    (Ext_sort.fits ~ram:(Ram.create ~budget:(page + 31)) ~scratch:(flash ()) ~record_bytes:4
+       ~records:600)
+
 let test_ext_sort_wrong_width () =
   let ram = Ram.create ~budget:4096 in
   let scratch = flash () in
@@ -426,4 +449,5 @@ let suite = [
   qtest prop_ext_sort_ram_path;
   qtest prop_ext_sort_spill_path;
   Alcotest.test_case "ext sort wrong width" `Quick test_ext_sort_wrong_width;
+  Alcotest.test_case "ext sort in a tight arena" `Quick test_ext_sort_tight_arena;
 ]
