@@ -1,9 +1,11 @@
 (* Crash recovery: the power fails mid-insert, tearing a Flash page.
 
    With [durable_logs] the delta / tombstone logs use checksummed pages
-   (DESIGN.md §9): after the cut, [Ghost_db.recover] scans the log,
-   discards the torn program, and restores exactly the acknowledged
-   prefix — then life goes on.
+   (DESIGN.md §9). An insert batch programs once per log page it
+   touches, and each completed program acknowledges its rows: after the
+   cut, [Ghost_db.recover] scans the log, discards the torn program, and
+   restores exactly the acknowledged rows — the public store already
+   mirrors them — then life goes on.
 
    dune exec examples/crash_recovery.exe *)
 
@@ -49,10 +51,12 @@ let () =
   Printf.printf "inserted 10 new prescriptions; total %d\n"
     (count_prescriptions db);
 
-  (* The power fails three page programs into the next batch. *)
-  Flash.arm_power_cut (Device.flash (Ghost_db.device db)) ~after_programs:3;
+  (* The next batch fills the rest of the log's open page (39 records
+     fit a 2 KiB page) and spills into a fresh one; the power fails
+     during that second page program. *)
+  Flash.arm_power_cut (Device.flash (Ghost_db.device db)) ~after_programs:2;
   (try
-     Ghost_db.insert db (fresh_prescriptions db rng 8);
+     Ghost_db.insert db (fresh_prescriptions db rng 40);
      print_endline "unreachable"
    with Flash.Power_cut { page; programmed } ->
      Printf.printf "\n*** power cut: page %d torn after %d bytes ***\n" page
