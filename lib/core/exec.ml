@@ -517,7 +517,6 @@ let join_stream ctx ~label ~level ~verify ~attach_value ~value_width ~rows fetch
     let free = Ram.budget ctx.ram - Ram.in_use ctx.ram in
     (* Sort records carry the row's ids, its ordinal and its attached
        values, so the simulated Flash traffic is honest. *)
-    let rows_arr = Array.of_list rows in
     let record_bytes =
       match rows with
       | [] -> 4
@@ -528,7 +527,7 @@ let join_stream ctx ~label ~level ~verify ~attach_value ~value_width ~rows fetch
          || hash_bytes <= free
             && not
                  (Ext_sort.fits ~ram:ctx.ram ~scratch:ctx.scratch ~record_bytes
-                    ~records:(Array.length rows_arr))
+                    ~records:(List.length rows))
       then begin
         (* RAM-resident hash join. *)
         Ram.with_alloc ctx.ram ~label:(label ^ "-hash") hash_bytes (fun _ ->
@@ -558,6 +557,7 @@ let join_stream ctx ~label ~level ~verify ~attach_value ~value_width ~rows fetch
       else begin
         (* Spill: sort the rows by the join id on scratch, merge with
            the sorted stream. *)
+        let rows_arr = Array.of_list rows in
         let encode i =
           let b = Bytes.make record_bytes '\000' in
           Codec.put_u32 b 0 rows_arr.(i).ids.(level);

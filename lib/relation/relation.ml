@@ -61,12 +61,19 @@ let append t rows =
   t.tuples <- Array.append t.tuples (Array.of_list rows)
 
 let remove t keys =
-  let gone = List.filter (Hashtbl.mem t.by_key) keys in
-  if gone <> [] then begin
-    List.iter (Hashtbl.remove t.by_key) gone;
-    t.tuples <-
-      Array.of_seq
-        (Seq.filter (fun row -> Hashtbl.mem t.by_key (key_of t row)) (Array.to_seq t.tuples))
+  let gone = Sorted_ids.of_unsorted (List.filter (Hashtbl.mem t.by_key) keys) in
+  if gone <> [||] then begin
+    Array.iter (Hashtbl.remove t.by_key) gone;
+    let kept = Array.make (Array.length t.tuples - Array.length gone) [||] in
+    let j = ref 0 in
+    Array.iter
+      (fun row ->
+         if not (Sorted_ids.member gone (key_of t row)) then begin
+           kept.(!j) <- row;
+           incr j
+         end)
+      t.tuples;
+    t.tuples <- kept
   end
 
 let schema t = t.schema
