@@ -19,10 +19,16 @@ val insert_root :
 (** Appends full tuples to the schema root. Keys must densely continue
     the existing ids; foreign keys must reference loaded dimension
     rows. Raises {!Insert_error} on any violation (nothing is applied
-    from a failing batch). *)
+    from a failing batch). The batch is one delta-log append, one Flash
+    program per log page it touches; if a power cut tears one,
+    [Flash.Power_cut] propagates after the rows of the completed
+    programs — exactly the rows the log acknowledged — were added to
+    the public store. *)
 
 val delete_root : Catalog.t -> Public_store.t -> int list -> unit
 (** Tombstones root tuples by id: the ids are appended to the deletion
-    log and the visible rows leave the public store. Raises
-    {!Insert_error} on unknown, duplicate, or already-deleted ids
-    (nothing is applied from a failing batch). *)
+    log as one batch and the visible rows leave the public store.
+    Raises {!Insert_error} on unknown, duplicate, or already-deleted
+    ids (nothing is applied from a failing batch). On a power cut, as
+    for {!insert_root}, only the acknowledged ids leave the public
+    store. *)

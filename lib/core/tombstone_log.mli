@@ -27,8 +27,8 @@ val create :
   t
 (** The ids live in a {!Ghost_store.Append_log} of 4-byte records
     tagged ["GTMB"]. [durability] defaults to [Plain] (bit-identical to
-    the original format). [cache] — the device's shared page cache; each append
-    invalidates the page it programs there (see {!Delta_log.create}). *)
+    the original format). [cache] — the device's shared page cache; each
+    program invalidates the page it writes there (see {!Delta_log.create}). *)
 
 val table : t -> string
 val count : t -> int

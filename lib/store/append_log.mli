@@ -37,8 +37,8 @@ val create :
   record_bytes:int ->
   t
 (** [tag] — the four-byte page tag of a [Checksummed] log. [cache] —
-    the device's shared page cache; each append invalidates the page it
-    programs there, since {!Flash.append} recycles erased pages the
+    the device's shared page cache; each program invalidates the page
+    it writes there, since {!Flash.append} recycles erased pages the
     cache may still hold. Raises [Invalid_argument] when a record
     (plus header) exceeds a page. *)
 
