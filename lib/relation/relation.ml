@@ -9,31 +9,27 @@ type t = {
   by_key : (int, tuple) Hashtbl.t;
 }
 
-(* Validates row [i] of the relation and indexes it by its key.
-   [fn] names the caller in the error. *)
-let index_row ~fn schema by_key i row =
+(* [index_row ~fn schema by_key i row] validates row [i] of the
+   relation and indexes it by its key; [fn] names the caller in the
+   error. *)
+let index_row ~fn schema by_key =
   let arity = Schema.arity schema in
-  if Array.length row <> arity then
-    invalid_arg
-      (Printf.sprintf "Relation.%s(%s): row %d has arity %d, expected %d" fn
-         schema.Schema.name i (Array.length row) arity);
-  List.iteri
-    (fun j (c : Column.t) ->
-       if not (Value.has_ty c.Column.ty row.(j)) then
-         invalid_arg
-           (Printf.sprintf "Relation.%s(%s): row %d column %s type mismatch" fn
-              schema.Schema.name i c.Column.name))
-    (Schema.all_columns schema);
-  match row.(0) with
-  | Value.Int k ->
-    if Hashtbl.mem by_key k then
-      invalid_arg
-        (Printf.sprintf "Relation.%s(%s): duplicate key %d" fn schema.Schema.name k);
-    Hashtbl.add by_key k row
-  | Value.Null | Value.Float _ | Value.Date _ | Value.Str _ ->
-    invalid_arg
-      (Printf.sprintf "Relation.%s(%s): row %d key is not an integer" fn
-         schema.Schema.name i)
+  let cols = Schema.all_columns schema in
+  let fail fmt = Printf.ksprintf invalid_arg ("Relation.%s(%s): " ^^ fmt) fn schema.Schema.name in
+  fun i row ->
+    if Array.length row <> arity then
+      fail "row %d has arity %d, expected %d" i (Array.length row) arity;
+    List.iteri
+      (fun j (c : Column.t) ->
+         if not (Value.has_ty c.Column.ty row.(j)) then
+           fail "row %d column %s type mismatch" i c.Column.name)
+      cols;
+    match row.(0) with
+    | Value.Int k ->
+      if Hashtbl.mem by_key k then fail "duplicate key %d" k;
+      Hashtbl.add by_key k row
+    | Value.Null | Value.Float _ | Value.Date _ | Value.Str _ ->
+      fail "row %d key is not an integer" i
 
 let create schema rows =
   let by_key = Hashtbl.create (List.length rows) in
@@ -47,11 +43,12 @@ let key_of _t tuple =
 
 let append t rows =
   let n = Array.length t.tuples in
+  let index = index_row ~fn:"append" t.schema t.by_key in
   let indexed = ref [] in
   (try
      List.iteri
        (fun i row ->
-          index_row ~fn:"append" t.schema t.by_key (n + i) row;
+          index (n + i) row;
           indexed := row :: !indexed)
        rows
    with e ->
