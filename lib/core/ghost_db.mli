@@ -119,9 +119,11 @@ val reorganize : t -> t
 
     With [durable_logs] set in the device config, the delta and
     tombstone logs use checksummed pages and survive a simulated power
-    cut ([Flash.Power_cut] escaping from {!insert} or {!delete}): the
-    interrupted operation is not acknowledged, and [recover] truncates
-    the logs to exactly the acknowledged prefix. *)
+    cut ([Flash.Power_cut] escaping from {!insert} or {!delete}). A
+    batch programs once per log page it touches and each completed
+    program acknowledges its rows: the public store already holds
+    exactly those rows when the cut escapes, and [recover] truncates
+    the logs to them. *)
 
 type reorg_outcome =
   | Reorg_completed of {
