@@ -209,21 +209,30 @@ let emit_bound env =
    the run pages surviving fence skipping plus the (bounded) L0 pages,
    at scratch speed — run pages are recycled constantly, so the cache
    never fronts them — plus the executor's 5 CPU ops per record
-   scanned. [fraction] is the expected share of run pages a fenced scan
-   touches (1 for an unfenced or oblivious scan); a flat log is all L0.
-   Also returns the records scanned, which the per-record hidden tests
-   are priced on. *)
+   scanned. A run's value pages count only when the plan reads them
+   ([Plan.reads_delta_values]); an id-only scan touches its id pages
+   alone. [fraction] is the expected share of the runs' records, and
+   so of their pages, a fenced scan touches (1 for an unfenced or
+   oblivious scan); a flat log is all L0, always read whole. Also
+   returns the records scanned, which the per-record hidden tests are
+   priced on. *)
 let delta_scan env ~fraction =
   match Catalog.delta env.cat env.plan.Plan.root with
   | None -> (0., 0.)
   | Some log ->
     let page = Float.of_int env.cfg.Device.flash_geometry.Flash.page_size in
-    let run_pages = Float.of_int (Delta_log.run_pages log) in
-    let l0_pages = Float.of_int (Delta_log.l0_pages log) in
-    let touched = (fraction *. run_pages) +. l0_pages in
-    let total = run_pages +. l0_pages in
-    let share = if total <= 0. then 0. else touched /. total in
-    let records = share *. Float.of_int (Delta_log.physical_records log) in
+    let run_pages =
+      if Plan.reads_delta_values env.cat.Catalog.schema env.plan then
+        Delta_log.run_pages log
+      else Delta_log.run_id_pages log
+    in
+    let touched =
+      (fraction *. Float.of_int run_pages) +. Float.of_int (Delta_log.l0_pages log)
+    in
+    let run_records = Float.of_int (Delta_log.run_records log) in
+    let records =
+      Float.of_int (Delta_log.physical_records log) -. ((1. -. fraction) *. run_records)
+    in
     (scratch_read_us env (touched *. page) +. cpu_us env (5. *. records), records)
 
 (* Bytes the query-time point-read paths keep going back to: index

@@ -36,7 +36,8 @@ type t = {
   table : string;
   levels : string array;
   hidden_cols : (string * Value.ty) array;
-  record_bytes : int;
+  id_bytes : int;  (* a record's ids, one u32 per level, root first *)
+  record_bytes : int;  (* ids, then the root's hidden values *)
   cache : Page_cache.t option;
       (* invalidated when compaction programs a recycled Flash page *)
   runs_policy : runs_policy option;
@@ -48,16 +49,17 @@ type t = {
 }
 
 let create ?durability ?cache ?runs flash ~table ~levels ~hidden_cols =
-  let record_bytes =
-    (4 * List.length levels)
-    + List.fold_left (fun acc (_, ty) -> acc + Value.ty_width ty) 0 hidden_cols
+  let id_bytes = 4 * List.length levels in
+  let value_bytes =
+    List.fold_left (fun acc (_, ty) -> acc + Value.ty_width ty) 0 hidden_cols
   in
+  let record_bytes = id_bytes + value_bytes in
   let l0 = Append_log.create ?durability ?cache flash ~tag:"GDLT" ~record_bytes in
   (match runs with
    | Some p ->
      if p.l0_spill_pages < 1 || p.run_fanout < 2 then
        invalid_arg "Delta_log.create: spill threshold < 1 or fanout < 2";
-     if Log_run.records_per_page flash ~record_bytes < 1 then
+     if Log_run.records_per_page flash ~record_bytes:(max id_bytes value_bytes) < 1 then
        invalid_arg "Delta_log.create: record exceeds a run page"
    | None -> ());
   {
@@ -65,6 +67,7 @@ let create ?durability ?cache ?runs flash ~table ~levels ~hidden_cols =
     table;
     levels = Array.of_list levels;
     hidden_cols = Array.of_list hidden_cols;
+    id_bytes;
     record_bytes;
     cache;
     runs_policy = runs;
@@ -87,7 +90,13 @@ let runs_enabled t = t.runs_policy <> None
 let has_runs t = t.runs <> []
 let run_count t = List.length t.runs
 let run_pages t = List.fold_left (fun a r -> a + Log_run.page_count r) 0 t.runs
+
+let run_id_pages t =
+  List.fold_left (fun a r -> a + Array.length r.Log_run.id_pages) 0 t.runs
+
+let run_records t = List.fold_left (fun a r -> a + r.Log_run.count) 0 t.runs
 let l0_pages t = Append_log.page_count t.l0
+let pages t = Append_log.pages t.l0 @ List.concat_map Log_run.pages t.runs
 
 (* Records a sequential scan touches: the logical count minus what
    compaction folded away. Equal to [count] on a flat log. *)
@@ -95,10 +104,7 @@ let physical_records t = count t - t.dropped
 let dropped_records t = t.dropped
 
 let size_bytes t =
-  Append_log.size_bytes t.l0
-  + List.fold_left
-      (fun a r -> a + Log_run.size_bytes r ~record_bytes:t.record_bytes)
-      0 t.runs
+  Append_log.size_bytes t.l0 + List.fold_left (fun a r -> a + Log_run.size_bytes r) 0 t.runs
 
 type row = {
   ids : int array;
@@ -178,7 +184,9 @@ let start_compaction t =
       let c =
         {
           c_level = level;
-          c_builder = Log_run.start t.flash ~record_bytes:t.record_bytes ~level;
+          c_builder =
+            Log_run.start t.flash ~id_bytes:t.id_bytes
+              ~value_bytes:(t.record_bytes - t.id_bytes) ~level;
           c_source = source;
           c_input_runs = inputs;
           c_spill_pages = spill_pages;
@@ -206,7 +214,7 @@ let pull t c =
   | S_records (r :: rest) ->
     c.c_source <- S_records rest;
     Some r
-  | S_merge m -> Log_run.merge_next t.flash ~record_bytes:t.record_bytes m
+  | S_merge m -> Log_run.merge_next t.flash m
 
 (* The installed run replaces its inputs atomically in the volatile
    state: the seal program is the run's commit point, and nothing here
@@ -252,7 +260,7 @@ let compact_step ?(drop = fun _ -> false) t ~max_pages =
     let on_program page =
       Option.iter (fun cache -> Page_cache.invalidate cache ~page) t.cache
     in
-    let programmed () = List.length (Log_run.built_pages c.c_builder) in
+    let programmed () = Log_run.programmed_pages c.c_builder in
     let budget = programmed () + max_pages in
     let exhausted = ref false in
     (try
@@ -296,9 +304,7 @@ let recover t =
      bytes until reorganization. *)
   (match t.compaction with
    | Some c ->
-     t.compacted_dead <-
-       t.compacted_dead
-       + (Log_run.programmed_records c.c_builder * t.record_bytes);
+     t.compacted_dead <- t.compacted_dead + Log_run.programmed_bytes c.c_builder;
      t.compaction <- None
    | None -> ());
   (* Roll installed runs forward. An installed run only fails to
@@ -310,7 +316,7 @@ let recover t =
   t.runs <-
     List.filter
       (fun r ->
-         if Log_run.validate t.flash ~record_bytes:t.record_bytes r then true
+         if Log_run.validate t.flash r then true
          else begin
            incr runs_torn;
            run_lost := !run_lost + r.Log_run.count;
@@ -324,41 +330,45 @@ let recover t =
     torn_pages = r.torn_pages + !runs_torn;
   }
 
-let decode t b off =
-  let n_levels = Array.length t.levels in
-  let ids = Array.init n_levels (fun i -> Codec.get_u32 b (off + (4 * i))) in
-  let pos = ref (off + (4 * n_levels)) in
-  let hidden =
-    Array.map
-      (fun (_, ty) ->
-         let v = Value.decode ty b !pos in
-         pos := !pos + Value.ty_width ty;
-         v)
-      t.hidden_cols
-  in
-  { ids; hidden }
+let decode_ids t b off = Array.init (Array.length t.levels) (fun i -> Codec.get_u32 b (off + (4 * i)))
 
-let scan_range ?lo ?hi t f =
+let decode_values t b off =
+  let pos = ref off in
+  Array.map
+    (fun (_, ty) ->
+       let v = Value.decode ty b !pos in
+       pos := !pos + Value.ty_width ty;
+       v)
+    t.hidden_cols
+
+let scan_range ?lo ?hi ?(values = true) t f =
+  let emit b off vb voff =
+    f { ids = decode_ids t b off; hidden = (if values then decode_values t vb voff else [||]) }
+  in
   (* Runs first (they hold the oldest records), then L0: rows stream in
      ascending root-id order just like the flat log's append order. The
-     bounds skip run pages via their key fences; the L0 prefix is
-     bounded by the spill threshold and is always read in full. *)
-  List.iter
-    (fun run ->
-       Log_run.iter t.flash ~record_bytes:t.record_bytes ?lo ?hi run
-         (fun record -> f (decode t (Bytes.unsafe_of_string record) 0)))
-    t.runs;
+     bounds skip run pages via their key fences, and an id-only scan
+     reads no value page; the L0 prefix is bounded by the spill
+     threshold, holds whole records, and is always read in full. *)
+  List.iter (fun run -> Log_run.iter t.flash ?lo ?hi ~values run emit) t.runs;
   Append_log.iter_pages t.l0 (fun b n ->
       for i = 0 to n - 1 do
-        f (decode t b (i * t.record_bytes))
+        let off = i * t.record_bytes in
+        emit b off b (off + t.id_bytes)
       done)
 
 let scan t f = scan_range t f
 
+let check_values t row =
+  if Array.length row.hidden <> Array.length t.hidden_cols then
+    invalid_arg "Delta_log: the row comes from a scan that read no value"
+
 let hidden_assoc t row =
+  check_values t row;
   Array.to_list (Array.mapi (fun i (name, _) -> (name, row.hidden.(i))) t.hidden_cols)
 
 let hidden_value t row col =
+  check_values t row;
   let rec loop i =
     if i >= Array.length t.hidden_cols then raise Not_found
     else if fst t.hidden_cols.(i) = col then row.hidden.(i)

@@ -23,7 +23,11 @@ module Flash = Ghost_flash.Flash
     the log becomes a miniature LSM tree: the unsorted recent pages
     (L0, the memtable role) spill into immutable sorted
     {!Ghost_store.Log_run} runs, runs of a level merge into the next,
-    and reads stream runs + L0 with page-range skipping. Because the
+    and reads stream runs + L0 with page-range skipping. A run stores
+    each record as two page streams: id pages hold its id vector
+    (root id first, carrying the key fences) and value pages its
+    hidden values, in the same record order, so a scan whose plan
+    needs no root hidden value reads the id pages alone. Because the
     schema root assigns {e dense increasing} ids and each root id
     appears in at most one delta record, L0 is already key-sorted and
     the newest-wins merge is trivially correct. Compaction never runs
@@ -119,7 +123,19 @@ val has_runs : t -> bool
 
 val run_count : t -> int
 val run_pages : t -> int
-(** Installed runs / total Flash pages they occupy. *)
+(** Installed runs / total Flash pages they occupy, both streams. *)
+
+val run_id_pages : t -> int
+(** Of {!run_pages}, the id pages: all a scan that reads no hidden
+    value touches of the runs. *)
+
+val run_records : t -> int
+(** Records held by the installed runs; {!physical_records} minus the
+    L0 records. *)
+
+val pages : t -> int list
+(** Every live Flash page of the log: the L0 pages (full pages, then
+    the live tail program), then each run's id and value pages. *)
 
 val l0_pages : t -> int
 (** Unspilled L0 pages (full pages + live tail program). *)
@@ -205,17 +221,23 @@ val scan : t -> (row -> unit) -> unit
     first, then the L0 pages — ascending root-id order throughout,
     matching the flat log's append order. *)
 
-val scan_range : ?lo:int -> ?hi:int -> t -> (row -> unit) -> unit
+val scan_range : ?lo:int -> ?hi:int -> ?values:bool -> t -> (row -> unit) -> unit
 (** {!scan} that skips run pages whose key fences fall outside
-    [[lo, hi]] — the merge-on-read fast path. Emits a {e superset} of
-    the rows in range (page granularity; L0 is always read whole), so
-    callers re-check membership exactly as {!Exec}'s shipped-id
-    filters do. On a flat log the bounds are ignored and the scan is
+    [[lo, hi]] — the merge-on-read fast path. The runs emit exactly
+    their rows in range; L0 is always read and emitted whole, so the
+    result is a {e superset} of the rows in range and callers re-check
+    membership exactly as {!Exec}'s shipped-id filters do. With
+    [~values:false] the scan reads no run value page and each row's
+    [hidden] is empty (L0 pages hold whole records and cost the same
+    either way); the ids, and their order, are those of the scan with
+    values. On a flat log the bounds are ignored and the scan is
     bit-identical to {!scan}. *)
 
 val hidden_value : t -> row -> string -> Value.t
 (** [hidden_value t row col] — the record's value of one of the
-    table's own hidden columns. Raises [Not_found]. *)
+    table's own hidden columns. Raises [Not_found] for an unknown
+    column, [Invalid_argument] for a row of an id-only scan. *)
 
 val hidden_assoc : t -> row -> (string * Value.t) list
-(** All of the record's own hidden column values, by name. *)
+(** All of the record's own hidden column values, by name. Raises
+    [Invalid_argument] for a row of an id-only scan. *)

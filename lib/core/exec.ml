@@ -1003,9 +1003,13 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
                 | None -> (None, None)
             end
           in
+          (* Run value pages are read only for a plan that needs the
+             root's hidden values; an id-only row carries none, so a
+             projection that wanted one would fail loudly. *)
+          let values = Plan.reads_delta_values schema plan in
           let out = ref [] in
           let n_live = ref 0 in
-          Delta_log.scan_range ?lo ?hi log (fun r ->
+          Delta_log.scan_range ?lo ?hi ~values log (fun r ->
             cpu ctx 5;
             let live = all_pass tests r in
             if live then incr n_live;
@@ -1014,7 +1018,8 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
                 {
                   ids = r.Delta_log.ids;
                   attached = [];
-                  delta_hidden = Some (Delta_log.hidden_assoc log r);
+                  delta_hidden =
+                    Some (if values then Delta_log.hidden_assoc log r else []);
                   live;
                 }
                 :: !out);

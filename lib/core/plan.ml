@@ -124,6 +124,20 @@ let reads_skt t =
           && (post_filtered g || List.exists (fun h -> h.h_strategy = H_check) g.g_hidden))
        t.groups
 
+(* The delta log's runs keep the root's own hidden values on value
+   pages apart from the id pages; only a root hidden column, tested or
+   projected, needs them, and [Full] reads the whole log. *)
+let reads_delta_values schema t =
+  let hidden table column =
+    let tbl = Schema.find_table schema table in
+    column <> tbl.Schema.key && Column.is_hidden (Schema.find_column tbl column)
+  in
+  t.oblivious = Oblivious.Full
+  || List.exists (fun g -> g.g_table = t.root && g.g_hidden <> []) t.groups
+  || List.exists
+       (fun (table, column) -> table = t.root && hidden table column)
+       t.query.Bind.projections
+
 type bitmap_fill =
   | Index_lists
   | Column_scan

@@ -112,6 +112,16 @@ val reads_skt : t -> bool
     A function of the plan alone, so the choice shows nothing about
     the data. *)
 
+val reads_delta_values : Schema.t -> t -> bool
+(** True when the delta scan reads the runs' value pages, which hold
+    the root's own hidden column values: under [Full] (which reads the
+    whole log), or when a hidden predicate or a projected column
+    (GROUP BY and aggregate arguments included) sits on a hidden
+    column of the root. Otherwise the scan reads the id pages alone:
+    tombstones, visible selections, Bloom filters and every predicate
+    below the root test ids only. A function of the plan and the
+    schema alone; {!Exec}'s DeltaScan and {!Cost} both ask it. *)
+
 type bitmap_fill =
   | Index_lists
       (** the climbing index's lists at the table's own level, streamed

@@ -66,6 +66,7 @@ let size_bytes t = (t.count - t.base_seq) * t.record_bytes
 let dead_bytes t = t.dead_bytes
 let needs_recovery t = t.needs_recovery
 let full_pages t = List.rev t.full_pages
+let pages t = List.rev_append t.full_pages (Option.to_list t.tail_page)
 let page_count t =
   List.length t.full_pages + (match t.tail_page with Some _ -> 1 | None -> 0)
 

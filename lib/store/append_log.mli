@@ -68,6 +68,10 @@ val page_count : t -> int
 val full_pages : t -> int list
 (** Unreleased full pages, oldest first. *)
 
+val pages : t -> int list
+(** {!full_pages}, then the live tail program: every page a scan
+    reads. *)
+
 val append : t -> string list -> unit
 (** Appends a batch of records, oldest first. The tail fills a page at
     a time: each page the batch completes is programmed once, and the

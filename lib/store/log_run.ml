@@ -1,11 +1,13 @@
 module Codec = Ghost_kernel.Codec
 module Flash = Ghost_flash.Flash
 
-(* Run page header, sealed by {!Sealed_page}:
+(* Run page header, sealed by {!Sealed_page}, the same in both streams:
      tag (u32) | level (u32) | ordinal (u32) | count (u32) |
      flags (u32, bit 0 = sealed final page) | min_key (u32) |
-     max_key (u32) | crc32 (u32). *)
-let tag = "GDRN"
+     max_key (u32) | crc32 (u32).
+   Id pages are tagged "GDRN", value pages "GDRV". *)
+let id_tag = "GDRN"
+let value_tag = "GDRV"
 let header_bytes = 32
 let flag_final = 1
 
@@ -18,14 +20,22 @@ type page_meta = {
 
 type t = {
   level : int;
-  pages : page_meta array;
+  id_bytes : int;
+  value_bytes : int;
+  id_pages : page_meta array;
+  value_pages : page_meta array;
   count : int;
   min_key : int;
   max_key : int;
 }
 
-let page_count t = Array.length t.pages
-let size_bytes t ~record_bytes = t.count * record_bytes
+let page_count t = Array.length t.id_pages + Array.length t.value_pages
+
+let pages t =
+  Array.fold_right (fun m acc -> m.pp_page :: acc) t.id_pages
+    (Array.fold_right (fun m acc -> m.pp_page :: acc) t.value_pages [])
+
+let size_bytes t = t.count * (t.id_bytes + t.value_bytes)
 let key record = Codec.get_u32 (Bytes.unsafe_of_string record) 0
 
 let records_per_page flash ~record_bytes =
@@ -33,148 +43,237 @@ let records_per_page flash ~record_bytes =
 
 (* ---- building ---- *)
 
-type builder = {
-  b_flash : Flash.t;
-  b_record_bytes : int;
-  b_per_page : int;
-  b_level : int;
-  mutable b_pending : string list;  (* buffered records, newest first *)
-  mutable b_pages : page_meta list;  (* programmed pages, newest first *)
-  mutable b_count : int;
-  mutable b_last_key : int;  (* -1 before the first record *)
-  mutable b_ordinal : int;
+(* One page stream of a run being built: the id parts or the value
+   parts of its records. *)
+type stream = {
+  s_tag : string;
+  s_width : int;
+  s_per_page : int;
+  mutable s_pending : string list;  (* buffered parts, newest first *)
+  mutable s_buffered : int;
+  mutable s_min : int;  (* key of the oldest buffered part *)
+  mutable s_pages : page_meta list;  (* programmed pages, newest first *)
+  mutable s_ordinal : int;
+  mutable s_programmed : int;  (* parts already on Flash *)
 }
 
-let start flash ~record_bytes ~level =
-  let per_page = records_per_page flash ~record_bytes in
+type builder = {
+  b_flash : Flash.t;
+  b_level : int;
+  b_ids : stream;
+  b_values : stream option;  (* [None] when records carry no value *)
+  mutable b_count : int;
+  mutable b_last_key : int;  (* -1 before the first record *)
+  mutable b_programs : int;  (* pages programmed, both streams *)
+}
+
+let stream flash ~tag ~width =
+  let per_page = records_per_page flash ~record_bytes:width in
   if per_page < 1 then invalid_arg "Log_run.start: record exceeds a page";
   {
-    b_flash = flash;
-    b_record_bytes = record_bytes;
-    b_per_page = per_page;
-    b_level = level;
-    b_pending = [];
-    b_pages = [];
-    b_count = 0;
-    b_last_key = -1;
-    b_ordinal = 0;
+    s_tag = tag;
+    s_width = width;
+    s_per_page = per_page;
+    s_pending = [];
+    s_buffered = 0;
+    s_min = 0;
+    s_pages = [];
+    s_ordinal = 0;
+    s_programmed = 0;
   }
 
+let start flash ~id_bytes ~value_bytes ~level =
+  {
+    b_flash = flash;
+    b_level = level;
+    b_ids = stream flash ~tag:id_tag ~width:id_bytes;
+    b_values =
+      (if value_bytes = 0 then None
+       else Some (stream flash ~tag:value_tag ~width:value_bytes));
+    b_count = 0;
+    b_last_key = -1;
+    b_programs = 0;
+  }
+
+let streams b = b.b_ids :: Option.to_list b.b_values
+let value_width b = match b.b_values with Some s -> s.s_width | None -> 0
 let built_count b = b.b_count
-let built_pages b = List.rev_map (fun m -> m.pp_page) b.b_pages
-let programmed_records b = b.b_count - List.length b.b_pending
+let programmed_pages b = b.b_programs
 
-let build_page b ~final records =
-  Sealed_page.seal ~tag ~header_bytes
-    (fun page ->
-       Codec.put_u32 page 4 b.b_level;
-       Codec.put_u32 page 8 b.b_ordinal;
-       Codec.put_u32 page 12 (List.length records);
-       Codec.put_u32 page 16 (if final then flag_final else 0);
-       Codec.put_u32 page 20 (key (List.hd records));
-       Codec.put_u32 page 24 (key (List.nth records (List.length records - 1))))
-    (String.concat "" records)
+let programmed_bytes b =
+  List.fold_left (fun acc s -> acc + (s.s_programmed * s.s_width)) 0 (streams b)
 
-let flush ?on_program b ~final =
-  let records = List.rev b.b_pending in
-  let data = build_page b ~final records in
+(* Programs the stream's buffered parts as its next page. Every part
+   added so far is buffered in both streams until its page fills, so
+   the last buffered part of either stream is the builder's last
+   record. *)
+let flush ?on_program b s ~final =
+  let data =
+    Sealed_page.seal ~tag:s.s_tag ~header_bytes
+      (fun page ->
+         Codec.put_u32 page 4 b.b_level;
+         Codec.put_u32 page 8 s.s_ordinal;
+         Codec.put_u32 page 12 s.s_buffered;
+         Codec.put_u32 page 16 (if final then flag_final else 0);
+         Codec.put_u32 page 20 s.s_min;
+         Codec.put_u32 page 24 b.b_last_key)
+      (String.concat "" (List.rev s.s_pending))
+  in
   let page = Flash.append b.b_flash data in
   Option.iter (fun f -> f page) on_program;
-  b.b_pages <-
-    {
-      pp_page = page;
-      pp_count = List.length records;
-      pp_min = key (List.hd records);
-      pp_max = b.b_last_key;
-    }
-    :: b.b_pages;
-  b.b_pending <- [];
-  b.b_ordinal <- b.b_ordinal + 1
+  s.s_pages <-
+    { pp_page = page; pp_count = s.s_buffered; pp_min = s.s_min; pp_max = b.b_last_key }
+    :: s.s_pages;
+  s.s_ordinal <- s.s_ordinal + 1;
+  s.s_programmed <- s.s_programmed + s.s_buffered;
+  s.s_pending <- [];
+  s.s_buffered <- 0;
+  b.b_programs <- b.b_programs + 1
+
+let push s k part =
+  if s.s_buffered = 0 then s.s_min <- k;
+  s.s_pending <- part :: s.s_pending;
+  s.s_buffered <- s.s_buffered + 1
 
 let add ?on_program b record =
-  if String.length record <> b.b_record_bytes then
+  let id_bytes = b.b_ids.s_width in
+  if String.length record <> id_bytes + value_width b then
     invalid_arg "Log_run.add: record width mismatch";
   let k = key record in
   if k < b.b_last_key then invalid_arg "Log_run.add: keys out of order";
-  if List.length b.b_pending = b.b_per_page then flush ?on_program b ~final:false;
-  b.b_pending <- record :: b.b_pending;
+  List.iter
+    (fun s -> if s.s_buffered = s.s_per_page then flush ?on_program b s ~final:false)
+    (streams b);
+  push b.b_ids k (String.sub record 0 id_bytes);
+  Option.iter (fun s -> push s k (String.sub record id_bytes s.s_width)) b.b_values;
   b.b_count <- b.b_count + 1;
   b.b_last_key <- k
 
 let seal ?on_program b =
   if b.b_count = 0 then invalid_arg "Log_run.seal: empty run";
-  (* [add] defers flushing a filled page until the next record, so the
-     buffer is never empty here: the seal flag always lands on the
-     true last page. *)
-  flush ?on_program b ~final:true;
-  let pages = Array.of_list (List.rev b.b_pages) in
+  (* [add] defers flushing a filled page until the next record, so
+     neither buffer is empty here: the seal flag always lands on each
+     stream's true last page. *)
+  List.iter (fun s -> flush ?on_program b s ~final:true) (streams b);
+  let pages_of s = Array.of_list (List.rev s.s_pages) in
+  let id_pages = pages_of b.b_ids in
   {
     level = b.b_level;
-    pages;
+    id_bytes = b.b_ids.s_width;
+    value_bytes = value_width b;
+    id_pages;
+    value_pages = (match b.b_values with Some s -> pages_of s | None -> [||]);
     count = b.b_count;
-    min_key = pages.(0).pp_min;
-    max_key = pages.(Array.length pages - 1).pp_max;
+    min_key = id_pages.(0).pp_min;
+    max_key = id_pages.(Array.length id_pages - 1).pp_max;
   }
 
 (* ---- reading ---- *)
 
-(* Reads one run page back and validates header + CRC. Returns the
-   decoded header fields and record payloads, in key order. *)
-let parse_page flash ~record_bytes page =
-  match Flash.read_page flash page with
-  | exception Invalid_argument _ -> None (* erased, e.g. a zero-byte tear *)
-  | b ->
-    let n = Codec.get_u32 b 12 in
-    let per_page = (Bytes.length b - header_bytes) / record_bytes in
-    if n < 1 || n > per_page
-       || not (Sealed_page.verify ~tag ~header_bytes ~payload_bytes:(n * record_bytes) b)
-    then None
-    else
-      let records =
-        List.init n (fun i ->
-            Bytes.sub_string b (header_bytes + (i * record_bytes)) record_bytes)
-      in
-      Some (Codec.get_u32 b 4, Codec.get_u32 b 8, Codec.get_u32 b 16, records)
+(* Whether a full page image is page [i] of a stream of run [t]: the
+   seal verifies, and the header repeats the run's level, the page's
+   ordinal, record count and key fences, and carries the final flag
+   exactly when [i] is the stream's last page. *)
+let page_ok t ~tag ~width (pages : page_meta array) i b =
+  let m = pages.(i) in
+  Sealed_page.verify ~tag ~header_bytes ~payload_bytes:(m.pp_count * width) b
+  && Codec.get_u32 b 4 = t.level
+  && Codec.get_u32 b 8 = i
+  && Codec.get_u32 b 12 = m.pp_count
+  && (Codec.get_u32 b 16 land flag_final <> 0) = (i = Array.length pages - 1)
+  && Codec.get_u32 b 20 = m.pp_min
+  && Codec.get_u32 b 24 = m.pp_max
 
-let iter flash ~record_bytes ?lo ?hi t f =
+(* Metered read of page [i] of a stream; returns the buffer and the
+   offset of the payload in it. On an authenticated Flash
+   ([verify_pages]) the whole page is read and checked by [page_ok],
+   so a damaged page raises {!Flash.Integrity_error} instead of
+   serving its bytes; otherwise only the payload is read. *)
+let read_page flash t ~tag ~width pages i =
+  let m = pages.(i) in
+  if Flash.authenticated flash then begin
+    let b = Flash.read_page flash m.pp_page in
+    if not (page_ok t ~tag ~width pages i b) then
+      raise (Flash.Integrity_error { page = m.pp_page; what = "log run page seal mismatch" });
+    (b, header_bytes)
+  end
+  else (Flash.read flash ~page:m.pp_page ~off:header_bytes ~len:(m.pp_count * width), 0)
+
+let read_ids flash t i = read_page flash t ~tag:id_tag ~width:t.id_bytes t.id_pages i
+
+let read_values flash t i =
+  read_page flash t ~tag:value_tag ~width:t.value_bytes t.value_pages i
+
+let iter flash ?lo ?hi ?(values = true) t f =
   let lo = Option.value ~default:min_int lo in
   let hi = Option.value ~default:max_int hi in
-  Array.iter
-    (fun m ->
-       if m.pp_max >= lo && m.pp_min <= hi then begin
-         let b =
-           Flash.read flash ~page:m.pp_page ~off:header_bytes
-             ~len:(m.pp_count * record_bytes)
-         in
-         for i = 0 to m.pp_count - 1 do
-           f (Bytes.sub_string b (i * record_bytes) record_bytes)
-         done
-       end)
-    t.pages
-
-let validate flash ~record_bytes t =
-  let n_pages = Array.length t.pages in
-  let total = ref 0 in
-  let ok = ref (n_pages > 0) in
+  let values = values && t.value_bytes > 0 in
+  (* The value page holding the run's [k]-th record. The records asked
+     for ascend, so each value page is read at most once, and only
+     when one of its records is asked for. *)
+  let vpage = ref 0 and vfirst = ref 0 and vbuf = ref None in
+  let value_at k =
+    while k >= !vfirst + t.value_pages.(!vpage).pp_count do
+      vfirst := !vfirst + t.value_pages.(!vpage).pp_count;
+      incr vpage;
+      vbuf := None
+    done;
+    let b, off =
+      match !vbuf with
+      | Some v -> v
+      | None ->
+        let v = read_values flash t !vpage in
+        vbuf := Some v;
+        v
+    in
+    (b, off + ((k - !vfirst) * t.value_bytes))
+  in
+  let first = ref 0 in
   Array.iteri
     (fun i m ->
-       if !ok then
-         match parse_page flash ~record_bytes m.pp_page with
-         | Some (level, ordinal, flags, records)
-           when level = t.level && ordinal = i
-                && List.length records = m.pp_count
-                && (flags land flag_final <> 0) = (i = n_pages - 1) ->
-           total := !total + m.pp_count
-         | _ -> ok := false)
-    t.pages;
-  !ok && !total = t.count
+       if m.pp_max >= lo && m.pp_min <= hi then begin
+         let b, off = read_ids flash t i in
+         for r = 0 to m.pp_count - 1 do
+           let roff = off + (r * t.id_bytes) in
+           let k = Codec.get_u32 b roff in
+           if k >= lo && k <= hi then
+             if values then begin
+               let vb, voff = value_at (!first + r) in
+               f b roff vb voff
+             end
+             else f b roff Bytes.empty 0
+         done
+       end;
+       first := !first + m.pp_count)
+    t.id_pages
+
+let validate flash t =
+  let stream ~tag ~width pages =
+    let total = ref 0 in
+    let ok = ref true in
+    Array.iteri
+      (fun i m ->
+         if !ok then
+           match Flash.read_page flash m.pp_page with
+           | exception Invalid_argument _ -> ok := false (* erased, e.g. a zero-byte tear *)
+           | b ->
+             if page_ok t ~tag ~width pages i b then total := !total + m.pp_count
+             else ok := false)
+      pages;
+    !ok && !total = t.count
+  in
+  Array.length t.id_pages > 0
+  && stream ~tag:id_tag ~width:t.id_bytes t.id_pages
+  && (t.value_bytes = 0 || stream ~tag:value_tag ~width:t.value_bytes t.value_pages)
 
 (* ---- merging ---- *)
 
 type front = {
   f_run : t;
-  mutable f_ahead : string list;  (* decoded records of the current page *)
-  mutable f_next_page : int;  (* next page ordinal to decode *)
+  mutable f_ids : string list;  (* id parts of the current id page *)
+  mutable f_next_id : int;  (* next id page to read *)
+  mutable f_values : string list;  (* value parts of the current value page *)
+  mutable f_next_value : int;
 }
 
 type merge = { fronts : front array }
@@ -183,41 +282,53 @@ let merge_start runs =
   {
     fronts =
       Array.of_list
-        (List.map (fun r -> { f_run = r; f_ahead = []; f_next_page = 0 }) runs);
+        (List.map
+           (fun r -> { f_run = r; f_ids = []; f_next_id = 0; f_values = []; f_next_value = 0 })
+           runs);
   }
 
-(* Refill a front's read-ahead from its next page; false when the run
-   is exhausted. *)
-let refill flash ~record_bytes fr =
-  let rec loop () =
-    match fr.f_ahead with
-    | _ :: _ -> true
-    | [] ->
-      if fr.f_next_page >= Array.length fr.f_run.pages then false
-      else begin
-        let m = fr.f_run.pages.(fr.f_next_page) in
-        fr.f_next_page <- fr.f_next_page + 1;
-        let b =
-          Flash.read flash ~page:m.pp_page ~off:header_bytes
-            ~len:(m.pp_count * record_bytes)
-        in
-        fr.f_ahead <-
-          List.init m.pp_count (fun i ->
-              Bytes.sub_string b (i * record_bytes) record_bytes);
-        loop ()
-      end
-  in
-  loop ()
+let decode_page (b, off) ~width n =
+  List.init n (fun i -> Bytes.sub_string b (off + (i * width)) width)
 
-let merge_next flash ~record_bytes m =
+(* Refill a front's id read-ahead from its next id page; false when the
+   run is exhausted. *)
+let refill flash fr =
+  let r = fr.f_run in
+  if fr.f_ids = [] && fr.f_next_id < Array.length r.id_pages then begin
+    let i = fr.f_next_id in
+    fr.f_next_id <- i + 1;
+    fr.f_ids <- decode_page (read_ids flash r i) ~width:r.id_bytes r.id_pages.(i).pp_count
+  end;
+  fr.f_ids <> []
+
+(* Consumes the front's head record: its id part, and its value part,
+   read from the next value page when the current one is used up. *)
+let pop flash fr =
+  let r = fr.f_run in
+  let ids = List.hd fr.f_ids in
+  fr.f_ids <- List.tl fr.f_ids;
+  if r.value_bytes = 0 then ids
+  else begin
+    if fr.f_values = [] then begin
+      let i = fr.f_next_value in
+      fr.f_next_value <- i + 1;
+      fr.f_values <-
+        decode_page (read_values flash r i) ~width:r.value_bytes r.value_pages.(i).pp_count
+    end;
+    let values = List.hd fr.f_values in
+    fr.f_values <- List.tl fr.f_values;
+    ids ^ values
+  end
+
+let merge_next flash m =
   (* Pick the smallest head key; among equal keys the newest input
      (highest index — inputs are ordered oldest first) wins and the
      older duplicates are consumed silently. *)
   let best = ref None in
   Array.iteri
     (fun i fr ->
-       if refill flash ~record_bytes fr then begin
-         let k = key (List.hd fr.f_ahead) in
+       if refill flash fr then begin
+         let k = key (List.hd fr.f_ids) in
          match !best with
          | Some (bk, _) when bk < k -> ()
          | _ -> best := Some (k, i)
@@ -229,10 +340,10 @@ let merge_next flash ~record_bytes m =
     let record = ref "" in
     Array.iteri
       (fun i fr ->
-         match fr.f_ahead with
-         | head :: rest when key head = k ->
-           if i = winner then record := head;
-           fr.f_ahead <- rest
+         match fr.f_ids with
+         | head :: _ when key head = k ->
+           let r = pop flash fr in
+           if i = winner then record := r
          | _ -> ())
       m.fronts;
     Some !record

@@ -2,20 +2,27 @@ module Flash = Ghost_flash.Flash
 
 (** Immutable sorted runs for the leveled delta log.
 
-    A run is a sequence of CRC-checksummed Flash pages holding
-    fixed-width records in ascending key order, where the key is the
-    unsigned 32-bit integer at offset 0 of each record (the delta log
-    stores the root id there). Runs are built append-only — NAND
-    forbids rewrites — and are {e installed atomically}: the final
-    page carries a seal flag, so a run whose last durable page is
-    unsealed is an interrupted build and recovery discards it
-    wholesale while the (unmodified) inputs roll the log back to its
-    pre-compaction state. See DESIGN.md section 16.
+    A run holds fixed-width records in ascending key order, where a
+    record is an {e id part} followed by a {e value part} and the key
+    is the unsigned 32-bit integer at offset 0 of the id part (the
+    delta log stores the record's SKT-level ids there, root id first,
+    and the root's hidden column values in the value part). The run
+    stores them as two streams of CRC-checksummed Flash pages in the
+    same record order: {e id pages} hold the id parts, {e value pages}
+    the value parts, so a scan that needs no value reads the id pages
+    alone. Both streams carry the run's level, their own page
+    ordinals and a seal flag on their final page. Runs are built
+    append-only — NAND forbids rewrites — and are {e installed
+    atomically}: a run is installed only once both final pages are
+    sealed, so an interrupted build is never observable and recovery
+    discards it wholesale while the (unmodified) inputs roll the log
+    back to its pre-compaction state. See DESIGN.md section 16.
 
-    Every page header records the page's key fences, so a probe-style
-    scan ({!iter} with bounds) skips pages whose [min, max] window
-    cannot intersect the candidate range — the read-amplification
-    lever the cost model prices per run. *)
+    Every page header records the key fences of its records, so a
+    probe-style scan ({!iter} with bounds) skips id pages whose
+    [min, max] window cannot intersect the candidate range, and reads
+    only the value pages of the records it emits — the
+    read-amplification levers the cost model prices per run. *)
 
 val header_bytes : int
 
@@ -28,91 +35,115 @@ type page_meta = {
 
 type t = {
   level : int;  (** 1 for an L0 spill, [k + 1] for a level-[k] merge *)
-  pages : page_meta array;  (** in program (and key) order *)
+  id_bytes : int;  (** width of a record's id part *)
+  value_bytes : int;  (** width of its value part; 0 when it has none *)
+  id_pages : page_meta array;  (** in program (and key) order *)
+  value_pages : page_meta array;
+      (** in program (and key) order; empty when [value_bytes = 0] *)
   count : int;  (** records in the run; always positive *)
   min_key : int;
   max_key : int;
 }
 
 val page_count : t -> int
+(** Flash pages of both streams. *)
 
-val size_bytes : t -> record_bytes:int -> int
-(** Record payload bytes of the run (headers excluded). *)
+val pages : t -> int list
+(** Every Flash page of the run: the id pages, then the value pages. *)
+
+val size_bytes : t -> int
+(** Record payload bytes of the run, both parts (headers excluded). *)
 
 val records_per_page : Flash.t -> record_bytes:int -> int
+(** Records of [record_bytes] one run page holds. *)
 
 (** {2 Building}
 
     A builder accumulates records (which must arrive in ascending key
-    order) and programs a page whenever one fills; {!seal} programs
-    the final page with the seal flag set — the run's atomic commit.
-    A power cut tearing any program leaves an unsealed page suffix
-    that {!validate} rejects, so the whole partial output is
-    discarded by recovery. *)
+    order) and programs a page of a stream whenever one fills; {!seal}
+    programs each stream's final page with the seal flag set, the id
+    stream's first — together the run's atomic commit. A power cut
+    tearing any program leaves the build uninstalled, and recovery
+    discards the whole partial output. *)
 
 type builder
 
-val start : Flash.t -> record_bytes:int -> level:int -> builder
-(** Raises [Invalid_argument] when a record (plus header) exceeds a
-    page. *)
+val start : Flash.t -> id_bytes:int -> value_bytes:int -> level:int -> builder
+(** Raises [Invalid_argument] when a record part (plus header) exceeds
+    a page. With [value_bytes = 0] the run has no value stream. *)
 
 val add : ?on_program:(int -> unit) -> builder -> string -> unit
-(** Buffers one record, programming the previously filled page first
-    when the buffer is full. [on_program] observes every programmed
-    page number (the delta log invalidates its page-cache frame, since
-    {!Flash.append} recycles erased pages). Raises [Invalid_argument]
-    on a record of the wrong width or a key below the previous one. *)
+(** Buffers one record (id part, then value part), first programming
+    each stream's page that is already full — so one record may
+    program a page of each stream. [on_program] observes every
+    programmed page number (the delta log invalidates its page-cache
+    frame, since {!Flash.append} recycles erased pages). Raises
+    [Invalid_argument] on a record of the wrong width or a key below
+    the previous one. *)
 
 val seal : ?on_program:(int -> unit) -> builder -> t
-(** Programs the buffered tail as the sealed final page and returns
+(** Programs each stream's buffered tail as its sealed final page —
+    two programs, one when the run has no value stream — and returns
     the installed run. Raises [Invalid_argument] on an empty builder
     (callers install nothing when every input record was dropped). *)
 
 val built_count : builder -> int
 (** Records added so far. *)
 
-val built_pages : builder -> int list
-(** Pages programmed so far (program order) — dead bytes to account
-    when an interrupted build is abandoned. *)
+val programmed_pages : builder -> int
+(** Pages programmed so far, both streams. *)
 
-val programmed_records : builder -> int
-(** Records already programmed to Flash (excludes the buffered tail) —
-    the dead bytes an abandoned build leaves behind. *)
+val programmed_bytes : builder -> int
+(** Record bytes already programmed to Flash, both streams (buffered
+    parts excluded) — the dead bytes an abandoned build leaves
+    behind. *)
 
-(** {2 Reading} *)
+(** {2 Reading}
+
+    On an authenticated Flash ([Device.config.verify_pages]) every
+    read below reads whole pages and checks each against its seal and
+    against the run's own record of it (level, ordinal, count, key
+    fences, final flag); a mismatch raises {!Flash.Integrity_error}
+    naming the page, so damaged bytes are never served as records.
+    Otherwise a read fetches only the payload. *)
 
 val iter :
-  Flash.t -> record_bytes:int -> ?lo:int -> ?hi:int -> t ->
-  (string -> unit) -> unit
-(** Metered sequential read of the run's records in key order. With
-    bounds, pages whose fences lie entirely outside [[lo, hi]] are
-    skipped without a read; records of overlapping pages are all
-    emitted (a superset of the matching keys — callers re-check
-    membership, exactly as the executor's shipped-id filters do). *)
+  Flash.t -> ?lo:int -> ?hi:int -> ?values:bool -> t ->
+  (bytes -> int -> bytes -> int -> unit) -> unit
+(** Metered sequential read of the run's records in key order:
+    [f ids ids_off values values_off] gets a record's id part at
+    [ids_off] of [ids] and its value part at [values_off] of [values].
+    With bounds, id pages whose fences lie entirely outside [[lo, hi]]
+    are skipped without a read, and only the records whose key lies in
+    [[lo, hi]] are emitted. With [values] (the default) the value
+    pages holding the emitted records are read too, each once; with
+    [~values:false] none is, and [f] gets an empty value buffer. *)
 
-val validate : Flash.t -> record_bytes:int -> t -> bool
-(** Metered post-crash check: every page parses (magic, CRC, level,
-    ordinal), the final page — and only it — carries the seal flag,
-    and the per-page record counts sum to [count]. An installed run
-    always validates after a pure power cut; an interrupted build
-    never does. *)
+val validate : Flash.t -> t -> bool
+(** Metered post-crash check: every page of both streams parses (tag,
+    CRC, level, ordinal, count, fences), each stream's final page —
+    and only it — carries the seal flag, and each stream's record
+    counts sum to [count]. An installed run always validates after a
+    pure power cut; an interrupted build never does. *)
 
 (** {2 Merging}
 
     A resumable k-way merge cursor over sorted runs, newest-wins: of
     several heads sharing a key, the record from the latest run (by
     position in the input list, oldest first) is emitted and the older
-    duplicates are discarded. The cursor holds only decoded records of
-    the current page per input — bounded RAM — and is plain data, so a
-    mid-merge compaction survives {!Ghostdb.Ghost_db.save_image}. *)
+    duplicates are discarded. The cursor holds only the decoded parts
+    of one read-ahead page per stream per input — bounded RAM — and is
+    plain data, so a mid-merge compaction survives
+    {!Ghostdb.Ghost_db.save_image}. *)
 
 type merge
 
 val merge_start : t list -> merge
-val merge_next : Flash.t -> record_bytes:int -> merge -> string option
-(** [None] when every input is exhausted. Page reads are metered as
-    they happen, so a time-sliced compaction charges the device clock
-    only for the work of its own slice. *)
+val merge_next : Flash.t -> merge -> string option
+(** The next record (id part, then value part); [None] when every
+    input is exhausted. Page reads are metered as they happen, so a
+    time-sliced compaction charges the device clock only for the work
+    of its own slice. *)
 
 val key : string -> int
 (** The sort key of a record: the u32 at offset 0. *)

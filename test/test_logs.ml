@@ -378,11 +378,13 @@ let golden_runs () =
   append_range 18 33;
   drain ();
   let rows = List.length (scanned_ids log) in
-  let fenced = ref 0 in
+  let fenced = ref 0 and fenced_ids = ref 0 in
   Delta_log.scan_range ~lo:110 ~hi:115 log (fun _ -> incr fenced);
-  Printf.sprintf "installs=%s rows=%d fenced=%d runs=%d l0=%d %s"
+  Delta_log.scan_range ~lo:110 ~hi:115 ~values:false log (fun _ -> incr fenced_ids);
+  Printf.sprintf "installs=%s rows=%d fenced=%d fenced_ids=%d runs=%d l0=%d %s"
     (String.concat "," (List.rev_map (fun s -> if s then "spill" else "merge") !installs))
-    rows !fenced (Delta_log.run_count log) (Delta_log.l0_pages log) (flash_digest f)
+    rows !fenced !fenced_ids (Delta_log.run_count log) (Delta_log.l0_pages log)
+    (flash_digest f)
 
 let test_golden_bytes () =
   List.iter
@@ -408,9 +410,10 @@ let test_golden_bytes () =
          read_us=0x1.ec9999999999bp+7 write_us=0x1.4491eb851eb85p+10",
         fun () -> golden_tombstones Tombstone_log.Checksummed );
       ( "delta runs",
-        "installs=spill,spill,merge rows=27 fenced=9 runs=1 l0=1 pages=41 \
-         crc=79117fe4 reads=15 read_bytes=2632 programs=41 program_bytes=6432 \
-         read_us=0x1.b8ccccccccccdp+8 write_us=0x1.12570a3d70a3ep+13",
+        "installs=spill,spill,merge rows=27 fenced=5 fenced_ids=5 runs=1 l0=1 \
+         pages=41 crc=9d50261a reads=18 read_bytes=3092 programs=41 \
+         program_bytes=6432 read_us=0x1.07a6666666666p+9 \
+         write_us=0x1.12570a3d70a3ep+13",
         golden_runs );
     ]
 
