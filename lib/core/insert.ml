@@ -13,9 +13,11 @@ exception Insert_error of string
 let fail fmt = Printf.ksprintf (fun s -> raise (Insert_error s)) fmt
 
 (* Logs are created on first use; the device config decides whether
-   they use the crash-safe checksummed page format. *)
+   they use the crash-safe checksummed page format. Verified pages
+   imply it: the logs' own seals are what a verified read checks. *)
 let log_durability cat : Ghost_store.Append_log.durability =
-  if (Device.config cat.Catalog.device).Device.durable_logs then Checksummed
+  let config = Device.config cat.Catalog.device in
+  if config.Device.durable_logs || config.Device.verify_pages then Checksummed
   else Plain
 
 let log_runs cat =

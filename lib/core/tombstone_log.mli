@@ -66,6 +66,10 @@ val recover : t -> recovery
 val mem : t -> int -> bool
 (** Host-side membership (validation); not Flash-metered. *)
 
+val pages : t -> int list
+(** Every live Flash page of the log, oldest first: the pages
+    {!load_sorted} reads. *)
+
 val load_sorted : t -> int array
 (** Query-time load: reads the whole log off Flash (metered) and
     returns the ids sorted. *)

@@ -70,8 +70,11 @@ type config = {
           seal every page with a CRC-32 trailer and every cache-miss
           read verifies it, raising {!Flash.Integrity_error} instead
           of letting corrupt bytes reach the executor (DESIGN.md
-          section 14). Default false: unauthenticated pages, every
-          output bit-identical to the seed. *)
+          section 14). It implies [durable_logs]: the delta and
+          tombstone logs are created checksummed, and every log read
+          fetches whole pages and checks their seals. Default false:
+          unauthenticated pages, every output bit-identical to the
+          seed. *)
   log_runs : log_runs option;
       (** restructure the delta log into leveled sorted runs: the flat
           append-only pages become an L0 memtable that background

@@ -165,22 +165,50 @@ let release t pages =
   t.full_pages <- List.filteri (fun i _ -> i < keep) t.full_pages;
   t.base_seq <- t.base_seq + (pages * t.records_per_page)
 
-let read_records t page n =
-  Flash.read t.flash ~page ~off:(payload_off t) ~len:(n * t.record_bytes)
+(* Metered read of the payload of a page holding [n] records, the
+   first of them numbered [first_seq]. On an authenticated Flash
+   ([verify_pages]) a checksummed log reads the whole page and checks
+   its seal, record count and sequence number, so damaged bytes raise
+   [Flash.Integrity_error] instead of coming back as records. *)
+let read_records t page ~first_seq n =
+  let len = n * t.record_bytes in
+  if t.durability = Checksummed && Flash.authenticated t.flash then begin
+    let b = Flash.read_page t.flash page in
+    if
+      not
+        (Sealed_page.verify ~tag:t.tag ~header_bytes ~payload_bytes:len b
+         && Codec.get_u64 b 4 = first_seq
+         && Codec.get_u32 b 12 = n)
+    then raise (Flash.Integrity_error { page; what = "log page seal mismatch" });
+    Bytes.sub b header_bytes len
+  end
+  else Flash.read t.flash ~page ~off:(payload_off t) ~len
+
+(* Full pages, oldest first, each with the sequence number of its
+   first record. *)
+let numbered_full_pages t =
+  List.mapi
+    (fun i page -> (page, t.base_seq + (i * t.records_per_page)))
+    (List.rev t.full_pages)
 
 let full_page_records t page =
-  let b = read_records t page t.records_per_page in
+  let b =
+    read_records t page
+      ~first_seq:(List.assoc page (numbered_full_pages t))
+      t.records_per_page
+  in
   List.init t.records_per_page (fun i ->
       Bytes.sub_string b (i * t.record_bytes) t.record_bytes)
 
 let iter_pages t f =
   List.iter
-    (fun page -> f (read_records t page t.records_per_page) t.records_per_page)
-    (List.rev t.full_pages);
+    (fun (page, first_seq) ->
+       f (read_records t page ~first_seq t.records_per_page) t.records_per_page)
+    (numbered_full_pages t);
   match t.tail_page with
   | Some page ->
     let n = List.length t.tail in
-    f (read_records t page n) n
+    f (read_records t page ~first_seq:(t.count - n) n) n
   | None -> ()
 
 type recovery = {

@@ -94,7 +94,13 @@ val full_page_records : t -> int -> string list
 
 val iter_pages : t -> (bytes -> int -> unit) -> unit
 (** Metered read of every unreleased page, oldest first: [f b n] gets
-    the payload of a page holding [n] records. *)
+    the payload of a page holding [n] records.
+
+    Both reads fetch only the payload, except that a [Checksummed] log
+    on an authenticated Flash ([Device.config.verify_pages]) reads
+    whole pages and checks each one's seal, record count and sequence
+    number: a mismatch raises {!Flash.Integrity_error} naming the
+    page, so damaged bytes never come back as records. *)
 
 (** {2 Crash safety} *)
 

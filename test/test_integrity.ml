@@ -6,6 +6,8 @@
    answers correctly or raises Integrity_error — never silently
    wrong. *)
 
+module Value = Ghost_kernel.Value
+module Rng = Ghost_kernel.Rng
 module Flash = Ghost_flash.Flash
 module Device = Ghost_device.Device
 module Bind = Ghost_sql.Bind
@@ -14,6 +16,8 @@ module Queries = Ghost_workload.Queries
 module Reference = Ghost_workload.Reference
 module Ghost_db = Ghostdb.Ghost_db
 module Catalog = Ghostdb.Catalog
+module Delta_log = Ghostdb.Delta_log
+module Tombstone_log = Ghostdb.Tombstone_log
 module Exec = Ghostdb.Exec
 module Scheduler = Ghost_sched.Scheduler
 module Scrub = Ghost_scrub.Scrub
@@ -103,6 +107,120 @@ let test_single_flip_sweep () =
        Alcotest.(check bool) "restored store answers" true
          ((Ghost_db.query db sql).Exec.rows = want))
     sweep_queries expected
+
+(* ---- log pages ----
+
+   The same property over the delta and tombstone logs: leveled logs on
+   512-byte pages, so a few dozen inserts spill into runs (id and value
+   streams) and leave L0 pages behind. Each live log page gets stored
+   flips in its first record: one at a time past disabled ECC, and two
+   together past single-bit ECC. Every query then answers correctly or
+   raises Integrity_error naming the page; a flipped Quantity must
+   never come back as data. *)
+
+let log_config ~ecc =
+  {
+    verified_config with
+    Device.flash_geometry = { Flash.page_size = 512; pages_per_block = 8 };
+    log_runs = Some { Device.l0_spill_pages = 2; run_fanout = 2 };
+    flash_fault = (if ecc then None else Some { Flash.no_faults with Flash.ecc = false });
+  }
+
+let log_queries =
+  [
+    "SELECT Pre.PreID, Pre.Quantity, Pre.Frequency FROM Prescription Pre";
+    "SELECT COUNT(*) FROM Prescription Pre, Visit Vis WHERE Vis.Purpose = 'Sclerosis' \
+     AND Vis.VisID = Pre.VisID";
+  ]
+
+let new_prescriptions db rng n =
+  let scale = Medical.tiny in
+  let next = Catalog.total_count (Ghost_db.catalog db) "Prescription" + 1 in
+  List.init n (fun i ->
+    [|
+      Value.Int (next + i);
+      Value.Int (Rng.int_in rng 1 10);
+      Value.Int (Rng.int_in rng 1 4);
+      Value.Date (Rng.int_in rng Medical.date_lo Medical.date_hi);
+      Value.Int (1 + Rng.int rng scale.Medical.medicines);
+      Value.Int (1 + Rng.int rng scale.Medical.visits);
+    |])
+
+(* Inserts, deletes and one compaction step, then more inserts: L0
+   pages, both streams of a run and tombstone pages are all live. *)
+let log_db ~ecc =
+  let db = Ghost_db.of_schema ~device_config:(log_config ~ecc) (schema ()) (rows ()) in
+  let rng = Rng.create 17 in
+  for _ = 1 to 4 do
+    Ghost_db.insert db (new_prescriptions db rng 12)
+  done;
+  let top = Catalog.total_count (Ghost_db.catalog db) "Prescription" in
+  Ghost_db.delete db (List.init 12 (fun i -> top - (3 * i)) @ [ 1; 2; 3 ]);
+  let compactor = Ghostdb.Compaction.create (Ghost_db.catalog db) in
+  while not (Ghostdb.Compaction.idle compactor) do
+    ignore (Ghostdb.Compaction.step compactor)
+  done;
+  Ghost_db.insert db (new_prescriptions db rng 20);
+  ignore (Ghostdb.Compaction.step compactor);
+  db
+
+let log_pages db =
+  let cat = Ghost_db.catalog db in
+  Delta_log.pages (Option.get (Catalog.delta cat "Prescription"))
+  @ Tombstone_log.pages (Option.get (Catalog.tombstone cat "Prescription"))
+
+let page_tag flash page = Bytes.sub_string (Flash.read_page flash page) 0 4
+
+(* Bits inside the first record of every log page: byte 32 + k is the
+   root id of a run's id page, the first hidden value of a value page,
+   and an id of an L0 record; byte 44 + k is the Quantity of an L0
+   record and a tombstoned id. *)
+let flip_bits page = [ (8 * (32 + (page mod 8))) + (page mod 8); (8 * (44 + (page mod 4))) + 3 ]
+
+let log_sweep ~ecc ~flips =
+  let db = log_db ~ecc in
+  let flash = Device.flash (Ghost_db.device db) in
+  let pages = log_pages db in
+  let tags = List.sort_uniq compare (List.map (page_tag flash) pages) in
+  Alcotest.(check (list string)) "every kind of log page is live"
+    [ "GDLT"; "GDRN"; "GDRV"; "GTMB" ] tags;
+  let expected = List.map (fun sql -> (Ghost_db.query db sql).Exec.rows) log_queries in
+  let detected = Hashtbl.create 8 in
+  let trial page bits =
+    List.iter (fun bit -> Flash.corrupt_stored flash ~page ~bit) bits;
+    List.iter2
+      (fun sql want ->
+         match Ghost_db.query db sql with
+         | r ->
+           if r.Exec.rows <> want then
+             Alcotest.failf "log page %d (%s), bits %s: wrong rows returned" page
+               (page_tag flash page)
+               (String.concat "," (List.map string_of_int bits))
+         | exception Flash.Integrity_error { page = p; _ } ->
+           Alcotest.(check int) "error names the damaged page" page p;
+           Hashtbl.replace detected (page_tag flash page) ())
+      log_queries expected;
+    List.iter (fun bit -> Flash.corrupt_stored flash ~page ~bit) bits;
+    Alcotest.(check int) (Printf.sprintf "page %d restored" page) 0
+      (Flash.page_errors flash page)
+  in
+  List.iter
+    (fun page ->
+       match flips with
+       | `One -> List.iter (fun bit -> trial page [ bit ]) (flip_bits page)
+       | `Two -> trial page (flip_bits page))
+    pages;
+  Alcotest.(check (list string)) "damage detected on every kind of log page" tags
+    (List.sort compare (Hashtbl.fold (fun tag () acc -> tag :: acc) detected []));
+  List.iter2
+    (fun sql want ->
+       Alcotest.(check bool) "restored logs answer" true
+         ((Ghost_db.query db sql).Exec.rows = want))
+    log_queries expected
+
+let test_log_flip_sweep () =
+  log_sweep ~ecc:false ~flips:`One;
+  log_sweep ~ecc:true ~flips:`Two
 
 (* Injected read faults (not stored damage) corrupt one served buffer:
    the trailer catches it, the cache-bypass re-read comes back clean,
@@ -306,6 +424,8 @@ let suite =
       test_verify_equivalence;
     Alcotest.test_case "single-flip sweep: correct or detected, never wrong"
       `Quick test_single_flip_sweep;
+    Alcotest.test_case "log-page flip sweep: correct or detected, never wrong"
+      `Quick test_log_flip_sweep;
     Alcotest.test_case "transient read faults retry past the cache" `Quick
       test_transient_retry;
     Alcotest.test_case "scrubber: refresh, record, deterministic" `Quick
