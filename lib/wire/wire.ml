@@ -69,18 +69,21 @@ let put_bytes e b =
   Bytes.blit b 0 e.buf e.len n;
   e.len <- e.len + n
 
-(* Label interning: tag 0 introduces an inline definition (varint
-   length + name bytes) bound to the next free index; tag k > 0 is a
-   back-reference to index k-1. Steady-state traffic sends 1-2 bytes
-   per label instead of the name. *)
+(* Label interning within a frame: one varint [v] per label. An odd
+   [v] introduces an inline definition of [v lsr 1] name bytes, bound
+   to the next free index; an even [v] refers back to index [v lsr 1].
+   A frame repeating a table sends one byte per label instead of the
+   name. The dictionary starts empty in every frame, so a frame's bytes
+   depend on its own messages alone, never on what the link carried
+   before; every frame defines its labels, so a definition's flag rides
+   in its length varint. *)
 let put_label e name =
   match Hashtbl.find_opt e.labels name with
-  | Some idx -> put_varint e (idx + 1)
+  | Some idx -> put_varint e (idx lsl 1)
   | None ->
     Hashtbl.add e.labels name e.n_labels;
     e.n_labels <- e.n_labels + 1;
-    put_varint e 0;
-    put_varint e (String.length name);
+    put_varint e ((String.length name lsl 1) lor 1);
     put_string e name
 
 (* Any 63-bit pattern, treated unsigned (logical shifts), so zigzag
@@ -136,6 +139,8 @@ let put_ty e ty =
 
 let begin_frame e =
   e.len <- 0;
+  Hashtbl.clear e.labels;
+  e.n_labels <- 0;
   put_byte e frame_magic
 
 let add_message e msg =
@@ -217,27 +222,11 @@ let encode_verbose e msg =
 
 (* ---- decoder ---- *)
 
-type decoder = {
-  mutable names : string array;
-  mutable n_names : int;
-}
-
-let decoder () = { names = Array.make 16 ""; n_names = 0 }
-
 exception Bad of string
 
 let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
 
-let commit_name d name =
-  if d.n_names = Array.length d.names then begin
-    let a = Array.make (2 * d.n_names) "" in
-    Array.blit d.names 0 a 0 d.n_names;
-    d.names <- a
-  end;
-  d.names.(d.n_names) <- name;
-  d.n_names <- d.n_names + 1
-
-let decode_frame d b ~pos ~len =
+let decode_frame b ~pos ~len =
   try
     if len < envelope_bytes then bad "frame shorter than envelope (%d bytes)" len;
     if pos < 0 || len < 0 || pos + len > Bytes.length b then
@@ -247,34 +236,28 @@ let decode_frame d b ~pos ~len =
     let computed = Codec.crc32 b ~pos ~len:(len - 4) in
     if stored <> computed then bad "crc mismatch";
     let stop = pos + len - 4 in
-    (* Label definitions are staged and committed only when the whole
-       frame parses, so a frame rejected halfway never pollutes the
-       dictionary. Stored newest-first. *)
-    let staged = ref [] in
-    let n_staged = ref 0 in
+    (* The frame's own label definitions, newest first. *)
+    let names = ref [] in
+    let n_names = ref 0 in
     let read_varint p =
       match Codec.get_varint_bounded b p ~stop with
       | Some r -> r
       | None -> bad "truncated or overlong varint"
     in
     let read_label p =
-      let tag, p = read_varint p in
-      if tag = 0 then begin
-        let n, p = read_varint p in
+      let v, p = read_varint p in
+      if v land 1 = 1 then begin
+        let n = v lsr 1 in
         if n > stop - p then bad "truncated label definition";
         let name = Bytes.sub_string b p n in
-        staged := name :: !staged;
-        incr n_staged;
+        names := name :: !names;
+        incr n_names;
         (name, p + n)
       end
       else begin
-        let i = tag - 1 in
-        if i < d.n_names then (d.names.(i), p)
-        else begin
-          let j = i - d.n_names in
-          if j < !n_staged then (List.nth !staged (!n_staged - 1 - j), p)
-          else bad "label reference %d out of range" i
-        end
+        let i = v lsr 1 in
+        if i < !n_names then (List.nth !names (!n_names - 1 - i), p)
+        else bad "label reference %d out of range" i
       end
     in
     let read_ty p =
@@ -361,9 +344,7 @@ let decode_frame d b ~pos ~len =
         else bad "unknown opcode 0x%02x" op
       end
     in
-    let msgs = messages (pos + 1) [] in
-    List.iter (commit_name d) (List.rev !staged);
-    Ok msgs
+    Ok (messages (pos + 1) [])
   with
   | Bad m -> Error m
   | Invalid_argument m -> Error ("malformed frame: " ^ m)

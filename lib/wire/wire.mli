@@ -23,14 +23,15 @@ module Value = Ghost_kernel.Value
     section 13 gives the full argument).
 
     A frame is [magic, messages..., crc32]. A message is a one-byte
-    opcode followed by its payload; table/column names are interned —
-    the first use carries an inline definition, later uses a small
-    back-reference — so steady-state traffic never repeats label
-    strings. The receiver accepts a frame only after the CRC check, so
-    a corrupted or truncated frame is rejected whole and retransmitted
-    whole ({!Ghost_device.Device.usb_fault} operates on frames), and
-    the label dictionary advances only on accepted frames, keeping
-    sender and receiver dictionaries in lockstep. *)
+    opcode followed by its payload; table/column names are interned
+    within the frame — the first use carries an inline definition,
+    later uses a small back-reference. The label dictionary lives for
+    one frame: a frame's bytes are a function of its own messages, so
+    the byte count of a message never depends on what earlier queries
+    or other sessions sent, and every frame decodes on its own. The
+    receiver accepts a frame only after the CRC check, so a corrupted
+    or truncated frame is rejected whole and retransmitted whole
+    ({!Ghost_device.Device.usb_fault} operates on frames). *)
 
 type format = Verbose | Compact
 
@@ -52,9 +53,8 @@ type message =
 (** {2 Encoding} *)
 
 type encoder
-(** Owns the reused output buffer and the label-interning dictionary.
-    One encoder per link endpoint: the dictionary persists across
-    frames. *)
+(** Owns the reused output buffer and the label-interning dictionary
+    of the open frame. *)
 
 val encoder : unit -> encoder
 
@@ -63,7 +63,8 @@ val envelope_bytes : int
     4 CRC-32 trailer bytes. *)
 
 val begin_frame : encoder -> unit
-(** Resets the buffer and opens a compact frame (writes the magic). *)
+(** Resets the buffer, empties the label dictionary and opens a
+    compact frame (writes the magic). *)
 
 val add_message : encoder -> message -> int
 (** Appends one compact message to the open frame, returning its
@@ -88,19 +89,12 @@ val encode_verbose : encoder -> message -> int
 
 (** {2 Decoding} *)
 
-type decoder
-(** Mirrors the sender's label dictionary. The dictionary advances only
-    when a frame is accepted, so a rejected (corrupt/truncated) frame
-    never desynchronizes it. *)
-
-val decoder : unit -> decoder
-
-val decode_frame : decoder -> bytes -> pos:int -> len:int -> (message list, string) result
-(** Validates and decodes one compact frame. Rejection — bad magic,
-    CRC mismatch, truncation, unknown opcode, overlong varint,
-    out-of-range label reference — returns [Error reason] and leaves
-    the decoder state untouched; this function never raises, whatever
-    the input bytes. *)
+val decode_frame : bytes -> pos:int -> len:int -> (message list, string) result
+(** Validates and decodes one compact frame on its own: its labels
+    are the ones it defines. Rejection — bad magic, CRC mismatch,
+    truncation, unknown opcode, overlong varint, a label reference
+    past the frame's definitions — returns [Error reason]; this
+    function never raises, whatever the input bytes. *)
 
 val decode_verbose_query : bytes -> pos:int -> len:int -> string
 val decode_verbose_ids : bytes -> pos:int -> len:int -> (int array, string) result

@@ -291,10 +291,10 @@ let test_chaos_kill_sweep () =
    every (session, device) with the spy report of the same sub-query
    run serially on an identical fleet — and every session and device
    trace must pass the audit. *)
-let test_interleaving_equivalence () =
+let interleaving_equivalence ?device_config () =
   let shards = 2 in
-  let f = fleet ~shards ~replicas:1 () in
-  let f_serial = fleet ~shards ~replicas:1 () in
+  let f = fleet ?device_config ~shards ~replicas:1 () in
+  let f_serial = fleet ?device_config ~shards ~replicas:1 () in
   let queries = Queries.all in
   (* serial ground truth, one clean trace window per sub-query *)
   let serial =
@@ -364,6 +364,15 @@ let test_interleaving_equivalence () =
   List.iter
     (fun (_, v) -> Alcotest.(check bool) "device audit" true v.Privacy.ok)
     (Fleet.audits f)
+
+(* On both link formats: a Compact link's spy report carries encoded
+   message sizes, which must not depend on the sub-queries that shared
+   the link before. *)
+let test_interleaving_equivalence () =
+  interleaving_equivalence ();
+  interleaving_equivalence
+    ~device_config:{ Device.default_config with Device.wire_format = Ghost_wire.Wire.Compact }
+    ()
 
 let driver_spec =
   { Fleet_driver.default_spec with Fleet_driver.clients = 6; queries_per_client = 3 }

@@ -82,13 +82,13 @@ module T = Test_random_schema
 let policies = [| Scheduler.Fifo; Scheduler.Round_robin; Scheduler.Cost_based |]
 let quanta = [| 40.; 250.; 2000.; infinity |]
 
-let run_interleaving_case seed =
+let run_interleaving_case ?device_config seed =
   let rng = Rng.create (seed lxor 0x3c6ef3) in
   let tables = T.random_tables rng in
   let schema = T.schema_of_tables tables in
   let rows = T.random_rows rng tables in
-  let db_serial = Ghost_db.of_schema schema rows in
-  let db_sched = Ghost_db.of_schema schema rows in
+  let db_serial = Ghost_db.of_schema ?device_config schema rows in
+  let db_sched = Ghost_db.of_schema ?device_config schema rows in
   let n_sessions = Rng.int_in rng 2 6 in
   let queries = List.init n_sessions (fun _ -> T.random_query rng schema) in
   let serial =
@@ -161,6 +161,27 @@ let prop_interleaving =
        ~count:25
        QCheck.(int_range 0 1_000_000)
        run_interleaving_case)
+
+(* The same property on a Compact link, where the spy report carries
+   each message's encoded size: a label dictionary that outlived its
+   frame made a session's sizes depend on what the sessions before it
+   had sent. Seeds 10387 and 10722 caught it and stay as fixed cases. *)
+let compact_config = { Device.default_config with Device.wire_format = Ghost_wire.Wire.Compact }
+
+let prop_interleaving_compact =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:"compact link: any policy/quantum/session-count = serial"
+       ~count:25
+       QCheck.(int_range 0 1_000_000)
+       (run_interleaving_case ~device_config:compact_config))
+
+let test_compact_regression_seeds () =
+  List.iter
+    (fun seed ->
+       if not (run_interleaving_case ~device_config:compact_config seed) then
+         Alcotest.failf "compact link, seed %d: a session differs from its serial run" seed)
+    [ 10387; 10722 ]
 
 (* Admission control: with working-RAM requests sized so at most one
    fits, sessions queue and the arena never over-commits; everyone
@@ -311,6 +332,9 @@ let suite =
     Alcotest.test_case "single session, infinite quantum = Exec.run" `Quick
       test_serial_bit_identity;
     prop_interleaving;
+    prop_interleaving_compact;
+    Alcotest.test_case "compact link: regression seeds = serial" `Quick
+      test_compact_regression_seeds;
     Alcotest.test_case "admission control queues on RAM pressure" `Quick
       test_admission_queues;
     Alcotest.test_case "deadline cancellation releases cleanly" `Quick

@@ -1,7 +1,8 @@
-(* Wire-codec tests: compact round-trips (with label interning across
-   frames), compact/verbose decode equivalence, frame fuzzing (every
-   strict prefix and every single-bit flip must be rejected cleanly),
-   dictionary hygiene on rejected frames, coalesced batching, the
+(* Wire-codec tests: compact round-trips (labels interned within a
+   frame, so a frame's bytes do not depend on earlier frames),
+   compact/verbose decode equivalence, frame fuzzing (every strict
+   prefix and every single-bit flip must be rejected cleanly), frames
+   decoding alone in any order, coalesced batching, the
    usb_fault retransmission path over whole frames, trace byte
    accounting against the device counters, the compact byte cut on the
    demo workload, spy/privacy invariance across encodings, cost-model
@@ -133,19 +134,23 @@ let encode_burst e msgs =
   List.iter (fun m -> ignore (Wire.add_message e m : int)) msgs;
   Wire.end_frame e
 
-(* One encoder/decoder pair across a whole run of frames, so the label
-   dictionaries advance in lockstep and back-references from later
-   frames resolve against commitments from earlier ones. *)
+(* One encoder across a whole run of frames, each frame decoded on its
+   own: labels are interned within a frame, so every frame round-trips
+   and its bytes equal those of the same burst encoded first on a fresh
+   encoder, whatever was encoded before it. *)
 let prop_compact_roundtrip =
-  QCheck.Test.make ~name:"compact frames round-trip (interning across frames)" ~count:200
+  QCheck.Test.make ~name:"compact frames round-trip (labels scoped to a frame)" ~count:200
     arb_bursts (fun bursts ->
-      let e = Wire.encoder () and d = Wire.decoder () in
+      let e = Wire.encoder () in
       List.for_all
         (fun msgs ->
            let total = encode_burst e msgs in
            let f = Wire.frame e in
+           let fresh = Wire.encoder () in
+           ignore (encode_burst fresh msgs : int);
            Bytes.length f = total
-           && (match Wire.decode_frame d f ~pos:0 ~len:total with
+           && Bytes.equal f (Wire.frame fresh)
+           && (match Wire.decode_frame f ~pos:0 ~len:total with
                | Ok got ->
                  List.length got = List.length msgs && List.for_all2 message_equal msgs got
                | Error _ -> false))
@@ -158,11 +163,11 @@ let prop_compact_roundtrip =
 let prop_verbose_equivalence =
   QCheck.Test.make ~name:"compact decode = verbose decode" ~count:300 arb_message
     (fun m ->
-       let e = Wire.encoder () and d = Wire.decoder () in
+       let e = Wire.encoder () in
        let total = encode_burst e [ m ] in
        let cf = Wire.frame e in
        let compact =
-         match Wire.decode_frame d cf ~pos:0 ~len:total with
+         match Wire.decode_frame cf ~pos:0 ~len:total with
          | Ok [ x ] -> x
          | Ok _ -> QCheck.Test.fail_report "compact frame decoded to wrong arity"
          | Error e -> QCheck.Test.fail_reportf "compact frame rejected: %s" e
@@ -210,7 +215,6 @@ let test_fuzz_rejection () =
   let e = Wire.encoder () in
   let total = encode_burst e fuzz_messages in
   let f = Wire.frame e in
-  let d = Wire.decoder () in
   let expect_error what k =
     match k () with
     | Ok _ -> Alcotest.failf "%s: accepted a damaged frame" what
@@ -221,11 +225,11 @@ let test_fuzz_rejection () =
   for len = 0 to total - 1 do
     expect_error
       (Printf.sprintf "prefix %d" len)
-      (fun () -> Wire.decode_frame d f ~pos:0 ~len)
+      (fun () -> Wire.decode_frame f ~pos:0 ~len)
   done;
   (* out-of-bounds length and position *)
-  expect_error "len past buffer" (fun () -> Wire.decode_frame d f ~pos:0 ~len:(total + 1));
-  expect_error "negative pos" (fun () -> Wire.decode_frame d f ~pos:(-1) ~len:total);
+  expect_error "len past buffer" (fun () -> Wire.decode_frame f ~pos:0 ~len:(total + 1));
+  expect_error "negative pos" (fun () -> Wire.decode_frame f ~pos:(-1) ~len:total);
   (* every single-bit flip: CRC-32 detects them all, including flips in
      the CRC trailer itself *)
   for byte = 0 to total - 1 do
@@ -234,47 +238,15 @@ let test_fuzz_rejection () =
       Bytes.set_uint8 g byte (Bytes.get_uint8 g byte lxor (1 lsl bit));
       expect_error
         (Printf.sprintf "bit flip %d.%d" byte bit)
-        (fun () -> Wire.decode_frame d g ~pos:0 ~len:total)
+        (fun () -> Wire.decode_frame g ~pos:0 ~len:total)
     done
   done;
-  (* after all those rejections the decoder is pristine: the original
-     frame (whose labels are inline definitions) still decodes *)
-  match Wire.decode_frame d f ~pos:0 ~len:total with
+  (* the intact frame still decodes after all those rejections *)
+  match Wire.decode_frame f ~pos:0 ~len:total with
   | Ok got ->
     check Alcotest.bool "pristine frame decodes after fuzzing" true
       (List.for_all2 message_equal fuzz_messages got)
   | Error e -> Alcotest.failf "pristine frame rejected after fuzzing: %s" e
-
-(* A rejected frame must not commit its label definitions: the decoder
-   dictionary advances only on accepted frames, mirroring the sender's
-   advance only on acknowledged (eventually delivered) frames. *)
-let test_rejected_frame_commits_nothing () =
-  let e = Wire.encoder () in
-  let ids = [| 2; 3; 5; 8 |] in
-  let t1 = encode_burst e [ Wire.Id_list { table = "Visit"; ids } ] in
-  let f1 = Wire.frame e in
-  let t2 = encode_burst e [ Wire.Id_list { table = "Visit"; ids } ] in
-  let f2 = Wire.frame e in
-  check Alcotest.bool "second frame back-references the label" true (t2 < t1);
-  let d = Wire.decoder () in
-  let corrupt = Bytes.copy f1 in
-  Bytes.set_uint8 corrupt (t1 / 2) (Bytes.get_uint8 corrupt (t1 / 2) lxor 0x10);
-  (match Wire.decode_frame d corrupt ~pos:0 ~len:t1 with
-   | Ok _ -> Alcotest.fail "corrupt frame accepted"
-   | Error _ -> ());
-  (* the back-reference in frame 2 must now dangle... *)
-  (match Wire.decode_frame d f2 ~pos:0 ~len:t2 with
-   | Ok _ -> Alcotest.fail "back-reference resolved against an uncommitted definition"
-   | Error _ -> ());
-  (* ...until the retransmitted frame 1 is accepted *)
-  (match Wire.decode_frame d f1 ~pos:0 ~len:t1 with
-   | Ok _ -> ()
-   | Error e -> Alcotest.failf "clean frame rejected: %s" e);
-  match Wire.decode_frame d f2 ~pos:0 ~len:t2 with
-  | Ok [ Wire.Id_list { table; ids = got } ] ->
-    check Alcotest.string "table" "Visit" table;
-    check Alcotest.bool "ids" true (got = ids)
-  | Ok _ | Error _ -> Alcotest.fail "frame 2 did not decode after commit"
 
 (* A compact frame around hand-built message bytes: magic, body, CRC-32. *)
 let raw_frame body =
@@ -286,20 +258,54 @@ let raw_frame body =
     (Ghost_kernel.Codec.crc32 (Bytes.of_string body) ~pos:0 ~len:n);
   f
 
+(* Labels live for one frame: two frames carrying the same message
+   from one encoder are byte-identical, each defines its labels inline,
+   and each decodes on its own, in any order, whatever was rejected
+   before it. *)
+let test_frames_decode_alone () =
+  let e = Wire.encoder () in
+  let ids = [| 2; 3; 5; 8 |] in
+  let t1 = encode_burst e [ Wire.Id_list { table = "Visit"; ids } ] in
+  let f1 = Wire.frame e in
+  let t2 = encode_burst e [ Wire.Id_list { table = "Visit"; ids } ] in
+  let f2 = Wire.frame e in
+  check Alcotest.bool "the second frame repeats the first" true
+    (t1 = t2 && Bytes.equal f1 f2);
+  let corrupt = Bytes.copy f1 in
+  Bytes.set_uint8 corrupt (t1 / 2) (Bytes.get_uint8 corrupt (t1 / 2) lxor 0x10);
+  (match Wire.decode_frame corrupt ~pos:0 ~len:t1 with
+   | Ok _ -> Alcotest.fail "corrupt frame accepted"
+   | Error _ -> ());
+  let decodes what f len =
+    match Wire.decode_frame f ~pos:0 ~len with
+    | Ok [ Wire.Id_list { table; ids = got } ] ->
+      check Alcotest.string (what ^ ": table") "Visit" table;
+      check Alcotest.bool (what ^ ": ids") true (got = ids)
+    | Ok _ -> Alcotest.failf "%s: wrong messages" what
+    | Error err -> Alcotest.failf "%s rejected: %s" what err
+  in
+  decodes "frame 2 after a rejected frame 1" f2 t2;
+  decodes "frame 1 after frame 2" f1 t1;
+  (* a back-reference past the frame's own definitions is rejected *)
+  let dangling = raw_frame "\x02\x00\x01\x00" in
+  match Wire.decode_frame dangling ~pos:0 ~len:(Bytes.length dangling) with
+  | Error err -> check Alcotest.string "dangling label" "label reference 0 out of range" err
+  | Ok _ -> Alcotest.fail "a reference to a label of another frame was accepted"
+
 (* A 9-byte varint reaches the sign bit of OCaml's 63-bit int: an id
    that wraps negative must be rejected, never returned as data. *)
 let test_id_overflow () =
   let expect what body =
     let f = raw_frame body in
-    match Wire.decode_frame (Wire.decoder ()) f ~pos:0 ~len:(Bytes.length f) with
+    match Wire.decode_frame f ~pos:0 ~len:(Bytes.length f) with
     | Error e -> check Alcotest.string what "id overflow" e
     | Ok _ -> Alcotest.failf "%s: overflowing id accepted" what
   in
   (* Id_list, inline label "t", 2 ids: 5, then a delta of 2^62 (negative) *)
-  expect "id list" ("\x02\x00\x01t\x02\x05" ^ String.make 8 '\x80' ^ "\x40");
+  expect "id list" ("\x02\x03t\x02\x05" ^ String.make 8 '\x80' ^ "\x40");
   (* Value_stream "t"."c" INTEGER, 2 NULL pairs: id 5, then an id delta
      of max_int (tagged varint of all-ones) *)
-  expect "value stream" ("\x03\x00\x01t\x00\x01c\x00\x02\x0B" ^ String.make 8 '\xFF' ^ "\x7F")
+  expect "value stream" ("\x03\x03t\x03c\x00\x02\x0B" ^ String.make 8 '\xFF' ^ "\x7F")
 
 (* ---- device integration ---- *)
 
@@ -331,9 +337,12 @@ let test_batch_coalesces () =
   let unbatched, ut = mk () in
   send3 unbatched;
   let sb = Device.snapshot batched and su = Device.snapshot unbatched in
-  (* same messages, two envelopes saved *)
-  check Alcotest.int "coalescing saves two envelopes"
-    (su.Device.usb_bytes_in - (2 * Wire.envelope_bytes))
+  (* same messages: the batch saves two envelopes, and its 2nd and 3rd
+     messages name "Visit" by a one-byte back-reference where each
+     unbatched frame defines it inline (length varint, 5 bytes) *)
+  let label_saving = String.length "Visit" in
+  check Alcotest.int "coalescing saves two envelopes and two label definitions"
+    (su.Device.usb_bytes_in - (2 * (Wire.envelope_bytes + label_saving)))
     sb.Device.usb_bytes_in;
   check Alcotest.bool "one per-transfer latency instead of three" true
     (sb.Device.usb_us < su.Device.usb_us);
@@ -517,8 +526,8 @@ let suite =
     qtest prop_compact_roundtrip;
     qtest prop_verbose_equivalence;
     Alcotest.test_case "fuzz: truncation and bit flips rejected" `Quick test_fuzz_rejection;
-    Alcotest.test_case "rejected frames commit no labels" `Quick
-      test_rejected_frame_commits_nothing;
+    Alcotest.test_case "every frame decodes alike in any order" `Quick
+      test_frames_decode_alone;
     Alcotest.test_case "overflowing ids rejected" `Quick test_id_overflow;
     Alcotest.test_case "batching coalesces frames" `Quick test_batch_coalesces;
     Alcotest.test_case "trace totals = device counters" `Quick
