@@ -495,7 +495,9 @@ let robustness ?(scale = default_scale) () =
          let device = Ghost_db.device db in
          let before = Device.snapshot device in
          let t0 = Device.elapsed_us device in
-         Ghost_db.insert db (insert_rows db rng 300);
+         (* one row per batch: about 300 log programs, so the worn
+            blocks meet program failures *)
+         List.iter (fun row -> Ghost_db.insert db [ row ]) (insert_rows db rng 300);
          let insert_us = Device.elapsed_us device -. t0 in
          let q = (Ghost_db.query db Queries.demo).Exec.elapsed_us in
          let total = insert_us +. q in
@@ -525,6 +527,8 @@ let robustness ?(scale = default_scale) () =
       [
         "fault injection is deterministic (seeded); the 'plain (seed)' row is \
          bit-identical to the fault-free simulator";
+        "'insert 300' inserts the rows one per batch, so each one programs \
+         a log page";
         "'durable logs' pays the 20-byte checksummed page header that makes \
          power-cut recovery possible";
         "ECC corrections, page remaps and USB retransmissions are all metered \

@@ -73,9 +73,27 @@ let test_experiments_run_at_tiny_scale () =
          r.Report.rows)
     reports
 
+(* E15's worn-blocks row must measure the remap path: its inserts
+   program enough log pages that some program fails and is remapped. *)
+let test_worn_blocks_remap () =
+  let r = Experiments.robustness ~scale:Medical.tiny () in
+  let column name =
+    let rec find i = function
+      | [] -> Alcotest.failf "E15 has no %S column" name
+      | h :: rest -> if h = name then i else find (i + 1) rest
+    in
+    find 0 r.Report.header
+  in
+  match List.find_opt (fun row -> List.hd row = "worn blocks") r.Report.rows with
+  | None -> Alcotest.fail "E15 has no worn blocks row"
+  | Some row ->
+    let remapped = int_of_string (List.nth row (column "remapped")) in
+    if remapped < 1 then Alcotest.fail "E15 worn blocks: no page was remapped"
+
 let suite = [
   Alcotest.test_case "report rendering" `Quick test_report_rendering;
   Alcotest.test_case "unit rendering" `Quick test_unit_rendering;
   Alcotest.test_case "experiments run at tiny scale" `Slow
     test_experiments_run_at_tiny_scale;
+  Alcotest.test_case "E15 worn blocks remap pages" `Quick test_worn_blocks_remap;
 ]
