@@ -197,6 +197,43 @@ let test_reads_grow_by_log_pages () =
     Alcotest.failf "DeltaScan page reads %d -> %d grew past the log's pages %d -> %d"
       reads0 reads1 pages0 pages1
 
+(* The runs keep the root's hidden values on value pages: a scan of
+   root ids reads the runs' id pages alone, one projecting Quantity
+   reads both streams, and the Purpose join tests ids only. Rows equal
+   the reference either way. *)
+let test_id_only_scan_reads_id_pages () =
+  let scale = Medical.tiny in
+  let st = load ~device_config:tiny_leveled scale in
+  let rng = Rng.create 8 in
+  for _ = 1 to 5 do
+    insert st scale rng 12
+  done;
+  Ghost_db.compact st.db;
+  insert st scale rng 3;
+  let log = Option.get (Catalog.delta (Ghost_db.catalog st.db) "Prescription") in
+  check Alcotest.bool "the log has runs" true (Delta_log.run_count log > 0);
+  let reads sql plan =
+    let r = Ghost_db.run_plan st.db plan in
+    check Alcotest.bool (sql ^ ": rows") true (Reference.sort_rows r.Exec.rows = reference st sql);
+    check Alcotest.int (sql ^ ": every record scanned")
+      (Delta_log.count log) (find_op "DeltaScan" r).Exec.tuples_in;
+    (find_op "DeltaScan" r).Exec.usage.Device.flash_page_reads
+  in
+  let scan sql =
+    let plan = Planner.all_pre (Ghost_db.catalog st.db) (Ghost_db.bind st.db sql) in
+    (Plan.reads_delta_values (Ghost_db.schema st.db) plan, reads sql plan)
+  in
+  check Alcotest.(pair bool int) "an id scan reads L0 and the run id pages"
+    (false, Delta_log.l0_pages log + Delta_log.run_id_pages log)
+    (scan "SELECT Pre.PreID FROM Prescription Pre");
+  check Alcotest.(pair bool int) "a Quantity scan reads every log page"
+    (true, Delta_log.l0_pages log + Delta_log.run_pages log)
+    (scan "SELECT Pre.PreID, Pre.Quantity FROM Prescription Pre");
+  let sql, plan, _ = purpose_join st in
+  check Alcotest.bool "the join needs no value page" false
+    (Plan.reads_delta_values (Ghost_db.schema st.db) plan);
+  ignore (reads sql plan : int)
+
 let bitmap_bytes st table = (Catalog.table_count (Ghost_db.catalog st.db) table + 7) / 8
 
 (* The bitmap is charged to the arena while the scan runs and freed
@@ -428,6 +465,8 @@ let suite =
       (rows_match_reference Medical.small ~leveled:small_leveled ~inserts:400);
     Alcotest.test_case "delta scan reads grow by log pages only" `Quick
       test_reads_grow_by_log_pages;
+    Alcotest.test_case "id-only delta scans read the run id pages" `Quick
+      test_id_only_scan_reads_id_pages;
     Alcotest.test_case "bitmap charged to the arena" `Quick test_bitmap_in_arena;
     Alcotest.test_case "full arena falls back to column reads" `Quick
       test_fallback_when_full;

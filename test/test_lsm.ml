@@ -154,6 +154,167 @@ let test_flat_mode_untouched () =
   check Alcotest.int "flat scan_range = scan" 50
     (List.length (scanned_roots ~lo:10 ~hi:12 log))
 
+(* ---- two-stream runs ---- *)
+
+let row_of i =
+  { Delta_log.ids = [| i; i mod 7; i mod 5 |];
+    hidden = [| Value.Int (i * 3); Value.Str (Printf.sprintf "s%d" i) |] }
+
+(* The rows of a scan, in order; an id-only scan's carry no values. *)
+let scan_rows ?lo ?hi ~values log =
+  let out = ref [] in
+  Delta_log.scan_range ?lo ?hi ~values log (fun r -> out := r :: !out);
+  List.rev !out
+
+let ids_of rows = List.map (fun r -> r.Delta_log.ids) rows
+
+(* A spill of 16 records programs three pages: the first value page
+   when it fills (14 values), then the seal, which programs each
+   stream's final page, the id stream's first. A cut at any of them
+   leaves the run uninstalled, with the pages programmed before the
+   cut dead, and recovery rolls the log back to its inputs; a run is
+   installed, and rolled forward, only once both final pages are
+   sealed. *)
+let test_seal_of_both_streams () =
+  let setup () =
+    let f = flash () in
+    let log = make_log f in
+    append_ids log 1 17;  (* two full L0 pages of 8: one spill of 16 *)
+    (f, log)
+  in
+  let programs =
+    let f, log = setup () in
+    let before = (Flash.stats f).Flash.page_programs in
+    (match drain log with
+     | [ i ] -> check Alcotest.int "one id page and two value pages" 3 i.Delta_log.inst_pages
+     | _ -> Alcotest.fail "expected one install");
+    let r = Delta_log.recover log in
+    check Alcotest.int "the installed run validates" 0 r.Delta_log.torn_pages;
+    check Alcotest.int "and rolls forward" 1 (Delta_log.run_count log);
+    (Flash.stats f).Flash.page_programs - before
+  in
+  check Alcotest.int "three programs" 3 programs;
+  (* record bytes programmed before each cut: nothing, the first value
+     page, then that page and the sealed id page *)
+  let dead_before = [| 0; 14 * 16; (14 * 16) + (16 * 12) |] in
+  for k = 1 to programs do
+    let f, log = setup () in
+    let rows = scan_rows ~values:true log in
+    let dead = Delta_log.dead_bytes log in
+    Flash.arm_power_cut f ~after_programs:k;
+    (try
+       ignore (drain log);
+       Alcotest.failf "cut at program %d never fired" k
+     with Flash.Power_cut _ -> ());
+    let r = Delta_log.recover log in
+    let what = Printf.sprintf "cut at program %d: " k in
+    check Alcotest.int (what ^ "no run installed") 0 (Delta_log.run_count log);
+    check Alcotest.int (what ^ "nothing lost") 0 r.Delta_log.lost;
+    check Alcotest.bool (what ^ "rows as before") true (scan_rows ~values:true log = rows);
+    check Alcotest.int (what ^ "the partial output is dead") (dead + dead_before.(k - 1))
+      (Delta_log.dead_bytes log);
+    ignore (drain log);
+    check Alcotest.int (what ^ "the rebuild installs") 1 (Delta_log.run_count log);
+    check Alcotest.bool (what ^ "rows after the rebuild") true
+      (scan_rows ~values:true log = rows)
+  done
+
+(* Random appends, tombstones (compaction's drop set), compaction
+   slices and power cuts on a leveled log. After every step an id-only
+   scan, fenced or not, returns exactly the ids, in the same order, of
+   the scan that reads values; every row read with values carries the
+   values appended for its id; and every acknowledged record compaction
+   has not folded away is there. A power cut inside a compaction slice
+   rolls the in-flight build back: the runs after recovery are exactly
+   those installed before the slice. *)
+let run_two_stream_case seed =
+  let rng = Rng.create (seed lxor 0x2b5c3d) in
+  let f = flash () in
+  let log = make_log f in
+  let acked = Hashtbl.create 64 in
+  let tombstoned = Hashtbl.create 16 in
+  let next = ref 1 in
+  let ok = ref true in
+  let fail fmt =
+    Printf.ksprintf (fun m -> Printf.printf "TWO-STREAM seed=%d: %s\n" seed m; ok := false) fmt
+  in
+  let check_scans () =
+    let fences =
+      (None, None)
+      :: List.init 2 (fun _ ->
+        let lo = Rng.int_in rng 1 (max 1 !next) in
+        (Some lo, Some (lo + Rng.int rng 20)))
+    in
+    List.iter
+      (fun (lo, hi) ->
+         let full = scan_rows ?lo ?hi ~values:true log in
+         if ids_of (scan_rows ?lo ?hi ~values:false log) <> ids_of full then
+           fail "id-only scan differs from the full scan";
+         List.iter
+           (fun r ->
+              let id = r.Delta_log.ids.(0) in
+              if not (Hashtbl.mem acked id) then fail "unacknowledged id %d scanned" id
+              else if r <> row_of id then fail "id %d carries wrong values" id)
+           full;
+         let got = List.map (fun r -> r.Delta_log.ids.(0)) full in
+         if List.sort_uniq compare got <> got then fail "scan out of order";
+         let in_fence id =
+           id >= Option.value ~default:min_int lo && id <= Option.value ~default:max_int hi
+         in
+         Hashtbl.iter
+           (fun id () ->
+              if in_fence id && (not (Hashtbl.mem tombstoned id)) && not (List.mem id got) then
+                fail "acknowledged id %d missing" id)
+           acked)
+      fences
+  in
+  let recover_after_cut ~runs_before =
+    let r = Delta_log.recover log in
+    if r.Delta_log.recovered <> Delta_log.physical_records log then
+      fail "recovered %d, physical %d" r.Delta_log.recovered (Delta_log.physical_records log);
+    match runs_before with
+    | Some before ->
+      let now = (Delta_log.run_count log, Delta_log.run_pages log, Delta_log.run_records log) in
+      if now <> before then fail "a cut compaction did not roll back to its inputs"
+    | None -> ()
+  in
+  for _ = 1 to 24 do
+    let cut = Rng.int rng 5 = 0 in
+    if cut then Flash.arm_power_cut f ~after_programs:(Rng.int_in rng 1 3);
+    (match Rng.int rng 4 with
+     | 0 | 1 ->
+       let n = Rng.int_in rng 1 12 in
+       let batch = List.init n (fun i -> row_of (!next + i)) in
+       let before = Delta_log.acknowledged log in
+       (try Delta_log.append log batch
+        with Flash.Power_cut _ -> recover_after_cut ~runs_before:None);
+       let durable = Delta_log.acknowledged log - before in
+       List.iteri (fun i r -> if i < durable then Hashtbl.replace acked r.Delta_log.ids.(0) ()) batch;
+       next := !next + durable
+     | 2 ->
+       if !next > 1 then Hashtbl.replace tombstoned (Rng.int_in rng 1 (!next - 1)) ()
+     | _ ->
+       let runs_before =
+         Some (Delta_log.run_count log, Delta_log.run_pages log, Delta_log.run_records log)
+       in
+       (try
+          ignore
+            (Delta_log.compact_step ~drop:(Hashtbl.mem tombstoned) log
+               ~max_pages:(Rng.int_in rng 1 3))
+        with Flash.Power_cut _ -> recover_after_cut ~runs_before));
+    Flash.disarm_power_cut f;
+    check_scans ()
+  done;
+  !ok
+
+let prop_two_stream =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:"two-stream runs: id-only scans = full scans, cuts roll back"
+       ~count:60
+       QCheck.(int_range 0 1_000_000)
+       run_two_stream_case)
+
 (* ---- end to end ---- *)
 
 let scale = Medical.tiny
@@ -248,17 +409,27 @@ let test_image_roundtrip_mid_compaction () =
 (* Every Flash program compaction issues is a crash point: tear each
    one in turn; recovery must roll the log forward or back to a state
    that answers exactly like the untouched flat twin, and compaction
-   must then run to completion. *)
+   must then run to completion. Compaction programs nothing but run
+   pages of both streams (no erase recycles a page here), so the sweep
+   cuts at every id-page and every value-page program. *)
 let test_crash_point_sweep () =
   let programs_of_full_compaction () =
     let db, _ = make_pair () in
     let flash = Device.flash (Ghost_db.device db) in
     let before = (Flash.stats flash).Flash.page_programs in
+    let high = Flash.page_count flash in
     Ghost_db.compact db;
-    (Flash.stats flash).Flash.page_programs - before
+    let tags =
+      List.init (Flash.page_count flash - high) (fun i ->
+        Bytes.sub_string (Flash.read_page flash (high + i)) 0 4)
+    in
+    let count tag = List.length (List.filter (( = ) tag) tags) in
+    ((Flash.stats flash).Flash.page_programs - before, count "GDRN", count "GDRV")
   in
-  let total = programs_of_full_compaction () in
-  check Alcotest.bool "compaction programs pages" true (total > 0);
+  let total, id_pages, value_pages = programs_of_full_compaction () in
+  check Alcotest.bool "compaction programs pages of both streams" true
+    (id_pages > 0 && value_pages > 0);
+  check Alcotest.int "every program is a run page" total (id_pages + value_pages);
   for k = 1 to total do
     let db, flat = make_pair () in
     let flash = Device.flash (Ghost_db.device db) in
@@ -441,4 +612,7 @@ let suite =
     Alcotest.test_case "scheduler: compaction + scrubbing coexist" `Quick
       test_scheduler_coexistence;
     prop_interleaving;
+    Alcotest.test_case "a run installs once both streams are sealed" `Quick
+      test_seal_of_both_streams;
+    prop_two_stream;
   ]

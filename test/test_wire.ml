@@ -139,7 +139,7 @@ let encode_burst e msgs =
    and its bytes equal those of the same burst encoded first on a fresh
    encoder, whatever was encoded before it. *)
 let prop_compact_roundtrip =
-  QCheck.Test.make ~name:"compact frames round-trip (labels scoped to a frame)" ~count:200
+  QCheck.Test.make ~name:"compact frames round-trip per frame" ~count:200
     arb_bursts (fun bursts ->
       let e = Wire.encoder () in
       List.for_all
@@ -526,7 +526,7 @@ let suite =
     qtest prop_compact_roundtrip;
     qtest prop_verbose_equivalence;
     Alcotest.test_case "fuzz: truncation and bit flips rejected" `Quick test_fuzz_rejection;
-    Alcotest.test_case "every frame decodes alike in any order" `Quick
+    Alcotest.test_case "frames decode alone, in any order" `Quick
       test_frames_decode_alone;
     Alcotest.test_case "overflowing ids rejected" `Quick test_id_overflow;
     Alcotest.test_case "batching coalesces frames" `Quick test_batch_coalesces;
