@@ -217,8 +217,9 @@ let pull t c =
   | S_merge m -> Log_run.merge_next t.flash m
 
 (* The installed run replaces its inputs atomically in the volatile
-   state: the seal program is the run's commit point, and nothing here
-   touches Flash, so there is no crash point between the two. *)
+   state: the seal programs of its two streams are the run's commit
+   point, and nothing here touches Flash, so there is no crash point
+   between the two. *)
 let install t c run_opt =
   let input_records =
     match c.c_input_runs with
@@ -291,15 +292,16 @@ type recovery = Append_log.recovery = {
 
 (* The L0 pages recover through {!Append_log.recover}. With leveled
    runs the protocol gains two phases in front: installed runs
-   re-validate (their seal program was their commit, so a pure power
+   re-validate (their seal programs were their commit, so a pure power
    cut always rolls them forward), and an in-flight compaction build —
-   unsealed by construction when the cut hit it — is discarded
-   wholesale, rolling the log back to its intact inputs. *)
+   never installed when the cut hit it, even if one stream's final page
+   was sealed — is discarded wholesale, rolling the log back to its
+   intact inputs. *)
 let recover t =
   if Append_log.durability t.l0 = Plain then
     invalid_arg
       "Delta_log.recover: log is not checksummed (create ~durability:Checksummed)";
-  (* Roll an interrupted compaction back: its output was never sealed,
+  (* Roll an interrupted compaction back: its output was never installed,
      its inputs were never touched. The partial output pages are dead
      bytes until reorganization. *)
   (match t.compaction with
@@ -330,7 +332,8 @@ let recover t =
     torn_pages = r.torn_pages + !runs_torn;
   }
 
-let decode_ids t b off = Array.init (Array.length t.levels) (fun i -> Codec.get_u32 b (off + (4 * i)))
+let decode_ids t b off =
+  Array.init (Array.length t.levels) (fun i -> Codec.get_u32 b (off + (4 * i)))
 
 let decode_values t b off =
   let pos = ref off in
@@ -343,7 +346,8 @@ let decode_values t b off =
 
 let scan_range ?lo ?hi ?(values = true) t f =
   let emit b off vb voff =
-    f { ids = decode_ids t b off; hidden = (if values then decode_values t vb voff else [||]) }
+    let hidden = if values then decode_values t vb voff else [||] in
+    f { ids = decode_ids t b off; hidden }
   in
   (* Runs first (they hold the oldest records), then L0: rows stream in
      ascending root-id order just like the flat log's append order. The

@@ -172,7 +172,9 @@ val compact_step : ?drop:(int -> bool) -> t -> max_pages:int -> step
 (** Runs one bounded slice of background compaction: starts (or
     resumes) the pending unit and feeds its builder until [max_pages]
     run pages have been programmed this slice or the input is
-    exhausted, whichever first. [drop] is consulted once per record
+    exhausted, whichever first — one page more when a record filled a
+    page of each stream at once, or when the seal programs both
+    streams' final pages. [drop] is consulted once per record
     with its root id; dropped records (tombstoned ones, in practice)
     are folded away and the run keeps the log's scan cost from
     re-paying them forever. The unit's state is plain data on [t], so

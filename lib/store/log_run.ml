@@ -194,7 +194,8 @@ let read_page flash t ~tag ~width pages i =
   if Flash.authenticated flash then begin
     let b = Flash.read_page flash m.pp_page in
     if not (page_ok t ~tag ~width pages i b) then
-      raise (Flash.Integrity_error { page = m.pp_page; what = "log run page seal mismatch" });
+      raise
+        (Flash.Integrity_error { page = m.pp_page; what = "log run page seal mismatch" });
     (b, header_bytes)
   end
   else (Flash.read flash ~page:m.pp_page ~off:header_bytes ~len:(m.pp_count * width), 0)
@@ -283,7 +284,8 @@ let merge_start runs =
     fronts =
       Array.of_list
         (List.map
-           (fun r -> { f_run = r; f_ids = []; f_next_id = 0; f_values = []; f_next_value = 0 })
+           (fun r ->
+              { f_run = r; f_ids = []; f_next_id = 0; f_values = []; f_next_value = 0 })
            runs);
   }
 
