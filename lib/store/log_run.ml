@@ -67,7 +67,7 @@ type builder = {
   mutable b_programs : int;  (* pages programmed, both streams *)
 }
 
-let stream flash ~tag ~width =
+let open_stream flash ~tag ~width =
   let per_page = records_per_page flash ~record_bytes:width in
   if per_page < 1 then invalid_arg "Log_run.start: record exceeds a page";
   {
@@ -86,10 +86,10 @@ let start flash ~id_bytes ~value_bytes ~level =
   {
     b_flash = flash;
     b_level = level;
-    b_ids = stream flash ~tag:id_tag ~width:id_bytes;
+    b_ids = open_stream flash ~tag:id_tag ~width:id_bytes;
     b_values =
       (if value_bytes = 0 then None
-       else Some (stream flash ~tag:value_tag ~width:value_bytes));
+       else Some (open_stream flash ~tag:value_tag ~width:value_bytes));
     b_count = 0;
     b_last_key = -1;
     b_programs = 0;

@@ -49,11 +49,13 @@ let make_log ?(runs = policy) f =
     ~levels:[ "R"; "A"; "B" ]
     ~hidden_cols:[ ("q", Value.T_int); ("s", Value.T_char 8) ]
 
+let row_of i =
+  { Delta_log.ids = [| i; i mod 7; i mod 5 |];
+    hidden = [| Value.Int (i * 3); Value.Str (Printf.sprintf "s%d" i) |] }
+
 let append_ids log lo hi =
   for i = lo to hi do
-    Delta_log.append log
-      [ { Delta_log.ids = [| i; i mod 7; i mod 5 |];
-          hidden = [| Value.Int (i * 3); Value.Str (Printf.sprintf "s%d" i) |] } ]
+    Delta_log.append log [ row_of i ]
   done
 
 let drain ?drop log =
@@ -155,10 +157,6 @@ let test_flat_mode_untouched () =
     (List.length (scanned_roots ~lo:10 ~hi:12 log))
 
 (* ---- two-stream runs ---- *)
-
-let row_of i =
-  { Delta_log.ids = [| i; i mod 7; i mod 5 |];
-    hidden = [| Value.Int (i * 3); Value.Str (Printf.sprintf "s%d" i) |] }
 
 (* The rows of a scan, in order; an id-only scan's carry no values. *)
 let scan_rows ?lo ?hi ~values log =
