@@ -3,6 +3,44 @@ let put_u32 b off v =
 
 let get_u32 b off = Int32.to_int (Bytes.get_int32_be b off) land 0xFFFFFFFF
 
+(* Bit fields, most significant bit first: field [i] of width [w]
+   starts at bit [bit] of the buffer, bit 0 being the top bit of byte
+   0. A field of up to 32 bits spans at most 5 bytes. *)
+let bits_for n =
+  if n < 0 then invalid_arg "Codec.bits_for: negative";
+  let rec loop n w = if n = 0 then w else loop (n lsr 1) (w + 1) in
+  max 1 (loop n 0)
+
+let check_width width =
+  if width < 1 || width > 32 then invalid_arg "Codec: bit width outside 1..32"
+
+let put_bits b ~bit ~width v =
+  check_width width;
+  if v < 0 || v lsr width <> 0 then
+    invalid_arg (Printf.sprintf "Codec.put_bits: %d does not fit %d bits" v width);
+  let rec loop bit rem =
+    if rem > 0 then begin
+      let byte = bit lsr 3 in
+      let room = 8 - (bit land 7) in
+      let n = min room rem in
+      let mask = ((1 lsl n) - 1) lsl (room - n) in
+      let chunk = ((v lsr (rem - n)) lsl (room - n)) land mask in
+      Bytes.set_uint8 b byte (Bytes.get_uint8 b byte land lnot mask lor chunk);
+      loop (bit + n) (rem - n)
+    end
+  in
+  loop bit width
+
+let get_bits b ~bit ~width =
+  check_width width;
+  let byte = bit lsr 3 and skip = bit land 7 in
+  let n = (skip + width + 7) lsr 3 in
+  let acc = ref 0 in
+  for i = 0 to n - 1 do
+    acc := (!acc lsl 8) lor Bytes.get_uint8 b (byte + i)
+  done;
+  (!acc lsr ((n * 8) - skip - width)) land ((1 lsl width) - 1)
+
 let put_u64 b off v = Bytes.set_int64_be b off (Int64.of_int v)
 let get_u64 b off = Int64.to_int (Bytes.get_int64_be b off)
 

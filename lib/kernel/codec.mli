@@ -8,6 +8,21 @@ val put_u32 : bytes -> int -> int -> unit
 
 val get_u32 : bytes -> int -> int
 
+val bits_for : int -> int
+(** Bits needed to hold the non-negative [n], at least 1. Raises
+    [Invalid_argument] on negative input. *)
+
+val put_bits : bytes -> bit:int -> width:int -> int -> unit
+(** [put_bits b ~bit ~width v] writes [v] into the [width] bits of [b]
+    starting at bit offset [bit], most significant bit first (bit 0 is
+    the top bit of byte 0); the surrounding bits are kept. [width] is
+    1 to 32. Raises [Invalid_argument] when [v] is negative or does
+    not fit [width] bits: a value is never truncated. *)
+
+val get_bits : bytes -> bit:int -> width:int -> int
+(** The [width]-bit field {!put_bits} wrote at [bit]. Reads only the
+    bytes the field spans. *)
+
 val put_u64 : bytes -> int -> int -> unit
 val get_u64 : bytes -> int -> int
 

@@ -112,6 +112,62 @@ let prop_zigzag_roundtrip =
     let v', _ = Codec.get_zigzag (Buffer.to_bytes buf) 0 in
     v = v')
 
+(* Fields of random widths packed back to back from a random bit
+   offset, each value drawn from 0, [2^w - 1] or anything between:
+   every field reads back, and the bits around the packed span keep
+   the 0xA5 fill they started with. *)
+let prop_bits_roundtrip =
+  let field =
+    QCheck.Gen.(
+      int_range 1 32 >>= fun w ->
+      let top = (1 lsl w) - 1 in
+      oneof [ return 0; return top; int_range 0 top ] >|= fun v -> (w, v))
+  in
+  QCheck.Test.make ~name:"bit fields round-trip at widths 1..32" ~count:500
+    QCheck.(
+      make ~print:Print.(pair int (list (pair int int)))
+        Gen.(pair (int_range 0 15) (list_size (int_range 1 12) field)))
+    (fun (start, fields) ->
+       let bits = List.fold_left (fun acc (w, _) -> acc + w) 0 fields in
+       let len = ((start + bits + 7) / 8) + 1 in
+       let b = Bytes.make len '\xA5' in
+       let orig = Bytes.copy b in
+       ignore
+         (List.fold_left
+            (fun bit (width, v) -> Codec.put_bits b ~bit ~width v; bit + width)
+            start fields);
+       let back, _ =
+         List.fold_left
+           (fun (acc, bit) (width, _) -> (Codec.get_bits b ~bit ~width :: acc, bit + width))
+           ([], start) fields
+       in
+       let outside_kept =
+         let get b bit = (Bytes.get_uint8 b (bit / 8) lsr (7 - (bit mod 8))) land 1 in
+         List.for_all
+           (fun bit -> bit >= start && bit < start + bits || get b bit = get orig bit)
+           (List.init (len * 8) Fun.id)
+       in
+       List.rev back = List.map snd fields && outside_kept)
+
+(* A value that does not fit its width is refused, never truncated:
+   the buffer is left as it was. *)
+let test_bits_refuse_overflow () =
+  List.iter
+    (fun width ->
+       let b = Bytes.make 6 '\000' in
+       (match Codec.put_bits b ~bit:3 ~width (1 lsl width) with
+        | () -> Alcotest.failf "2^%d fit %d bits" width width
+        | exception Invalid_argument _ -> ());
+       (match Codec.put_bits b ~bit:3 ~width (-1) with
+        | () -> Alcotest.failf "-1 fit %d bits" width
+        | exception Invalid_argument _ -> ());
+       check Alcotest.string (Printf.sprintf "width %d: buffer untouched" width)
+         (String.make 6 '\000') (Bytes.to_string b))
+    [ 1; 7; 8; 13; 31; 32 ];
+  List.iter
+    (fun (n, w) -> check Alcotest.int (Printf.sprintf "bits_for %d" n) w (Codec.bits_for n))
+    [ (0, 1); (1, 1); (2, 2); (100, 7); (2_500, 12); (0xFFFF_FFFF, 32) ]
+
 let test_codec_fixed () =
   let b = Bytes.create 12 in
   Codec.put_u32 b 0 0xDEADBEEF;
@@ -354,6 +410,8 @@ let suite = [
   Alcotest.test_case "date invalid" `Quick test_date_invalid;
   qtest prop_varint_roundtrip;
   qtest prop_zigzag_roundtrip;
+  qtest prop_bits_roundtrip;
+  Alcotest.test_case "bit fields refuse overflow" `Quick test_bits_refuse_overflow;
   Alcotest.test_case "codec fixed-width" `Quick test_codec_fixed;
   Alcotest.test_case "codec crc32" `Quick test_crc32;
   Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
