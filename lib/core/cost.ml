@@ -209,7 +209,8 @@ let emit_bound env =
    the run pages surviving fence skipping plus the (bounded) L0 pages,
    at scratch speed — run pages are recycled constantly, so the cache
    never fronts them — plus the executor's 5 CPU ops per record
-   scanned. A run's value pages count only when the plan reads them
+   scanned and one per id field it unpacks from a run record. A run's
+   value pages count only when the plan reads them
    ([Plan.reads_delta_values]); an id-only scan touches its id pages
    alone. [fraction] is the expected share of the runs' records, and
    so of their pages, a fenced scan touches (1 for an unfenced or
@@ -233,7 +234,12 @@ let delta_scan env ~fraction =
     let records =
       Float.of_int (Delta_log.physical_records log) -. ((1. -. fraction) *. run_records)
     in
-    (scratch_read_us env (touched *. page) +. cpu_us env (5. *. records), records)
+    let fields =
+      Float.of_int (List.length (Schema.subtree env.cat.Catalog.schema env.plan.Plan.root))
+    in
+    let unpacked = fields *. fraction *. run_records in
+    ( scratch_read_us env (touched *. page) +. cpu_us env ((5. *. records) +. unpacked),
+      records )
 
 (* Bytes the query-time point-read paths keep going back to: index
    directories (binary searches revisit the top levels constantly),

@@ -35,6 +35,9 @@ type t = {
   flash : Flash.t;
   table : string;
   levels : string array;
+  max_ids : int array;
+      (* the largest id of each level below the root: its table's
+         public cardinality *)
   hidden_cols : (string * Value.ty) array;
   id_bytes : int;  (* a record's ids, one u32 per level, root first *)
   record_bytes : int;  (* ids, then the root's hidden values *)
@@ -48,7 +51,11 @@ type t = {
   mutable compacted_dead : int;  (* bytes of compaction inputs and abandoned builds *)
 }
 
-let create ?durability ?cache ?runs flash ~table ~levels ~hidden_cols =
+let create ?durability ?cache ?runs flash ~table ~levels ~max_ids ~hidden_cols =
+  if List.length max_ids <> List.length levels - 1 then
+    invalid_arg "Delta_log.create: max_ids misaligned with the levels below the root";
+  if List.exists (fun m -> m < 0 || m > 0xFFFF_FFFF) max_ids then
+    invalid_arg "Delta_log.create: a largest id outside 0..2^32-1";
   let id_bytes = 4 * List.length levels in
   let value_bytes =
     List.fold_left (fun acc (_, ty) -> acc + Value.ty_width ty) 0 hidden_cols
@@ -59,13 +66,17 @@ let create ?durability ?cache ?runs flash ~table ~levels ~hidden_cols =
    | Some p ->
      if p.l0_spill_pages < 1 || p.run_fanout < 2 then
        invalid_arg "Delta_log.create: spill threshold < 1 or fanout < 2";
-     if Log_run.records_per_page flash ~record_bytes:(max id_bytes value_bytes) < 1 then
+     (* the widest id record: a root field of 32 bits *)
+     let id_bits = List.fold_left (fun acc m -> acc + Codec.bits_for m) 32 max_ids in
+     let record_bits = max id_bits (8 * value_bytes) in
+     if Log_run.records_per_page flash ~record_bits < 1 then
        invalid_arg "Delta_log.create: record exceeds a run page"
    | None -> ());
   {
     flash;
     table;
     levels = Array.of_list levels;
+    max_ids = Array.of_list max_ids;
     hidden_cols = Array.of_list hidden_cols;
     id_bytes;
     record_bytes;
@@ -114,6 +125,13 @@ type row = {
 let encode t { ids; hidden } =
   if Array.length ids <> Array.length t.levels then
     invalid_arg "Delta_log.append: id vector misaligned with levels";
+  Array.iteri
+    (fun i id ->
+       if i > 0 && (id < 0 || id > t.max_ids.(i - 1)) then
+         invalid_arg
+           (Printf.sprintf "Delta_log.append: %s id %d exceeds the largest id of its table"
+              t.levels.(i) id))
+    ids;
   if Array.length hidden <> Array.length t.hidden_cols then
     invalid_arg "Delta_log.append: hidden values misaligned";
   let buf = Buffer.create t.record_bytes in
@@ -180,13 +198,19 @@ let start_compaction t =
   | None -> None
   | Some _ when t.compaction <> None -> t.compaction
   | Some _ ->
-    let start level source ~inputs ~spill_pages =
+    (* Every width is public: the root's from the keys of the unit's
+       inputs, every other level's from its table's cardinality. *)
+    let start level source ~inputs ~spill_pages ~keys:(lo, hi) =
+      let id_widths =
+        Array.init (Array.length t.levels) (fun i ->
+            Codec.bits_for (if i = 0 then hi - lo else t.max_ids.(i - 1)))
+      in
       let c =
         {
           c_level = level;
           c_builder =
-            Log_run.start t.flash ~id_bytes:t.id_bytes
-              ~value_bytes:(t.record_bytes - t.id_bytes) ~level;
+            Log_run.start t.flash ~id_widths ~value_bytes:(t.record_bytes - t.id_bytes)
+              ~level;
           c_source = source;
           c_input_runs = inputs;
           c_spill_pages = spill_pages;
@@ -199,14 +223,22 @@ let start_compaction t =
     if spill_ready t then begin
       let pages = Append_log.full_pages t.l0 in
       let records = List.concat_map (Append_log.full_page_records t.l0) pages in
-      start 1 (S_records records) ~inputs:[] ~spill_pages:(List.length pages)
+      let last = List.fold_left (fun _ r -> r) (List.hd records) records in
+      let keys = (Log_run.key (List.hd records), Log_run.key last) in
+      start 1 (S_records records) ~inputs:[] ~spill_pages:(List.length pages) ~keys
     end
     else
       match merge_level t with
       | None -> None
       | Some level ->
         let inputs = runs_at t level in
+        let keys =
+          List.fold_left
+            (fun (lo, hi) r -> (min lo r.Log_run.min_key, max hi r.Log_run.max_key))
+            (max_int, min_int) inputs
+        in
         start (level + 1) (S_merge (Log_run.merge_start inputs)) ~inputs ~spill_pages:0
+          ~keys
 
 let pull t c =
   match c.c_source with
@@ -221,15 +253,15 @@ let pull t c =
    point, and nothing here touches Flash, so there is no crash point
    between the two. *)
 let install t c run_opt =
-  let input_records =
+  let input_bytes =
     match c.c_input_runs with
     | [] ->
       (* spill: every input L0 page is a full page *)
-      c.c_spill_pages * Append_log.records_per_page t.l0
-    | runs -> List.fold_left (fun a r -> a + r.Log_run.count) 0 runs
+      c.c_spill_pages * Append_log.records_per_page t.l0 * t.record_bytes
+    | runs -> List.fold_left (fun a r -> a + Log_run.size_bytes r) 0 runs
   in
   (* the superseded inputs stay programmed until reorganization *)
-  t.compacted_dead <- t.compacted_dead + (input_records * t.record_bytes);
+  t.compacted_dead <- t.compacted_dead + input_bytes;
   Append_log.release t.l0 c.c_spill_pages;
   if c.c_input_runs <> [] then
     t.runs <- List.filter (fun r -> not (List.memq r c.c_input_runs)) t.runs;
@@ -344,21 +376,24 @@ let decode_values t b off =
        v)
     t.hidden_cols
 
-let scan_range ?lo ?hi ?(values = true) t f =
-  let emit b off vb voff =
-    let hidden = if values then decode_values t vb voff else [||] in
-    f { ids = decode_ids t b off; hidden }
-  in
+let scan_range ?lo ?hi ?(values = true) ?(on_unpack = ignore) t f =
+  let hidden vb voff = if values then decode_values t vb voff else [||] in
+  let fields = Array.length t.levels in
   (* Runs first (they hold the oldest records), then L0: rows stream in
      ascending root-id order just like the flat log's append order. The
      bounds skip run pages via their key fences, and an id-only scan
      reads no value page; the L0 prefix is bounded by the spill
      threshold, holds whole records, and is always read in full. *)
-  List.iter (fun run -> Log_run.iter t.flash ?lo ?hi ~values run emit) t.runs;
+  List.iter
+    (fun run ->
+       Log_run.iter t.flash ?lo ?hi ~values run (fun ids vb voff ->
+           on_unpack fields;
+           f { ids; hidden = hidden vb voff }))
+    t.runs;
   Append_log.iter_pages t.l0 (fun b n ->
       for i = 0 to n - 1 do
         let off = i * t.record_bytes in
-        emit b off b (off + t.id_bytes)
+        f { ids = decode_ids t b off; hidden = hidden b (off + t.id_bytes) }
       done)
 
 let scan t f = scan_range t f

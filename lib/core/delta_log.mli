@@ -27,7 +27,14 @@ module Flash = Ghost_flash.Flash
     each record as two page streams: id pages hold its id vector
     (root id first, carrying the key fences) and value pages its
     hidden values, in the same record order, so a scan whose plan
-    needs no root hidden value reads the id pages alone. Because the
+    needs no root hidden value reads the id pages alone. Id pages are
+    bit-packed in widths fixed from public numbers when a compaction
+    unit starts: the root id as its offset from the run's first key,
+    in the bits of the unit's input key range, and every other level
+    in the bits of the largest id its table holds ([max_ids]). So run
+    page counts, and every byte count below, depend on the insert,
+    delete and compaction history the spy sees, never on hidden
+    foreign keys or values. Because the
     schema root assigns {e dense increasing} ids and each root id
     appears in at most one delta record, L0 is already key-sorted and
     the newest-wins merge is trivially correct. Compaction never runs
@@ -62,11 +69,16 @@ val create :
   Flash.t ->
   table:string ->
   levels:string list ->
+  max_ids:int list ->
   hidden_cols:(string * Value.ty) list ->
   t
 (** [levels] — the subtree preorder (the SKT level layout of the
-    table); [hidden_cols] — the table's own hidden columns, in
-    declaration order. The L0 pages are a {!Ghost_store.Append_log}
+    table); [max_ids] — the largest id each level below the root
+    holds, aligned with [List.tl levels] (its table's cardinality: a
+    public number), which sizes that level's field on a run's id
+    pages; [hidden_cols] — the table's own hidden columns, in
+    declaration order. Raises [Invalid_argument] when [max_ids] is
+    misaligned or outside [0 .. 2^32 - 1]. The L0 pages are a {!Ghost_store.Append_log}
     tagged ["GDLT"]; [durability] defaults to [Plain] (bit-identical
     to the original format). [cache] — the device's shared page cache;
     every append and compaction program invalidates the page it
@@ -86,13 +98,19 @@ val acknowledged : t -> int
     {!Ghost_store.Append_log.acknowledged}). *)
 
 val record_bytes : t -> int
+(** Bytes of one L0 record: a u32 per level, then the hidden values. *)
+
 val size_bytes : t -> int
-(** Live bytes of the log (runs + full pages + current tail). *)
+(** Live bytes of the log: runs at their packed size
+    ({!Ghost_store.Log_run.size_bytes}), full pages and the current
+    tail at {!record_bytes} a record. *)
 
 val dead_bytes : t -> int
 (** Bytes of superseded programs — stale tails, compacted-away inputs
-    and abandoned partial builds — the write amplification of the
-    no-rewrite discipline, reclaimed only by offline reorganization. *)
+    (spilled L0 pages at {!record_bytes} a record, merged runs at their
+    packed size) and abandoned partial builds (packed) — the write
+    amplification of the no-rewrite discipline, reclaimed only by
+    offline reorganization. *)
 
 type row = {
   ids : int array;  (** aligned with [levels] *)
@@ -105,8 +123,9 @@ val append : t -> row list -> unit
     fills and one for its last partial page (the partial tail is
     reprogrammed into a fresh page by the next batch, as the no-rewrite
     discipline demands — the write amplification is metered). Raises
-    [Invalid_argument] on a misaligned record (before anything is
-    programmed), or when the log {!needs_recovery}. Each program
+    [Invalid_argument] on a misaligned record or an id above its
+    level's [max_ids] (before anything is programmed), or when the log
+    {!needs_recovery}. Each program
     {e acknowledges} the records it carries: if a simulated power cut
     tears one, [Flash.Power_cut] propagates, the records of the
     completed programs are durable ({!acknowledged}), the torn
@@ -223,7 +242,9 @@ val scan : t -> (row -> unit) -> unit
     first, then the L0 pages — ascending root-id order throughout,
     matching the flat log's append order. *)
 
-val scan_range : ?lo:int -> ?hi:int -> ?values:bool -> t -> (row -> unit) -> unit
+val scan_range :
+  ?lo:int -> ?hi:int -> ?values:bool -> ?on_unpack:(int -> unit) -> t ->
+  (row -> unit) -> unit
 (** {!scan} that skips run pages whose key fences fall outside
     [[lo, hi]] — the merge-on-read fast path. The runs emit exactly
     their rows in range; L0 is always read and emitted whole, so the
@@ -232,8 +253,10 @@ val scan_range : ?lo:int -> ?hi:int -> ?values:bool -> t -> (row -> unit) -> uni
     [~values:false] the scan reads no run value page and each row's
     [hidden] is empty (L0 pages hold whole records and cost the same
     either way); the ids, and their order, are those of the scan with
-    values. On a flat log the bounds are ignored and the scan is
-    bit-identical to {!scan}. *)
+    values. [on_unpack n] runs before each row read from a run, with
+    the [n] id fields unpacked for it ({!Exec} charges them as CPU
+    work); L0 rows unpack nothing. On a flat log the bounds are
+    ignored and the scan is bit-identical to {!scan}. *)
 
 val hidden_value : t -> row -> string -> Value.t
 (** [hidden_value t row col] — the record's value of one of the

@@ -1005,11 +1005,12 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
           in
           (* Run value pages are read only for a plan that needs the
              root's hidden values; an id-only row carries none, so a
-             projection that wanted one would fail loudly. *)
+             projection that wanted one would fail loudly. A row read
+             from a run costs one CPU op more per id field unpacked. *)
           let values = Plan.reads_delta_values schema plan in
           let out = ref [] in
           let n_live = ref 0 in
-          Delta_log.scan_range ?lo ?hi ~values log (fun r ->
+          Delta_log.scan_range ?lo ?hi ~values ~on_unpack:(cpu ctx) log (fun r ->
             cpu ctx 5;
             let live = all_pass tests r in
             if live then incr n_live;

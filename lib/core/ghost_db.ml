@@ -261,8 +261,10 @@ exception Image_error of string
    moved onto a shared append log; to 10 when the device's counters
    became one table; to 11 when the append log gained its count of
    acknowledged records; to 12 when a log run split into id and value
-   page streams: older marshalled images are incompatible. *)
-let image_magic = "GHOSTDB-IMAGE-12\n"
+   page streams; to 13 when run id pages became bit-packed and the
+   delta log gained its largest ids: older marshalled images are
+   incompatible. *)
+let image_magic = "GHOSTDB-IMAGE-13\n"
 
 (* Image layout: magic | u64 payload length | payload (marshalled
    instance) | u32 CRC-32 of the payload. Written to [<path>.tmp] and

@@ -39,12 +39,14 @@ let delta_log_for cat root =
       List.map (fun (name, cs) -> (name, Column_store.ty cs)) entry.Catalog.hidden_columns
     in
     let levels = Schema.subtree cat.Catalog.schema root in
+    (* [id_vector] bounds every id below the root by its table's count *)
+    let max_ids = List.map (Catalog.table_count cat) (List.tl levels) in
     let log =
       Delta_log.create ~durability:(log_durability cat)
         ?cache:(Device.page_cache cat.Catalog.device)
         ?runs:(log_runs cat)
         (Device.flash cat.Catalog.device)
-        ~table:root ~levels ~hidden_cols
+        ~table:root ~levels ~max_ids ~hidden_cols
     in
     Hashtbl.replace cat.Catalog.deltas root log;
     log

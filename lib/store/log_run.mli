@@ -2,21 +2,31 @@ module Flash = Ghost_flash.Flash
 
 (** Immutable sorted runs for the leveled delta log.
 
-    A run holds fixed-width records in ascending key order, where a
-    record is an {e id part} followed by a {e value part} and the key
-    is the unsigned 32-bit integer at offset 0 of the id part (the
-    delta log stores the record's SKT-level ids there, root id first,
-    and the root's hidden column values in the value part). The run
-    stores them as two streams of CRC-checksummed Flash pages in the
-    same record order: {e id pages} hold the id parts, {e value pages}
-    the value parts, so a scan that needs no value reads the id pages
-    alone. Both streams carry the run's level, their own page
+    A run holds records in ascending key order, where a record is an
+    {e id part} followed by a {e value part}. The id part is a vector
+    of id fields, one unsigned 32-bit integer each, and the key is the
+    first (the delta log stores the record's SKT-level ids there, root
+    id first, and the root's hidden column values in the value part).
+    The run stores them as two streams of CRC-checksummed Flash pages
+    in the same record order: {e id pages} hold the id parts, {e value
+    pages} the value parts, so a scan that needs no value reads the id
+    pages alone. Both streams carry the run's level, their own page
     ordinals and a seal flag on their final page. Runs are built
     append-only — NAND forbids rewrites — and are {e installed
     atomically}: a run is installed only once both final pages are
     sealed, so an interrupted build is never observable and recovery
     discards it wholesale while the (unmodified) inputs roll the log
     back to its pre-compaction state. See DESIGN.md section 16.
+
+    {b Packed id pages.} An id page stores each record's id fields
+    bit-packed, in one fixed width per field that the builder is
+    given when it starts ({!start}): the key as its offset from the
+    run's [min_key], then every other field as is. Records therefore
+    stay fixed-width — [sum id_widths] bits on an id page,
+    [value_bytes] bytes on a value page — so a record's page and its
+    value follow from its ordinal alone. Readers decode a record
+    straight into its id vector. Run byte counts ({!size_bytes},
+    {!programmed_bytes}) are payload bytes at the packed size.
 
     Every page header records the key fences of its records, so a
     probe-style scan ({!iter} with bounds) skips id pages whose
@@ -35,7 +45,9 @@ type page_meta = {
 
 type t = {
   level : int;  (** 1 for an L0 spill, [k + 1] for a level-[k] merge *)
-  id_bytes : int;  (** width of a record's id part *)
+  id_widths : int array;
+      (** bits of each packed id field on an id page, the key's offset
+          from [min_key] first; 1 to 32 each *)
   value_bytes : int;  (** width of its value part; 0 when it has none *)
   id_pages : page_meta array;  (** in program (and key) order *)
   value_pages : page_meta array;
@@ -52,10 +64,11 @@ val pages : t -> int list
 (** Every Flash page of the run: the id pages, then the value pages. *)
 
 val size_bytes : t -> int
-(** Record payload bytes of the run, both parts (headers excluded). *)
+(** Payload bytes of the run, both streams, id pages at their packed
+    size (headers excluded). *)
 
-val records_per_page : Flash.t -> record_bytes:int -> int
-(** Records of [record_bytes] one run page holds. *)
+val records_per_page : Flash.t -> record_bits:int -> int
+(** Records of [record_bits] bits one run page holds. *)
 
 (** {2 Building}
 
@@ -68,18 +81,25 @@ val records_per_page : Flash.t -> record_bytes:int -> int
 
 type builder
 
-val start : Flash.t -> id_bytes:int -> value_bytes:int -> level:int -> builder
-(** Raises [Invalid_argument] when a record part (plus header) exceeds
-    a page. With [value_bytes = 0] the run has no value stream. *)
+val start :
+  Flash.t -> id_widths:int array -> value_bytes:int -> level:int -> builder
+(** A builder of runs whose records have [Array.length id_widths] id
+    fields, packed in [id_widths] bits each (the key's offset from the
+    run's first key, then the other fields), and [value_bytes] bytes of
+    value. Raises [Invalid_argument] on no field, a width outside 1 to
+    32, or a record part (plus header) that exceeds a page. With
+    [value_bytes = 0] the run has no value stream. *)
 
 val add : ?on_program:(int -> unit) -> builder -> string -> unit
-(** Buffers one record (id part, then value part), first programming
-    each stream's page that is already full — so one record may
-    program a page of each stream. [on_program] observes every
-    programmed page number (the delta log invalidates its page-cache
-    frame, since {!Flash.append} recycles erased pages). Raises
-    [Invalid_argument] on a record of the wrong width or a key below
-    the previous one. *)
+(** Buffers one record — its id fields as big-endian u32s, then its
+    value part — first programming each stream's page that is already
+    full, so one record may program a page of each stream.
+    [on_program] observes every programmed page number (the delta log
+    invalidates its page-cache frame, since {!Flash.append} recycles
+    erased pages). Raises [Invalid_argument] on a record of the wrong
+    width, a key below the previous one, or an id field (the key: its
+    offset from the first key) that does not fit its width; nothing is
+    buffered then, and no field is ever truncated. *)
 
 val seal : ?on_program:(int -> unit) -> builder -> t
 (** Programs each stream's buffered tail as its sealed final page —
@@ -94,9 +114,9 @@ val programmed_pages : builder -> int
 (** Pages programmed so far, both streams. *)
 
 val programmed_bytes : builder -> int
-(** Record bytes already programmed to Flash, both streams (buffered
-    parts excluded) — the dead bytes an abandoned build leaves
-    behind. *)
+(** Payload bytes already programmed to Flash, both streams, id pages
+    at their packed size (buffered parts excluded) — the dead bytes an
+    abandoned build leaves behind. *)
 
 (** {2 Reading}
 
@@ -109,10 +129,11 @@ val programmed_bytes : builder -> int
 
 val iter :
   Flash.t -> ?lo:int -> ?hi:int -> ?values:bool -> t ->
-  (bytes -> int -> bytes -> int -> unit) -> unit
+  (int array -> bytes -> int -> unit) -> unit
 (** Metered sequential read of the run's records in key order:
-    [f ids ids_off values values_off] gets a record's id part at
-    [ids_off] of [ids] and its value part at [values_off] of [values].
+    [f ids values values_off] gets a record's id fields, unpacked into
+    the fresh vector [ids] (key first), and its value part at
+    [values_off] of [values].
     With bounds, id pages whose fences lie entirely outside [[lo, hi]]
     are skipped without a read, and only the records whose key lies in
     [[lo, hi]] are emitted. With [values] (the default) the value
@@ -140,7 +161,7 @@ type merge
 
 val merge_start : t list -> merge
 val merge_next : Flash.t -> merge -> string option
-(** The next record (id part, then value part); [None] when every
+(** The next record, in the form {!add} takes; [None] when every
     input is exhausted. Page reads are metered as they happen, so a
     time-sliced compaction charges the device clock only for the work
     of its own slice. *)

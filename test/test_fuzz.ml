@@ -113,7 +113,7 @@ let delta_power_loss_sweep ~max_batch () =
     let f = small_flash () in
     let log =
       Delta_log.create ~durability:Delta_log.Checksummed f ~table:"R"
-        ~levels:[ "R"; "A" ] ~hidden_cols:[ ("v", Value.T_int) ]
+        ~levels:[ "R"; "A" ] ~max_ids:[ 9 ] ~hidden_cols:[ ("v", Value.T_int) ]
     in
     let rng = Rng.create (1000 + crash_at) in
     let sizes = Rng.create (5000 + crash_at) in

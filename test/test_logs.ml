@@ -12,7 +12,7 @@ let check = Alcotest.check
 let flash () = Flash.create ~geometry:{ Flash.page_size = 256; pages_per_block = 8 } ()
 
 let make_delta f =
-  Delta_log.create f ~table:"R" ~levels:[ "R"; "A"; "B" ]
+  Delta_log.create f ~table:"R" ~levels:[ "R"; "A"; "B" ] ~max_ids:[ 63; 127 ]
     ~hidden_cols:[ ("q", Value.T_int); ("s", Value.T_char 8) ]
 
 (* The i-th record of the scripts below. *)
@@ -96,7 +96,7 @@ let test_tombstones_many_pages () =
 
 let make_durable_delta f =
   Delta_log.create ~durability:Delta_log.Checksummed f ~table:"R"
-    ~levels:[ "R"; "A"; "B" ]
+    ~levels:[ "R"; "A"; "B" ] ~max_ids:[ 63; 127 ]
     ~hidden_cols:[ ("q", Value.T_int); ("s", Value.T_char 8) ]
 
 let append_n log n =
@@ -323,7 +323,7 @@ let golden_delta durability =
   let f = flash () in
   let log =
     Delta_log.create ~durability f ~table:"R" ~levels:[ "R"; "A"; "B" ]
-      ~hidden_cols:[ ("q", Value.T_int); ("s", Value.T_char 8) ]
+      ~max_ids:[ 63; 127 ] ~hidden_cols:[ ("q", Value.T_int); ("s", Value.T_char 8) ]
   in
   append_n log 20;
   let recovered =
@@ -361,7 +361,7 @@ let golden_runs () =
   let log =
     Delta_log.create ~durability:Delta_log.Checksummed
       ~runs:{ Delta_log.l0_spill_pages = 2; run_fanout = 2 }
-      f ~table:"R" ~levels:[ "R"; "A"; "B" ]
+      f ~table:"R" ~levels:[ "R"; "A"; "B" ] ~max_ids:[ 63; 127 ]
       ~hidden_cols:[ ("q", Value.T_int); ("s", Value.T_char 8) ]
   in
   let installs = ref [] in

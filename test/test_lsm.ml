@@ -17,6 +17,9 @@ module Catalog = Ghostdb.Catalog
 module Exec = Ghostdb.Exec
 module Scrub = Ghost_scrub.Scrub
 module Scheduler = Ghost_sched.Scheduler
+module Codec = Ghost_kernel.Codec
+module Log_run = Ghost_store.Log_run
+module Planner = Ghostdb.Planner
 
 let check = Alcotest.check
 
@@ -46,7 +49,7 @@ let flash () = Flash.create ~geometry:small_geometry ()
 
 let make_log ?(runs = policy) f =
   Delta_log.create ~durability:Delta_log.Checksummed ~runs f ~table:"R"
-    ~levels:[ "R"; "A"; "B" ]
+    ~levels:[ "R"; "A"; "B" ] ~max_ids:[ 6; 4 ]
     ~hidden_cols:[ ("q", Value.T_int); ("s", Value.T_char 8) ]
 
 let row_of i =
@@ -143,7 +146,7 @@ let test_flat_mode_untouched () =
   let f = flash () in
   let log =
     Delta_log.create ~durability:Delta_log.Checksummed f ~table:"R"
-      ~levels:[ "R"; "A"; "B" ]
+      ~levels:[ "R"; "A"; "B" ] ~max_ids:[ 6; 4 ]
       ~hidden_cols:[ ("q", Value.T_int); ("s", Value.T_char 8) ]
   in
   append_ids log 1 50;
@@ -192,9 +195,11 @@ let test_seal_of_both_streams () =
     (Flash.stats f).Flash.page_programs - before
   in
   check Alcotest.int "three programs" 3 programs;
-  (* record bytes programmed before each cut: nothing, the first value
-     page, then that page and the sealed id page *)
-  let dead_before = [| 0; 14 * 16; (14 * 16) + (16 * 12) |] in
+  (* payload bytes programmed before each cut: nothing, the first value
+     page, then that page and the sealed id page, whose 16 records pack
+     into 10 bits each (keys 1..16 as 4-bit offsets, then ids up to 6
+     and 4 in 3 bits each) *)
+  let dead_before = [| 0; 14 * 16; (14 * 16) + ((16 * 10) + 7) / 8 |] in
   for k = 1 to programs do
     let f, log = setup () in
     let rows = scan_rows ~values:true log in
@@ -313,6 +318,90 @@ let prop_two_stream =
        QCheck.(int_range 0 1_000_000)
        run_two_stream_case)
 
+(* ---- packed id pages ---- *)
+
+(* A record in the form [Log_run.add] takes: u32 id fields, then the
+   value part. *)
+let run_record ids value =
+  let b = Bytes.create (4 * Array.length ids) in
+  Array.iteri (fun i v -> Codec.put_u32 b (4 * i) v) ids;
+  Bytes.to_string b ^ value
+
+let run_rows f run =
+  let got = ref [] in
+  Log_run.iter f run (fun ids vb voff ->
+      got := (Array.to_list ids, Bytes.sub_string vb voff run.Log_run.value_bytes) :: !got);
+  List.rev !got
+
+(* An id that does not fit its width is refused whole, before anything
+   is buffered or programmed; the widest ids that fit read back
+   intact. *)
+let test_id_overflow_refused () =
+  let f = flash () in
+  let b = Log_run.start f ~id_widths:[| 4; 3 |] ~value_bytes:2 ~level:1 in
+  Log_run.add b (run_record [| 100; 7 |] "ab");
+  let refuse what record =
+    match Log_run.add b record with
+    | () -> Alcotest.failf "%s was packed" what
+    | exception Invalid_argument _ -> ()
+  in
+  refuse "an id of 8 in 3 bits" (run_record [| 101; 8 |] "cd");
+  refuse "a key 16 past the first in 4 bits" (run_record [| 116; 0 |] "cd");
+  check Alcotest.int "nothing buffered" 1 (Log_run.built_count b);
+  Log_run.add b (run_record [| 115; 0 |] "ef");
+  let run = Log_run.seal b in
+  check
+    Alcotest.(list (pair (list int) string))
+    "the widest fields read back whole"
+    [ ([ 100; 7 ], "ab"); ([ 115; 0 ], "ef") ]
+    (run_rows f run);
+  let log = make_log f in
+  let programs = (Flash.stats f).Flash.page_programs in
+  (match Delta_log.append log [ { (row_of 1) with Delta_log.ids = [| 1; 7; 0 |] } ] with
+   | () -> Alcotest.fail "an id above its level's largest was appended"
+   | exception Invalid_argument _ -> ());
+  check Alcotest.int "nothing programmed" programs (Flash.stats f).Flash.page_programs;
+  check Alcotest.int "nothing appended" 0 (Delta_log.count log)
+
+(* Random widths (1 to 32 bits, 1 to 6 fields) and page sizes: every
+   id page but the last holds a packed page's worth of records, never
+   fewer than an id page of u32 fields would, and the run reads back
+   the records it was given. *)
+let prop_packed_pages =
+  let gen =
+    QCheck.Gen.(
+      int_range 80 1024 >>= fun page_size ->
+      list_size (int_range 1 6) (int_range 1 32) >>= fun widths ->
+      let widths = Array.of_list widths in
+      int_range 1 300 >>= fun n ->
+      let field w = int_range 0 ((1 lsl w) - 1) in
+      list_repeat n (flatten_l (List.map field (Array.to_list widths))) >>= fun recs ->
+      (* keys stay u32 *)
+      int_range 0 (min 1_000 ((1 lsl 32) - (1 lsl widths.(0)))) >|= fun base ->
+      (page_size, widths, base, recs))
+  in
+  QCheck.Test.make ~name:"packed id pages: never fewer records, exact round trip" ~count:150
+    (QCheck.make gen)
+    (fun (page_size, widths, base, recs) ->
+       let f = Flash.create ~geometry:{ Flash.page_size; pages_per_block = 8 } () in
+       (* the key field packs its offset from the first key *)
+       let recs = List.sort compare recs in
+       let first = List.hd (List.hd recs) in
+       let recs =
+         List.map (fun ids -> Array.of_list ((base + List.hd ids - first) :: List.tl ids)) recs
+       in
+       let value i = String.make 1 (Char.chr (i land 255)) in
+       let b = Log_run.start f ~id_widths:widths ~value_bytes:1 ~level:1 in
+       List.iteri (fun i ids -> Log_run.add b (run_record ids (value i))) recs;
+       let run = Log_run.seal b in
+       let packed = Log_run.records_per_page f ~record_bits:(Array.fold_left ( + ) 0 widths) in
+       let unpacked = Log_run.records_per_page f ~record_bits:(32 * Array.length widths) in
+       let last = Array.length run.Log_run.id_pages - 1 in
+       packed >= unpacked
+       && Array.for_all Fun.id
+            (Array.mapi (fun i m -> i = last || m.Log_run.pp_count = packed) run.Log_run.id_pages)
+       && run_rows f run = List.mapi (fun i ids -> (Array.to_list ids, value i)) recs)
+
 (* ---- end to end ---- *)
 
 let scale = Medical.tiny
@@ -379,6 +468,69 @@ let test_merge_on_read_equivalence () =
   let flat2 = Ghost_db.reorganize flat in
   check Alcotest.int "delta folded" 0 (Ghost_db.delta_count db2);
   check_all_queries ~tag:"post-reorg " db2 flat2
+
+(* Run widths are public. Two devices share a public history — the
+   same root ids inserted in the same batches with the same visible
+   Frequency, the same deletes, the same compaction slices — but not
+   their hidden foreign keys and values: in one every VisID is at most
+   100, in the other they spread to 2,500 (Visit's cardinality). Their
+   runs fill the same pages, and a Full DeltaScan reads as many pages
+   on the same clock. *)
+let test_public_widths () =
+  let scale = { Medical.tiny with Medical.visits = 2_500 } in
+  let rows = Medical.generate scale in
+  let make ~spread ~seed =
+    let db = Ghost_db.of_schema ~device_config:runs_config (Medical.schema ()) rows in
+    let rng = Rng.create seed in
+    let compactor = Compaction.create (Ghost_db.catalog db) in
+    for batch = 0 to 9 do
+      let next = scale.Medical.prescriptions + Ghost_db.delta_count db + 1 in
+      Ghost_db.insert db
+        (List.init 24 (fun i ->
+           let k = (batch * 24) + i in
+           [|
+             Value.Int (next + i);
+             Value.Int (Rng.int_in rng 1 10);
+             Value.Int (1 + (k mod 4));
+             Value.Date (Rng.int_in rng Medical.date_lo Medical.date_hi);
+             Value.Int (1 + Rng.int rng scale.Medical.medicines);
+             Value.Int (if spread then 1 + (k * 997 mod 2_500) else 1 + (k mod 100));
+           |]));
+      Ghost_db.delete db [ next + (batch mod 24) ];
+      for _ = 1 to 3 do
+        ignore (Compaction.step compactor)
+      done
+    done;
+    db
+  in
+  let narrow = make ~spread:false ~seed:1 and wide = make ~spread:true ~seed:2 in
+  let log db = Option.get (Catalog.delta (Ghost_db.catalog db) "Prescription") in
+  let shape db =
+    let l = log db in
+    (Delta_log.run_count l, Delta_log.run_pages l, Delta_log.run_id_pages l, Delta_log.l0_pages l)
+  in
+  let runs, _, _, _ = shape narrow in
+  check Alcotest.bool "the history leaves runs" true (runs > 1);
+  check
+    Alcotest.(pair int (pair int (pair int int)))
+    "run pages"
+    (let a, b, c, d = shape narrow in (a, (b, (c, d))))
+    (let a, b, c, d = shape wide in (a, (b, (c, d))));
+  let delta_scan db =
+    let sql =
+      "SELECT COUNT(*) FROM Prescription Pre, Visit Vis WHERE Vis.Purpose = 'Sclerosis' \
+       AND Vis.VisID = Pre.VisID"
+    in
+    let plan = Planner.oblivious (Ghost_db.catalog db) (Ghost_db.bind db sql) in
+    let op =
+      List.find (fun o -> o.Exec.op_label = "DeltaScan") (Ghost_db.run_plan db plan).Exec.ops
+    in
+    (op.Exec.usage.Device.flash_page_reads, op.Exec.usage.Device.total_us)
+  in
+  let reads, clock = delta_scan narrow in
+  let reads', clock' = delta_scan wide in
+  check Alcotest.int "Full DeltaScan page reads" reads reads';
+  check (Alcotest.float 0.) "Full DeltaScan clock" clock clock'
 
 let test_image_roundtrip_mid_compaction () =
   let db, flat = make_pair () in
@@ -613,4 +765,9 @@ let suite =
     Alcotest.test_case "a run installs once both streams are sealed" `Quick
       test_seal_of_both_streams;
     prop_two_stream;
+    Alcotest.test_case "run widths are public: hidden keys move no page" `Quick
+      test_public_widths;
+    Alcotest.test_case "an id that does not fit its width is refused" `Quick
+      test_id_overflow_refused;
+    QCheck_alcotest.to_alcotest prop_packed_pages;
   ]
