@@ -3,6 +3,7 @@ module Device = Ghost_device.Device
 module Skt = Ghost_store.Skt
 module Column_store = Ghost_store.Column_store
 module Climbing_index = Ghost_store.Climbing_index
+module Flash = Ghost_flash.Flash
 
 type table_entry = {
   table : Schema.table;
@@ -107,6 +108,19 @@ let structure_pages t =
       acc t.entries
   in
   List.sort_uniq compare acc
+
+let page_intact t ~page =
+  let find logs intact =
+    Hashtbl.fold
+      (fun _ log acc -> match acc with Some _ -> acc | None -> intact log ~page)
+      logs None
+  in
+  match find t.deltas Delta_log.page_intact with
+  | Some ok -> ok
+  | None ->
+    (match find t.tombstones Tombstone_log.page_intact with
+     | Some ok -> ok
+     | None -> Flash.page_intact (Device.flash t.device) ~page)
 
 let pp_storage fmt r =
   Format.fprintf fmt

@@ -396,6 +396,11 @@ let scan_range ?lo ?hi ?(values = true) ?(on_unpack = ignore) t f =
         f { ids = decode_ids t b off; hidden = hidden b (off + t.id_bytes) }
       done)
 
+let page_intact t ~page =
+  match Append_log.page_intact t.l0 ~page with
+  | Some ok -> Some ok
+  | None -> List.find_map (fun run -> Log_run.page_intact t.flash run ~page) t.runs
+
 let scan t f = scan_range t f
 
 let check_values t row =

@@ -258,6 +258,12 @@ val scan_range :
     work); L0 rows unpack nothing. On a flat log the bounds are
     ignored and the scan is bit-identical to {!scan}. *)
 
+val page_intact : t -> page:int -> bool option
+(** [None] when [page] is not a live page of the log; otherwise
+    whether a fresh read of it passes its own seal checks — an L0 page
+    by {!Ghost_store.Append_log.page_intact}, a page of either stream
+    of a run by {!Ghost_store.Log_run.page_intact}. *)
+
 val hidden_value : t -> row -> string -> Value.t
 (** [hidden_value t row col] — the record's value of one of the
     table's own hidden columns. Raises [Not_found] for an unknown

@@ -1215,8 +1215,10 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
    {!Flash.Integrity_error} aborts the attempt cleanly (the deferred
    RAM-scope close runs, the scratch region is reclaimable), the
    poisoned frame is dropped from the page cache, and a cache-bypass
-   re-read of the accused page classifies the failure: if the cells
-   still verify, the corruption was transient (a stale frame) and the
+   re-read of the accused page classifies the failure, by the log's
+   own seal for a log page and by the structure trailer otherwise
+   ({!Catalog.page_intact}): if the cells still verify, the corruption
+   was transient (a stale frame, a read disturb) and the
    plan is retried once from the top; if not, the damage is
    persistent and the session fails with the original error — never
    with silently wrong rows. *)
@@ -1227,7 +1229,7 @@ let execute ~exact_post ~bloom_fpr ~scratch catalog public plan =
     (match Device.page_cache device with
      | Some c -> Page_cache.invalidate c ~page
      | None -> ());
-    let transient = Flash.page_intact (Device.flash device) ~page in
+    let transient = Catalog.page_intact catalog ~page in
     Device.note device Device.Integrity_errors;
     if transient then begin
       Device.note device Device.Integrity_transients;

@@ -28,6 +28,7 @@ let dead_bytes t = Append_log.dead_bytes t.log
 let needs_recovery t = Append_log.needs_recovery t.log
 let mem t id = Hashtbl.mem t.members id
 let pages t = Append_log.pages t.log
+let page_intact t ~page = Append_log.page_intact t.log ~page
 
 let id_of record = Codec.get_u32 (Bytes.unsafe_of_string record) 0
 

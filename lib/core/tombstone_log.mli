@@ -70,6 +70,11 @@ val pages : t -> int list
 (** Every live Flash page of the log, oldest first: the pages
     {!load_sorted} reads. *)
 
+val page_intact : t -> page:int -> bool option
+(** [None] when [page] is not a live page of the log; otherwise
+    whether a fresh read of it passes its seal checks (see
+    {!Ghost_store.Append_log.page_intact}). *)
+
 val load_sorted : t -> int array
 (** Query-time load: reads the whole log off Flash (metered) and
     returns the ids sorted. *)

@@ -170,16 +170,17 @@ let release t pages =
    ([verify_pages]) a checksummed log reads the whole page and checks
    its seal, record count and sequence number, so damaged bytes raise
    [Flash.Integrity_error] instead of coming back as records. *)
+let seal_ok t b ~first_seq n =
+  Sealed_page.verify ~tag:t.tag ~header_bytes ~payload_bytes:(n * t.record_bytes) b
+  && Codec.get_u64 b 4 = first_seq
+  && Codec.get_u32 b 12 = n
+
 let read_records t page ~first_seq n =
   let len = n * t.record_bytes in
   if t.durability = Checksummed && Flash.authenticated t.flash then begin
     let b = Flash.read_page t.flash page in
-    if
-      not
-        (Sealed_page.verify ~tag:t.tag ~header_bytes ~payload_bytes:len b
-         && Codec.get_u64 b 4 = first_seq
-         && Codec.get_u32 b 12 = n)
-    then raise (Flash.Integrity_error { page; what = "log page seal mismatch" });
+    if not (seal_ok t b ~first_seq n) then
+      raise (Flash.Integrity_error { page; what = "log page seal mismatch" });
     Bytes.sub b header_bytes len
   end
   else Flash.read t.flash ~page ~off:(payload_off t) ~len
@@ -200,16 +201,30 @@ let full_page_records t page =
   List.init t.records_per_page (fun i ->
       Bytes.sub_string b (i * t.record_bytes) t.record_bytes)
 
-let iter_pages t f =
-  List.iter
-    (fun (page, first_seq) ->
-       f (read_records t page ~first_seq t.records_per_page) t.records_per_page)
-    (numbered_full_pages t);
+(* The first sequence number and record count of each live page. *)
+let live_pages t =
+  List.map (fun (page, first_seq) -> (page, first_seq, t.records_per_page))
+    (numbered_full_pages t)
+  @
   match t.tail_page with
   | Some page ->
     let n = List.length t.tail in
-    f (read_records t page ~first_seq:(t.count - n) n) n
-  | None -> ()
+    [ (page, t.count - n, n) ]
+  | None -> []
+
+let page_intact t ~page =
+  match t.durability with
+  | Plain -> None
+  | Checksummed ->
+    List.find_map
+      (fun (p, first_seq, n) ->
+         if p <> page then None
+         else Some (Flash.is_programmed t.flash page
+                    && seal_ok t (Flash.read_page t.flash page) ~first_seq n))
+      (live_pages t)
+
+let iter_pages t f =
+  List.iter (fun (page, first_seq, n) -> f (read_records t page ~first_seq n) n) (live_pages t)
 
 type recovery = {
   recovered : int;

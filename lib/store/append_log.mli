@@ -92,6 +92,13 @@ val release : t -> int -> unit
 val full_page_records : t -> int -> string list
 (** Metered read of one full page's records, oldest first. *)
 
+val page_intact : t -> page:int -> bool option
+(** [None] when [page] is not a live page of a [Checksummed] log;
+    otherwise whether a fresh full-page read of it (metered, straight
+    from the cells) passes the seal, record count and sequence checks
+    a verified read makes — how a caught {!Flash.Integrity_error} on a
+    log page is classified. *)
+
 val iter_pages : t -> (bytes -> int -> unit) -> unit
 (** Metered read of every unreleased page, oldest first: [f b n] gets
     the payload of a page holding [n] records.

@@ -350,6 +350,21 @@ let validate flash t =
   && stream (id_stream t)
   && (t.value_bytes = 0 || stream (value_stream t))
 
+let page_intact flash t ~page =
+  let find (tag, bits, pages) =
+    Array.find_mapi
+      (fun i m ->
+         if m.pp_page <> page then None
+         else
+           Some
+             (Flash.is_programmed flash page
+              && page_ok t ~tag ~bits pages i (Flash.read_page flash page)))
+      pages
+  in
+  match find (id_stream t) with
+  | Some ok -> Some ok
+  | None -> find (value_stream t)
+
 (* ---- merging ---- *)
 
 type front = {

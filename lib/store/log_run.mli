@@ -147,6 +147,12 @@ val validate : Flash.t -> t -> bool
     counts sum to [count]. An installed run always validates after a
     pure power cut; an interrupted build never does. *)
 
+val page_intact : Flash.t -> t -> page:int -> bool option
+(** [None] when [page] is not a page of the run; otherwise whether a
+    fresh full-page read of it (metered, straight from the cells)
+    passes the checks {!validate} makes of it — how a caught
+    {!Flash.Integrity_error} on a run page is classified. *)
+
 (** {2 Merging}
 
     A resumable k-way merge cursor over sorted runs, newest-wins: of

@@ -222,6 +222,86 @@ let test_log_flip_sweep () =
   log_sweep ~ecc:false ~flips:`One;
   log_sweep ~ecc:true ~flips:`Two
 
+(* A caught error on a log page is classified by the page's own seal:
+   an undamaged L0 page, packed run id page, run value page and
+   tombstone page read as intact — the structure-page trailer check,
+   which log pages do not carry, calls every one of them damaged — and
+   each reads as damaged while a stored bit of its payload is
+   flipped. *)
+let test_log_page_classifier () =
+  let db = log_db ~ecc:false in
+  let cat = Ghost_db.catalog db in
+  let flash = Device.flash (Ghost_db.device db) in
+  let by_tag =
+    List.fold_left
+      (fun acc page ->
+         let tag = page_tag flash page in
+         if List.mem_assoc tag acc then acc else (tag, page) :: acc)
+      [] (log_pages db)
+  in
+  List.iter
+    (fun tag ->
+       let page =
+         match List.assoc_opt tag by_tag with
+         | Some p -> p
+         | None -> Alcotest.failf "no live %s page" tag
+       in
+       let what = Printf.sprintf "%s page %d" tag page in
+       Alcotest.(check bool) (what ^ ": intact") true (Catalog.page_intact cat ~page);
+       Alcotest.(check bool) (what ^ ": no structure trailer") false
+         (Flash.page_intact flash ~page);
+       let bit = 8 * 40 in
+       Flash.corrupt_stored flash ~page ~bit;
+       Alcotest.(check bool) (what ^ ": damaged") false (Catalog.page_intact cat ~page);
+       Flash.corrupt_stored flash ~page ~bit;
+       Alcotest.(check bool) (what ^ ": intact once restored") true
+         (Catalog.page_intact cat ~page))
+    [ "GDLT"; "GDRN"; "GDRV"; "GTMB" ]
+
+(* Read faults on a device with inserted rows: every query scans the
+   delta log, so some faults land on its L0 page. Each caught error —
+   on a log page or a structure page, with the cells intact — is
+   retried once and counted as transient, and every query that
+   completes returns the rows of a fault-free twin. *)
+let test_log_transient_retry () =
+  let config =
+    { verified_config with
+      Device.flash_fault =
+        Some { Flash.no_faults with
+               Flash.ecc = false;
+               fault_seed = 7;
+               read_flip_prob = 0.05 } }
+  in
+  let clean = Ghost_db.of_schema (schema ()) (rows ()) in
+  let db = Ghost_db.of_schema ~device_config:config (schema ()) (rows ()) in
+  let inserted = new_prescriptions db (Rng.create 3) 20 in
+  (* the insert's SKT probes may fault too; a batch that raises has
+     programmed nothing, so it is repeated *)
+  let rec insert () =
+    try Ghost_db.insert db inserted with Flash.Integrity_error _ -> insert ()
+  in
+  insert ();
+  Ghost_db.insert clean inserted;
+  let top = Catalog.total_count (Ghost_db.catalog db) "Prescription" in
+  let failed = ref 0 in
+  for i = 0 to 199 do
+    let sql =
+      Printf.sprintf
+        "SELECT Pre.PreID, Pre.Quantity FROM Prescription Pre WHERE Pre.PreID = %d"
+        (top - (i mod 40))
+    in
+    let want = (Ghost_db.query clean sql).Exec.rows in
+    match Ghost_db.query db sql with
+    | r -> Alcotest.(check bool) "retried reads answer correctly" true (r.Exec.rows = want)
+    | exception Flash.Integrity_error _ -> incr failed
+  done;
+  let f = Device.fault_counters (Ghost_db.device db) in
+  let errors = Device.count f Device.Integrity_errors in
+  Alcotest.(check bool) "some reads were caught" true (errors > 0);
+  Alcotest.(check int) "every caught error was transient and retried" errors
+    (Device.count f Device.Integrity_transients);
+  Alcotest.(check bool) "only a retry that faulted again failed" true (!failed <= errors)
+
 (* Injected read faults (not stored damage) corrupt one served buffer:
    the trailer catches it, the cache-bypass re-read comes back clean,
    and the query completes with the right answer. *)
@@ -428,6 +508,10 @@ let suite =
       `Quick test_log_flip_sweep;
     Alcotest.test_case "transient read faults retry past the cache" `Quick
       test_transient_retry;
+    Alcotest.test_case "log pages are classified by their own seal" `Quick
+      test_log_page_classifier;
+    Alcotest.test_case "transient faults on log pages retry" `Quick
+      test_log_transient_retry;
     Alcotest.test_case "scrubber: refresh, record, deterministic" `Quick
       test_scrub_refresh_determinism;
     Alcotest.test_case "scrubber resumes across idle slices" `Quick
