@@ -411,9 +411,9 @@ let test_golden_bytes () =
         fun () -> golden_tombstones Tombstone_log.Checksummed );
       ( "delta runs",
         "installs=spill,spill,merge rows=27 fenced=5 fenced_ids=5 runs=1 l0=1 \
-         pages=41 crc=9d50261a reads=18 read_bytes=3092 programs=41 \
-         program_bytes=6432 read_us=0x1.07a6666666666p+9 \
-         write_us=0x1.12570a3d70a3ep+13",
+         pages=40 crc=8511a7e5 reads=17 read_bytes=2269 programs=40 \
+         program_bytes=5891 read_us=0x1.e1b999999999ap+8 \
+         write_us=0x1.0a91851eb851fp+13",
         golden_runs );
     ]
 
