@@ -34,12 +34,18 @@ let put_bits b ~bit ~width v =
 let get_bits b ~bit ~width =
   check_width width;
   let byte = bit lsr 3 and skip = bit land 7 in
-  let n = (skip + width + 7) lsr 3 in
-  let acc = ref 0 in
-  for i = 0 to n - 1 do
-    acc := (!acc lsl 8) lor Bytes.get_uint8 b (byte + i)
-  done;
-  (!acc lsr ((n * 8) - skip - width)) land ((1 lsl width) - 1)
+  if byte + 8 <= Bytes.length b then
+    (* one 64-bit load holds the field: [skip + width <= 39] *)
+    Int64.to_int (Int64.shift_right_logical (Bytes.get_int64_be b byte) (64 - skip - width))
+    land ((1 lsl width) - 1)
+  else begin
+    let n = (skip + width + 7) lsr 3 in
+    let acc = ref 0 in
+    for i = 0 to n - 1 do
+      acc := (!acc lsl 8) lor Bytes.get_uint8 b (byte + i)
+    done;
+    (!acc lsr ((n * 8) - skip - width)) land ((1 lsl width) - 1)
+  end
 
 let put_u64 b off v = Bytes.set_int64_be b off (Int64.of_int v)
 let get_u64 b off = Int64.to_int (Bytes.get_int64_be b off)

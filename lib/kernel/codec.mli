@@ -20,8 +20,8 @@ val put_bits : bytes -> bit:int -> width:int -> int -> unit
     not fit [width] bits: a value is never truncated. *)
 
 val get_bits : bytes -> bit:int -> width:int -> int
-(** The [width]-bit field {!put_bits} wrote at [bit]. Reads only the
-    bytes the field spans. *)
+(** The [width]-bit field {!put_bits} wrote at [bit]. Never reads past
+    the end of [b]. *)
 
 val put_u64 : bytes -> int -> int -> unit
 val get_u64 : bytes -> int -> int
