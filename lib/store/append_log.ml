@@ -165,16 +165,18 @@ let release t pages =
   t.full_pages <- List.filteri (fun i _ -> i < keep) t.full_pages;
   t.base_seq <- t.base_seq + (pages * t.records_per_page)
 
-(* Metered read of the payload of a page holding [n] records, the
-   first of them numbered [first_seq]. On an authenticated Flash
-   ([verify_pages]) a checksummed log reads the whole page and checks
-   its seal, record count and sequence number, so damaged bytes raise
-   [Flash.Integrity_error] instead of coming back as records. *)
+(* Whether a full page image is the sealed page of [n] records whose
+   first is numbered [first_seq]. *)
 let seal_ok t b ~first_seq n =
   Sealed_page.verify ~tag:t.tag ~header_bytes ~payload_bytes:(n * t.record_bytes) b
   && Codec.get_u64 b 4 = first_seq
   && Codec.get_u32 b 12 = n
 
+(* Metered read of the payload of a page holding [n] records, the
+   first of them numbered [first_seq]. On an authenticated Flash
+   ([verify_pages]) a checksummed log reads the whole page and checks
+   its seal, record count and sequence number, so damaged bytes raise
+   [Flash.Integrity_error] instead of coming back as records. *)
 let read_records t page ~first_seq n =
   let len = n * t.record_bytes in
   if t.durability = Checksummed && Flash.authenticated t.flash then begin
@@ -219,12 +221,16 @@ let page_intact t ~page =
     List.find_map
       (fun (p, first_seq, n) ->
          if p <> page then None
-         else Some (Flash.is_programmed t.flash page
-                    && seal_ok t (Flash.read_page t.flash page) ~first_seq n))
+         else
+           Some
+             (Flash.is_programmed t.flash page
+              && seal_ok t (Flash.read_page t.flash page) ~first_seq n))
       (live_pages t)
 
 let iter_pages t f =
-  List.iter (fun (page, first_seq, n) -> f (read_records t page ~first_seq n) n) (live_pages t)
+  List.iter
+    (fun (page, first_seq, n) -> f (read_records t page ~first_seq n) n)
+    (live_pages t)
 
 type recovery = {
   recovered : int;

@@ -8,9 +8,9 @@ module Flash = Ghost_flash.Flash
    Id pages are tagged "GDRN", value pages "GDRV". A value page's
    payload is its records' value parts, back to back. An id page's
    payload is its records' id fields bit-packed back to back, most
-   significant bit first, [record_bits] a record: the key as its
-   offset from the run's [min_key], then every other field, each in
-   its width from [id_widths]; the last byte is zero-padded. *)
+   significant bit first, [id_bits id_widths] bits a record: the key
+   as its offset from the run's [min_key], then every other field,
+   each in its width from [id_widths]; the last byte is zero-padded. *)
 let id_tag = "GDRN"
 let value_tag = "GDRV"
 let header_bytes = 32
