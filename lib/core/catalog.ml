@@ -110,11 +110,7 @@ let structure_pages t =
   List.sort_uniq compare acc
 
 let page_intact t ~page =
-  let find logs intact =
-    Hashtbl.fold
-      (fun _ log acc -> match acc with Some _ -> acc | None -> intact log ~page)
-      logs None
-  in
+  let find logs intact = Seq.find_map (fun log -> intact log ~page) (Hashtbl.to_seq_values logs) in
   match find t.deltas Delta_log.page_intact with
   | Some ok -> ok
   | None ->
