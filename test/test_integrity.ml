@@ -171,10 +171,11 @@ let log_pages db =
 
 let page_tag flash page = Bytes.sub_string (Flash.read_page flash page) 0 4
 
-(* Bits inside the first record of every log page: byte 32 + k is the
-   root id of a run's id page, the first hidden value of a value page,
-   and an id of an L0 record; byte 44 + k is the Quantity of an L0
-   record and a tombstoned id. *)
+(* Bits near the start of every log page's payload: byte 32 + k falls
+   in the first packed records of a run's id page, the first hidden
+   value of a value page and an id of an L0 record; byte 44 + k in a
+   later packed record of an id page, the Quantity of an L0 record and
+   a tombstoned id. *)
 let flip_bits page = [ (8 * (32 + (page mod 8))) + (page mod 8); (8 * (44 + (page mod 4))) + 3 ]
 
 let log_sweep ~ecc ~flips =
