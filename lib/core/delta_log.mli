@@ -34,14 +34,14 @@ module Flash = Ghost_flash.Flash
     in the bits of the largest id its table holds ([max_ids]). So run
     page counts, and every byte count below, depend on the insert,
     delete and compaction history the spy sees, never on hidden
-    foreign keys or values. Because the
-    schema root assigns {e dense increasing} ids and each root id
-    appears in at most one delta record, L0 is already key-sorted and
-    the newest-wins merge is trivially correct. Compaction never runs
-    inline in {!append} (a power cut mid-spill must not disturb the
-    acknowledged-record protocol {!Insert} relies on); it runs in
-    background slices via {!compact_step}, typically driven by
-    {!Compaction} under the scheduler. Without a policy nothing
+    foreign keys or values. Because the schema root assigns {e dense
+    increasing} ids and each root id appears in at most one delta
+    record, L0 is already key-sorted and the newest-wins merge is
+    trivially correct. Compaction never runs inline in {!append} (a
+    power cut mid-spill must not disturb the acknowledged-record
+    protocol {!Insert} relies on); it runs in background slices via
+    {!compact_step}, typically driven by {!Compaction} under the
+    scheduler. Without a policy nothing
     changes: the flat format and all observable behavior stay
     bit-identical to the seed. See DESIGN.md section 16. *)
 
@@ -78,13 +78,13 @@ val create :
     public number), which sizes that level's field on a run's id
     pages; [hidden_cols] — the table's own hidden columns, in
     declaration order. Raises [Invalid_argument] when [max_ids] is
-    misaligned or outside [0 .. 2^32 - 1]. The L0 pages are a {!Ghost_store.Append_log}
-    tagged ["GDLT"]; [durability] defaults to [Plain] (bit-identical
-    to the original format). [cache] — the device's shared page cache;
-    every append and compaction program invalidates the page it
-    programs there, since {!Flash.append} recycles erased pages the
-    cache may still hold. [runs] — omit for the seed's flat log; supply
-    a policy to enable leveled compaction. *)
+    misaligned or outside [0 .. 2^32 - 1]. The L0 pages are a
+    {!Ghost_store.Append_log} tagged ["GDLT"]; [durability] defaults
+    to [Plain] (bit-identical to the original format). [cache] — the
+    device's shared page cache; every append and compaction program
+    invalidates the page it programs there, since {!Flash.append}
+    recycles erased pages the cache may still hold. [runs] — omit for
+    the seed's flat log; supply a policy to enable leveled compaction. *)
 
 val table : t -> string
 val count : t -> int
