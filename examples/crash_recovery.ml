@@ -1,11 +1,11 @@
 (* Crash recovery: the power fails mid-insert, tearing a Flash page.
 
-   With [durable_logs] the delta / tombstone logs use checksummed pages
-   (DESIGN.md §9). An insert batch programs once per log page it
-   touches, and each completed program acknowledges its rows: after the
-   cut, [Ghost_db.recover] scans the log, discards the torn program, and
-   restores exactly the acknowledged rows — the public store already
-   mirrors them — then life goes on.
+   The delta / tombstone logs seal every page (DESIGN.md §9). An insert
+   batch programs once per log page it touches, and each completed
+   program acknowledges its rows: after the cut, [Ghost_db.recover]
+   scans the log, discards the torn program, and restores exactly the
+   acknowledged rows — the public store already mirrors them — then
+   life goes on.
 
    dune exec examples/crash_recovery.exe *)
 
@@ -39,13 +39,8 @@ let count_prescriptions db =
 
 let () =
   let rng = Rng.create 1789 in
-  let config = { Device.default_config with Device.durable_logs = true } in
-  let db =
-    Ghost_db.of_schema ~device_config:config (Medical.schema ())
-      (Medical.generate scale)
-  in
-  Printf.printf "loaded %d prescriptions (durable logs on)\n"
-    (count_prescriptions db);
+  let db = Ghost_db.of_schema (Medical.schema ()) (Medical.generate scale) in
+  Printf.printf "loaded %d prescriptions\n" (count_prescriptions db);
 
   Ghost_db.insert db (fresh_prescriptions db rng 10);
   Printf.printf "inserted 10 new prescriptions; total %d\n"
@@ -82,10 +77,10 @@ let () =
     (Device.count f Device.Records_recovered)
     (Device.count f Device.Records_lost);
 
-  (* Now the power fails *during* reorganization. With durable logs the
-     rebuild runs as a checkpointed shadow build (DESIGN.md §9.4): the
-     old image stays live, and recovery rolls the rebuild forward from
-     the last journaled checkpoint instead of starting over. *)
+  (* Now the power fails *during* reorganization. The rebuild runs as a
+     checkpointed shadow build (DESIGN.md §9.4): the old image stays
+     live, and recovery rolls the rebuild forward from the last
+     journaled checkpoint instead of starting over. *)
   Ghost_db.insert db (fresh_prescriptions db rng 5);
   let before = count_prescriptions db in
   Flash.arm_power_cut (Device.flash (Ghost_db.device db)) ~after_programs:4;

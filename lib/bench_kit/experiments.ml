@@ -465,24 +465,15 @@ let robustness ?(scale = default_scale) () =
   in
   let profiles =
     [
-      ("plain (seed)", Device.default_config);
-      ("durable logs", { Device.default_config with Device.durable_logs = true });
+      ("fault-free", Device.default_config);
       ( "bit-rot + ECC",
-        { Device.default_config with
-          Device.durable_logs = true;
-          flash_fault = flash_faults ~flip:0.02 ~fail:0. } );
+        { Device.default_config with Device.flash_fault = flash_faults ~flip:0.02 ~fail:0. } );
       ( "worn blocks",
-        { Device.default_config with
-          Device.durable_logs = true;
-          flash_fault = flash_faults ~flip:0. ~fail:0.02 } );
-      ( "lossy USB",
-        { Device.default_config with
-          Device.durable_logs = true;
-          usb_fault = usb_faults 0.25 } );
+        { Device.default_config with Device.flash_fault = flash_faults ~flip:0. ~fail:0.02 } );
+      ("lossy USB", { Device.default_config with Device.usb_fault = usb_faults 0.25 });
       ( "all faults",
         { Device.default_config with
-          Device.durable_logs = true;
-          flash_fault = flash_faults ~flip:0.02 ~fail:0.02;
+          Device.flash_fault = flash_faults ~flip:0.02 ~fail:0.02;
           usb_fault = usb_faults 0.25 } );
     ]
   in
@@ -521,16 +512,15 @@ let robustness ?(scale = default_scale) () =
   in
   Report.make ~id:"E15" ~title:"Robustness: fault injection and recovery overhead"
     ~header:
-      [ "profile"; "insert 300"; "demo query"; "vs plain"; "ecc fixed";
+      [ "profile"; "insert 300"; "demo query"; "vs fault-free"; "ecc fixed";
         "ecc uncorr"; "remapped"; "bad blk"; "usb retries" ]
     ~notes:
       [
-        "fault injection is deterministic (seeded); the 'plain (seed)' row is \
-         bit-identical to the fault-free simulator";
+        "fault injection is deterministic (seeded); the 'fault-free' row \
+         injects nothing";
         "'insert 300' inserts the rows one per batch, so each one programs \
-         a log page";
-        "'durable logs' pays the 20-byte checksummed page header that makes \
-         power-cut recovery possible";
+         a log page; every log page carries the 20-byte sealed header that \
+         makes power-cut recovery possible";
         "ECC corrections, page remaps and USB retransmissions are all metered \
          on the simulated clock, so the overhead factors are end-to-end";
       ]
@@ -637,14 +627,13 @@ let page_cache_sweep ?metrics ?(scale = default_scale) () =
 let reorg_cost ?metrics ?(scale = default_scale) () =
   let module Value = Ghost_kernel.Value in
   let module Rng = Ghost_kernel.Rng in
-  let durable = { Device.default_config with Device.durable_logs = true } in
   let attach db =
     Option.iter (fun m -> Ghost_db.set_metrics db (Some m)) metrics
   in
   (* A database carrying [pending] inserted rows plus pending/10
      deletes, deterministic per log size. *)
   let build pending =
-    let db = make_db ~device_config:durable scale in
+    let db = make_db scale in
     let rng = Rng.create 51 in
     let next = Catalog.total_count (Ghost_db.catalog db) "Prescription" + 1 in
     Ghost_db.insert db
@@ -800,7 +789,8 @@ let lifecycle ?(scale = default_scale) () =
   let r2 = step "delete 300" (fun () -> delete 300) in
   let r3 = step "insert 500" (fun () -> insert 500) in
   let r4 =
-    (* the snapshot cost lands on the OLD device's clock *)
+    (* the snapshot's reads and the journal's programs land on the OLD
+       device's clock *)
     let old_device = device () in
     let t0 = Device.elapsed_us old_device in
     db := Ghost_db.reorganize !db;
@@ -822,8 +812,9 @@ let lifecycle ?(scale = default_scale) () =
       [
         "the delta/tombstone tax accumulates until the offline reorganization \
          (secure-setting reload) folds the logs back into the indexed structures";
-        "'op time' for reorganize is the device-side read cost of snapshotting the \
-         logical state (rebuild happens offline)";
+        "'op time' for reorganize is what the old device's clock pays: the \
+         snapshot's reads and the journal's programs (the shadow build's \
+         programs reach no clock)";
       ]
     rows
 

@@ -118,6 +118,18 @@ let page_intact t ~page =
      | Some ok -> ok
      | None -> Flash.page_intact (Device.flash t.device) ~page)
 
+let retry_transient t f =
+  try f () with
+  | Flash.Integrity_error { page; _ } as e ->
+    Option.iter
+      (fun c -> Ghost_device.Page_cache.invalidate c ~page)
+      (Device.page_cache t.device);
+    let transient = page_intact t ~page in
+    Device.note t.device Device.Integrity_errors;
+    if not transient then raise e;
+    Device.note t.device Device.Integrity_transients;
+    f ()
+
 let pp_storage fmt r =
   Format.fprintf fmt
     "hidden base data %d B; SKTs %d B; climbing indexes %d B; key indexes %d B (total %d B)"

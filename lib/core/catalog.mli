@@ -79,6 +79,17 @@ val page_intact : t -> page:int -> bool
     ({!Ghost_flash.Flash.page_intact}). Requires an authenticated
     device. *)
 
+val retry_transient : t -> (unit -> 'a) -> 'a
+(** [retry_transient t f] runs [f]; if it raises
+    {!Ghost_flash.Flash.Integrity_error}, drops the accused page from
+    the page cache and classifies it with {!page_intact}. If the cells
+    still verify, the fault was transient (a stale frame, a read
+    disturb): [f] runs once more. Otherwise the damage is persistent
+    and the original error propagates. Every caught error counts as
+    [Integrity_errors], every retry as [Integrity_transients]. [f]
+    must be safe to run twice: it must not have programmed anything
+    before the read that raised. *)
+
 val structure_pages : t -> int list
 (** Every Flash page holding a query-time structure (SKT rows, hidden
     column stores, climbing indexes), sorted and deduplicated — the

@@ -5,10 +5,6 @@ module Page_cache = Ghost_device.Page_cache
 module Log_run = Ghost_store.Log_run
 module Append_log = Ghost_store.Append_log
 
-type durability = Append_log.durability =
-  | Plain
-  | Checksummed
-
 type runs_policy = {
   l0_spill_pages : int;
   run_fanout : int;
@@ -51,7 +47,7 @@ type t = {
   mutable compacted_dead : int;  (* bytes of compaction inputs and abandoned builds *)
 }
 
-let create ?durability ?cache ?runs flash ~table ~levels ~max_ids ~hidden_cols =
+let create ?cache ?runs flash ~table ~levels ~max_ids ~hidden_cols =
   if List.length max_ids <> List.length levels - 1 then
     invalid_arg "Delta_log.create: max_ids misaligned with the levels below the root";
   if List.exists (fun m -> m < 0 || m > 0xFFFF_FFFF) max_ids then
@@ -61,7 +57,7 @@ let create ?durability ?cache ?runs flash ~table ~levels ~max_ids ~hidden_cols =
     List.fold_left (fun acc (_, ty) -> acc + Value.ty_width ty) 0 hidden_cols
   in
   let record_bytes = id_bytes + value_bytes in
-  let l0 = Append_log.create ?durability ?cache flash ~tag:"GDLT" ~record_bytes in
+  let l0 = Append_log.create ?cache flash ~tag:"GDLT" ~record_bytes in
   (match runs with
    | Some p ->
      if p.l0_spill_pages < 1 || p.run_fanout < 2 then
@@ -330,9 +326,6 @@ type recovery = Append_log.recovery = {
    was sealed — is discarded wholesale, rolling the log back to its
    intact inputs. *)
 let recover t =
-  if Append_log.durability t.l0 = Plain then
-    invalid_arg
-      "Delta_log.recover: log is not checksummed (create ~durability:Checksummed)";
   (* Roll an interrupted compaction back: its output was never installed,
      its inputs were never touched. The partial output pages are dead
      bytes until reorganization. *)

@@ -45,12 +45,6 @@ module Flash = Ghost_flash.Flash
     changes: the flat format and all observable behavior stay
     bit-identical to the seed. See DESIGN.md section 16. *)
 
-type durability = Ghost_store.Append_log.durability =
-  | Plain  (** raw records, no torn-write detection (the seed format) *)
-  | Checksummed
-      (** sealed pages, recoverable after a power cut (see
-          {!Ghost_store.Append_log.Checksummed}) *)
-
 type runs_policy = {
   l0_spill_pages : int;
       (** spill the L0 full pages into a level-1 run once this many
@@ -63,7 +57,6 @@ type runs_policy = {
 type t
 
 val create :
-  ?durability:durability ->
   ?cache:Ghost_device.Page_cache.t ->
   ?runs:runs_policy ->
   Flash.t ->
@@ -79,12 +72,12 @@ val create :
     pages; [hidden_cols] — the table's own hidden columns, in
     declaration order. Raises [Invalid_argument] when [max_ids] is
     misaligned or outside [0 .. 2^32 - 1]. The L0 pages are a
-    {!Ghost_store.Append_log} tagged ["GDLT"]; [durability] defaults
-    to [Plain] (bit-identical to the original format). [cache] — the
-    device's shared page cache; every append and compaction program
-    invalidates the page it programs there, since {!Flash.append}
-    recycles erased pages the cache may still hold. [runs] — omit for
-    the seed's flat log; supply a policy to enable leveled compaction. *)
+    {!Ghost_store.Append_log} tagged ["GDLT"]: sealed pages,
+    recoverable after a power cut. [cache] — the device's shared page
+    cache; every append and compaction program invalidates the page it
+    programs there, since {!Flash.append} recycles erased pages the
+    cache may still hold. [runs] — omit for the seed's flat log;
+    supply a policy to enable leveled compaction. *)
 
 val table : t -> string
 val count : t -> int
@@ -233,9 +226,7 @@ val recover : t -> recovery
     build, re-validates installed runs, then recovers the L0 pages with
     {!Ghost_store.Append_log.recover} — the longest checksum-valid
     prefix continuing the spilled sequence, exactly the acknowledged
-    records, no phantom records. Only a [Checksummed] log can recover;
-    raises [Invalid_argument] on a [Plain] one. Idempotent; clears
-    {!needs_recovery}. *)
+    records, no phantom records. Idempotent; clears {!needs_recovery}. *)
 
 val scan : t -> (row -> unit) -> unit
 (** Sequential metered read of the whole log: installed runs oldest

@@ -1213,29 +1213,14 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
 
 (* Graceful degradation under a detected integrity failure. A caught
    {!Flash.Integrity_error} aborts the attempt cleanly (the deferred
-   RAM-scope close runs, the scratch region is reclaimable), the
-   poisoned frame is dropped from the page cache, and a cache-bypass
-   re-read of the accused page classifies the failure, by the log's
-   own seal for a log page and by the structure trailer otherwise
-   ({!Catalog.page_intact}): if the cells still verify, the corruption
-   was transient (a stale frame, a read disturb) and the
-   plan is retried once from the top; if not, the damage is
-   persistent and the session fails with the original error — never
-   with silently wrong rows. *)
+   RAM-scope close runs, the scratch region is reclaimable), and
+   {!Catalog.retry_transient} classifies it: a transient fault (the
+   cells still verify) retries the plan once from the top; persistent
+   damage fails the session with the original error — never with
+   silently wrong rows. *)
 let execute ~exact_post ~bloom_fpr ~scratch catalog public plan =
-  try execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan with
-  | Flash.Integrity_error { page; _ } as e ->
-    let device = catalog.Catalog.device in
-    (match Device.page_cache device with
-     | Some c -> Page_cache.invalidate c ~page
-     | None -> ());
-    let transient = Catalog.page_intact catalog ~page in
-    Device.note device Device.Integrity_errors;
-    if transient then begin
-      Device.note device Device.Integrity_transients;
-      execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan
-    end
-    else raise e
+  Catalog.retry_transient catalog (fun () ->
+      execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan)
 
 let run ?(exact_post = true) ?(bloom_fpr = 0.01) catalog public plan =
   execute ~exact_post ~bloom_fpr

@@ -97,37 +97,22 @@ let needs_recovery (t : t) =
 
 let reorganize t =
   check_no_reorg t "reorganize";
-  if (Device.config t.catalog.Catalog.device).Device.durable_logs then begin
-    (* Journaled shadow build: crash-safe, resumable (see {!Reorg}).
-       Refuse before the journal's first record if a log still needs
-       recovery — same policy as {!Reorganize.snapshot}, checked here
-       so no Begin record is wasted on a doomed build. *)
-    if needs_recovery t then
-      failwith
-        "Ghost_db.reorganize: logs need recovery after a power cut; run \
-         recover first";
-    let p = Reorg.create t.catalog t.public in
-    t.reorg <- Some p;
-    match Reorg.advance p with
-    | catalog, public, trace ->
-      t.reorg <- None;
-      adopt_metrics ~from:t { catalog; public; trace; reorg = None }
-    | exception (Flash.Power_cut _ as e) ->
-      Reorg.note_crash p;
-      raise e
-  end
-  else begin
-    let rows = Reorganize.snapshot t.catalog t.public in
-    (* The old device (and its Flash content) is being abandoned: drop
-       every resident frame so nothing stale can be served if the caller
-       keeps using the old handle. The new device builds its own cache. *)
-    Option.iter Ghost_device.Page_cache.clear
-      (Device.page_cache t.catalog.Catalog.device);
-    adopt_metrics ~from:t
-      (of_schema
-         ~device_config:(Device.config t.catalog.Catalog.device)
-         t.catalog.Catalog.schema rows)
-  end
+  (* Refuse before the journal's first record if a log still needs
+     recovery (as {!Reorg.snapshot} would), so no Begin record is
+     wasted on a doomed build. *)
+  if needs_recovery t then
+    failwith
+      "Ghost_db.reorganize: logs need recovery after a power cut; run \
+       recover first";
+  let p = Reorg.create t.catalog t.public in
+  t.reorg <- Some p;
+  match Reorg.advance p with
+  | catalog, public, trace ->
+    t.reorg <- None;
+    adopt_metrics ~from:t { catalog; public; trace; reorg = None }
+  | exception (Flash.Power_cut _ as e) ->
+    Reorg.note_crash p;
+    raise e
 
 let recover_reorg (t : t) =
   match t.reorg with
@@ -262,9 +247,10 @@ exception Image_error of string
    became one table; to 11 when the append log gained its count of
    acknowledged records; to 12 when a log run split into id and value
    page streams; to 13 when run id pages became bit-packed and the
-   delta log gained its largest ids: older marshalled images are
-   incompatible. *)
-let image_magic = "GHOSTDB-IMAGE-13\n"
+   delta log gained its largest ids; to 14 when every log page became
+   sealed and the log lost its format field: older marshalled images
+   are incompatible. *)
+let image_magic = "GHOSTDB-IMAGE-14\n"
 
 (* Image layout: magic | u64 payload length | payload (marshalled
    instance) | u32 CRC-32 of the payload. Written to [<path>.tmp] and

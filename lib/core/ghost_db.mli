@@ -101,29 +101,30 @@ val reorganize : t -> t
 (** Offline reorganization (the secure-setting reload): reads the
     current logical state off the device and the public store, compacts
     root ids (tombstoned gaps close, so root keys change), rebuilds
-    every index structure, and returns a fresh instance. The read cost
-    is charged to the old device's clock. Refuses to run (raises
-    [Failure]) while a log {!needs_recovery}.
+    every index structure, and returns a fresh instance. Refuses to run
+    (raises [Failure]) while a log {!needs_recovery}.
 
-    With [durable_logs] set the rebuild runs as a {e journaled shadow
-    build} ({!Reorg}): each phase writes a checksummed checkpoint
-    record to a reorg journal on the old device's Flash and a single
-    commit record flips the live image. A power cut mid-rebuild raises
+    The rebuild runs as a {e journaled shadow build} ({!Reorg}): each
+    phase writes a checksummed checkpoint record to a reorg journal on
+    the old device's Flash and a single commit record flips the live
+    image. A power cut mid-rebuild raises
     {!Ghost_flash.Flash.Power_cut} and leaves the instance
     {!needs_recovery}: {!recover} then either rolls the rebuild
     forward from the last durable checkpoint or rolls back to the
-    intact pre-reorg image. Without [durable_logs] the rebuild is the
-    seed's one-shot path, bit-identical, journal-free. *)
+    intact pre-reorg image.
+
+    The old device's clock pays the snapshot's reads and the journal's
+    programs, and nothing else: the shadow build's programs reach no
+    clock, and the fresh instance starts from a clean one. *)
 
 (** {2 Crash recovery}
 
-    With [durable_logs] set in the device config, the delta and
-    tombstone logs use checksummed pages and survive a simulated power
-    cut ([Flash.Power_cut] escaping from {!insert} or {!delete}). A
-    batch programs once per log page it touches and each completed
-    program acknowledges its rows: the public store already holds
-    exactly those rows when the cut escapes, and [recover] truncates
-    the logs to them. *)
+    The delta and tombstone logs seal every page, so they survive a
+    simulated power cut ([Flash.Power_cut] escaping from {!insert} or
+    {!delete}). A batch programs once per log page it touches and each
+    completed program acknowledges its rows: the public store already
+    holds exactly those rows when the cut escapes, and [recover]
+    truncates the logs to them. *)
 
 type reorg_outcome =
   | Reorg_completed of {

@@ -12,14 +12,6 @@ exception Insert_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Insert_error s)) fmt
 
-(* Logs are created on first use; the device config decides whether
-   they use the crash-safe checksummed page format. Verified pages
-   imply it: the logs' own seals are what a verified read checks. *)
-let log_durability cat : Ghost_store.Append_log.durability =
-  let config = Device.config cat.Catalog.device in
-  if config.Device.durable_logs || config.Device.verify_pages then Checksummed
-  else Plain
-
 let log_runs cat =
   match (Device.config cat.Catalog.device).Device.log_runs with
   | None -> None
@@ -42,10 +34,8 @@ let delta_log_for cat root =
     (* [id_vector] bounds every id below the root by its table's count *)
     let max_ids = List.map (Catalog.table_count cat) (List.tl levels) in
     let log =
-      Delta_log.create ~durability:(log_durability cat)
-        ?cache:(Device.page_cache cat.Catalog.device)
-        ?runs:(log_runs cat)
-        (Device.flash cat.Catalog.device)
+      Delta_log.create ?cache:(Device.page_cache cat.Catalog.device)
+        ?runs:(log_runs cat) (Device.flash cat.Catalog.device)
         ~table:root ~levels ~max_ids ~hidden_cols
     in
     Hashtbl.replace cat.Catalog.deltas root log;
@@ -54,7 +44,8 @@ let delta_log_for cat root =
 (* The SKT-style id vector of a new root tuple: its own id followed by,
    per child subtree, the ids read from the child's SKT (or the child id
    itself for leaves). Each probe reads one row through a row-sized
-   buffer charged to the device's RAM arena. *)
+   buffer charged to the device's RAM arena, and retries a transient
+   read fault once: nothing is programmed before every probe is done. *)
 let id_vector cat root ~new_id row =
   let schema = cat.Catalog.schema in
   let tbl = Schema.find_table schema root in
@@ -75,13 +66,14 @@ let id_vector cat root ~new_id row =
          match Catalog.skt cat child with
          | None -> [ c_id ]
          | Some skt ->
-           let reader =
-             Skt.open_reader ~ram:(Device.ram cat.Catalog.device)
-               ~buffer_bytes:(Skt.row_width skt) skt
-           in
-           Fun.protect
-             ~finally:(fun () -> Skt.close_reader reader)
-             (fun () -> Array.to_list (Skt.get reader c_id)))
+           Catalog.retry_transient cat (fun () ->
+               let reader =
+                 Skt.open_reader ~ram:(Device.ram cat.Catalog.device)
+                   ~buffer_bytes:(Skt.row_width skt) skt
+               in
+               Fun.protect
+                 ~finally:(fun () -> Skt.close_reader reader)
+                 (fun () -> Array.to_list (Skt.get reader c_id))))
       (Schema.children schema root)
   in
   Array.of_list (new_id :: child_ids)
@@ -103,8 +95,7 @@ let delete_root cat public ids =
     | Some log -> log
     | None ->
       let log =
-        Tombstone_log.create ~durability:(log_durability cat)
-          ?cache:(Device.page_cache cat.Catalog.device)
+        Tombstone_log.create ?cache:(Device.page_cache cat.Catalog.device)
           (Device.flash cat.Catalog.device) ~table:root
       in
       Hashtbl.replace cat.Catalog.tombstones root log;

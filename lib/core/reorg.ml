@@ -1,13 +1,116 @@
+module Value = Ghost_kernel.Value
 module Codec = Ghost_kernel.Codec
+module Column = Ghost_relation.Column
 module Schema = Ghost_relation.Schema
 module Relation = Ghost_relation.Relation
+module Column_store = Ghost_store.Column_store
 module Flash = Ghost_flash.Flash
 module Device = Ghost_device.Device
 module Trace = Ghost_device.Trace
 module Public_store = Ghost_public.Public_store
 module Metrics = Ghost_metrics.Metrics
 
-(* Journal record, one Flash page each:
+(* ---- the snapshot ---- *)
+
+let fail fmt = Printf.ksprintf failwith fmt
+
+(* The full tuple of [id] in [table], combining device-resident hidden
+   columns with the public store's visible columns. [delta_hidden]
+   supplies the hidden values of delta rows (beyond the column
+   stores). *)
+let rebuild_rows cat public ~table ~ids ~new_key ~delta_hidden =
+  let schema = cat.Catalog.schema in
+  let tbl = Schema.find_table schema table in
+  let entry = Catalog.entry cat table in
+  let readers =
+    List.map
+      (fun (name, cs) -> (name, Column_store.open_reader cs))
+      entry.Catalog.hidden_columns
+  in
+  let rows =
+    List.map
+      (fun id ->
+         let values =
+           List.map
+             (fun (c : Column.t) ->
+                if Column.is_hidden c then begin
+                  if id <= entry.Catalog.count then
+                    Column_store.get (List.assoc c.Column.name readers) id
+                  else
+                    match delta_hidden id c.Column.name with
+                    | Some v -> v
+                    | None -> fail "reorganize: no delta value for %s.%s" table c.Column.name
+                end
+                else begin
+                  (* visible columns live in the public store *)
+                  match
+                    Public_store.lookup public ~table ~column:c.Column.name id
+                  with
+                  | Some v -> v
+                  | None -> fail "reorganize: public store has no %s row %d" table id
+                end)
+             tbl.Schema.columns
+         in
+         Array.of_list (Value.Int (new_key id) :: values))
+      ids
+  in
+  List.iter (fun (_, r) -> Column_store.close_reader r) readers;
+  rows
+
+let snapshot cat public =
+  let schema = cat.Catalog.schema in
+  let root = (Schema.root schema).Schema.name in
+  let delta = Catalog.delta cat root in
+  let tombstones = Catalog.tombstone cat root in
+  (* Reorganizing from a log whose tail may be torn would bake phantom
+     or missing records into the rebuilt database: recovery must run
+     first. *)
+  if Option.fold ~none:false ~some:Delta_log.needs_recovery delta
+     || Option.fold ~none:false ~some:Tombstone_log.needs_recovery tombstones
+  then fail "reorganize: a log of %s needs recovery after a power cut" root;
+  (* Hidden values of delta rows, by (id, column). *)
+  let delta_values = Hashtbl.create 64 in
+  (match delta with
+   | None -> ()
+   | Some log ->
+     (* keyed by the record's own root id: under leveled runs
+        compaction may have folded tombstoned records away, so scan
+        position no longer equals id (on a flat log they coincide) *)
+     Delta_log.scan log (fun r ->
+       let id = r.Delta_log.ids.(0) in
+       List.iter
+         (fun (col, v) -> Hashtbl.replace delta_values (id, col) v)
+         (Delta_log.hidden_assoc log r)));
+  let delta_hidden id col = Hashtbl.find_opt delta_values (id, col) in
+  List.map
+    (fun (tbl : Schema.table) ->
+       let table = tbl.Schema.name in
+       if table = root then begin
+         let total = Catalog.total_count cat root in
+         let dead =
+           match tombstones with
+           | Some log -> Tombstone_log.mem log
+           | None -> fun _ -> false
+         in
+         let live = List.filter (fun id -> not (dead id)) (List.init total (fun i -> i + 1)) in
+         (* compact: live ids -> 1..n in order *)
+         let mapping = Hashtbl.create (List.length live) in
+         List.iteri (fun i id -> Hashtbl.replace mapping id (i + 1)) live;
+         let new_key id = Hashtbl.find mapping id in
+         (table, rebuild_rows cat public ~table ~ids:live ~new_key ~delta_hidden)
+       end
+       else begin
+         let n = Catalog.table_count cat table in
+         ( table,
+           rebuild_rows cat public ~table
+             ~ids:(List.init n (fun i -> i + 1))
+             ~new_key:Fun.id ~delta_hidden )
+       end)
+    (Schema.tables schema)
+
+(* ---- the journal ----
+
+   Journal record, one Flash page each:
 
      magic   u32   "GRJN"
      seq     u32   0, 1, 2, ... within one reorganization
@@ -20,8 +123,8 @@ module Metrics = Ghost_metrics.Metrics
      crc     u32   CRC-32 of everything above
 
    The records live on the old device's main Flash among the live
-   data; like the crash-safe log pages, a torn or corrupted record is
-   detected by its checksum and truncates the journal there. *)
+   data; like the log pages, a torn or corrupted record is detected by
+   its checksum and truncates the journal there. *)
 
 let magic = 0x47524A4E (* "GRJN" *)
 
@@ -211,7 +314,7 @@ let run_phase p i =
      p.new_trace <- None;
      p.skts <- [];
      p.entries <- [];
-     let rows = Reorganize.snapshot p.old_catalog p.old_public in
+     let rows = snapshot p.old_catalog p.old_public in
      p.snapshot_rows <- Some rows;
      checkpoint p i ~digest:(digest_rows rows)
    | Skts ->
@@ -226,8 +329,12 @@ let run_phase p i =
   match m with
   | None -> ()
   | Some reg ->
-    (* Phase spans run on the old card's global clock: the shadow
-       build's programs share its power line and its timeline. *)
+    (* Phase spans run on the old card's global clock, which pays only
+       the snapshot's reads and the journal's programs: the shadow
+       build shares the card's power line (a cut counts its programs)
+       but not its clock, and {!Loader.assemble} resets the new
+       device's Flash statistics, so no clock sees the build's
+       programs. *)
     let dur = Device.elapsed_us (old_device p) -. ts in
     Metrics.incr reg "reorg.phases";
     Metrics.observe reg "reorg.phase.us" dur;

@@ -2,18 +2,20 @@ module Relation = Ghost_relation.Relation
 module Trace = Ghost_device.Trace
 module Public_store = Ghost_public.Public_store
 
-(** Crash-safe offline reorganization: a checkpointed shadow build
-    with an atomic commit record.
+(** Offline reorganization (the secure-setting reload), run as a
+    checkpointed shadow build with an atomic commit record.
 
-    {!Reorganize.snapshot} + {!Loader.load} rebuild the device image
-    in one shot; a power cut in the middle would leave neither the old
-    nor the new image trustworthy. This module executes the same
-    rebuild as journaled phases — snapshot (root compaction with
-    tombstone filtering), SKT construction, one phase per table for
-    the column stores and climbing indexes — on a {e shadow} device
-    whose Flash shares the old device's power line, so an armed
-    {!Ghost_flash.Flash.arm_power_cut} fires at the n-th program
-    across journal and build alike.
+    A reorganization folds the delta and tombstone logs back into the
+    indexed structures: {!snapshot} reads the database's logical
+    content, and the loader rebuilds every SKT, column store and
+    climbing index from it. Rebuilt in one shot, a power cut in the
+    middle would leave neither the old nor the new image trustworthy,
+    so the rebuild runs as journaled phases — snapshot (root
+    compaction with tombstone filtering), SKT construction, one phase
+    per table for the column stores and climbing indexes — on a
+    {e shadow} device whose Flash shares the old device's power line,
+    so an armed {!Ghost_flash.Flash.arm_power_cut} fires at the n-th
+    program across journal and build alike.
 
     After each phase a CRC-32-stamped checkpoint record is appended to
     a reorg journal on the {e old} device's Flash; a single commit
@@ -24,9 +26,24 @@ module Public_store = Ghost_public.Public_store
     checkpoint — reusing completed phases, validated by the journal's
     digests — or {e rolls back} to the intact pre-reorg image.
 
-    As with the crash-safe logs, recovery trusts only what it can read
-    back and checksum off the Flash; everything held in RAM is a hint
-    to be validated. *)
+    As with the logs, recovery trusts only what it can read back and
+    checksum off the Flash; everything held in RAM is a hint to be
+    validated.
+
+    The old device's clock pays the snapshot's reads and the journal's
+    programs, and nothing else: the shadow build shares the power line
+    but not the clock, and the new device starts from a clean one. *)
+
+val snapshot : Catalog.t -> Public_store.t -> (string * Relation.tuple list) list
+(** The database's current logical content — loaded rows, plus the
+    insert delta, minus the tombstoned rows — as full rows per table,
+    ready for the loader. Hidden columns are read off the device
+    (metered on its clock), visible ones come from the public store.
+    Root ids are compacted to stay dense (tombstoned gaps close), so
+    root keys change across a reorganization; dimension ids are
+    stable. Raises [Failure] while a delta or tombstone log needs
+    recovery after a power cut, so the rebuilt database reflects
+    exactly the acknowledged operations. *)
 
 type progress
 (** A reorganization in flight (or interrupted). *)

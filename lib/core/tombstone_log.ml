@@ -3,20 +3,16 @@ module Sorted_ids = Ghost_kernel.Sorted_ids
 module Flash = Ghost_flash.Flash
 module Append_log = Ghost_store.Append_log
 
-type durability = Append_log.durability =
-  | Plain
-  | Checksummed
-
 type t = {
   table : string;
   log : Append_log.t;  (* one 4-byte record per deleted root id *)
   members : (int, unit) Hashtbl.t;
 }
 
-let create ?durability ?cache flash ~table =
+let create ?cache flash ~table =
   {
     table;
-    log = Append_log.create ?durability ?cache flash ~tag:"GTMB" ~record_bytes:4;
+    log = Append_log.create ?cache flash ~tag:"GTMB" ~record_bytes:4;
     members = Hashtbl.create 64;
   }
 

@@ -11,24 +11,17 @@ module Flash = Ghost_flash.Flash
 
     Like inserts, deletes apply to the schema root only. *)
 
-type durability = Ghost_store.Append_log.durability =
-  | Plain  (** raw ids, no torn-write detection (the seed format) *)
-  | Checksummed
-      (** sealed pages, recoverable after a power cut (see
-          {!Ghost_store.Append_log.Checksummed}) *)
-
 type t
 
 val create :
-  ?durability:durability ->
   ?cache:Ghost_device.Page_cache.t ->
   Flash.t ->
   table:string ->
   t
 (** The ids live in a {!Ghost_store.Append_log} of 4-byte records
-    tagged ["GTMB"]. [durability] defaults to [Plain] (bit-identical to
-    the original format). [cache] — the device's shared page cache; each
-    program invalidates the page it writes there (see {!Delta_log.create}). *)
+    tagged ["GTMB"]: sealed pages, recoverable after a power cut.
+    [cache] — the device's shared page cache; each program invalidates
+    the page it writes there (see {!Delta_log.create}). *)
 
 val table : t -> string
 val count : t -> int
@@ -60,8 +53,7 @@ type recovery = Ghost_store.Append_log.recovery = {
 val recover : t -> recovery
 (** Post-crash scan (metered); see {!Ghost_store.Append_log.recover}.
     Rebuilds the host-side membership table from the records that walk
-    parsed, with no further read. Raises [Invalid_argument] on a
-    [Plain] log. *)
+    parsed, with no further read. *)
 
 val mem : t -> int -> bool
 (** Host-side membership (validation); not Flash-metered. *)

@@ -11,7 +11,7 @@ module Postproc = Ghost_sql.Postproc
 module Spy = Ghost_public.Spy
 module Ghost_db = Ghostdb.Ghost_db
 module Catalog = Ghostdb.Catalog
-module Reorganize = Ghostdb.Reorganize
+module Reorg = Ghostdb.Reorg
 module Exec = Ghostdb.Exec
 module Planner = Ghostdb.Planner
 module Cost = Ghostdb.Cost
@@ -661,7 +661,7 @@ let rebuild_from t victim peer =
   let peer_device = Ghost_db.device peer.rep_db in
   let t0 = Device.elapsed_us peer_device in
   let rows =
-    Reorganize.snapshot (Ghost_db.catalog peer.rep_db)
+    Reorg.snapshot (Ghost_db.catalog peer.rep_db)
       (Ghost_db.public peer.rep_db)
   in
   let peer_us = Device.elapsed_us peer_device -. t0 in

@@ -2,11 +2,7 @@ module Codec = Ghost_kernel.Codec
 module Flash = Ghost_flash.Flash
 module Page_cache = Ghost_device.Page_cache
 
-type durability =
-  | Plain
-  | Checksummed
-
-(* Checksummed page header, sealed by {!Sealed_page}:
+(* Page header, sealed by {!Sealed_page}:
    tag (u32) | first_seq (u64) | count (u32) | crc32 (u32). *)
 let header_bytes = 20
 
@@ -15,7 +11,6 @@ type t = {
   tag : string;
   record_bytes : int;
   records_per_page : int;
-  durability : durability;
   cache : Page_cache.t option;
       (* the device's page cache, invalidated when an append programs a
          recycled Flash page the cache may still hold *)
@@ -31,20 +26,14 @@ type t = {
   mutable torn_page : int option;  (* the page that tore, if known *)
 }
 
-let create ?(durability = Plain) ?cache flash ~tag ~record_bytes =
-  let page = (Flash.geometry flash).Flash.page_size in
-  let usable =
-    match durability with
-    | Plain -> page
-    | Checksummed -> page - header_bytes
-  in
+let create ?cache flash ~tag ~record_bytes =
+  let usable = (Flash.geometry flash).Flash.page_size - header_bytes in
   if record_bytes > usable then invalid_arg "Append_log.create: record exceeds a page";
   {
     flash;
     tag;
     record_bytes;
     records_per_page = usable / record_bytes;
-    durability;
     cache;
     base_seq = 0;
     full_pages = [];
@@ -58,7 +47,6 @@ let create ?(durability = Plain) ?cache flash ~tag ~record_bytes =
     torn_page = None;
   }
 
-let durability t = t.durability
 let records_per_page t = t.records_per_page
 let count t = t.count
 let acknowledged t = t.acked
@@ -70,9 +58,6 @@ let pages t = List.rev_append t.full_pages (Option.to_list t.tail_page)
 let page_count t =
   List.length t.full_pages + (match t.tail_page with Some _ -> 1 | None -> 0)
 
-let payload_off t =
-  match t.durability with Plain -> 0 | Checksummed -> header_bytes
-
 let note_power_cut t page =
   t.needs_recovery <- true;
   t.torn_page <- Some page
@@ -80,19 +65,15 @@ let note_power_cut t page =
 (* The bytes of one page image holding [records] (oldest first), whose
    first record carries sequence number [first_seq]. *)
 let build_page t ~first_seq records =
-  let payload = String.concat "" records in
-  match t.durability with
-  | Plain -> Bytes.of_string payload
-  | Checksummed ->
-    Sealed_page.seal ~tag:t.tag ~header_bytes
-      (fun b ->
-         Codec.put_u64 b 4 first_seq;
-         Codec.put_u32 b 12 (List.length records))
-      payload
+  Sealed_page.seal ~tag:t.tag ~header_bytes
+    (fun b ->
+       Codec.put_u64 b 4 first_seq;
+       Codec.put_u32 b 12 (List.length records))
+    (String.concat "" records)
 
-(* Reads a checksummed page back and validates it: tag, plausible
-   record count, checksum over header + payload. Returns the first
-   sequence number and the records, oldest first. *)
+(* Reads a page back and validates it: tag, plausible record count,
+   checksum over header + payload. Returns the first sequence number
+   and the records, oldest first. *)
 let parse_page t page =
   match Flash.read_page t.flash page with
   | exception Invalid_argument _ -> None  (* erased (e.g. a zero-byte tear) *)
@@ -174,18 +155,18 @@ let seal_ok t b ~first_seq n =
 
 (* Metered read of the payload of a page holding [n] records, the
    first of them numbered [first_seq]. On an authenticated Flash
-   ([verify_pages]) a checksummed log reads the whole page and checks
-   its seal, record count and sequence number, so damaged bytes raise
+   ([verify_pages]) it reads the whole page and checks its seal,
+   record count and sequence number, so damaged bytes raise
    [Flash.Integrity_error] instead of coming back as records. *)
 let read_records t page ~first_seq n =
   let len = n * t.record_bytes in
-  if t.durability = Checksummed && Flash.authenticated t.flash then begin
+  if Flash.authenticated t.flash then begin
     let b = Flash.read_page t.flash page in
     if not (seal_ok t b ~first_seq n) then
       raise (Flash.Integrity_error { page; what = "log page seal mismatch" });
     Bytes.sub b header_bytes len
   end
-  else Flash.read t.flash ~page ~off:(payload_off t) ~len
+  else Flash.read t.flash ~page ~off:header_bytes ~len
 
 (* Full pages, oldest first, each with the sequence number of its
    first record. *)
@@ -215,17 +196,14 @@ let live_pages t =
   | None -> []
 
 let page_intact t ~page =
-  match t.durability with
-  | Plain -> None
-  | Checksummed ->
-    List.find_map
-      (fun (p, first_seq, n) ->
-         if p <> page then None
-         else
-           Some
-             (Flash.is_programmed t.flash page
-              && seal_ok t (Flash.read_page t.flash page) ~first_seq n))
-      (live_pages t)
+  List.find_map
+    (fun (p, first_seq, n) ->
+       if p <> page then None
+       else
+         Some
+           (Flash.is_programmed t.flash page
+            && seal_ok t (Flash.read_page t.flash page) ~first_seq n))
+    (live_pages t)
 
 let iter_pages t f =
   List.iter
@@ -244,8 +222,6 @@ type recovery = {
    the torn program (never acknowledged) are dropped; its superseded
    predecessor page, still programmed, carries the durable tail. *)
 let recover ?(on_record = ignore) t =
-  if t.durability = Plain then
-    invalid_arg "Append_log.recover: log is not checksummed (create ~durability:Checksummed)";
   let torn = ref (match t.torn_page with Some _ -> 1 | None -> 0) in
   let old_count = t.count in
   (* Longest valid prefix of the full pages, continuing the released

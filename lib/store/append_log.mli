@@ -14,35 +14,25 @@ module Flash = Ghost_flash.Flash
 
     Records carry implicit sequence numbers: the log's base sequence
     (records already released, see {!release}) plus their position.
-    A [Checksummed] page seals them with {!Sealed_page} under a 20-byte
-    header [tag | first_seq (u64) | count (u32) | crc32], which is what
-    {!recover} reads back. See DESIGN.md section 9. *)
-
-type durability =
-  | Plain  (** raw records, no torn-write detection (the seed format) *)
-  | Checksummed
-      (** every page carries a sealed header — tag, the sequence number
-          of its first record, a record count and a CRC-32 over header
-          and payload — so a page torn by a power cut or corrupted by
-          uncorrected bit-rot is detectable, at the price of [20] bytes
-          per page *)
+    Every page seals them with {!Sealed_page} under a 20-byte header
+    [tag | first_seq (u64) | count (u32) | crc32], so a page torn by a
+    power cut or corrupted past ECC is detectable; {!recover} reads
+    the header back. See DESIGN.md section 9. *)
 
 type t
 
 val create :
-  ?durability:durability ->
   ?cache:Ghost_device.Page_cache.t ->
   Flash.t ->
   tag:string ->
   record_bytes:int ->
   t
-(** [tag] — the four-byte page tag of a [Checksummed] log. [cache] —
-    the device's shared page cache; each program invalidates the page
-    it writes there, since {!Flash.append} recycles erased pages the
-    cache may still hold. Raises [Invalid_argument] when a record
-    (plus header) exceeds a page. *)
+(** [tag] — the four-byte page tag. [cache] — the device's shared page
+    cache; each program invalidates the page it writes there, since
+    {!Flash.append} recycles erased pages the cache may still hold.
+    Raises [Invalid_argument] when a record (plus header) exceeds a
+    page. *)
 
-val durability : t -> durability
 val records_per_page : t -> int
 
 val count : t -> int
@@ -93,21 +83,21 @@ val full_page_records : t -> int -> string list
 (** Metered read of one full page's records, oldest first. *)
 
 val page_intact : t -> page:int -> bool option
-(** [None] when [page] is not a live page of a [Checksummed] log;
-    otherwise whether a fresh full-page read of it (metered, straight
-    from the cells) passes the seal, record count and sequence checks
-    a verified read makes — how a caught {!Flash.Integrity_error} on a
+(** [None] when [page] is not a live page of the log; otherwise
+    whether a fresh full-page read of it (metered, straight from the
+    cells) passes the seal, record count and sequence checks a
+    verified read makes — how a caught {!Flash.Integrity_error} on a
     log page is classified. *)
 
 val iter_pages : t -> (bytes -> int -> unit) -> unit
 (** Metered read of every unreleased page, oldest first: [f b n] gets
     the payload of a page holding [n] records.
 
-    Both reads fetch only the payload, except that a [Checksummed] log
-    on an authenticated Flash ([Device.config.verify_pages]) reads
-    whole pages and checks each one's seal, record count and sequence
-    number: a mismatch raises {!Flash.Integrity_error} naming the
-    page, so damaged bytes never come back as records. *)
+    Both reads fetch only the payload, except on an authenticated
+    Flash ([Device.config.verify_pages]), where they read whole pages
+    and check each one's seal, record count and sequence number: a
+    mismatch raises {!Flash.Integrity_error} naming the page, so
+    damaged bytes never come back as records. *)
 
 (** {2 Crash safety} *)
 
@@ -133,6 +123,5 @@ val recover : ?on_record:(string -> unit) -> t -> recovery
     newest tail program that continues that prefix — exactly the
     records of completed programs, no phantom records. A damaged full page
     truncates the log there, tail included. [on_record] sees every
-    durable record, oldest first, as the walk parses it. Only a
-    [Checksummed] log can recover; raises [Invalid_argument] on a
-    [Plain] one. Idempotent; clears {!needs_recovery}. *)
+    durable record, oldest first, as the walk parses it. Idempotent;
+    clears {!needs_recovery}. *)

@@ -59,6 +59,7 @@ let test_experiments_run_at_tiny_scale () =
     Experiments.baseline_compare ~scale ();
     Experiments.storage_overhead ~scales:[ scale ] ();
     Experiments.insert_sweep ~scale ();
+    Experiments.lifecycle ~scale ();
     Experiments.ablation_exact_post ~scale ();
     Experiments.ablation_bloom_fpr ~scale ();
     Experiments.ablation_hidden_fk_indexes ~scale ();

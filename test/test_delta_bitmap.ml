@@ -52,18 +52,16 @@ let queries =
     ("count_bmi", count_bmi "30.00");
   ]
 
-(* Durable leveled logs: small pages at tiny scale, so its few inserts
-   spill into sorted runs; write_mix's device at small scale. *)
+(* Leveled logs: small pages at tiny scale, so its few inserts spill
+   into sorted runs; write_mix's device at small scale. *)
 let tiny_leveled =
   {
     Device.default_config with
-    Device.durable_logs = true;
-    flash_geometry = { Flash.page_size = 256; pages_per_block = 8 };
+    Device.flash_geometry = { Flash.page_size = 256; pages_per_block = 8 };
     log_runs = Some { Device.l0_spill_pages = 2; run_fanout = 2 };
   }
 
-let small_leveled =
-  { Device.default_config with durable_logs = true; log_runs = Some Device.default_log_runs }
+let small_leveled = { Device.default_config with log_runs = Some Device.default_log_runs }
 
 let new_rows (scale : Medical.scale) rng ~first n =
   List.init n (fun i ->

@@ -40,7 +40,6 @@ let configs =
         Device.page_cache_frames = 64;
         wire_format = Wire.Compact;
         verify_pages = true;
-        durable_logs = true;
         flash_geometry = { Flash.page_size = 256; pages_per_block = 8 };
         log_runs = Some { Device.l0_spill_pages = 2; run_fanout = 2 };
       } );

@@ -112,7 +112,7 @@ let delta_power_loss_sweep ~max_batch () =
   for crash_at = 1 to 120 do
     let f = small_flash () in
     let log =
-      Delta_log.create ~durability:Delta_log.Checksummed f ~table:"R"
+      Delta_log.create f ~table:"R"
         ~levels:[ "R"; "A" ] ~max_ids:[ 9 ] ~hidden_cols:[ ("v", Value.T_int) ]
     in
     let rng = Rng.create (1000 + crash_at) in
@@ -147,7 +147,7 @@ let delta_power_loss_sweep ~max_batch () =
 let tombstone_power_loss_sweep ~max_batch () =
   for crash_at = 1 to 60 do
     let f = small_flash () in
-    let log = Tombstone_log.create ~durability:Tombstone_log.Checksummed f ~table:"R" in
+    let log = Tombstone_log.create f ~table:"R" in
     let rng = Rng.create (9000 + crash_at) in
     let sizes = Rng.create (7000 + crash_at) in
     let i = ref 0 in

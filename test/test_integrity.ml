@@ -261,9 +261,10 @@ let test_log_page_classifier () =
 
 (* Read faults on a device with inserted rows: every query scans the
    delta log, so some faults land on its L0 page. Each caught error —
-   on a log page or a structure page, with the cells intact — is
-   retried once and counted as transient, and every query that
-   completes returns the rows of a fault-free twin. *)
+   on a log page or a structure page, with the cells intact, in a
+   query or in an insert's SKT probe — is retried once and counted as
+   transient, and every query that completes returns the rows of a
+   fault-free twin. *)
 let test_log_transient_retry () =
   let config =
     { verified_config with
@@ -276,12 +277,8 @@ let test_log_transient_retry () =
   let clean = Ghost_db.of_schema (schema ()) (rows ()) in
   let db = Ghost_db.of_schema ~device_config:config (schema ()) (rows ()) in
   let inserted = new_prescriptions db (Rng.create 3) 20 in
-  (* the insert's SKT probes may fault too; a batch that raises has
-     programmed nothing, so it is repeated *)
-  let rec insert () =
-    try Ghost_db.insert db inserted with Flash.Integrity_error _ -> insert ()
-  in
-  insert ();
+  (* the insert's SKT probes fault too, and retry like a query *)
+  Ghost_db.insert db inserted;
   Ghost_db.insert clean inserted;
   let top = Catalog.total_count (Ghost_db.catalog db) "Prescription" in
   let failed = ref 0 in

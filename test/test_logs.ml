@@ -60,15 +60,15 @@ let test_delta_validation () =
 let test_delta_write_amplification () =
   let f = flash () in
   let log = make_delta f in
-  (* 256-byte pages, 28-byte records: 9 per page. Every append
-     re-programs the tail page. *)
-  for i = 1 to 9 do
+  (* 256-byte pages minus the 20-byte header, 28-byte records: 8 per
+     page. Every append re-programs the tail page. *)
+  for i = 1 to 8 do
     Delta_log.append log [ blank i ]
   done;
   let s = Flash.stats f in
-  check Alcotest.int "one program per append" 9 s.Flash.page_programs;
+  check Alcotest.int "one program per append" 8 s.Flash.page_programs;
   check Alcotest.bool "dead bytes accumulate" true (Delta_log.dead_bytes log > 0);
-  check Alcotest.int "live = 9 records" (9 * 28) (Delta_log.size_bytes log)
+  check Alcotest.int "live = 8 records" (8 * 28) (Delta_log.size_bytes log)
 
 let test_tombstones () =
   let f = flash () in
@@ -89,15 +89,10 @@ let test_tombstones () =
 let test_tombstones_many_pages () =
   let f = flash () in
   let log = Tombstone_log.create f ~table:"R" in
-  (* 64 ids per 256-byte page: cross several pages *)
+  (* 59 ids per sealed 256-byte page: cross several pages *)
   Tombstone_log.append log (List.init 200 (fun i -> i + 1));
   check Alcotest.int "count" 200 (Tombstone_log.count log);
   check Alcotest.int "all back" 200 (Array.length (Tombstone_log.load_sorted log))
-
-let make_durable_delta f =
-  Delta_log.create ~durability:Delta_log.Checksummed f ~table:"R"
-    ~levels:[ "R"; "A"; "B" ] ~max_ids:[ 63; 127 ]
-    ~hidden_cols:[ ("q", Value.T_int); ("s", Value.T_char 8) ]
 
 let append_n log n =
   for i = 1 to n do
@@ -111,7 +106,7 @@ let scanned_ids log =
 
 let test_delta_checksummed_roundtrip () =
   let f = flash () in
-  let log = make_durable_delta f in
+  let log = make_delta f in
   (* 256-byte pages minus the 20-byte header: 8 records of 28 bytes *)
   append_n log 25;
   check Alcotest.int "count" 25 (Delta_log.count log);
@@ -121,23 +116,23 @@ let test_delta_checksummed_roundtrip () =
 let test_delta_dead_bytes_quantified () =
   let f = flash () in
   let log = make_delta f in
-  (* rpp = 9 (plain): k tail reprograms strand 0+1+...+(k-1) records *)
-  for k = 1 to 8 do
+  (* rpp = 8: k tail reprograms strand 0+1+...+(k-1) records *)
+  for k = 1 to 7 do
     Delta_log.append log [ blank k ];
     check Alcotest.int (Printf.sprintf "dead after %d" k)
       (28 * (k * (k - 1) / 2)) (Delta_log.dead_bytes log)
   done;
-  (* the 9th append completes the page: its superseded predecessor
+  (* the 8th append completes the page: its superseded predecessor
      still counts, and the next append opens a fresh tail with no dead
      space *)
+  Delta_log.append log [ blank 8 ];
+  check Alcotest.int "dead after full page" (28 * 28) (Delta_log.dead_bytes log);
   Delta_log.append log [ blank 9 ];
-  check Alcotest.int "dead after full page" (28 * 36) (Delta_log.dead_bytes log);
-  Delta_log.append log [ blank 10 ];
-  check Alcotest.int "fresh tail adds none" (28 * 36) (Delta_log.dead_bytes log)
+  check Alcotest.int "fresh tail adds none" (28 * 28) (Delta_log.dead_bytes log)
 
 let test_delta_power_cut_recovery () =
   let f = flash () in
-  let log = make_durable_delta f in
+  let log = make_delta f in
   append_n log 11;  (* one full page (8) + tail of 3 *)
   Flash.arm_power_cut f ~after_programs:1;
   (try
@@ -164,7 +159,7 @@ let test_delta_power_cut_recovery () =
 
 let test_delta_power_cut_on_first_append () =
   let f = flash () in
-  let log = make_durable_delta f in
+  let log = make_delta f in
   Flash.arm_power_cut f ~after_programs:1;
   (try append_n log 1; Alcotest.fail "expected Power_cut"
    with Flash.Power_cut _ -> ());
@@ -175,16 +170,9 @@ let test_delta_power_cut_on_first_append () =
   append_n log 3;
   check Alcotest.(list int) "restarts cleanly" [ 101; 102; 103 ] (scanned_ids log)
 
-let test_delta_plain_cannot_recover () =
-  let log = make_delta (flash ()) in
-  try
-    ignore (Delta_log.recover log);
-    Alcotest.fail "expected Invalid_argument"
-  with Invalid_argument _ -> ()
-
 let test_tombstone_power_cut_recovery () =
   let f = flash () in
-  let log = Tombstone_log.create ~durability:Tombstone_log.Checksummed f ~table:"R" in
+  let log = Tombstone_log.create f ~table:"R" in
   Tombstone_log.append log [ 5; 1; 9 ];
   (* 59 ids per checksummed page: the next batch of 60 completes the
      tail's page (56 ids) and spills 4 into a fresh one. Tear its 2nd
@@ -213,7 +201,7 @@ let test_tombstone_power_cut_recovery () =
    partial page; only its first program supersedes a tail program. *)
 let test_batch_programs_per_page () =
   let f = flash () in
-  let log = make_durable_delta f in
+  let log = make_delta f in
   let programs () = (Flash.stats f).Flash.page_programs in
   Delta_log.append log (List.init 3 (fun i -> row (i + 1)));
   check Alcotest.int "a partial page is one program" 1 (programs ());
@@ -234,7 +222,7 @@ let test_batch_programs_per_page () =
    not continue the prefix: they are not torn. *)
 let test_tear_on_fresh_page () =
   let f = flash () in
-  let log = make_durable_delta f in
+  let log = make_delta f in
   append_n log 8;  (* exactly one full page *)
   Flash.arm_power_cut f ~after_programs:1;
   (try append_n log 1; Alcotest.fail "expected Power_cut"
@@ -244,7 +232,7 @@ let test_tear_on_fresh_page () =
   check Alcotest.int "delta lost" 1 r.Delta_log.lost;
   check Alcotest.int "delta torn pages" 1 r.Delta_log.torn_pages;
   let f = flash () in
-  let log = Tombstone_log.create ~durability:Tombstone_log.Checksummed f ~table:"R" in
+  let log = Tombstone_log.create f ~table:"R" in
   (* 59 ids per 236-byte payload: exactly one full page *)
   Tombstone_log.append log (List.init 59 (fun i -> i + 1));
   Flash.arm_power_cut f ~after_programs:1;
@@ -267,7 +255,7 @@ let test_bit_rot_truncates () =
     Flash.corrupt_stored f ~page ~bit:201
   in
   let f = flash () in
-  let log = make_durable_delta f in
+  let log = make_delta f in
   append_n log 30;  (* 3 full pages of 8 + a tail of 6 *)
   rot f 15;  (* the 2nd full page *)
   let r = Delta_log.recover log in
@@ -277,7 +265,7 @@ let test_bit_rot_truncates () =
   check Alcotest.(list int) "delta contents" (List.init 8 (fun i -> 101 + i))
     (scanned_ids log);
   let f = flash () in
-  let log = Tombstone_log.create ~durability:Tombstone_log.Checksummed f ~table:"R" in
+  let log = Tombstone_log.create f ~table:"R" in
   Tombstone_log.append log (List.init 150 (fun i -> i + 1));  (* 2 pages of 59 + 32 *)
   rot f 1;  (* the 2nd full page *)
   let r = Tombstone_log.recover log in
@@ -291,7 +279,7 @@ let test_bit_rot_truncates () =
 
 (* ---- golden on-Flash bytes ----
 
-   A fixed script per log format on small-page Flash, pinned to a
+   A fixed script per log on small-page Flash, pinned to a
    CRC-32 over every programmed page (id and bytes) plus the Flash
    read, program and time counters. Any change to the page images or
    to the order, offset or length of a metered Flash operation moves
@@ -319,47 +307,33 @@ let tear f k run =
   Flash.arm_power_cut f ~after_programs:k;
   try run (); Alcotest.fail "expected Power_cut" with Flash.Power_cut _ -> ()
 
-let golden_delta durability =
+let golden_delta () =
   let f = flash () in
-  let log =
-    Delta_log.create ~durability f ~table:"R" ~levels:[ "R"; "A"; "B" ]
-      ~max_ids:[ 63; 127 ] ~hidden_cols:[ ("q", Value.T_int); ("s", Value.T_char 8) ]
-  in
+  let log = make_delta f in
   append_n log 20;
-  let recovered =
-    match durability with
-    | Delta_log.Plain -> ""
-    | Delta_log.Checksummed ->
-      tear f 1 (fun () -> append_n log 1);
-      let r = Delta_log.recover log in
-      Printf.sprintf " recovered=%d lost=%d" r.Delta_log.recovered r.Delta_log.lost
-  in
+  tear f 1 (fun () -> append_n log 1);
+  let r = Delta_log.recover log in
   append_n log 13;
   let rows = List.length (scanned_ids log) in
-  Printf.sprintf "rows=%d%s %s" rows recovered (flash_digest f)
+  Printf.sprintf "rows=%d recovered=%d lost=%d %s" rows r.Delta_log.recovered
+    r.Delta_log.lost (flash_digest f)
 
-let golden_tombstones durability =
+let golden_tombstones () =
   let f = flash () in
-  let log = Tombstone_log.create ~durability f ~table:"R" in
+  let log = Tombstone_log.create f ~table:"R" in
   Tombstone_log.append log (List.init 150 (fun i -> (7 * i) + 1));
-  let recovered =
-    match durability with
-    | Tombstone_log.Plain -> ""
-    | Tombstone_log.Checksummed ->
-      (* 27 ids complete the tail's page, the torn 2nd program holds 13 *)
-      tear f 2 (fun () -> Tombstone_log.append log (List.init 40 (fun i -> 2000 + i)));
-      let r = Tombstone_log.recover log in
-      Printf.sprintf " recovered=%d lost=%d" r.Tombstone_log.recovered
-        r.Tombstone_log.lost
-  in
+  (* 27 ids complete the tail's page, the torn 2nd program holds 13 *)
+  tear f 2 (fun () -> Tombstone_log.append log (List.init 40 (fun i -> 2000 + i)));
+  let r = Tombstone_log.recover log in
   Tombstone_log.append log (List.init 30 (fun i -> 3000 + i));
   let ids = Array.length (Tombstone_log.load_sorted log) in
-  Printf.sprintf "ids=%d%s %s" ids recovered (flash_digest f)
+  Printf.sprintf "ids=%d recovered=%d lost=%d %s" ids r.Tombstone_log.recovered
+    r.Tombstone_log.lost (flash_digest f)
 
 let golden_runs () =
   let f = flash () in
   let log =
-    Delta_log.create ~durability:Delta_log.Checksummed
+    Delta_log.create
       ~runs:{ Delta_log.l0_spill_pages = 2; run_fanout = 2 }
       f ~table:"R" ~levels:[ "R"; "A"; "B" ] ~max_ids:[ 63; 127 ]
       ~hidden_cols:[ ("q", Value.T_int); ("s", Value.T_char 8) ]
@@ -390,25 +364,16 @@ let test_golden_bytes () =
   List.iter
     (fun (name, expected, actual) -> check Alcotest.string name expected (actual ()))
     [
-      ( "delta plain",
-        "rows=33 pages=33 crc=9a094d22 reads=4 read_bytes=924 programs=33 \
-         program_bytes=4368 read_us=0x1.ec66666666666p+6 \
-         write_us=0x1.b511eb851eb86p+12",
-        fun () -> golden_delta Delta_log.Plain );
-      ( "delta checksummed",
+      ( "delta",
         "rows=33 recovered=20 lost=1 pages=34 crc=fe83bed8 reads=8 \
          read_bytes=1692 programs=34 program_bytes=4797 \
          read_us=0x1.e499999999999p+7 write_us=0x1.c3fbae147ae15p+12",
-        fun () -> golden_delta Delta_log.Checksummed );
-      ( "tombstones plain",
-        "ids=180 pages=4 crc=382d4d78 reads=3 read_bytes=720 programs=4 \
-         program_bytes=808 read_us=0x1.74p+6 write_us=0x1.b45c28f5c28f5p+9",
-        fun () -> golden_tombstones Tombstone_log.Plain );
-      ( "tombstones checksummed",
+        golden_delta );
+      ( "tombstones",
         "ids=207 recovered=177 lost=13 pages=6 crc=3b5b9137 reads=8 \
          read_bytes=1852 programs=6 program_bytes=1092 \
          read_us=0x1.ec9999999999bp+7 write_us=0x1.4491eb851eb85p+10",
-        fun () -> golden_tombstones Tombstone_log.Checksummed );
+        golden_tombstones );
       ( "delta runs",
         "installs=spill,spill,merge rows=27 fenced=5 fenced_ids=5 runs=1 l0=1 \
          pages=40 crc=8511a7e5 reads=17 read_bytes=2269 programs=40 \
@@ -423,7 +388,6 @@ let suite = [
   Alcotest.test_case "delta dead bytes quantified" `Quick test_delta_dead_bytes_quantified;
   Alcotest.test_case "delta power-cut recovery" `Quick test_delta_power_cut_recovery;
   Alcotest.test_case "delta power cut on first append" `Quick test_delta_power_cut_on_first_append;
-  Alcotest.test_case "plain log cannot recover" `Quick test_delta_plain_cannot_recover;
   Alcotest.test_case "tombstone power-cut recovery" `Quick test_tombstone_power_cut_recovery;
   Alcotest.test_case "a batch programs once per page" `Quick test_batch_programs_per_page;
   Alcotest.test_case "delta validation" `Quick test_delta_validation;

@@ -31,24 +31,18 @@ let policy = { Delta_log.l0_spill_pages = 2; run_fanout = 2 }
 let runs_config =
   {
     Device.default_config with
-    Device.durable_logs = true;
-    flash_geometry = small_geometry;
+    Device.flash_geometry = small_geometry;
     log_runs = Some { Device.l0_spill_pages = 2; run_fanout = 2 };
   }
 
-let flat_config =
-  {
-    Device.default_config with
-    Device.durable_logs = true;
-    flash_geometry = small_geometry;
-  }
+let flat_config = { Device.default_config with Device.flash_geometry = small_geometry }
 
 (* ---- unit level ---- *)
 
 let flash () = Flash.create ~geometry:small_geometry ()
 
 let make_log ?(runs = policy) f =
-  Delta_log.create ~durability:Delta_log.Checksummed ~runs f ~table:"R"
+  Delta_log.create ~runs f ~table:"R"
     ~levels:[ "R"; "A"; "B" ] ~max_ids:[ 6; 4 ]
     ~hidden_cols:[ ("q", Value.T_int); ("s", Value.T_char 8) ]
 
@@ -145,7 +139,7 @@ let test_tombstone_folding () =
 let test_flat_mode_untouched () =
   let f = flash () in
   let log =
-    Delta_log.create ~durability:Delta_log.Checksummed f ~table:"R"
+    Delta_log.create f ~table:"R"
       ~levels:[ "R"; "A"; "B" ] ~max_ids:[ 6; 4 ]
       ~hidden_cols:[ ("q", Value.T_int); ("s", Value.T_char 8) ]
   in
@@ -639,8 +633,7 @@ let run_interleaving_case seed =
   let device_config =
     {
       Device.default_config with
-      Device.durable_logs = true;
-      flash_geometry = small_geometry;
+      Device.flash_geometry = small_geometry;
       log_runs = Some { Device.l0_spill_pages = 2; run_fanout = 2 };
     }
   in

@@ -283,8 +283,7 @@ let rows_after_mutations ~leveled () =
       Some
         {
           Device.default_config with
-          Device.durable_logs = true;
-          flash_geometry = { Ghost_flash.Flash.page_size = 256; pages_per_block = 8 };
+          Device.flash_geometry = { Ghost_flash.Flash.page_size = 256; pages_per_block = 8 };
           log_runs = Some { Device.l0_spill_pages = 2; run_fanout = 2 };
         }
   in

@@ -310,8 +310,7 @@ let run_reorg_case seed =
   let device_config =
     {
       Device.default_config with
-      Device.durable_logs = true;
-      flash_fault =
+      Device.flash_fault =
         Some
           {
             Flash.no_faults with

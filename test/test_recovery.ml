@@ -1,7 +1,7 @@
 (* End-to-end crash recovery: a power cut tears a log program while the
-   database is running with durable (checksummed) logs; recovery must
-   restore exactly the acknowledged state, and the public store must
-   agree with the device afterwards. *)
+   database is running; recovery must restore exactly the acknowledged
+   state from the sealed log pages, and the public store must agree
+   with the device afterwards. *)
 
 module Value = Ghost_kernel.Value
 module Rng = Ghost_kernel.Rng
@@ -21,11 +21,10 @@ let check = Alcotest.check
 (* 512-byte pages, so a write batch spans log pages at tiny scale: 9
    Prescription delta records or 123 tombstones per sealed page. The
    leveled layout spills every two full L0 pages into a run. *)
-let durable_config ~leveled =
+let config ~leveled =
   {
     Device.default_config with
-    Device.durable_logs = true;
-    flash_geometry = { Flash.page_size = 512; pages_per_block = 8 };
+    Device.flash_geometry = { Flash.page_size = 512; pages_per_block = 8 };
     log_runs =
       (if leveled then Some { Device.l0_spill_pages = 2; run_fanout = 2 } else None);
   }
@@ -35,7 +34,7 @@ let layouts = [ ("flat", false); ("leveled", true) ]
 let make ~leveled =
   let rows = Medical.generate Medical.tiny in
   let db =
-    Ghost_db.of_schema ~device_config:(durable_config ~leveled) (Medical.schema ()) rows
+    Ghost_db.of_schema ~device_config:(config ~leveled) (Medical.schema ()) rows
   in
   (db, rows)
 

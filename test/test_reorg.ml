@@ -20,8 +20,6 @@ module Exec = Ghostdb.Exec
 
 let check = Alcotest.check
 
-let durable_config = { Device.default_config with Device.durable_logs = true }
-
 (* {2 A small two-table schema, kept tiny so the per-index sweep stays
    fast: every index is a full setup + rebuild + recovery.} *)
 
@@ -77,10 +75,7 @@ let mini_inserts () =
 
 (* One database carrying pending work, deterministic across the sweep. *)
 let setup () =
-  let db =
-    Ghost_db.of_schema ~device_config:durable_config (mini_schema ())
-      (mini_rows ())
-  in
+  let db = Ghost_db.of_schema (mini_schema ()) (mini_rows ()) in
   Ghost_db.insert db (mini_inserts ());
   Ghost_db.delete db deleted_visits;
   db
@@ -247,9 +242,7 @@ let test_double_crash_then_recover () =
 let test_rollforward_medical_matches_reference () =
   let scale = Medical.tiny in
   let rows = Medical.generate scale in
-  let db =
-    Ghost_db.of_schema ~device_config:durable_config (Medical.schema ()) rows
-  in
+  let db = Ghost_db.of_schema (Medical.schema ()) rows in
   let rng = Rng.create 7 in
   let batch =
     List.init 10 (fun i ->
