@@ -68,11 +68,11 @@ val retail_workload : unit -> Report.t
     shape end to end, with the privacy audit. *)
 
 val robustness : ?scale:Medical.scale -> unit -> Report.t
-(** E15 (extension): overhead of the robustness machinery — durable
-    (checksummed) logs, NAND bit-rot corrected by ECC, program failures
-    remapped around bad blocks, and a lossy USB link with
-    retry-with-backoff — on an insert + query workload, per fault
-    profile. Deterministic (seeded fault injection). *)
+(** E15 (extension): overhead of the robustness machinery — NAND
+    bit-rot corrected by ECC, program failures remapped around bad
+    blocks, and a lossy USB link with retry-with-backoff — on an insert
+    + query workload, per fault profile. Deterministic (seeded fault
+    injection). *)
 
 val page_cache_sweep :
   ?metrics:Ghost_metrics.Metrics.t -> ?scale:Medical.scale -> unit -> Report.t

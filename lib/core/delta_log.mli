@@ -41,9 +41,8 @@ module Flash = Ghost_flash.Flash
     power cut mid-spill must not disturb the acknowledged-record
     protocol {!Insert} relies on); it runs in background slices via
     {!compact_step}, typically driven by {!Compaction} under the
-    scheduler. Without a policy nothing
-    changes: the flat format and all observable behavior stay
-    bit-identical to the seed. See DESIGN.md section 16. *)
+    scheduler. Without a policy the log stays flat. See DESIGN.md
+    section 16. *)
 
 type runs_policy = {
   l0_spill_pages : int;
@@ -76,8 +75,8 @@ val create :
     recoverable after a power cut. [cache] — the device's shared page
     cache; every append and compaction program invalidates the page it
     programs there, since {!Flash.append} recycles erased pages the
-    cache may still hold. [runs] — omit for the seed's flat log;
-    supply a policy to enable leveled compaction. *)
+    cache may still hold. [runs] — omit for a flat log; supply a
+    policy to enable leveled compaction. *)
 
 val table : t -> string
 val count : t -> int

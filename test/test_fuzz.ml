@@ -1,7 +1,7 @@
 (* Robustness fuzzing: the SQL front end must never crash with anything
-   but its own typed errors, whatever bytes arrive; and the durable logs
-   must recover exactly the acknowledged prefix from a power cut at
-   every page position. *)
+   but its own typed errors, whatever bytes arrive; and the logs must
+   recover exactly the acknowledged prefix from a power cut at every
+   page position. *)
 
 module Lexer = Ghost_sql.Lexer
 module Parser = Ghost_sql.Parser

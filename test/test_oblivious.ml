@@ -272,7 +272,7 @@ let test_rows_match_reference () =
 
 (* Delta-log and tombstone coverage: the fixed-shape scan must see
    fresh inserts and stop seeing deleted roots, like the baseline. With
-   [leveled], the device keeps durable logs in leveled runs (small
+   [leveled], the device keeps its delta log in leveled runs (small
    pages, so the inserts spill) and compaction runs between the inserts
    and the deletes and after them, so the whole-log scan crosses sorted
    runs and folded tombstones. *)

@@ -296,11 +296,11 @@ let run_case seed =
   !ok
 
 (* Second property: journaled reorganization under fault injection.
-   With durable logs and a lossy NAND (read flips corrected by ECC,
-   occasional program failures remapped by the controller), inserting
-   and deleting random root rows then reorganizing must produce a fresh
-   image whose answers match the reference on the compacted root ids,
-   with the delta folded and at least one checkpoint journaled. *)
+   With a lossy NAND (read flips corrected by ECC, occasional program
+   failures remapped by the controller), inserting and deleting random
+   root rows then reorganizing must produce a fresh image whose answers
+   match the reference on the compacted root ids, with the delta folded
+   and at least one checkpoint journaled. *)
 let run_reorg_case seed =
   let rng = Rng.create (seed lxor 0x5bd1e9) in
   let tables = random_tables rng in

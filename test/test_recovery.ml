@@ -248,11 +248,13 @@ let test_power_cut_during_delete () =
        check_mirrors ~tag:(tag ^ "resumed: ") db rows ~inserted ~deleted:(deleted @ torn))
     layouts
 
-let test_plain_logs_have_no_recovery () =
+(* Sealed logs on the default device need no recovery until a power
+   cut tears a program. *)
+let test_no_power_cut_no_recovery () =
   let rows = Medical.generate Medical.tiny in
   let db = Ghost_db.of_schema (Medical.schema ()) rows in
   Ghost_db.insert db (new_prescriptions db 2);
-  check Alcotest.bool "plain logs never need recovery" false
+  check Alcotest.bool "no recovery without a power cut" false
     (Ghost_db.needs_recovery db)
 
 let suite = [
@@ -260,5 +262,5 @@ let suite = [
   Alcotest.test_case "recovered db matches reference" `Quick
     test_power_cut_insert_query_matches_reference;
   Alcotest.test_case "power cut during delete" `Quick test_power_cut_during_delete;
-  Alcotest.test_case "plain logs have no recovery" `Quick test_plain_logs_have_no_recovery;
+  Alcotest.test_case "no power cut, no recovery" `Quick test_no_power_cut_no_recovery;
 ]
