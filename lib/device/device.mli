@@ -74,15 +74,14 @@ type config = {
           of letting corrupt bytes reach the executor (DESIGN.md
           section 14). Every log read then fetches whole pages and
           checks their seals. Default false: unauthenticated pages,
-          every output bit-identical to the seed. *)
+          unverified reads. *)
   log_runs : log_runs option;
       (** restructure the delta log into leveled sorted runs: the flat
           append-only pages become an L0 memtable that background
           compaction spills into CRC-checksummed sorted runs and
           merges level by level, bounding merge-on-read depth under
           sustained writes (DESIGN.md section 16). [None] (the
-          default) keeps the single flat log, every output
-          bit-identical to the seed. *)
+          default) keeps the single flat log. *)
 }
 
 and log_runs = {
