@@ -72,12 +72,12 @@ val pp_storage : Format.formatter -> storage_report -> unit
 val page_intact : t -> page:int -> bool
 (** Whether a fresh read of [page] (metered, straight from the cells,
     past the page cache) passes the checks a verified read makes of
-    it — how {!Exec} classifies a caught {!Ghost_flash.Flash.Integrity_error}
-    as transient or persistent. A live page of a delta log (L0, or
-    either stream of a run) or of a tombstone log is checked against
-    its own seal; any other page against the structure-page trailer
-    ({!Ghost_flash.Flash.page_intact}). Requires an authenticated
-    device. *)
+    it — how {!retry_transient} classifies a caught
+    {!Ghost_flash.Flash.Integrity_error} as transient or persistent.
+    A live page of a delta log (L0, or either stream of a run) or of a
+    tombstone log is checked against its own seal; any other page
+    against the structure-page trailer ({!Ghost_flash.Flash.page_intact}).
+    Requires an authenticated device. *)
 
 val retry_transient : t -> (unit -> 'a) -> 'a
 (** [retry_transient t f] runs [f]; if it raises
