@@ -2,7 +2,6 @@ module Device = Ghost_device.Device
 
 type t = {
   cat : Catalog.t;
-  max_pages : int;
   mutable spills : int;
   mutable merges : int;
   mutable pages_written : int;
@@ -16,11 +15,11 @@ type progress = {
   records_dropped : int;
 }
 
-let default_max_pages = 2
+(* Run pages programmed per slice. *)
+let max_pages = 2
 
-let create ?(max_pages = default_max_pages) cat =
-  if max_pages <= 0 then invalid_arg "Compaction.create: max_pages <= 0";
-  { cat; max_pages; spills = 0; merges = 0; pages_written = 0; records_dropped = 0 }
+let create cat =
+  { cat; spills = 0; merges = 0; pages_written = 0; records_dropped = 0 }
 
 (* Tables with pending compaction, by name: deterministic slice order
    (only the schema root carries a delta log today, but the walk is
@@ -43,7 +42,7 @@ let step t =
       | Some ts -> fun id -> Tombstone_log.mem ts id
       | None -> fun _ -> false
     in
-    (match Delta_log.compact_step ~drop log ~max_pages:t.max_pages with
+    (match Delta_log.compact_step ~drop log ~max_pages with
      | Delta_log.Idle -> false
      | Delta_log.Worked -> true
      | Delta_log.Installed i ->

@@ -6,7 +6,7 @@ module Device = Ghost_device.Device
     catalog in small, bounded slices — the write-path counterpart of
     the Flash scrubber, designed for the same scheduler idle slices
     (see {!Ghost_sched.Scheduler.set_compactor}). Each slice programs
-    at most [max_pages] run pages, so a slice's device-clock charge is
+    at most 2 run pages, so a slice's device-clock charge is
     bounded no matter how deep the leveled tree has grown, and the
     resumable unit state lives on the log itself (plain data), so a
     marshalled image resumes compaction exactly where it stopped.
@@ -37,13 +37,9 @@ type progress = {
   records_dropped : int;  (** tombstoned records folded away *)
 }
 
-val create : ?max_pages:int -> Catalog.t -> t
+val create : Catalog.t -> t
 (** A compactor over every delta log of the catalog (present and
-    future — logs are created lazily on first insert). [max_pages]
-    (default {!default_max_pages}) bounds the run pages programmed per
-    {!step}. Raises [Invalid_argument] when [max_pages <= 0]. *)
-
-val default_max_pages : int
+    future — logs are created lazily on first insert). *)
 
 val step : t -> bool
 (** Runs one slice on the first log (by table name) with pending

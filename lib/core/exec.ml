@@ -1218,12 +1218,13 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
    cells still verify) retries the plan once from the top; persistent
    damage fails the session with the original error — never with
    silently wrong rows. *)
-let execute ~exact_post ~bloom_fpr ~scratch catalog public plan =
+let execute ?(exact_post = true) ?(bloom_fpr = 0.01) ~scratch catalog public
+    plan =
   Catalog.retry_transient catalog (fun () ->
       execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan)
 
-let run ?(exact_post = true) ?(bloom_fpr = 0.01) catalog public plan =
-  execute ~exact_post ~bloom_fpr
+let run ?exact_post ?bloom_fpr catalog public plan =
+  execute ?exact_post ?bloom_fpr
     ~scratch:(Device.scratch catalog.Catalog.device) catalog public plan
 
 (* ---- resumable execution (the scheduler's step machine) ----
@@ -1257,9 +1258,7 @@ type step_machine = {
   mutable sm_state : sm_state;
 }
 
-let start ?(exact_post = true) ?(bloom_fpr = 0.01) ?(quantum_us = infinity)
-    ?scratch catalog public plan =
-  check_bloom_fpr bloom_fpr;
+let start ?(quantum_us = infinity) ?scratch catalog public plan =
   if not (quantum_us > 0.) then
     invalid_arg "Exec.start: quantum_us must be positive";
   let device = catalog.Catalog.device in
@@ -1272,7 +1271,7 @@ let start ?(exact_post = true) ?(bloom_fpr = 0.01) ?(quantum_us = infinity)
     sm_state =
       Sm_pending
         (fun () ->
-           Finished (execute ~exact_post ~bloom_fpr ~scratch catalog public plan));
+           Finished (execute ~scratch catalog public plan));
   }
 
 let finished m =

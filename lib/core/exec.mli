@@ -97,23 +97,21 @@ exception Cancelled
     execution, so deferred releases run; never escapes to callers. *)
 
 val start :
-  ?exact_post:bool ->
-  ?bloom_fpr:float ->
   ?quantum_us:float ->
   ?scratch:Flash.t ->
   Catalog.t ->
   Public_store.t ->
   Plan.t ->
   step_machine
-(** Prepares a resumable execution. [quantum_us] (default [infinity])
+(** Prepares a resumable execution with {!run}'s defaults: exact Post
+    verification and 1 % Bloom filters. [quantum_us] (default [infinity])
     is the slice length in simulated device microseconds — execution
     yields at the first clock charge past it, at tuple granularity.
     [scratch] overrides the spill region (the scheduler passes a
     per-session region from {!Device.new_scratch_region} so one
     session's reclaim cannot tear another's sort runs); default is the
     device's shared scratch. Nothing executes until the first
-    {!step}. Raises [Invalid_argument] on a [bloom_fpr] outside (0, 1)
-    or a non-positive quantum. *)
+    {!step}. Raises [Invalid_argument] on a non-positive quantum. *)
 
 val step : step_machine -> step_outcome
 (** Runs one slice. An exception from the plan (e.g.

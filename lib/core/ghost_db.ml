@@ -193,7 +193,7 @@ let compaction_pending t =
 
 let plans t sql = Planner.with_estimates t.catalog (bind t sql)
 
-let query t ?exact_post ?bloom_fpr ?(oblivious = false) sql =
+let query t ?(oblivious = false) sql =
   let q = bind t sql in
   let plan, est =
     if oblivious then begin
@@ -205,7 +205,7 @@ let query t ?exact_post ?bloom_fpr ?(oblivious = false) sql =
     end
     else Planner.best t.catalog q
   in
-  let r = Exec.run ?exact_post ?bloom_fpr t.catalog t.public plan in
+  let r = Exec.run t.catalog t.public plan in
   (* Serial queries are calibration ground truth too: the planner's
      estimate for the chosen plan against the measured device time. *)
   (match Device.metrics (device t) with
@@ -215,11 +215,7 @@ let query t ?exact_post ?bloom_fpr ?(oblivious = false) sql =
        ~predicted_us:est.Cost.est_time_us ~measured_us:r.Exec.elapsed_us);
   r
 
-let run_plan t ?exact_post ?bloom_fpr ?(oblivious = false) plan =
-  let plan =
-    if oblivious then Plan.with_mode plan Ghost_oblivious.Oblivious.Full
-    else plan
-  in
+let run_plan t ?exact_post ?bloom_fpr plan =
   Exec.run ?exact_post ?bloom_fpr t.catalog t.public plan
 
 let spy_report t = Spy.analyze t.trace
@@ -248,9 +244,10 @@ exception Image_error of string
    acknowledged records; to 12 when a log run split into id and value
    page streams; to 13 when run id pages became bit-packed and the
    delta log gained its largest ids; to 14 when every log page became
-   sealed and the log lost its format field: older marshalled images
-   are incompatible. *)
-let image_magic = "GHOSTDB-IMAGE-14\n"
+   sealed and the log lost its format field; to 15 when the USB fault
+   config lost its backoff jitter and the device its jitter stream:
+   older marshalled images are incompatible. *)
+let image_magic = "GHOSTDB-IMAGE-15\n"
 
 (* Image layout: magic | u64 payload length | payload (marshalled
    instance) | u32 CRC-32 of the payload. Written to [<path>.tmp] and

@@ -172,13 +172,9 @@ val recover : t -> recovery_report
     reorganization stays pending and the next [recover] picks it up
     from the checkpoints that survived. *)
 
-val query :
-  t -> ?exact_post:bool -> ?bloom_fpr:float -> ?oblivious:bool -> string ->
-  Exec.result
-(** Optimize and execute. [bloom_fpr] is the target false-positive
-    rate for Post-filter Bloom filters; it must lie strictly between 0
-    and 1 or the call raises [Invalid_argument] before touching the
-    device.
+val query : t -> ?oblivious:bool -> string -> Exec.result
+(** Optimize and execute the best plan with {!Exec.run}'s defaults:
+    exact Post verification and 1 % Bloom filters.
 
     [oblivious] (default false) runs the query in its fixed shape
     ({!Planner.oblivious}, executed in [Full] mode): the spy-visible
@@ -193,13 +189,12 @@ val plans : t -> string -> (Plan.t * Cost.estimate) list
 (** The candidate-plan panel, best first. *)
 
 val run_plan :
-  t -> ?exact_post:bool -> ?bloom_fpr:float -> ?oblivious:bool -> Plan.t ->
-  Exec.result
-(** Execute a specific plan (ad-hoc plans of the demo's game phase).
-    Validates [bloom_fpr] exactly as {!query} does:
-    [Invalid_argument] unless it lies strictly between 0 and 1.
-    [oblivious] forces the plan to {!Plan.with_mode} [Full]; a plan
-    already carrying a mode (e.g. [Pad]) runs under it unchanged. *)
+  t -> ?exact_post:bool -> ?bloom_fpr:float -> Plan.t -> Exec.result
+(** Execute a specific plan (ad-hoc plans of the demo's game phase)
+    under its own {!Plan.t.oblivious} mode. [exact_post] and
+    [bloom_fpr] are {!Exec.run}'s ablation knobs: a [bloom_fpr]
+    outside the open interval (0, 1) raises [Invalid_argument] before
+    the device is touched. *)
 
 val spy_report : t -> Spy.report
 (** What a spy has observed since the last {!clear_trace}. *)

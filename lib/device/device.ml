@@ -7,7 +7,6 @@ type usb_fault = {
   corrupt_prob : float;
   max_retries : int;
   backoff_us : float;
-  backoff_jitter : float;
 }
 
 let default_usb_fault = {
@@ -15,7 +14,6 @@ let default_usb_fault = {
   corrupt_prob = 0.;
   max_retries = 4;
   backoff_us = 250.0;
-  backoff_jitter = 0.;
 }
 
 exception Usb_error of string
@@ -58,8 +56,6 @@ let default_config = {
   verify_pages = false;
   log_runs = None;
 }
-
-let high_speed_usb config = { config with usb_mbit_per_s = 480.0 }
 
 type counter =
   | Flash_bit_flips
@@ -150,9 +146,6 @@ type t = {
   page_cache : Page_cache.t option;
   trace : Trace.t;
   usb_rng : Rng.t option;
-  jitter_rng : Rng.t option;
-      (* separate stream (seed derived from [usb_seed]) so enabling
-         backoff jitter never shifts the corruption/retry schedule *)
   mutable session_scratch : Flash.t list;
       (* per-session spill regions handed out to the query scheduler;
          their traffic counts toward the device clock like [scratch] *)
@@ -211,8 +204,6 @@ let create ?(config = default_config) ~trace () =
      else None);
   trace;
   usb_rng = Option.map (fun f -> Rng.create f.usb_seed) config.usb_fault;
-  jitter_rng =
-    Option.map (fun f -> Rng.create (f.usb_seed lxor 0x5DEECE66)) config.usb_fault;
   session_scratch = [];
   on_tick = None;
   usb_bytes_in = 0;
@@ -311,19 +302,7 @@ let transfer_frame t dir link msgs ~total =
                     total (k + 1)))
       else begin
         note t Usb_retries;
-        let backoff = f.backoff_us *. Float.of_int (1 lsl k) in
-        (* Seeded jitter decorrelates retry schedules across fleet
-           devices. It draws from its own derived-seed stream, so the
-           fault schedule (which rides [usb_rng]) is identical with
-           jitter on or off, and the no-jitter default stays
-           bit-identical to the seed path. *)
-        let backoff =
-          if f.backoff_jitter > 0. then
-            let r = Rng.float (Option.get t.jitter_rng) 1.0 in
-            backoff *. (1. +. (f.backoff_jitter *. (r -. 0.5)))
-          else backoff
-        in
-        t.usb_us <- t.usb_us +. backoff;
+        t.usb_us <- t.usb_us +. (f.backoff_us *. Float.of_int (1 lsl k));
         attempt (k + 1)
       end
     end

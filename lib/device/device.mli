@@ -19,23 +19,15 @@ type usb_fault = {
   usb_seed : int;  (** seed of the corruption generator *)
   corrupt_prob : float;  (** per-attempt probability a transfer is corrupted *)
   max_retries : int;  (** retransmissions before the transfer fails *)
-  backoff_us : float;  (** base backoff; attempt [k] waits [2^k] times this *)
-  backoff_jitter : float;
-      (** fraction of the backoff randomized around its nominal value,
-          so retry schedules across a device fleet decorrelate instead
-          of stampeding in lockstep. [0.] (the default) draws nothing
-          and keeps every clock bit-identical to the seed path;
-          [j > 0.] scales each wait by a deterministic factor in
-          [1 - j/2, 1 + j/2), drawn from a separate stream seeded off
-          [usb_seed] so the corruption/retry schedule itself never
-          shifts. The jittered wait is metered on the device clock
-          and, like the base retry, every retransmitted attempt stays
-          spy-visible. *)
+  backoff_us : float;
+      (** base backoff; attempt [k] waits [2^k] times this, without
+          jitter. The wait is metered on the device clock and every
+          retransmitted attempt is spy-visible. *)
 }
 
 val default_usb_fault : usb_fault
-(** Zero corruption probability, 4 retries, 250 us base backoff, no
-    jitter — the base for [{ default_usb_fault with ... }] sweeps. *)
+(** Zero corruption probability, 4 retries, 250 us base backoff — the
+    base for [{ default_usb_fault with ... }] sweeps. *)
 
 exception Usb_error of string
 (** A transfer kept getting corrupted until the retry budget ran out. *)
@@ -100,10 +92,6 @@ val default_log_runs : log_runs
 val default_config : config
 (** The paper's demo device: 64 KiB RAM, 12 Mbit/s USB, 50 MIPS,
     default NAND geometry and costs, no fault injection. *)
-
-val high_speed_usb : config -> config
-(** Same device with a 480 Mbit/s link (the "future platforms" variant
-    of Section 3). *)
 
 type t
 

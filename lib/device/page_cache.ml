@@ -23,8 +23,6 @@ let diff_stats ~after ~before = {
   invalidations = after.invalidations - before.invalidations;
 }
 
-let no_activity s = s = zero_stats
-
 type t = {
   flash : Flash.t;
   page_size : int;

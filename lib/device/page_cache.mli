@@ -30,8 +30,6 @@ type stats = {
 val zero_stats : stats
 val add_stats : stats -> stats -> stats
 val diff_stats : after:stats -> before:stats -> stats
-val no_activity : stats -> bool
-(** True when every counter is zero (the cache was never touched). *)
 
 type t
 

@@ -8,7 +8,6 @@ module Device = Ghost_device.Device
 module Bind = Ghost_sql.Bind
 module Aggregate = Ghost_sql.Aggregate
 module Postproc = Ghost_sql.Postproc
-module Spy = Ghost_public.Spy
 module Ghost_db = Ghostdb.Ghost_db
 module Catalog = Ghostdb.Catalog
 module Reorg = Ghostdb.Reorg
@@ -27,20 +26,14 @@ type topology = {
 
 let default_topology = { shards = 1; replicas = 1; partitioning = Range }
 
-type robustness = {
-  suspect_after : int;
-  dead_after : int;
-  hedge_factor : float;
-}
-
-let default_robustness = { suspect_after = 1; dead_after = 3; hedge_factor = 4.0 }
+(* The health machine: consecutive transport failures before a replica
+   turns suspect, then dead; and the straggler budget, as a multiple of
+   the planner's time estimate. *)
+let suspect_after = 1
+let dead_after = 3
+let hedge_factor = 4.0
 
 type health = Healthy | Suspect | Dead
-
-let health_name = function
-  | Healthy -> "healthy"
-  | Suspect -> "suspect"
-  | Dead -> "dead"
 
 type replica = {
   mutable rep_db : Ghost_db.t;  (* swapped wholesale by a repair *)
@@ -65,9 +58,7 @@ type shard = {
 type t = {
   f_schema : Schema.t;
   f_topology : topology;
-  f_robustness : robustness;
   f_shards : shard array;
-  f_index_hidden_fks : bool option;  (* replayed by replica rebuilds *)
   root_name : string;
   root_key : string;
   n_root : int;
@@ -90,8 +81,8 @@ let shard_of_id partitioning ~shards ~n_root id =
   | Hash -> hash_id id mod shards
   | Range -> min (shards - 1) ((id - 1) * shards / n_root)
 
-let create ?device_config ?per_device_config ?index_hidden_fks
-    ?(topology = default_topology) ?(robustness = default_robustness) schema rows =
+let create ?device_config ?per_device_config ?(topology = default_topology)
+    schema rows =
   if topology.shards <= 0 then invalid_arg "Fleet.create: shards <= 0";
   if topology.replicas <= 0 then invalid_arg "Fleet.create: replicas <= 0";
   let root = Schema.root schema in
@@ -159,7 +150,7 @@ let create ?device_config ?per_device_config ?index_hidden_fks
                rep_db =
                  Ghost_db.of_schema
                    ?device_config:(config_for ~shard:s ~replica:r)
-                   ?index_hidden_fks schema shard_rows;
+                   schema shard_rows;
                rep_shard = s;
                rep_index = r;
                state = Healthy;
@@ -183,9 +174,7 @@ let create ?device_config ?per_device_config ?index_hidden_fks
   {
     f_schema = schema;
     f_topology = topology;
-    f_robustness = robustness;
     f_shards = shards;
-    f_index_hidden_fks = index_hidden_fks;
     root_name = root.Schema.name;
     root_key = root.Schema.key;
     n_root;
@@ -233,11 +222,10 @@ let revive t ~shard ~replica:r =
   rep.state <- Suspect;
   rep.consecutive_failures <- 0
 
-let note_failure t rep =
+let note_failure rep =
   rep.consecutive_failures <- rep.consecutive_failures + 1;
-  if rep.consecutive_failures >= t.f_robustness.dead_after then rep.state <- Dead
-  else if rep.consecutive_failures >= t.f_robustness.suspect_after then
-    rep.state <- Suspect
+  if rep.consecutive_failures >= dead_after then rep.state <- Dead
+  else if rep.consecutive_failures >= suspect_after then rep.state <- Suspect
 
 let recover_health rep =
   rep.consecutive_failures <- 0;
@@ -248,18 +236,18 @@ let note_success t ~shard ~replica:r = recover_health (replica t ~shard ~replica
 let note_error t ~shard ~replica:r =
   let rep = replica t ~shard ~replica:r in
   rep.errors <- rep.errors + 1;
-  note_failure t rep
+  note_failure rep
 
 let note_timeout t ~shard ~replica:r =
   let rep = replica t ~shard ~replica:r in
   rep.timeouts <- rep.timeouts + 1;
-  note_failure t rep
+  note_failure rep
 
-let probe_replica t rep =
+let probe_replica rep =
   rep.probes <- rep.probes + 1;
   if rep.forced_down then begin
     rep.probe_failures <- rep.probe_failures + 1;
-    note_failure t rep;
+    note_failure rep;
     false
   end
   else
@@ -269,10 +257,10 @@ let probe_replica t rep =
       true
     | exception Device.Usb_error _ ->
       rep.probe_failures <- rep.probe_failures + 1;
-      note_failure t rep;
+      note_failure rep;
       false
 
-let probe t ~shard ~replica:r = probe_replica t (replica t ~shard ~replica:r)
+let probe t ~shard ~replica:r = probe_replica (replica t ~shard ~replica:r)
 
 let pick_replica t ~shard ~exclude =
   let s = t.f_shards.(shard) in
@@ -290,7 +278,7 @@ let pick_replica t ~shard ~exclude =
     | i :: rest ->
       let rep = s.sh_replicas.(i) in
       if rep.state = Healthy then Some i
-      else if probe_replica t rep then Some i
+      else if probe_replica rep then Some i
       else first_live rest
   in
   first_live (in_state Healthy @ in_state Suspect)
@@ -441,7 +429,7 @@ type attempt_failure = Straggler | Transport | Integrity
 (* One execution attempt on one replica, bounded by [budget_us] of
    simulated device time (infinite when no live alternative remains:
    better a slow answer than none). *)
-let attempt t rep q ?exact_post ?bloom_fpr ~budget_us () =
+let attempt t rep q ~budget_us =
   (match t.chaos_hook with
    | Some f -> f ~shard:rep.rep_shard ~replica:rep.rep_index
    | None -> ());
@@ -453,8 +441,8 @@ let attempt t rep q ?exact_post ?bloom_fpr ~budget_us () =
     match
       let plan, _est = Planner.best (Ghost_db.catalog db) q in
       let machine =
-        Exec.start ?exact_post ?bloom_fpr ~quantum_us:budget_us
-          (Ghost_db.catalog db) (Ghost_db.public db) plan
+        Exec.start ~quantum_us:budget_us (Ghost_db.catalog db)
+          (Ghost_db.public db) plan
       in
       match Exec.step machine with
       | Exec.Finished r -> `Done r
@@ -478,7 +466,7 @@ let estimate_us rep q =
   | _, est -> est.Cost.est_time_us
   | exception _ -> infinity
 
-let exec_shard t shard_idx q ?exact_post ?bloom_fpr () =
+let exec_shard t shard_idx q =
   let tried = ref [] in
   let attempts = ref 0 in
   let hedged = ref false in
@@ -497,26 +485,26 @@ let exec_shard t shard_idx q ?exact_post ?bloom_fpr () =
       in
       let budget_us =
         if alternative then
-          Float.max 1.0 (t.f_robustness.hedge_factor *. estimate_us rep q)
+          Float.max 1.0 (hedge_factor *. estimate_us rep q)
         else infinity
       in
       incr attempts;
       let device = Ghost_db.device rep.rep_db in
       let t0 = Device.elapsed_us device in
-      match attempt t rep q ?exact_post ?bloom_fpr ~budget_us () with
+      match attempt t rep q ~budget_us with
       | Ok (r_exec, dt) ->
         recover_health rep;
         elapsed := !elapsed +. dt;
         (Some r, r_exec.Exec.rows)
       | Error Straggler ->
         rep.timeouts <- rep.timeouts + 1;
-        note_failure t rep;
+        note_failure rep;
         hedged := true;
         elapsed := !elapsed +. (Device.elapsed_us device -. t0);
         go ()
       | Error Transport ->
         rep.errors <- rep.errors + 1;
-        note_failure t rep;
+        note_failure rep;
         failed_over := true;
         elapsed := !elapsed +. (Device.elapsed_us device -. t0);
         go ()
@@ -526,7 +514,7 @@ let exec_shard t shard_idx q ?exact_post ?bloom_fpr () =
            to suspect (and eventually dead) — probed before readmission,
            rebuilt by anti-entropy. *)
         rep.integrity_failures <- rep.integrity_failures + 1;
-        note_failure t rep;
+        note_failure rep;
         failed_over := true;
         elapsed := !elapsed +. (Device.elapsed_us device -. t0);
         go ()
@@ -542,12 +530,12 @@ let exec_shard t shard_idx q ?exact_post ?bloom_fpr () =
     },
     rows )
 
-let query t ?exact_post ?bloom_fpr sql =
+let query t sql =
   match t.single with
   | Some db when t.chaos_hook = None
               && t.f_shards.(0).sh_replicas.(0).forced_down = false ->
     (* The seed path, bit-identical: one device, no fleet machinery. *)
-    let r = Ghost_db.query db ?exact_post ?bloom_fpr sql in
+    let r = Ghost_db.query db sql in
     {
       rows = r.Exec.rows;
       row_count = r.Exec.row_count;
@@ -571,7 +559,7 @@ let query t ?exact_post ?bloom_fpr sql =
           (Array.mapi
              (fun s _ ->
                 let sub = subquery t ~shard:s q in
-                let report, rows = exec_shard t s sub ?exact_post ?bloom_fpr () in
+                let report, rows = exec_shard t s sub in
                 (report, remap t q ~shard:s rows))
              t.f_shards)
       else begin
@@ -582,7 +570,7 @@ let query t ?exact_post ?bloom_fpr sql =
         let rec go acc = function
           | [] -> List.rev acc
           | s :: rest ->
-            let report, rows = exec_shard t s sub ?exact_post ?bloom_fpr () in
+            let report, rows = exec_shard t s sub in
             let acc = (report, rows) :: acc in
             if report.sr_served_by = None then go acc rest else List.rev acc
         in
@@ -668,7 +656,7 @@ let rebuild_from t victim peer =
   let fresh =
     Ghost_db.of_schema
       ~device_config:(Device.config (Ghost_db.device victim.rep_db))
-      ?index_hidden_fks:t.f_index_hidden_fks t.f_schema rows
+      t.f_schema rows
   in
   Ghost_db.set_metrics fresh (Ghost_db.metrics victim.rep_db);
   victim.rep_db <- fresh;
@@ -786,12 +774,6 @@ let audit t =
         0. per_device;
     padding_bytes = sum (fun (v : Privacy.verdict) -> v.Privacy.padding_bytes);
   }
-
-let spy_reports t =
-  fold_devices t (fun key rep -> (key, Ghost_db.spy_report rep.rep_db))
-
-let clear_traces t =
-  ignore (fold_devices t (fun _ rep -> Ghost_db.clear_trace rep.rep_db))
 
 let set_metrics t m =
   ignore (fold_devices t (fun _ rep -> Ghost_db.set_metrics rep.rep_db m))

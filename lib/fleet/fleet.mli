@@ -3,7 +3,6 @@ module Schema = Ghost_relation.Schema
 module Relation = Ghost_relation.Relation
 module Device = Ghost_device.Device
 module Bind = Ghost_sql.Bind
-module Spy = Ghost_public.Spy
 module Ghost_db = Ghostdb.Ghost_db
 module Exec = Ghostdb.Exec
 module Privacy = Ghostdb.Privacy
@@ -63,32 +62,16 @@ type topology = {
 val default_topology : topology
 (** One shard, one replica, {!Range} — the paper's single device. *)
 
-type robustness = {
-  suspect_after : int;
-      (** consecutive transport failures before healthy → suspect *)
-  dead_after : int;
-      (** consecutive transport failures before → dead *)
-  hedge_factor : float;
-      (** straggler budget = factor × the planner's time estimate; a
-          replica still running past it is cancelled and the read
-          hedged to the next replica (only when one is live) *)
-}
-
-val default_robustness : robustness
-(** Suspect after 1 failure, dead after 3, hedge at 4× the estimate. *)
-
 type health = Healthy | Suspect | Dead
-
-val health_name : health -> string
+(** A replica turns suspect after 1 consecutive transport failure and
+    dead after 3. *)
 
 type t
 
 val create :
   ?device_config:Device.config ->
   ?per_device_config:(shard:int -> replica:int -> Device.config) ->
-  ?index_hidden_fks:bool ->
   ?topology:topology ->
-  ?robustness:robustness ->
   Schema.t ->
   (string * Relation.tuple list) list ->
   t
@@ -218,9 +201,11 @@ type result = {
   shard_reports : shard_report list;
 }
 
-val query : t -> ?exact_post:bool -> ?bloom_fpr:float -> string -> result
+val query : t -> string -> result
 (** Scatter–gather with hedging, failover and graceful degradation, as
-    described above. Single shard + single replica is a pass-through
+    described above. A replica still running past 4× the planner's
+    time estimate is cancelled and the read hedged to the next replica
+    (only when one is live). Single shard + single replica is a pass-through
     to {!Ghost_db.query} (bit-identical to the seed path). A replica
     whose read raises a persistent {!Flash.Integrity_error} is treated
     like a transport failure — the read fails over and the health
@@ -274,9 +259,6 @@ val audit : t -> Privacy.verdict
     own visible-data accesses, nothing else, and the merge layer only
     handles data the spy model already concedes (visible columns and
     root-id lists). Violations are prefixed with their device. *)
-
-val spy_reports : t -> ((int * int) * Spy.report) list
-val clear_traces : t -> unit
 
 val set_metrics : t -> Ghost_metrics.Metrics.t option -> unit
 (** Attaches one registry to every device (per-device totals are

@@ -107,8 +107,7 @@ type sub = {
   mutable sb_tried : int list;  (* replicas tried on the current shard *)
 }
 
-let run ?(policy = Scheduler.Fifo) ?(quantum_us = infinity) ?(kills = [])
-    ?on_outcome fleet (spec : spec) =
+let run ?(kills = []) ?on_outcome fleet (spec : spec) =
   if spec.clients <= 0 then invalid_arg "Fleet_driver.run: clients <= 0";
   if spec.queries_per_client <= 0 then
     invalid_arg "Fleet_driver.run: queries_per_client <= 0";
@@ -126,8 +125,7 @@ let run ?(policy = Scheduler.Fifo) ?(quantum_us = infinity) ?(kills = [])
         d_replica = r;
         d_device = device;
         d_sched =
-          Scheduler.create ~policy ~quantum_us (Ghost_db.catalog db)
-            (Ghost_db.public db);
+          Scheduler.create (Ghost_db.catalog db) (Ghost_db.public db);
         (* The loads charged during construction predate the workload:
            start the shared timeline at zero. *)
         d_offset = -.Device.elapsed_us device;

@@ -72,15 +72,14 @@ type summary = {
 }
 
 val run :
-  ?policy:Scheduler.policy ->
-  ?quantum_us:float ->
   ?kills:kill list ->
   ?on_outcome:(query_outcome -> unit) ->
   Fleet.t ->
   spec ->
   summary
 (** Every query terminates: completed, or partial once every replica
-    of some shard is dead or past its retry budget. Deterministic for
-    a given fleet, spec and kill list. *)
+    of some shard is dead or past its retry budget. Each device's
+    scheduler runs {!Scheduler.Fifo} with an infinite quantum.
+    Deterministic for a given fleet, spec and kill list. *)
 
 val pp_summary : Format.formatter -> summary -> unit

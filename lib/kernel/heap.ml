@@ -6,7 +6,6 @@ type 'a t = {
 
 let create ~cmp = { cmp; items = [||]; size = 0 }
 let size t = t.size
-let is_empty t = t.size = 0
 
 let swap t i j =
   let tmp = t.items.(i) in

@@ -4,7 +4,6 @@ type 'a t
 
 val create : cmp:('a -> 'a -> int) -> 'a t
 val size : 'a t -> int
-val is_empty : 'a t -> bool
 val push : 'a t -> 'a -> unit
 val pop : 'a t -> 'a option
 (** Smallest element, or [None] when empty. *)

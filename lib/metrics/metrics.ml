@@ -200,7 +200,10 @@ type calibration_entry = {
   flagged : bool;
 }
 
-let calibration_report ?(threshold = 1.0) t =
+(* A class is flagged past a 2x misprediction. *)
+let drift_threshold = 1.0
+
+let calibration_report t =
   Hashtbl.fold (fun cls r acc -> (cls, !r) :: acc) t.cal []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   |> List.map (fun (cls, samples) ->
@@ -216,7 +219,7 @@ let calibration_report ?(threshold = 1.0) t =
         predicted_us = pred;
         measured_us = meas;
         rel_error;
-        flagged = rel_error > threshold;
+        flagged = rel_error > drift_threshold;
       })
 
 let pp_calibration ppf entries =
@@ -244,7 +247,7 @@ let sorted_table fold_value tbl =
   Hashtbl.fold (fun k v acc -> (k, fold_value v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let to_json ?threshold t =
+let to_json t =
   let counters =
     sorted_table (fun r -> Json.Num (float_of_int !r)) t.counters
   in
@@ -266,7 +269,7 @@ let to_json ?threshold t =
       t.histograms
   in
   let calibration =
-    calibration_report ?threshold t
+    calibration_report t
     |> List.map (fun e ->
         Json.Obj
           [

@@ -120,12 +120,11 @@ type calibration_entry = {
   predicted_us : float;  (** sum over samples *)
   measured_us : float;  (** sum over samples *)
   rel_error : float;  (** |predicted - measured| / max(measured, 1) *)
-  flagged : bool;  (** [rel_error > threshold] *)
+  flagged : bool;  (** [rel_error > 1.0], i.e. a 2x misprediction *)
 }
 
-val calibration_report : ?threshold:float -> t -> calibration_entry list
-(** Per-class summary, sorted by class name. [threshold] (default 1.0,
-    i.e. a 2x misprediction) sets the flag. Samples are folded in a
+val calibration_report : t -> calibration_entry list
+(** Per-class summary, sorted by class name. Samples are folded in a
     sorted order, so the sums do not depend on completion order. *)
 
 val pp_calibration : Format.formatter -> calibration_entry list -> unit
@@ -134,7 +133,7 @@ val pp_calibration : Format.formatter -> calibration_entry list -> unit
 
 (** {2 Exporters} *)
 
-val to_json : ?threshold:float -> t -> string
+val to_json : t -> string
 (** The stable machine-readable [metrics.json]: [{"version", "counters",
     "gauges", "histograms", "calibration", "spans_recorded",
     "spans_dropped"}] with every map sorted by key. This is what the

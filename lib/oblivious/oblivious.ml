@@ -51,16 +51,6 @@ let select ?session trace =
 let trace_bits ?session trace =
   List.fold_left (fun acc e -> acc +. event_bits e) 0. (select ?session trace)
 
-let padding_bytes ?session trace =
-  List.fold_left
-    (fun acc (e : Trace.event) ->
-       if not (Trace.spy_visible e.Trace.link) then acc
-       else
-         match e.Trace.obl with
-         | None -> acc
-         | Some o -> acc + o.Trace.obl_pad_bytes)
-    0 (select ?session trace)
-
 (* ---- empirical entropy ---- *)
 
 module Entropy = struct
@@ -87,10 +77,8 @@ end
 
 (* ---- trace fingerprints ---- *)
 
-let payload_shape ~query_text = function
-  | Trace.Query_text q ->
-    if query_text then Printf.sprintf "query=%S" q
-    else Printf.sprintf "query[%dB]" (String.length q)
+let payload_shape = function
+  | Trace.Query_text q -> Printf.sprintf "query[%dB]" (String.length q)
   | Trace.Id_list { table; count } -> Printf.sprintf "ids(%s)x%d" table count
   | Trace.Value_stream { table; column; count } ->
     Printf.sprintf "stream(%s.%s)x%d" table column count
@@ -100,7 +88,7 @@ let payload_shape ~query_text = function
   | Trace.Reorg_progress { phase; phases } ->
     Printf.sprintf "reorg %d/%d" phase phases
 
-let fingerprint ?session ?(query_text = false) trace =
+let fingerprint ?session trace =
   let events =
     List.filter
       (fun (e : Trace.event) -> Trace.spy_visible e.Trace.link)
@@ -112,7 +100,7 @@ let fingerprint ?session ?(query_text = false) trace =
        Buffer.add_string buf
          (Printf.sprintf "#%d %s %s %dB\n" i
             (Trace.link_name e.Trace.link)
-            (payload_shape ~query_text e.Trace.payload)
+            (payload_shape e.Trace.payload)
             e.Trace.bytes))
     events;
   Buffer.contents buf

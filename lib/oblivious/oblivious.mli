@@ -70,11 +70,6 @@ val trace_bits : ?session:int -> Trace.t -> float
 (** Total modeled data-dependent bits over the (optionally
     per-session) trace: the sum of {!event_bits}. *)
 
-val padding_bytes : ?session:int -> Trace.t -> int
-(** Total dummy-padding bytes over the {e spy-visible} events of the
-    trace — the overhead a padded execution shipped beyond the real
-    payload. 0 for a baseline trace. *)
-
 (** {2 Empirical entropy} *)
 
 module Entropy : sig
@@ -90,12 +85,11 @@ end
 
 (** {2 Trace fingerprints} *)
 
-val fingerprint : ?session:int -> ?query_text:bool -> Trace.t -> string
+val fingerprint : ?session:int -> Trace.t -> string
 (** Canonical rendering of the spy-visible trace: one line per event —
     link, payload shape (constructor, table, column, count) and byte
-    size. [Query_text] payloads render as their byte length only
-    (default [query_text:false]): the query text is the paper's
-    declared leak, and eliding it makes fingerprint equality exactly
+    size. [Query_text] payloads render as their byte length only: the
+    query text is the paper's declared leak, and eliding it makes fingerprint equality exactly
     the {e access-pattern} guarantee of oblivious mode. Sequence
     numbers are renumbered from 0 so traces taken at different offsets
     compare equal. *)

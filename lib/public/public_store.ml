@@ -122,15 +122,3 @@ let lookup t ~table ~column id =
   let rel = Hashtbl.find t.visible table in
   Option.map (fun row -> Relation.value rel row column) (Relation.find rel id)
 
-let all_ids t ~trace name =
-  let rel = Hashtbl.find t.visible name in
-  record_subquery ~trace
-    (Printf.sprintf "SELECT %s FROM %s" (Relation.schema rel).Schema.key name);
-  let ids =
-    Sorted_ids.of_unsorted
-      (List.map (Relation.key_of rel) (Array.to_list (Relation.tuples rel)))
-  in
-  Trace.record trace Trace.Server_to_pc
-    (Trace.Id_list { table = name; count = Array.length ids })
-    ~bytes:(4 * Array.length ids);
-  ids

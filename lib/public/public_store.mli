@@ -48,10 +48,6 @@ val stream_column :
     restricted to tuples satisfying all [preds] (visible predicates on
     the same table). Traffic is recorded like {!select_ids}. *)
 
-val all_ids : t -> trace:Trace.t -> string -> int array
-(** Sorted ids of a whole table (an unfiltered projection stream
-    request). *)
-
 val append_rows : t -> string -> Relation.tuple list -> unit
 (** Appends freshly inserted rows (their visible part) to a table.
     Raises [Invalid_argument] on arity/type/duplicate-key problems. *)

@@ -4,10 +4,6 @@ type visibility =
   | Visible
   | Hidden
 
-let visibility_name = function
-  | Visible -> "visible"
-  | Hidden -> "hidden"
-
 type t = {
   name : string;
   ty : Value.ty;

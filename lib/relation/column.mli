@@ -12,8 +12,6 @@ type visibility =
   | Visible  (** may live on the PC / public server *)
   | Hidden  (** lives only on the secure USB device *)
 
-val visibility_name : visibility -> string
-
 type t = {
   name : string;
   ty : Value.ty;

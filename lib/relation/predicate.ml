@@ -49,10 +49,6 @@ let eval cmp v =
 
 let holds p v = eval p.cmp v
 
-let is_equality = function
-  | Eq _ -> true
-  | Ne _ | Lt _ | Le _ | Gt _ | Ge _ | Between _ | In _ | Prefix _ -> false
-
 let comparison_to_string = function
   | Eq x -> Printf.sprintf "= %s" (Value.to_string x)
   | Ne x -> Printf.sprintf "<> %s" (Value.to_string x)

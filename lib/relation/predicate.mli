@@ -35,7 +35,6 @@ val eval : comparison -> Value.t -> bool
 val holds : t -> Value.t -> bool
 (** [eval p.cmp]. *)
 
-val is_equality : comparison -> bool
 val comparison_to_string : comparison -> string
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -17,12 +17,6 @@ let policy_name = function
   | Round_robin -> "round-robin"
   | Cost_based -> "cost-based"
 
-let policy_of_string = function
-  | "fifo" -> Some Fifo
-  | "round-robin" | "rr" -> Some Round_robin
-  | "cost-based" | "srcf" -> Some Cost_based
-  | _ -> None
-
 type outcome =
   | Completed of Exec.result
   | Cancelled of string
@@ -79,8 +73,6 @@ type t = {
   ram : Ram.t;
   policy : policy;
   quantum_us : float;
-  exact_post : bool;
-  bloom_fpr : float;
   mutable next_id : int;
   mutable queue : session list;  (* submission order, head first *)
   mutable ready : session list;  (* admission order, head first *)
@@ -97,12 +89,9 @@ type t = {
   mutable n_blocked : int;
 }
 
-let create ?(policy = Fifo) ?(quantum_us = infinity) ?(exact_post = true)
-    ?(bloom_fpr = 0.01) catalog public =
+let create ?(policy = Fifo) ?(quantum_us = infinity) catalog public =
   if not (quantum_us > 0.) then
     invalid_arg "Scheduler.create: quantum_us must be positive";
-  if not (bloom_fpr > 0. && bloom_fpr < 1.) then
-    invalid_arg "Scheduler.create: bloom_fpr must be in (0, 1)";
   let device = catalog.Catalog.device in
   {
     catalog;
@@ -111,8 +100,6 @@ let create ?(policy = Fifo) ?(quantum_us = infinity) ?(exact_post = true)
     ram = Device.ram device;
     policy;
     quantum_us;
-    exact_post;
-    bloom_fpr;
     next_id = 0;
     queue = [];
     ready = [];
@@ -211,9 +198,8 @@ let admit t =
         s.scratch <- Some (take_scratch t);
         s.machine <-
           Some
-            (Exec.start ~exact_post:t.exact_post ~bloom_fpr:t.bloom_fpr
-               ~quantum_us:t.quantum_us
-               ?scratch:s.scratch t.catalog t.public s.plan);
+            (Exec.start ~quantum_us:t.quantum_us ?scratch:s.scratch t.catalog
+               t.public s.plan);
         s.admitted_us <- Device.elapsed_us t.device;
         s.state <- Runnable;
         t.queue <- rest;

@@ -51,7 +51,6 @@ type policy =
           it *)
 
 val policy_name : policy -> string
-val policy_of_string : string -> policy option
 
 type outcome =
   | Completed of Exec.result
@@ -86,16 +85,14 @@ type t
 val create :
   ?policy:policy ->
   ?quantum_us:float ->
-  ?exact_post:bool ->
-  ?bloom_fpr:float ->
   Catalog.t ->
   Public_store.t ->
   t
 (** A scheduler over the catalog's device. [policy] defaults to
     {!Fifo}; [quantum_us] (default [infinity]) is the slice length in
-    simulated microseconds; [exact_post] and [bloom_fpr] are passed to
-    every execution ({!Exec.run} semantics). Raises [Invalid_argument]
-    on a non-positive quantum or a [bloom_fpr] outside (0, 1). *)
+    simulated microseconds. Every execution runs with {!Exec.run}'s
+    defaults (see {!Exec.start}). Raises [Invalid_argument] on a
+    non-positive quantum. *)
 
 val policy : t -> policy
 val quantum_us : t -> float

@@ -13,7 +13,6 @@ type progress = {
 type t = {
   device : Device.t;
   pages : int array;  (* fixed walk list, sorted ascending *)
-  batch_pages : int;
   mutable cursor : int;  (* next walk-list index to verify *)
   mutable pending : int;  (* full passes requested but not yet completed *)
   mutable passes : int;  (* full passes completed *)
@@ -22,14 +21,13 @@ type t = {
   mutable corrupt : int list;  (* trailer failures found, newest first *)
 }
 
-let default_batch_pages = 8
+(* Pages verified per slice. *)
+let batch_pages = 8
 
-let create ?(batch_pages = default_batch_pages) device ~pages =
-  if batch_pages <= 0 then invalid_arg "Scrub.create: batch_pages <= 0";
+let create device ~pages =
   {
     device;
     pages = Array.of_list (List.sort_uniq compare pages);
-    batch_pages;
     cursor = 0;
     pending = 1;
     passes = 0;
@@ -51,8 +49,6 @@ let progress t = {
   corrupt = List.sort_uniq compare t.corrupt;
 }
 
-let corrupt_pages t = List.sort_uniq compare t.corrupt
-
 (* One scrub slice: verify the next [batch_pages] pages of the walk
    list. The walk order and batch shape depend only on the page-id
    list — never on page content — so a spy timing idle slices learns
@@ -65,7 +61,7 @@ let step t =
   else begin
     let n = Array.length t.pages in
     let flash = Device.flash t.device in
-    let batch = min t.batch_pages (n - t.cursor) in
+    let batch = min batch_pages (n - t.cursor) in
     let refreshes = ref 0 in
     for i = t.cursor to t.cursor + batch - 1 do
       let page = t.pages.(i) in

@@ -38,14 +38,11 @@ type progress = {
   corrupt : int list;  (** pages found beyond local recovery, sorted *)
 }
 
-val create : ?batch_pages:int -> Device.t -> pages:int list -> t
+val create : Device.t -> pages:int list -> t
 (** [create device ~pages] — a scrubber over the given walk list
-    (deduplicated and sorted), verifying [batch_pages] (default 8)
-    pages per idle slice on [device]'s main Flash region. One full
-    pass is pending initially. Raises [Invalid_argument] when
-    [batch_pages <= 0]. *)
-
-val default_batch_pages : int
+    (deduplicated and sorted), verifying 8 pages per idle slice on
+    [device]'s main Flash region. One full pass is pending
+    initially. *)
 
 val step : t -> bool
 (** Runs one batch: [true] if pages were verified, [false] when no
@@ -66,5 +63,3 @@ val request_pass : t -> unit
 
 val page_count : t -> int
 val progress : t -> progress
-val corrupt_pages : t -> int list
-(** Pages whose verification failed beyond local recovery, sorted. *)

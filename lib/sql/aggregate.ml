@@ -26,13 +26,6 @@ let of_ast_fn = function
   | Ast.Min -> Min
   | Ast.Max -> Max
 
-let fn_name = function
-  | Count -> "COUNT"
-  | Sum -> "SUM"
-  | Avg -> "AVG"
-  | Min -> "MIN"
-  | Max -> "MAX"
-
 (* Running state of one aggregate over one group. *)
 type acc = {
   mutable count : int;  (* non-null inputs seen *)

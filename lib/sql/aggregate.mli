@@ -28,7 +28,6 @@ type spec = {
 }
 
 val of_ast_fn : Ast.agg_fn -> fn
-val fn_name : fn -> string
 
 val apply : spec -> Value.t array list -> Value.t array list
 (** Groups the base rows on the first [List.length group_by] values and

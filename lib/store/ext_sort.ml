@@ -65,8 +65,8 @@ let fits ~ram ~scratch ~record_bytes ~records =
   if records < run then run * record_bytes <= free
   else free >= page_size scratch + (2 * max record_bytes 16)
 
-let sort ~ram ~scratch ~resources ?(cpu = fun _ -> ()) ?(chunk_bytes = 512)
-    ~record_bytes ~compare input =
+let sort ~ram ~scratch ~resources ?(cpu = fun _ -> ()) ~record_bytes ~compare
+    input =
   if record_bytes <= 0 then invalid_arg "Ext_sort.sort: record_bytes <= 0";
   let free = Ram.budget ram - Ram.in_use ram in
   let run_records = ram_run_records ~free ~record_bytes in
@@ -75,10 +75,10 @@ let sort ~ram ~scratch ~resources ?(cpu = fun _ -> ()) ?(chunk_bytes = 512)
      merge's read buffers shrink to leave it room. *)
   let roomy = (run_records * record_bytes) + page_size scratch <= free in
   let spare = free - page_size scratch in
-  (* Run-read buffers shrink when the arena is tight, so a 2-way merge
-     always fits (at the price of more Flash seeks). *)
+  (* Run-read buffers (512 bytes) shrink when the arena is tight, so a
+     2-way merge always fits (at the price of more Flash seeks). *)
   let chunk =
-    let c = max 16 (min chunk_bytes (free / 8)) in
+    let c = max 16 (min 512 (free / 8)) in
     if roomy then c else max 16 (min c (spare / 4))
   in
   let check r =

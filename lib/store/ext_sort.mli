@@ -25,7 +25,6 @@ val sort :
   scratch:Flash.t ->
   resources:Resources.t ->
   ?cpu:(int -> unit) ->
-  ?chunk_bytes:int ->
   record_bytes:int ->
   compare:(bytes -> bytes -> int) ->
   bytes Cursor.t ->
@@ -34,8 +33,8 @@ val sort :
     [record_bytes] long). When the whole input fits in half the free
     arena it is sorted in RAM without touching Flash; otherwise sorted
     runs are spilled to [scratch] through a one-page write buffer and
-    k-way merged with the fan-in the arena allows. Below two pages of
-    free arena the runs and read buffers shrink so the write buffer
-    fits beside them (see {!fits}). The output cursor's resources are released through
-    [resources]. Raises [Invalid_argument] on a record of the wrong
-    width. *)
+    k-way merged through 512-byte read buffers, with the fan-in the
+    arena allows. Below two pages of free arena the runs and read
+    buffers shrink so the write buffer fits beside them (see {!fits}).
+    The output cursor's resources are released through [resources].
+    Raises [Invalid_argument] on a record of the wrong width. *)

@@ -9,9 +9,6 @@ let encode ids =
      invalid_arg "Id_list.encode: not strictly increasing non-negative");
   Buffer.contents buf
 
-let encoded_size ids =
-  Sorted_ids.fold_deltas (fun total d -> total + Codec.varint_size d) 0 ids
-
 let cursor reader ~off ~len =
   let pos = ref off in
   let stop = off + len in

@@ -9,8 +9,6 @@ val encode : int array -> string
 (** Raises [Invalid_argument] if the array is not strictly
     increasing or contains a negative id. *)
 
-val encoded_size : int array -> int
-
 val cursor : Pager.Reader.t -> off:int -> len:int -> int Cursor.t
 (** Streams the ids of the list stored at [off, off+len) of the
     segment. The cursor borrows the reader; do not close the reader

@@ -9,9 +9,13 @@ type source = unit -> int Cursor.t * (unit -> unit)
 
 let of_array a = fun () -> (Cursor.of_array a, fun () -> ())
 
+(* The RAM charge assumed per open source, and the read buffer of a
+   spilled intermediate list. *)
+let chunk_bytes = 256
+
 (* Half the free arena is available for merge buffers; the other half
    stays free for the operators downstream of the union. *)
-let fan_in ~ram ~chunk_bytes =
+let fan_in ram =
   let free = Ram.budget ram - Ram.in_use ram in
   max 2 (free / 2 / chunk_bytes)
 
@@ -47,7 +51,7 @@ let heap_merge ~cpu cursors =
 
 (* Materialize a cursor to scratch as a delta-varint list; returns a
    source reading it back. *)
-let spill ~ram ~scratch ~chunk_bytes cursor =
+let spill ~ram ~scratch cursor =
   let writer = Pager.Writer.create scratch in
   let buf = Buffer.create 256 in
   Ram.with_alloc ram ~label:"union-spill-buffer"
@@ -69,7 +73,7 @@ let spill ~ram ~scratch ~chunk_bytes cursor =
     ( Id_list.cursor reader ~off:0 ~len:segment.Pager.length,
       fun () -> Pager.Reader.close reader )
 
-let union ~ram ~scratch ~resources ?(chunk_bytes = 256) ?(cpu = fun _ -> ()) sources =
+let union ~ram ~scratch ~resources ?(cpu = fun _ -> ()) sources =
   match sources with
   | [] -> Cursor.empty ()
   | [ s ] ->
@@ -79,7 +83,7 @@ let union ~ram ~scratch ~resources ?(chunk_bytes = 256) ?(cpu = fun _ -> ()) sou
   | _ ->
     let rec reduce sources =
       let k = List.length sources in
-      let fan = fan_in ~ram ~chunk_bytes in
+      let fan = fan_in ram in
       if k <= fan then begin
         let opened = List.map (fun s -> s ()) sources in
         List.iter (fun (_, close) -> Resources.defer resources close) opened;
@@ -104,7 +108,7 @@ let union ~ram ~scratch ~resources ?(chunk_bytes = 256) ?(cpu = fun _ -> ()) sou
             (fun group ->
                let opened = List.map (fun s -> s ()) group in
                let merged = heap_merge ~cpu (List.map fst opened) in
-               let source = spill ~ram ~scratch ~chunk_bytes merged in
+               let source = spill ~ram ~scratch merged in
                List.iter (fun (_, close) -> close ()) opened;
                source)
             (groups [] sources)

@@ -27,15 +27,10 @@ val union :
   ram:Ram.t ->
   scratch:Flash.t ->
   resources:Resources.t ->
-  ?chunk_bytes:int ->
   ?cpu:(int -> unit) ->
   source list ->
   int Cursor.t
-(** Duplicate-free sorted union. [chunk_bytes] (default 256) is the
-    per-open-source RAM charge assumed when computing the admissible
-    fan-in; [cpu] is charged O(log fan-in) per element. Resources of
-    the final pass are released through [resources]. *)
-
-val fan_in : ram:Ram.t -> chunk_bytes:int -> int
-(** The fan-in the current arena state allows (at least 2) — exposed
-    for the cost model. *)
+(** Duplicate-free sorted union. The admissible fan-in is half the
+    free arena over a 256-byte charge per open source (at least 2);
+    [cpu] is charged O(log fan-in) per element. Resources of the final
+    pass are released through [resources]. *)

@@ -58,8 +58,8 @@ let categories = [|
 let date_lo = Date.of_ymd 2005 1 1
 let date_hi = Date.of_ymd 2006 12 31
 
-let generate ?(seed = 424242) scale =
-  let rng = Rng.create seed in
+let generate scale =
+  let rng = Rng.create 424242 in
   let z_cat = Zipf.create ~n:(Array.length categories) ~theta:scale.theta in
   let z_seg = Zipf.create ~n:(Array.length segments) ~theta:scale.theta in
   let zipf_pick z (values : string array) =

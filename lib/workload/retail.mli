@@ -30,7 +30,8 @@ val segments : string array
 val regions : string array
 val categories : string array
 
-val generate : ?seed:int -> scale -> (string * Relation.tuple list) list
+val generate : scale -> (string * Relation.tuple list) list
+(** Deterministic rows for the scale (a fixed seed). *)
 
 val queries : (string * string) list
 (** Named queries exercising hidden margins, customer privacy and

@@ -102,13 +102,6 @@ let test_usage_between () =
   check (Alcotest.float 1e-6) "total = parts" u.Device.total_us
     (u.Device.flash_us +. u.Device.used_usb_us +. u.Device.cpu_us)
 
-let test_high_speed_usb () =
-  let cfg = Device.high_speed_usb Device.default_config in
-  let trace = Trace.create () in
-  let d = Device.create ~config:cfg ~trace () in
-  Device.receive d Trace.Ack ~bytes:1500;
-  check Alcotest.bool "faster than full speed" true (Device.usb_time_us d < 200.)
-
 let test_default_has_zero_faults () =
   let trace = Trace.create () in
   let d = Device.create ~trace () in
@@ -124,12 +117,19 @@ let lossy cfg =
              Device.usb_seed = 99; corrupt_prob = 0.5; max_retries = 16 } }
 
 let test_usb_retry_metered_and_traced () =
-  let trace = Trace.create () in
-  let d = Device.create ~config:(lossy Device.default_config) ~trace () in
   let sends = 20 in
-  for i = 1 to sends do
-    Device.receive d (Trace.Id_list { table = "T"; count = i }) ~bytes:100
-  done;
+  let run trace =
+    let d = Device.create ~config:(lossy Device.default_config) ~trace () in
+    for i = 1 to sends do
+      Device.receive d (Trace.Id_list { table = "T"; count = i }) ~bytes:100
+    done;
+    d
+  in
+  let trace = Trace.create () in
+  let d = run trace in
+  (* the retry schedule rides the seeded corruption stream alone *)
+  check (Alcotest.float 0.) "same seed, same retry clock"
+    (Device.usb_time_us d) (Device.usb_time_us (run (Trace.create ())));
   let f = (Device.snapshot d).Device.faults in
   check Alcotest.bool "some transfers corrupted" true
     (Device.count f Device.Usb_corruptions > 0);
@@ -168,47 +168,6 @@ let test_usb_retry_budget_bounded () =
   check Alcotest.int "retry budget spent" 3 (Device.count f Device.Usb_retries);
   check Alcotest.int "all 4 attempts on the wire" (4 * 40)
     (Device.snapshot d).Device.usb_bytes_in
-
-(* Seeded backoff jitter: off by default (and bit-identical to the
-   seed path when off, because the rng draw happens only when
-   enabled); on, it perturbs only the backoff time — same retries,
-   same corruptions, same bytes — and stays deterministic per seed. *)
-let test_usb_backoff_jitter () =
-  let run jitter seed =
-    let cfg =
-      { Device.default_config with
-        Device.usb_fault =
-          Some { Device.default_usb_fault with
-                 Device.usb_seed = seed; corrupt_prob = 0.5;
-                 max_retries = 16; backoff_jitter = jitter } }
-    in
-    let d = Device.create ~config:cfg ~trace:(Trace.create ()) () in
-    for i = 1 to 20 do
-      Device.receive d (Trace.Id_list { table = "T"; count = i }) ~bytes:100
-    done;
-    d
-  in
-  let base = run 0.0 99 and base' = run 0.0 99 in
-  check (Alcotest.float 0.) "no jitter is deterministic"
-    (Device.usb_time_us base) (Device.usb_time_us base');
-  let jit = run 0.5 99 and jit' = run 0.5 99 in
-  check (Alcotest.float 0.) "jitter is deterministic per seed"
-    (Device.usb_time_us jit) (Device.usb_time_us jit');
-  (* the jitter draw rides the same seeded stream AFTER each corruption
-     draw, so the fault schedule itself is untouched *)
-  let fb = (Device.snapshot base).Device.faults in
-  let fj = (Device.snapshot jit).Device.faults in
-  check Alcotest.int "same corruptions" (Device.count fb Device.Usb_corruptions)
-    (Device.count fj Device.Usb_corruptions);
-  check Alcotest.int "same retries" (Device.count fb Device.Usb_retries)
-    (Device.count fj Device.Usb_retries);
-  check Alcotest.int "same bytes on the wire"
-    (Device.snapshot base).Device.usb_bytes_in
-    (Device.snapshot jit).Device.usb_bytes_in;
-  check Alcotest.bool "jitter moved the backoff clock" true
-    (Device.usb_time_us jit <> Device.usb_time_us base);
-  check Alcotest.bool "different seeds decorrelate" true
-    (Device.usb_time_us (run 0.5 7) <> Device.usb_time_us jit)
 
 (* Every counter but the Flash ones moves only through [Device.note],
    which reports each call, [~by:0] included, to the attached registry
@@ -269,10 +228,8 @@ let suite = [
   Alcotest.test_case "device clock" `Quick test_device_clock;
   Alcotest.test_case "scratch region counted" `Quick test_device_scratch_counted;
   Alcotest.test_case "usage between snapshots" `Quick test_usage_between;
-  Alcotest.test_case "high-speed usb variant" `Quick test_high_speed_usb;
   Alcotest.test_case "default config has zero fault counters" `Quick test_default_has_zero_faults;
   Alcotest.test_case "usb retries metered and traced" `Quick test_usb_retry_metered_and_traced;
   Alcotest.test_case "usb retry budget bounded" `Quick test_usb_retry_budget_bounded;
-  Alcotest.test_case "usb backoff jitter seeded and bounded" `Quick test_usb_backoff_jitter;
   Alcotest.test_case "every noted counter reports once" `Quick test_noted_counters_report_once;
 ]

@@ -89,7 +89,7 @@ let runs db mode sql =
     let best = fst (List.hd (Ghost_db.plans db sql)) in
     [
       ("planner", fun () -> Ghost_db.query db ~oblivious:true sql);
-      ("forced", fun () -> Ghost_db.run_plan db ~oblivious:true best);
+      ("forced", fun () -> Ghost_db.run_plan db (Plan.with_mode best mode));
     ]
   | Oblivious.Off | Oblivious.Pad ->
     List.map

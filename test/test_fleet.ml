@@ -26,8 +26,8 @@ let schema () = Medical.schema ()
 let rows () = Medical.generate Medical.tiny
 
 let fleet ?device_config ?per_device_config ~shards ~replicas
-    ?(partitioning = Fleet.Range) ?robustness () =
-  Fleet.create ?device_config ?per_device_config ?robustness
+    ?(partitioning = Fleet.Range) () =
+  Fleet.create ?device_config ?per_device_config
     ~topology:{ Fleet.shards; replicas; partitioning }
     (schema ()) (rows ())
 

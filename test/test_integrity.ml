@@ -344,7 +344,7 @@ let test_scrub_refresh_determinism () =
   let db2, _, _, _, _ = make () in
   let scrub db =
     let _, pages = structure_flash db in
-    let s = Scrub.create ~batch_pages:3 (Ghost_db.device db) ~pages in
+    let s = Scrub.create (Ghost_db.device db) ~pages in
     Scrub.run_pending s;
     s
   in
@@ -385,9 +385,9 @@ let test_scrub_resume_across_slices () =
   in
   let db1, pages1 = make () in
   let db2, pages2 = make () in
-  let eager = Scrub.create ~batch_pages:4 (Ghost_db.device db1) ~pages:pages1 in
+  let eager = Scrub.create (Ghost_db.device db1) ~pages:pages1 in
   Scrub.run_pending eager;
-  let sliced = Scrub.create ~batch_pages:4 (Ghost_db.device db2) ~pages:pages2 in
+  let sliced = Scrub.create (Ghost_db.device db2) ~pages:pages2 in
   (* resume boundary after every single slice *)
   while Scrub.step sliced do
     Alcotest.(check bool) "cursor within walk list" true
@@ -406,7 +406,7 @@ let test_scrub_resume_across_slices () =
   (* scheduler integration: idle slices drain the pending pass *)
   let db3, pages3 = make () in
   let sched = Scheduler.create (Ghost_db.catalog db3) (Ghost_db.public db3) in
-  let s3 = Scrub.create ~batch_pages:4 (Ghost_db.device db3) ~pages:pages3 in
+  let s3 = Scrub.create (Ghost_db.device db3) ~pages:pages3 in
   Scheduler.set_scrubber sched (Some s3);
   Scheduler.run sched;
   Alcotest.(check bool) "scheduler drained the scrub pass" true (Scrub.idle s3);

@@ -594,7 +594,7 @@ let test_scheduler_coexistence () =
     Scheduler.create ~quantum_us:500. (Ghost_db.catalog db) (Ghost_db.public db)
   in
   let scrub =
-    Scrub.create ~batch_pages:4 (Ghost_db.device db)
+    Scrub.create (Ghost_db.device db)
       ~pages:(Catalog.structure_pages (Ghost_db.catalog db))
   in
   Scheduler.set_scrubber sched (Some scrub);

@@ -285,25 +285,19 @@ let test_invalid_args () =
     | _ -> Alcotest.failf "%s: expected Invalid_argument" label
     | exception Invalid_argument _ -> ()
   in
-  expect_invalid "bloom_fpr = 0" (fun () ->
-    Ghost_db.query db ~bloom_fpr:0. Queries.demo);
-  expect_invalid "bloom_fpr = 1" (fun () ->
-    Ghost_db.query db ~bloom_fpr:1. Queries.demo);
-  expect_invalid "bloom_fpr < 0" (fun () ->
-    Ghost_db.query db ~bloom_fpr:(-0.5) Queries.demo);
-  expect_invalid "bloom_fpr nan" (fun () ->
-    Ghost_db.query db ~bloom_fpr:Float.nan Queries.demo);
-  expect_invalid "run_plan bloom_fpr" (fun () ->
-    Ghost_db.run_plan db ~bloom_fpr:2. (best_plan db Queries.demo));
+  let demo = best_plan db Queries.demo in
+  List.iter
+    (fun fpr ->
+       expect_invalid (Printf.sprintf "bloom_fpr = %g" fpr) (fun () ->
+         Ghost_db.run_plan db ~bloom_fpr:fpr demo))
+    [ 0.; 1.; -0.5; Float.nan; 2. ];
   expect_invalid "scheduler quantum" (fun () ->
     Scheduler.create ~quantum_us:0. (Ghost_db.catalog db) (Ghost_db.public db));
-  expect_invalid "scheduler bloom_fpr" (fun () ->
-    Scheduler.create ~bloom_fpr:1.5 (Ghost_db.catalog db) (Ghost_db.public db));
   let sched = Scheduler.create (Ghost_db.catalog db) (Ghost_db.public db) in
   expect_invalid "submit deadline" (fun () ->
-    Scheduler.submit sched ~deadline_us:0. (best_plan db Queries.demo));
+    Scheduler.submit sched ~deadline_us:0. demo);
   expect_invalid "submit working_ram" (fun () ->
-    Scheduler.submit sched ~working_ram:(-1) (best_plan db Queries.demo))
+    Scheduler.submit sched ~working_ram:(-1) demo)
 
 (* The closed-loop driver at a small scale: everything completes,
    latencies are measured, throughput is positive. *)
