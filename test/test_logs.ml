@@ -104,15 +104,6 @@ let scanned_ids log =
   Delta_log.scan log (fun r -> acc := r.Delta_log.ids.(0) :: !acc);
   List.rev !acc
 
-let test_delta_checksummed_roundtrip () =
-  let f = flash () in
-  let log = make_delta f in
-  (* 256-byte pages minus the 20-byte header: 8 records of 28 bytes *)
-  append_n log 25;
-  check Alcotest.int "count" 25 (Delta_log.count log);
-  check Alcotest.(list int) "all records back, in order"
-    (List.init 25 (fun i -> 101 + i)) (scanned_ids log)
-
 let test_delta_dead_bytes_quantified () =
   let f = flash () in
   let log = make_delta f in
@@ -384,7 +375,6 @@ let test_golden_bytes () =
 
 let suite = [
   Alcotest.test_case "delta roundtrip" `Quick test_delta_roundtrip;
-  Alcotest.test_case "delta checksummed roundtrip" `Quick test_delta_checksummed_roundtrip;
   Alcotest.test_case "delta dead bytes quantified" `Quick test_delta_dead_bytes_quantified;
   Alcotest.test_case "delta power-cut recovery" `Quick test_delta_power_cut_recovery;
   Alcotest.test_case "delta power cut on first append" `Quick test_delta_power_cut_on_first_append;
