@@ -11,6 +11,7 @@ module Plan = Ghostdb.Plan
 module Planner = Ghostdb.Planner
 module Ghost_db = Ghostdb.Ghost_db
 module Scheduler = Ghost_sched.Scheduler
+module Workload_driver = Ghost_sched.Workload_driver
 
 type spec = {
   clients : int;
@@ -61,13 +62,6 @@ type summary = {
   latency_p95_us : float;
   availability : float;
 }
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then nan
-  else
-    let i = int_of_float (ceil (p *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) i))
 
 (* One device of the fleet with its own scheduler and the offset that
    places its local clock on the shared global timeline. *)
@@ -392,8 +386,8 @@ let run ?(kills = []) ?on_outcome fleet (spec : spec) =
     throughput_qps =
       (if !last_finish > 0. then float_of_int total /. !last_finish *. 1e6
        else 0.);
-    latency_p50_us = percentile lat 0.50;
-    latency_p95_us = percentile lat 0.95;
+    latency_p50_us = Workload_driver.percentile lat 0.50;
+    latency_p95_us = Workload_driver.percentile lat 0.95;
     availability =
       (if total = 0 then nan else float_of_int !completed /. float_of_int total);
   }

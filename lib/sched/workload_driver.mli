@@ -60,4 +60,8 @@ val run :
     distinct query, outside the measured device time). Deterministic
     for a given (db, spec, policy, quantum). *)
 
+val percentile : float array -> float -> float
+(** [percentile sorted p]: the nearest-rank [p]-quantile ([p] in
+    [0, 1]) of an ascending array; NaN when it is empty. *)
+
 val pp_summary : Format.formatter -> summary -> unit
