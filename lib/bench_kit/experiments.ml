@@ -18,10 +18,6 @@ let default_scale = Medical.small
 let make_db ?device_config scale =
   Ghost_db.of_schema ?device_config (Medical.schema ()) (Medical.generate scale)
 
-let run_named db sql plan =
-  ignore sql;
-  Ghost_db.run_plan db plan
-
 (* ---- E1 / Figure 6 ---- *)
 
 let fig6_plans ?(scale = default_scale) () =
@@ -40,7 +36,7 @@ let fig6_plans ?(scale = default_scale) () =
     List.map
       (fun (name, plan) ->
          let est = Cost.estimate cat plan in
-         let r = run_named db Queries.demo plan in
+         let r = Ghost_db.run_plan db plan in
          [
            name;
            Report.us r.Exec.elapsed_us;
@@ -432,7 +428,8 @@ let insert_sweep ?(scale = default_scale) () =
         "log live"; "log dead" ]
     ~notes:
       [
-        "new facts append to a Flash delta log (no in-place writes); queries scan it          next to the indexed structures until offline reorganization";
+        "new facts append to a Flash delta log (no in-place writes); queries scan it \
+         next to the indexed structures until offline reorganization";
         "'log dead' is the write amplification of re-programming partial tail pages";
       ]
     rows
@@ -1147,7 +1144,8 @@ let ablation_exact_post ?(scale = default_scale) () =
     ~header:[ "mode"; "time"; "rows"; "FPs absorbed" ]
     ~notes:
       [
-        "approximate mode skips the verification join: faster, but Bloom false          positives can reach the result (row counts may exceed the exact answer)";
+        "approximate mode skips the verification join: faster, but Bloom false \
+         positives can reach the result (row counts may exceed the exact answer)";
       ]
     rows
 
@@ -1172,12 +1170,14 @@ let ablation_bloom_fpr ?(scale = default_scale) () =
   Report.make ~id:"A2" ~title:"Ablation: Bloom filter target false-positive rate"
     ~header:[ "target fpr"; "time"; "RAM peak"; "FPs absorbed" ]
     ~notes:
-      [ "looser filters need less RAM but admit candidates the verification join must          reject" ]
+      [ "looser filters need less RAM but admit candidates the verification join must \
+         reject" ]
     rows
 
 let ablation_hidden_fk_indexes ?(scale = default_scale) () =
   let sql =
-    "SELECT Pre.PreID FROM Prescription Pre, Visit Vis WHERE Vis.DocID = 3 AND      Pre.VisID = Vis.VisID"
+    "SELECT Pre.PreID FROM Prescription Pre, Visit Vis WHERE Vis.DocID = 3 AND \
+     Pre.VisID = Vis.VisID"
   in
   let rows =
     List.map
@@ -1200,7 +1200,8 @@ let ablation_hidden_fk_indexes ?(scale = default_scale) () =
     ~title:"Ablation: climbing indexes on hidden foreign-key columns"
     ~header:[ "hidden FKs"; "query time"; "climbing idx bytes"; "rows" ]
     ~notes:
-      [ "a selection on a hidden FK (Vis.DocID = 3) either traverses a dedicated          climbing index or falls back to per-candidate column checks" ]
+      [ "a selection on a hidden FK (Vis.DocID = 3) either traverses a dedicated \
+         climbing index or falls back to per-candidate column checks" ]
     rows
 
 let ablation_deep_cross ?(scale = default_scale) () =
