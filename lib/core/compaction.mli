@@ -6,10 +6,10 @@ module Device = Ghost_device.Device
     catalog in small, bounded slices — the write-path counterpart of
     the Flash scrubber, designed for the same scheduler idle slices
     (see {!Ghost_sched.Scheduler.set_compactor}). Each slice programs
-    at most 2 run pages, so a slice's device-clock charge is
-    bounded no matter how deep the leveled tree has grown, and the
-    resumable unit state lives on the log itself (plain data), so a
-    marshalled image resumes compaction exactly where it stopped.
+    at most 2 run pages, so a slice's device-clock charge is bounded
+    no matter how deep the leveled tree has grown, and the resumable
+    unit state lives on the log itself (plain data), so a marshalled
+    image resumes compaction exactly where it stopped.
 
     Tombstoned records are folded away during compaction ([drop] is
     the root tombstone membership test); the tombstone log itself is

@@ -173,8 +173,8 @@ val recover : t -> recovery_report
     from the checkpoints that survived. *)
 
 val query : t -> ?oblivious:bool -> string -> Exec.result
-(** Optimize and execute the best plan with {!Exec.run}'s defaults:
-    exact Post verification and 1 % Bloom filters.
+(** Optimize and execute with {!Exec.run}'s defaults: exact Post
+    verification and 1 % Bloom filters.
 
     [oblivious] (default false) runs the query in its fixed shape
     ({!Planner.oblivious}, executed in [Full] mode): the spy-visible

@@ -89,7 +89,7 @@ val fingerprint : ?session:int -> Trace.t -> string
 (** Canonical rendering of the spy-visible trace: one line per event —
     link, payload shape (constructor, table, column, count) and byte
     size. [Query_text] payloads render as their byte length only: the
-    query text is the paper's declared leak, and eliding it makes fingerprint equality exactly
-    the {e access-pattern} guarantee of oblivious mode. Sequence
-    numbers are renumbered from 0 so traces taken at different offsets
-    compare equal. *)
+    query text is the paper's declared leak, and eliding it makes
+    fingerprint equality exactly the {e access-pattern} guarantee of
+    oblivious mode. Sequence numbers are renumbered from 0 so traces
+    taken at different offsets compare equal. *)

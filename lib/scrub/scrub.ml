@@ -21,7 +21,6 @@ type t = {
   mutable corrupt : int list;  (* trailer failures found, newest first *)
 }
 
-(* Pages verified per slice. *)
 let batch_pages = 8
 
 let create device ~pages =
