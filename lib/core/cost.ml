@@ -178,13 +178,14 @@ let climb_us env ~table m =
     +. merge_passes_us env ~k:(int_of_float m) ~bytes:list_bytes
   end
 
-(* SKT probing: candidates share the reader's window when they are
-   dense, so the number of Flash reads is the number of windows
-   touched, not the number of candidates. *)
-let skt_access_us env ~n_root ~candidates ~row_bytes =
+(* Reading [candidates] of [n_root] root rows in id order through a
+   [window]-byte reader, as SKT probing and the projection of a root
+   hidden column do: dense candidates share the reader's window, so the
+   number of Flash reads is the number of windows touched, not the
+   number of candidates. *)
+let window_reads_us env ~window ~n_root ~candidates ~row_bytes =
   if candidates <= 0. || row_bytes <= 0. then 0.
   else begin
-    let window = 64. in
     let rows_per_window = Float.max 1. (window /. row_bytes) in
     let n_windows = Float.of_int n_root /. rows_per_window in
     let density = Float.min 1. (candidates /. Float.of_int n_root) in
@@ -512,7 +513,7 @@ let estimate cat (plan : Plan.t) =
       (* SKT access for every candidate, unless the plan is index-only *)
       if skt_row_bytes > 0. && Plan.reads_skt plan then
         spend "access-skt"
-          (skt_access_us env ~n_root ~candidates ~row_bytes:skt_row_bytes);
+          (window_reads_us env ~window:64. ~n_root ~candidates ~row_bytes:skt_row_bytes);
       (* Bloom probes + hidden checks per candidate, as AccessSKT
          charges them; none when the plan runs no test, and a counted
          plan has no candidate rows *)
@@ -640,10 +641,11 @@ let estimate cat (plan : Plan.t) =
             +. cpu_us env (kept *. 20.))
        end)
     join_tables;
-  (* 5. Final projection: hidden column point reads — under [Full], a
-     root column in root-id order, page by page — + result emission,
-     padded to a power-of-two bucket under [Pad] and to the public
-     bound under [Full]. *)
+  (* 5. Final projection: hidden column reads — a root column in
+     root-id order, through [Exec]'s 256-byte window or, under [Full],
+     page by page; a column below the root one point read a row — +
+     result emission, padded to a power-of-two bucket under [Pad] and to
+     the public bound under [Full]. *)
   List.iter
     (fun (table, column) ->
        let tbl = Schema.find_table schema table in
@@ -652,8 +654,9 @@ let estimate cat (plan : Plan.t) =
        if column <> tbl.Schema.key && Column.is_hidden col then
          spend
            (Printf.sprintf (if full then "fetch-all(%s.%s)" else "fetch(%s.%s)") table column)
-           (if full && table = root then page_stream_us env (kept *. width)
-            else kept *. point_read_us env width))
+           (if table <> root then kept *. point_read_us env width
+            else if full then page_stream_us env (kept *. width)
+            else window_reads_us env ~window:256. ~n_root ~candidates:kept ~row_bytes:width))
     plan.Plan.query.Bind.projections;
   (* [Exec.emit_rows] charges the rows left after aggregation and LIMIT:
      one for an aggregate without GROUP BY, at most one per group
