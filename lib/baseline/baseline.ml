@@ -420,8 +420,7 @@ let run algo cat public (q : Bind.query) =
     let rows =
       Ghost_sql.Postproc.apply ~order_by:q.Bind.order_by ~limit:q.Bind.limit rows
     in
-    Device.emit_result device ~count:(List.length rows)
-      ~bytes:(16 * List.length rows);
+    Device.emit_rows device ~tys:(Bind.output_types cat.Catalog.schema q) rows;
     Flash.erase_live_blocks (Device.scratch device);
     Resources.release resources;
     let usage = Device.usage_between device ~before ~after:(Device.snapshot device) in

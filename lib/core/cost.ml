@@ -679,18 +679,34 @@ let estimate cat (plan : Plan.t) =
     | Some l -> Float.min (Float.of_int l) grouped
     | None -> grouped
   in
-  let emit_label, emit_n =
+  let width = Float.of_int (Plan.emit_row_width schema plan) in
+  let emit_label, emit_bytes =
     match plan.Plan.oblivious with
-    | Oblivious.Off -> ("emit", emitted)
+    | Oblivious.Off ->
+      (* the display link's compact rows: the root key by its gap in
+         root-id order, every other column at its type's expected size *)
+      let q = plan.Plan.query in
+      let key = (root, (Schema.find_table schema root).Schema.key) in
+      let root_keys, tys =
+        match q.Bind.aggregate with
+        | Some _ -> (0, Array.to_list (Bind.output_types schema q))
+        | None ->
+          List.fold_left2
+            (fun (k, tys) p ty -> if p = key then (k + 1, tys) else (k, ty :: tys))
+            (0, []) q.Bind.projections
+            (Array.to_list (Bind.output_types schema q))
+      in
+      ( "emit",
+        Wire.est_rows_bytes ~population:(Float.of_int n_root) ~root_keys ~tys emitted )
     | Oblivious.Pad ->
       let bound = emit_bound env in
       ( "emit",
-        Float.of_int
-          (Oblivious.pad_count ~bound (max 0 (min bound (int_of_float (ceil emitted))))) )
-    | Oblivious.Full -> ("emit-pad", Float.of_int (emit_bound env))
+        width
+        *. Float.of_int
+             (Oblivious.pad_count ~bound (max 0 (min bound (int_of_float (ceil emitted))))) )
+    | Oblivious.Full -> ("emit-pad", width *. Float.of_int (emit_bound env))
   in
-  spend emit_label
-    (usb_us env (emit_n *. Float.of_int (Plan.emit_row_width schema plan)));
+  spend emit_label (usb_us env emit_bytes);
   {
     est_time_us = !time;
     est_candidates = int_of_float (Float.round candidates);

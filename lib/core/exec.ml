@@ -223,11 +223,11 @@ let pred_bitmap ctx fill ~table (pred : Predicate.t) =
 
    The three USB sites whose lengths could betray hidden data: id-list
    shipments, projection value streams, result emission. Under [Off]
-   they go through the typed wire path untouched (bit-identical to the
-   seed); under [Pad] / [Full] they bypass the varint encoder — whose
-   frame sizes are value-dependent — and ship fixed-width frames padded
-   up to a public bound, annotated with {!Trace.obl} so the leakage
-   quantifier can price each event. *)
+   they go through the device's wire codecs, the PC link's configured
+   format and the display link's compact rows; under [Pad] / [Full]
+   they bypass the varint encoders — whose sizes are value-dependent —
+   and ship fixed-width frames padded up to a public bound, annotated
+   with {!Trace.obl} so the leakage quantifier can price each event. *)
 
 let receive_ids ctx ~table ids =
   match ctx.plan.Plan.oblivious with
@@ -269,14 +269,18 @@ let receive_stream ctx ~table ~column ~ty stream =
 
 (* Result emission. The cardinality is the one display-side count that
    depends on hidden data, so this is where the baseline's residual
-   leakage concentrates: [Off] emits the real count annotated as
-   ranging over [bound + 1] values; [Pad] rounds the count up to a
-   power-of-two bucket; [Full] pads to the bound itself. The bound is
-   the live root cardinality capped by the query's LIMIT — both public
-   (the spy watched every load, insert and delete, and the LIMIT rides
-   in the query text). *)
-let emit_rows ctx ~count ~bytes =
+   leakage concentrates. [Off] emits the real rows in the display
+   link's compact codec, whose length follows the values as well as
+   the count, so the event is annotated as ranging over every length
+   up to [bound] rows of the widest encodable row; [Pad] rounds the
+   count up to a power-of-two bucket and [Full] pads to the bound
+   itself, both in fixed-width rows of [Plan.emit_row_width]. The bound
+   is the live root cardinality capped by the query's LIMIT — both
+   public (the spy watched every load, insert and delete, and the LIMIT
+   rides in the query text). *)
+let emit_rows ctx rows =
   let device = ctx.device in
+  let count = List.length rows in
   let live = Catalog.live_count ctx.catalog ctx.plan.Plan.root in
   let bound =
     let b =
@@ -290,11 +294,18 @@ let emit_rows ctx ~count ~bytes =
   in
   match ctx.plan.Plan.oblivious with
   | Oblivious.Off ->
-    Device.emit_result device
-      ~obl:{ Trace.obl_bound = bound; obl_values = bound + 1; obl_pad_bytes = 0 }
-      ~count ~bytes
+    let tys = Bind.output_types ctx.catalog.Catalog.schema ctx.plan.Plan.query in
+    Device.emit_rows device
+      ~obl:
+        {
+          Trace.obl_bound = bound;
+          obl_values = (bound * Device.Wire.max_row_bytes tys) + 1;
+          obl_pad_bytes = 0;
+        }
+      ~tys rows
   | (Oblivious.Pad | Oblivious.Full) as m ->
     let width = Plan.emit_row_width ctx.catalog.Catalog.schema ctx.plan in
+    let bytes = count * width in
     let padded, values =
       match m with
       | Oblivious.Pad ->
@@ -1166,8 +1177,7 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
         in
         (* Emission is priced after LIMIT: only emitted rows cross the
            display link. *)
-        emit_rows ctx ~count:(List.length out)
-          ~bytes:(List.length out * Plan.emit_row_width schema plan);
+        emit_rows ctx out;
         (out, List.length out))
     in
     (* 6. Reclaim the scratch region (block erases count). Live bytes,

@@ -391,6 +391,10 @@ let emit_result ?obl t ~count ~bytes =
   transfer ?obl t Outbound Trace.Device_to_display
     (Trace.Result_tuples { count }) ~bytes
 
+let emit_rows ?obl t ~tys rows =
+  let bytes = Wire.encode_rows t.enc ~tys rows in
+  emit_result ?obl t ~count:(List.length rows) ~bytes
+
 let emit_ack t = transfer t Outbound Trace.Device_to_pc Trace.Ack ~bytes:1
 
 let emit_reorg_progress t ~phase ~phases =

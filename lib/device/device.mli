@@ -203,11 +203,20 @@ val with_usb_batch : t -> (unit -> 'a) -> 'a
 
 val emit_result : ?obl:Trace.obl -> t -> count:int -> bytes:int -> unit
 (** Sends result tuples to the secure display ([Device_to_display]
-    link — not spy visible). Same retry discipline as {!receive}.
-    [obl] annotates the event with its leakage bound (see
-    {!Trace.obl}): the oblivious executor pads [count] and [bytes] to
-    a public bound and marks the dummy share; the baseline executor
-    marks the {e unpadded} count's value range so the auditor can
+    link — not spy visible) in fixed-width rows. Same retry discipline
+    as {!receive}. [obl] annotates the event with its leakage bound
+    (see {!Trace.obl}): the oblivious executor pads [count] and [bytes]
+    to a public bound and marks the dummy share. *)
+
+val emit_rows :
+  ?obl:Trace.obl -> t -> tys:Ghost_kernel.Value.ty array ->
+  Ghost_kernel.Value.t array list -> unit
+(** Sends result rows to the secure display in the compact row codec
+    ({!Wire.encode_rows}), encoded into the device's reused wire
+    buffer, and meters their exact encoded size. The display link
+    keeps this one codec whatever the PC link's {!config.wire_format}.
+    Otherwise as {!emit_result}; [obl] lets the baseline executor mark
+    the range of byte lengths the rows could take, so the auditor can
     measure the residual leak. *)
 
 val emit_ack : t -> unit

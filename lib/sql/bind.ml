@@ -340,3 +340,24 @@ let bind_select schema (s : Ast.select) =
   }
 
 let bind schema sql = bind_select schema (Parser.parse_select sql)
+
+let output_types schema q =
+  let column_ty (table, column) =
+    let tbl = Schema.find_table schema table in
+    if column = tbl.Schema.key then Value.T_int
+    else (Schema.find_column tbl column).Column.ty
+  in
+  match q.aggregate with
+  | None -> Array.of_list (List.map column_ty q.projections)
+  | Some spec ->
+    let aggs = Array.of_list spec.Aggregate.aggs in
+    Array.of_list
+      (List.map
+         (function
+           | `Group g -> column_ty (List.nth spec.Aggregate.group_by g)
+           | `Agg a ->
+             (match aggs.(a).Aggregate.a_fn, aggs.(a).Aggregate.a_arg with
+              | Aggregate.Count, _ | _, None -> Value.T_int
+              | Aggregate.Avg, Some _ -> Value.T_float
+              | (Aggregate.Sum | Aggregate.Min | Aggregate.Max), Some arg -> column_ty arg))
+         spec.Aggregate.output)

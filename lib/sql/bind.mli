@@ -1,3 +1,4 @@
+module Value = Ghost_kernel.Value
 module Schema = Ghost_relation.Schema
 module Predicate = Ghost_relation.Predicate
 
@@ -42,3 +43,8 @@ val bind_select : Schema.t -> Ast.select -> query
 
 val bind : Schema.t -> string -> query
 (** [bind schema sql] — parse + bind in one step. *)
+
+val output_types : Schema.t -> query -> Value.ty array
+(** The column types of the query's output rows, in SELECT-list order:
+    a key is [T_int]; for an aggregate, [COUNT] is [T_int], [AVG]
+    [T_float], and [SUM], [MIN] and [MAX] take their argument's type. *)

@@ -103,6 +103,19 @@ let put_uvarint e v =
   in
   loop e.len v
 
+(* A CHAR(n) value: its length varint, then its bytes up to [n] with
+   the '\000' padding trimmed. *)
+let put_char e n s =
+  let len = ref (min (String.length s) n) in
+  while !len > 0 && s.[!len - 1] = '\000' do
+    decr len
+  done;
+  let len = !len in
+  put_varint e len;
+  ensure e len;
+  Bytes.blit_string s 0 e.buf e.len len;
+  e.len <- e.len + len
+
 (* Compact values drop the fixed widths the Flash layout needs but the
    wire does not: ints and dates travel as zigzag varints, CHAR(n)
    strings as length-prefixed bytes with the '\000' padding trimmed
@@ -113,19 +126,7 @@ let put_value e ty v =
   | Value.T_int, Value.Int i | Value.T_date, Value.Date i ->
     put_uvarint e ((i lsl 1) lxor (i asr 62))
   | Value.T_float, Value.Float _ -> put_bytes e (Value.encode ty v)
-  | Value.T_char n, Value.Str s ->
-    let len = min (String.length s) n in
-    let len =
-      let k = ref len in
-      while !k > 0 && s.[!k - 1] = '\000' do
-        decr k
-      done;
-      !k
-    in
-    put_varint e len;
-    ensure e len;
-    Bytes.blit_string s 0 e.buf e.len len;
-    e.len <- e.len + len
+  | Value.T_char n, Value.Str s -> put_char e n s
   | _ -> invalid_arg "Wire.add_message: value does not match the column type"
 
 let put_ty e ty =
@@ -219,6 +220,57 @@ let encode_verbose e msg =
           end)
        pairs);
   e.len
+
+(* ---- result rows (the secure display link) ----
+
+   Rows follow one another with no count and no framing: the display
+   decodes rows until the bytes run out, so no rows cost no bytes.
+   Per value: an INT or DATE is the zigzag varint of its difference
+   from the previous non-NULL value of its column (0 before the first),
+   so ids in root-id order cost about a byte; a CHAR(n) is {!put_char};
+   a FLOAT is its 8-byte order-preserving image. A NULL INT, DATE or
+   CHAR is the overlong zero [0x80 0x00], a spelling no canonical
+   varint takes; a NULL FLOAT is the all-ones image, a NaN the codec
+   never writes, since it spells every NaN as [Float.nan] (NaNs compare
+   equal, so nothing is lost). *)
+
+let null_float = Bytes.make 8 '\xff'
+
+let encode_rows e ~tys rows =
+  e.len <- 0;
+  let prev = Array.make (Array.length tys) 0 in
+  List.iter
+    (fun row ->
+       if Array.length row <> Array.length tys then
+         invalid_arg "Wire.encode_rows: row width differs from its types";
+       Array.iteri
+         (fun i v ->
+            match (tys.(i), v) with
+            | Value.T_float, Value.Null -> put_bytes e null_float
+            | _, Value.Null ->
+              put_byte e 0x80;
+              put_byte e 0
+            | Value.T_int, Value.Int x | Value.T_date, Value.Date x ->
+              let d = x - prev.(i) in
+              prev.(i) <- x;
+              put_uvarint e ((d lsl 1) lxor (d asr 62))
+            | Value.T_float, Value.Float f ->
+              put_bytes e
+                (Value.encode Value.T_float
+                   (Value.Float (if Float.is_nan f then Float.nan else f)))
+            | Value.T_char n, Value.Str s -> put_char e n s
+            | _ -> invalid_arg "Wire.encode_rows: value does not match the column type")
+         row)
+    rows;
+  e.len
+
+(* INT and DATE: the widest canonical varint of a 63-bit pattern. *)
+let max_value_bytes = function
+  | Value.T_int | Value.T_date -> 9
+  | Value.T_float -> 8
+  | Value.T_char n -> max 2 (Codec.varint_size n + n)
+
+let max_row_bytes tys = Array.fold_left (fun acc ty -> acc + max_value_bytes ty) 0 tys
 
 (* ---- decoder ---- *)
 
@@ -349,6 +401,57 @@ let decode_frame b ~pos ~len =
   | Bad m -> Error m
   | Invalid_argument m -> Error ("malformed frame: " ^ m)
 
+let decode_rows ~tys b ~pos ~len =
+  try
+    if pos < 0 || len < 0 || pos + len > Bytes.length b then bad "rows out of bounds";
+    let k = Array.length tys in
+    if k = 0 && len > 0 then bad "bytes for rows of no column";
+    let stop = pos + len in
+    let prev = Array.make k 0 in
+    let read_varint p =
+      match Codec.get_varint_bounded b p ~stop with
+      | Some r -> r
+      | None -> bad "truncated or overlong varint"
+    in
+    let read_value i p =
+      match tys.(i) with
+      | Value.T_float ->
+        if 8 > stop - p then bad "truncated value";
+        if Bytes.get_int64_be b p = -1L then (Value.Null, p + 8)
+        else (Value.decode Value.T_float b p, p + 8)
+      | _ when p + 1 < stop && Bytes.get_uint8 b p = 0x80 && Bytes.get_uint8 b (p + 1) = 0
+        ->
+        (Value.Null, p + 2)
+      | (Value.T_int | Value.T_date) as ty ->
+        let u, p = read_varint p in
+        let x = prev.(i) + ((u lsr 1) lxor -(u land 1)) in
+        prev.(i) <- x;
+        ((if ty = Value.T_int then Value.Int x else Value.Date x), p)
+      | Value.T_char n ->
+        let l, p = read_varint p in
+        if l > n then bad "char value longer than its type";
+        if l > stop - p then bad "truncated value";
+        (Value.Str (Bytes.sub_string b p l), p + l)
+    in
+    let rec rows p acc =
+      if p >= stop then List.rev acc
+      else begin
+        let row = Array.make k Value.Null in
+        let p =
+          let p = ref p in
+          for i = 0 to k - 1 do
+            let v, p' = read_value i !p in
+            row.(i) <- v;
+            p := p'
+          done;
+          !p
+        in
+        rows p (row :: acc)
+      end
+    in
+    Ok (rows pos [])
+  with Bad m -> Error m
+
 let decode_verbose_query b ~pos ~len = Bytes.sub_string b pos len
 
 let decode_verbose_ids b ~pos ~len =
@@ -390,6 +493,20 @@ let est_value_bytes = function
   | Value.T_int | Value.T_date -> 3.
   | Value.T_float -> 8.
   | Value.T_char n -> (Float.of_int n /. 2.) +. 1.
+
+(* A root key in root-id order moves by the mean gap between kept
+   rows, as in a value stream. *)
+let est_rows_bytes ~population ~root_keys ~tys count =
+  if count <= 0. then 0.
+  else begin
+    let gap = Float.max 1. (population /. count) in
+    let key_bytes = Float.of_int (Codec.varint_size (2 * int_of_float gap)) in
+    count
+    *. List.fold_left
+         (fun acc ty -> acc +. est_value_bytes ty)
+         (Float.of_int root_keys *. key_bytes)
+         tys
+  end
 
 let est_value_stream_bytes fmt ~population ~tys count =
   match fmt with

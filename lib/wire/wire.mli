@@ -77,8 +77,9 @@ val end_frame : encoder -> int
     ([envelope_bytes] + sum of message sizes). *)
 
 val frame : encoder -> bytes
-(** A copy of the sealed frame (tests and the fuzzers; the simulator
-    itself only meters the length). *)
+(** A copy of what the encoder last wrote: the sealed frame, or the
+    output of {!encode_verbose} or {!encode_rows} (tests and the
+    fuzzers; the simulator itself only meters the length). *)
 
 val encode_verbose : encoder -> message -> int
 (** Encodes one message in the seed's verbose framing into the reused
@@ -86,6 +87,37 @@ val encode_verbose : encoder -> message -> int
     [4 * count] for an id list, [(4 + ty_width ty) * count] for a
     value stream — byte-for-byte the sizes the seed transport charged,
     now measured off a real encoding instead of estimated. *)
+
+(** {2 Result rows}
+
+    The codec of the secure display link ([Device_to_display]), which
+    carries result rows to the user's screen and is invisible to the
+    spy. Rows follow one another with no count header, so an empty
+    result is 0 bytes. Each value is encoded by its column's type:
+
+    - [T_int], [T_date]: the zigzag varint of the difference from the
+      previous non-NULL value of the same column (0 before the first),
+      so keys in root-id order cost about one byte;
+    - [T_char n]: a length varint, then the value's first [n] bytes
+      with the ['\000'] padding trimmed (CHAR comparison ignores it);
+    - [T_float]: its 8-byte order-preserving image, every NaN spelled
+      as [Float.nan]'s.
+
+    A NULL is flagged in place: the overlong varint zero [0x80 0x00]
+    for an INT, DATE or CHAR, which no canonical varint spells, and the
+    all-ones image for a FLOAT, a NaN the encoder never writes. *)
+
+val encode_rows : encoder -> tys:Value.ty array -> Value.t array list -> int
+(** Encodes the rows, in order, into the reused buffer (replacing its
+    contents) and returns their size in bytes. Raises
+    [Invalid_argument] when a row's width differs from [tys] or a
+    non-NULL value does not match its column's type. *)
+
+val max_row_bytes : Value.ty array -> int
+(** The widest one row of these column types can encode to: 9 bytes
+    per INT or DATE, 8 per FLOAT, [max 2 (varint_size n + n)] per
+    [T_char n]. [count] rows thus take one of at most
+    [count * max_row_bytes tys + 1] byte lengths. *)
 
 (** {2 Decoding} *)
 
@@ -95,6 +127,13 @@ val decode_frame : bytes -> pos:int -> len:int -> (message list, string) result
     truncation, unknown opcode, overlong varint, a label reference
     past the frame's definitions — returns [Error reason]; this
     function never raises, whatever the input bytes. *)
+
+val decode_rows :
+  tys:Value.ty array -> bytes -> pos:int -> len:int -> (Value.t array list, string) result
+(** Decodes the rows {!encode_rows} wrote: values read back as
+    {!Value.equal} to the encoded ones. A truncated row, an overlong
+    varint, a CHAR longer than its type, or bytes for rows of no
+    column return [Error reason]; this function never raises. *)
 
 val decode_verbose_query : bytes -> pos:int -> len:int -> string
 val decode_verbose_ids : bytes -> pos:int -> len:int -> (int array, string) result
@@ -114,6 +153,14 @@ val decode_verbose_values :
 val est_id_list_bytes : format -> population:float -> float -> float
 (** [est_id_list_bytes fmt ~population count] — expected USB bytes of
     one shipped id list of [count] ids. *)
+
+val est_rows_bytes :
+  population:float -> root_keys:int -> tys:Value.ty list -> float -> float
+(** [est_rows_bytes ~population ~root_keys ~tys count] — expected
+    {!encode_rows} bytes of [count] result rows with [root_keys] root
+    key columns, priced by the mean gap [population / count] between
+    rows leaving in root-id order, and further columns of types [tys],
+    priced at the compact value sizes a value stream assumes. *)
 
 val est_value_stream_bytes :
   format -> population:float -> tys:Value.ty list -> float -> float

@@ -16,6 +16,7 @@ module Planner = Ghostdb.Planner
 module Cost = Ghostdb.Cost
 module Exec = Ghostdb.Exec
 module Oblivious = Ghost_oblivious.Oblivious
+module Wire = Ghost_wire.Wire
 
 let check = Alcotest.check
 
@@ -160,43 +161,75 @@ let test_full_estimate_ignores_hidden_data () =
   full_estimate_ignores_hidden_data ~sorted_join:true (Lazy.force db)
 
 (* Emission is priced the way [Exec.emit_rows] charges it: the rows left
-   after aggregation and LIMIT, at the executor's row width. A star
-   count emits one row whatever the selectivity, so every panel plan's
-   [emit] term is one row's USB time and equals the executor's Project
-   USB charge (the Project operator ships nothing else). *)
+   after aggregation and LIMIT. A star count emits one row whatever the
+   selectivity, and the Project operator ships nothing else, so its USB
+   charge is the emission's. Pad and Full price the fixed row width
+   exactly: one row, and the public bound. Off prices the display
+   link's compact rows by the codec's shared per-type estimate, and
+   charges the encoded size of the rows it emits. *)
 let test_emission_priced_after_aggregation_and_limit () =
   let db = Lazy.force db in
+  let schema = Ghost_db.schema db in
   let cfg = Device.config (Ghost_db.device db) in
-  let usb_us rows width =
-    cfg.Device.usb_per_message_us
-    +. (Float.of_int (rows * width * 8) /. cfg.Device.usb_mbit_per_s)
+  let usb_us bytes =
+    cfg.Device.usb_per_message_us +. (bytes *. 8. /. cfg.Device.usb_mbit_per_s)
   in
-  let emit (e : Cost.estimate) = List.assoc "emit" e.Cost.breakdown in
+  let fixed rows plan =
+    usb_us (Float.of_int (rows * Plan.emit_row_width schema plan))
+  in
+  let emit (e : Cost.estimate) label = List.assoc label e.Cost.breakdown in
+  let live = Ghostdb.Catalog.live_count (Ghost_db.catalog db) "Prescription" in
   let count_sql =
     "SELECT COUNT(*) FROM Prescription Pre, Visit Vis WHERE Vis.Purpose = \
      'Sclerosis' AND Vis.VisID = Pre.VisID"
   in
+  let tys = Ghost_sql.Bind.output_types schema (Ghost_db.bind db count_sql) in
+  let panel = Ghost_db.plans db count_sql in
   List.iter
-    (fun (plan, e) ->
-       let width = Plan.emit_row_width (Ghost_db.schema db) plan in
-       check (Alcotest.float 1e-9) (plan.Plan.label ^ ": one row") (usb_us 1 width)
-         (emit e);
-       let r = Ghost_db.run_plan db plan in
-       let project = List.find (fun o -> o.Exec.op_label = "Project") r.Exec.ops in
-       check (Alcotest.float 1e-9)
-         (plan.Plan.label ^ ": the executor's charge")
-         project.Exec.usage.Device.used_usb_us (emit e))
-    (Ghost_db.plans db count_sql);
+    (fun (mode, label, plans, expected) ->
+       List.iter
+         (fun (plan, _) ->
+            let plan = Plan.with_mode plan mode in
+            let e = Cost.estimate (Ghost_db.catalog db) plan in
+            let name = plan.Plan.label ^ " " ^ Oblivious.mode_name mode in
+            check (Alcotest.float 1e-9) (name ^ ": one row") (expected plan) (emit e label);
+            let r = Ghost_db.run_plan db plan in
+            let project = List.find (fun o -> o.Exec.op_label = "Project") r.Exec.ops in
+            let charged =
+              match mode with
+              | Oblivious.Off ->
+                usb_us
+                  (Float.of_int (Wire.encode_rows (Wire.encoder ()) ~tys r.Exec.rows))
+              | Oblivious.Pad | Oblivious.Full -> emit e label
+            in
+            check (Alcotest.float 1e-9) (name ^ ": the executor's charge") charged
+              project.Exec.usage.Device.used_usb_us)
+         plans)
+    [
+      ( Oblivious.Off,
+        "emit",
+        panel,
+        fun _ ->
+          usb_us (Wire.est_rows_bytes ~population:(Float.of_int live) ~root_keys:0 ~tys:[ Value.T_int ] 1.)
+      );
+      (Oblivious.Pad, "emit", panel, fixed 1);
+      (Oblivious.Full, "emit-pad", [ List.hd panel ], fixed live);
+    ];
   let limit_sql =
     "SELECT Pre.PreID FROM Prescription Pre WHERE Pre.Quantity >= 3 LIMIT 5"
   in
   List.iter
-    (fun (plan, e) ->
-       let width = Plan.emit_row_width (Ghost_db.schema db) plan in
+    (fun (plan, _) ->
+       let e mode = Cost.estimate (Ghost_db.catalog db) (Plan.with_mode plan mode) in
+       let off = e Oblivious.Off in
        check Alcotest.bool
          (plan.Plan.label ^ ": at most 5 rows")
          true
-         (emit e <= usb_us 5 width && e.Cost.est_results > 5))
+         (emit off "emit" <= fixed 5 plan && off.Cost.est_results > 5);
+       check (Alcotest.float 1e-9) (plan.Plan.label ^ ": Pad's bucket capped by the LIMIT")
+         (fixed 5 plan) (emit (e Oblivious.Pad) "emit");
+       check (Alcotest.float 1e-9) (plan.Plan.label ^ ": Full pads to the LIMIT")
+         (fixed 5 plan) (emit (e Oblivious.Full) "emit-pad"))
     (Ghost_db.plans db limit_sql)
 
 (* ---- Col_stats ---- *)

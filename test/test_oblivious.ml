@@ -92,8 +92,10 @@ let test_baseline_leaks_bits () =
   check Alcotest.int "no padding in baseline" 0 r.Exec.padding_bytes;
   let live = Catalog.live_count (Ghost_db.catalog db) "Doctor" in
   let v = Ghost_db.audit db in
-  check feq "emission leaks log2(live+1) bits"
-    (Oblivious.bits_of_values (live + 1))
+  (* the compact rows' length ranges over 0 .. live widest rows *)
+  let widest = Ghost_wire.Wire.max_row_bytes [| Value.T_char 20 |] in
+  check feq "emission leaks log2(live x widest row + 1) bits"
+    (Oblivious.bits_of_values ((live * widest) + 1))
     v.Privacy.data_dependent_bits;
   check Alcotest.int "no padding audited" 0 v.Privacy.padding_bytes;
   (* the demo join leaks too *)

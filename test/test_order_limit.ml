@@ -128,8 +128,9 @@ let test_top_k_shape () =
     (quantities = List.sort (fun a b -> Int.compare b a) quantities)
 
 (* Emission is priced after LIMIT: the result event carries exactly the
-   emitted rows' bytes (2 projected columns: 2 x 4 framing + the
-   8-byte Quantity), never the pre-LIMIT match count's. *)
+   emitted rows' bytes, never the pre-LIMIT match count's — under Off
+   the rows' compact encoding, under Pad the fixed width (2 projected
+   columns: 2 x 4 framing + the 8-byte Quantity). *)
 let test_limit_emission_bytes () =
   let db, _ = Lazy.force instance in
   let sql =
@@ -153,7 +154,24 @@ let test_limit_emission_bytes () =
        with
        | [ (count, bytes) ] ->
          check Alcotest.int "emitted count" 5 count;
-         check Alcotest.int "emitted bytes = 5 x row width" (5 * 16) bytes
+         (match mode with
+          | Ghost_oblivious.Oblivious.Off ->
+            let e = Ghost_wire.Wire.encoder () in
+            ignore
+              (Ghost_wire.Wire.encode_rows e ~tys:[| Value.T_int; Value.T_int |] r.Exec.rows
+               : int);
+            let hex =
+              String.concat ""
+                (List.map
+                   (fun c -> Printf.sprintf "%02x" (Char.code c))
+                   (List.of_seq (Bytes.to_seq (Ghost_wire.Wire.frame e))))
+            in
+            (* rows (1, 6) (2, 4) (3, 10) (4, 6) (6, 6): each value is
+               the zigzag of its step from the row above, one byte *)
+            check Alcotest.string "the rows' compact encoding" "020c0203020c02070400" hex;
+            check Alcotest.int "emitted bytes = the encoding" 10 bytes
+          | Ghost_oblivious.Oblivious.Pad | Ghost_oblivious.Oblivious.Full ->
+            check Alcotest.int "emitted bytes = 5 x row width" (5 * 16) bytes)
        | l -> Alcotest.failf "expected one result event, got %d" (List.length l))
     [ Ghost_oblivious.Oblivious.Off; Ghost_oblivious.Oblivious.Pad ]
 

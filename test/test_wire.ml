@@ -521,6 +521,179 @@ let test_fleet_compact () =
   check Alcotest.bool "fleet rows correct" true (rows_equal r.Fleet.rows expected);
   check Alcotest.bool "fleet audit passes" true (Fleet.audit fleet).Privacy.ok
 
+(* ---- result rows (the display link) ---- *)
+
+let gen_row_value ty =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return Value.Null);
+        ( 6,
+          match ty with
+          | Value.T_int -> map (fun i -> Value.Int i) (oneof [ int; int_range (-300) 300 ])
+          | Value.T_date -> map (fun d -> Value.Date d) (oneof [ int; int_range 0 20000 ])
+          | Value.T_float ->
+            map (fun f -> Value.Float f) (oneof [ float; map Float.of_int small_signed_int ])
+          | Value.T_char n ->
+            (* '\000' inside, at the end, and padding past the width:
+               CHAR comparison ignores trailing padding *)
+            map2
+              (fun s pad -> Value.Str (s ^ String.make pad '\000'))
+              (string_size (int_bound n)
+                 ~gen:(frequency [ (8, char_range 'a' 'z'); (1, return '\000') ]))
+              (int_bound 3) );
+      ])
+
+let gen_rows =
+  QCheck.Gen.(
+    list_size (1 -- 5) gen_ty >>= fun tys ->
+    let tys = Array.of_list tys in
+    map
+      (fun rows -> (tys, rows))
+      (list_size (0 -- 12)
+         (map Array.of_list (flatten_l (List.map gen_row_value (Array.to_list tys))))))
+
+let print_rows (tys, rows) =
+  Printf.sprintf "[%s] %s"
+    (String.concat "; " (Array.to_list (Array.map Value.ty_name tys)))
+    (String.concat " | "
+       (List.map
+          (fun r -> String.concat ", " (Array.to_list (Array.map Value.to_string r)))
+          rows))
+
+let rows_roundtrip_equal a b =
+  List.length a = List.length b && List.for_all2 (Array.for_all2 Value.equal) a b
+
+(* Every value type, NULLs, full-range (so negative and descending)
+   ints and dates, NaNs, and CHARs padded with '\000' decode back to
+   equal values. *)
+let prop_rows_roundtrip =
+  QCheck.Test.make ~name:"result rows round-trip" ~count:500
+    (QCheck.make ~print:print_rows gen_rows)
+    (fun (tys, rows) ->
+       let e = Wire.encoder () in
+       let n = Wire.encode_rows e ~tys rows in
+       let b = Wire.frame e in
+       Bytes.length b = n
+       &&
+       match Wire.decode_rows ~tys b ~pos:0 ~len:n with
+       | Ok got -> rows_roundtrip_equal rows got
+       | Error _ -> false)
+
+(* No count header: an empty result costs nothing, on the encoder and on
+   the display link. *)
+let test_empty_rows () =
+  let e = Wire.encoder () in
+  check Alcotest.int "no rows, no bytes" 0
+    (Wire.encode_rows e ~tys:[| Value.T_int; Value.T_char 8 |] []);
+  check Alcotest.bool "0 bytes decode to no rows" true
+    (Wire.decode_rows ~tys:[| Value.T_int |] Bytes.empty ~pos:0 ~len:0 = Ok []);
+  let db = make_db Wire.Verbose in
+  Ghost_db.clear_trace db;
+  let r = Ghost_db.query db "SELECT Pre.PreID FROM Prescription Pre WHERE Pre.Quantity > 1000" in
+  check Alcotest.int "empty result" 0 r.Exec.row_count;
+  List.iter
+    (fun (ev : Trace.event) ->
+       match ev.Trace.payload with
+       | Trace.Result_tuples _ -> check Alcotest.int "emitted bytes" 0 ev.Trace.bytes
+       | _ -> ())
+    (Trace.events (Ghost_db.trace db))
+
+(* The query shapes of the suite and one projecting every column of each
+   table, as (output types, which are keys, fixed row width). *)
+let row_shapes =
+  lazy
+    (let db = make_db Wire.Verbose in
+     let schema = Ghost_db.schema db in
+     let every_column (t : Ghost_relation.Schema.table) =
+       Printf.sprintf "SELECT %s FROM %s"
+         (String.concat ", "
+            (t.Ghost_relation.Schema.key
+             :: List.map
+                  (fun (c : Ghost_relation.Column.t) -> c.Ghost_relation.Column.name)
+                  t.Ghost_relation.Schema.columns))
+         t.Ghost_relation.Schema.name
+     in
+     List.map
+       (fun sql ->
+          let plan = fst (List.hd (Ghost_db.plans db sql)) in
+          let q = plan.Plan.query in
+          ( Ghost_sql.Bind.output_types schema q,
+            Array.of_list
+              (List.map
+                 (fun (t, c) ->
+                    c = (Ghost_relation.Schema.find_table schema t).Ghost_relation.Schema.key)
+                 q.Ghost_sql.Bind.projections),
+            Plan.emit_row_width schema plan ))
+       (List.map snd Queries.all
+        @ List.map every_column (Ghost_relation.Schema.tables schema)))
+
+(* Pad and Full keep the fixed width, so Off never pays more per row:
+   keys below 2^27 take at most 4 varint bytes, the width charges 4 per
+   column plus the Flash width of every non-key one, and any other
+   value (NULL included) fits in that. *)
+let prop_rows_within_fixed_width =
+  QCheck.Test.make ~name:"no row encodes longer than Plan.emit_row_width" ~count:200
+    QCheck.(make Gen.(pair (int_bound 1000) (list_size (1 -- 8) (int_bound 1000))))
+    (fun (pick, seeds) ->
+       let shapes = Lazy.force row_shapes in
+       let tys, keys, width = List.nth shapes (pick mod List.length shapes) in
+       let rows =
+         List.map
+           (fun seed ->
+              let st = Random.State.make [| seed |] in
+              Array.mapi
+                (fun i ty ->
+                   if keys.(i) then Value.Int (Random.State.int st (1 lsl 27))
+                   else gen_row_value ty st)
+                tys)
+           seeds
+       in
+       let e = Wire.encoder () in
+       let rec within prev = function
+         | [] -> true
+         | k :: rest ->
+           let n = Wire.encode_rows e ~tys (List.filteri (fun i _ -> i < k) rows) in
+           n - prev <= width && within n rest
+       in
+       within 0 (List.init (List.length rows) (fun i -> i + 1)))
+
+(* The Off emission carries the encoded rows and is annotated with the
+   number of byte lengths the rows could take: up to [bound] rows of
+   the widest encodable row, [bound] being the live root count capped
+   by the LIMIT. *)
+let test_off_emission_annotation () =
+  let db = make_db Wire.Verbose in
+  let schema = Ghost_db.schema db in
+  let live = Ghostdb.Catalog.live_count (Ghost_db.catalog db) "Prescription" in
+  List.iter
+    (fun (sql, bound) ->
+       Ghost_db.clear_trace db;
+       let r = Ghost_db.query db sql in
+       let tys = Ghost_sql.Bind.output_types schema (Ghost_db.bind db sql) in
+       let expected_bytes = Wire.encode_rows (Wire.encoder ()) ~tys r.Exec.rows in
+       match
+         List.filter_map
+           (fun (ev : Trace.event) ->
+              match ev.Trace.payload with
+              | Trace.Result_tuples { count } -> Some (count, ev.Trace.bytes, ev.Trace.obl)
+              | _ -> None)
+           (Trace.events (Ghost_db.trace db))
+       with
+       | [ (count, bytes, Some obl) ] ->
+         check Alcotest.int (sql ^ ": count") r.Exec.row_count count;
+         check Alcotest.int (sql ^ ": encoded bytes") expected_bytes bytes;
+         check Alcotest.int (sql ^ ": bound") bound obl.Trace.obl_bound;
+         check Alcotest.int (sql ^ ": byte lengths")
+           ((bound * Wire.max_row_bytes tys) + 1)
+           obl.Trace.obl_values;
+         check Alcotest.int (sql ^ ": no padding") 0 obl.Trace.obl_pad_bytes
+       | l -> Alcotest.failf "%s: expected one annotated emission, got %d" sql (List.length l))
+    [
+      ("SELECT Pre.PreID, Pre.Quantity FROM Prescription Pre WHERE Pre.Quantity >= 3", live);
+      ("SELECT Pre.PreID FROM Prescription Pre WHERE Pre.Quantity >= 3 LIMIT 5", 5);
+    ]
+
 let suite =
   [
     qtest prop_compact_roundtrip;
@@ -539,4 +712,9 @@ let suite =
     Alcotest.test_case "compact survives usb corruption" `Quick
       test_compact_survives_usb_corruption;
     Alcotest.test_case "fleet runs compact" `Quick test_fleet_compact;
+    qtest prop_rows_roundtrip;
+    Alcotest.test_case "empty result encodes to 0 bytes" `Quick test_empty_rows;
+    qtest prop_rows_within_fixed_width;
+    Alcotest.test_case "Off emission annotated with its byte lengths" `Quick
+      test_off_emission_annotation;
   ]
