@@ -238,29 +238,29 @@ let null_float = Bytes.make 8 '\xff'
 
 let encode_rows e ~tys rows =
   e.len <- 0;
-  let prev = Array.make (Array.length tys) 0 in
+  let k = Array.length tys in
+  let prev = Array.make k 0 in
   List.iter
     (fun row ->
-       if Array.length row <> Array.length tys then
+       if Array.length row <> k then
          invalid_arg "Wire.encode_rows: row width differs from its types";
-       Array.iteri
-         (fun i v ->
-            match (tys.(i), v) with
-            | Value.T_float, Value.Null -> put_bytes e null_float
-            | _, Value.Null ->
-              put_byte e 0x80;
-              put_byte e 0
-            | Value.T_int, Value.Int x | Value.T_date, Value.Date x ->
-              let d = x - prev.(i) in
-              prev.(i) <- x;
-              put_uvarint e ((d lsl 1) lxor (d asr 62))
-            | Value.T_float, Value.Float f ->
-              put_bytes e
-                (Value.encode Value.T_float
-                   (Value.Float (if Float.is_nan f then Float.nan else f)))
-            | Value.T_char n, Value.Str s -> put_char e n s
-            | _ -> invalid_arg "Wire.encode_rows: value does not match the column type")
-         row)
+       for i = 0 to k - 1 do
+         match (tys.(i), row.(i)) with
+         | Value.T_float, Value.Null -> put_bytes e null_float
+         | _, Value.Null ->
+           put_byte e 0x80;
+           put_byte e 0
+         | Value.T_int, Value.Int x | Value.T_date, Value.Date x ->
+           let d = x - prev.(i) in
+           prev.(i) <- x;
+           put_uvarint e ((d lsl 1) lxor (d asr 62))
+         | Value.T_float, Value.Float f ->
+           put_bytes e
+             (Value.encode Value.T_float
+                (Value.Float (if Float.is_nan f then Float.nan else f)))
+         | Value.T_char n, Value.Str s -> put_char e n s
+         | _ -> invalid_arg "Wire.encode_rows: value does not match the column type"
+       done)
     rows;
   e.len
 
