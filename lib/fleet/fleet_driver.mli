@@ -6,8 +6,9 @@ module Scheduler = Ghost_sched.Scheduler
     Extends the single-device driver of {!Ghost_sched.Workload_driver}
     to a {!Fleet}: each client owns a think-free loop — draw a query
     from the Zipf-ranked mix, scatter one sub-query to every shard
-    through {e per-device schedulers} (PR 4 admission control and
-    deadlines apply per device), gather, merge, repeat. The driver
+    through {e per-device schedulers} (the admission control and
+    deadlines of the scheduler of [lib/sched] (DESIGN.md §10) apply
+    per device), gather, merge, repeat. The driver
     maintains one global simulated clock across devices by tracking a
     per-device offset and always advancing the device whose global
     time lags furthest behind, so the interleaving is deterministic.

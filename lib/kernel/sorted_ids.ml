@@ -121,13 +121,3 @@ let iter_deltas f a =
        f (id - !prev - 1);
        prev := id)
     a
-
-let fold_deltas f init a =
-  let prev = ref (-1) and acc = ref init in
-  Array.iter
-    (fun id ->
-       if id <= !prev || id < 0 then bad_delta ();
-       acc := f !acc (id - !prev - 1);
-       prev := id)
-    a;
-  !acc

@@ -36,7 +36,3 @@ val iter_deltas : (int -> unit) -> int array -> unit
     layout of {e Id_list} climbing-index entries and of the compact
     wire protocol, so encoders never re-derive gaps ad hoc. Raises
     [Invalid_argument] on an out-of-order or negative id. *)
-
-val fold_deltas : ('a -> int -> 'a) -> 'a -> int array -> 'a
-(** [fold_deltas f init ids] folds [f] over the same gap sequence as
-    {!iter_deltas}, with the same validation. *)

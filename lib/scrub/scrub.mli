@@ -23,8 +23,9 @@ module Device = Ghost_device.Device
 
     {b Resumability.} The cursor advances batch by batch and survives
     between {!step} calls (and across sessions via a marshalled
-    image): scrubbing resumes exactly where it stopped, in the PR-4
-    step-machine style. One full pass is pending at creation;
+    image): scrubbing resumes exactly where it stopped, in the
+    step-machine style of the scheduler of [lib/sched] (DESIGN.md
+    §10). One full pass is pending at creation;
     {!request_pass} queues more. *)
 
 type t

@@ -289,15 +289,16 @@ let test_deltas () =
   let got = ref [] in
   Sorted_ids.iter_deltas (fun d -> got := d :: !got) ids;
   check Alcotest.(list int) "gap sequence" [ 0; 0; 2; 4 ] (List.rev !got);
-  (* Folding id_{-1} = -1 through acc + delta + 1 must restore the last id. *)
-  check Alcotest.int "fold restores last id" 9
-    (Sorted_ids.fold_deltas (fun acc d -> acc + d + 1) (-1) ids);
+  (* Adding delta + 1 to id_{-1} = -1 for every gap restores the last id. *)
+  let last = ref (-1) in
+  Sorted_ids.iter_deltas (fun d -> last := !last + d + 1) ids;
+  check Alcotest.int "gaps restore last id" 9 !last;
   Sorted_ids.iter_deltas (fun _ -> Alcotest.fail "empty list emits no delta") [||];
   let bad = Invalid_argument "Sorted_ids: not strictly increasing non-negative" in
   Alcotest.check_raises "duplicate rejected" bad (fun () ->
       Sorted_ids.iter_deltas ignore [| 1; 1 |]);
   Alcotest.check_raises "descending rejected" bad (fun () ->
-      ignore (Sorted_ids.fold_deltas (fun n _ -> n + 1) 0 [| 3; 2 |]));
+      Sorted_ids.iter_deltas ignore [| 3; 2 |]);
   Alcotest.check_raises "negative rejected" bad (fun () ->
       Sorted_ids.iter_deltas ignore [| -1; 2 |])
 
@@ -307,13 +308,14 @@ let prop_deltas_match_id_list =
   QCheck.Test.make ~name:"iter_deltas matches Id_list.encode" ~count:300
     arb_sorted (fun ids ->
       let buf = Buffer.create 64 in
-      Sorted_ids.iter_deltas (fun d -> Codec.put_varint buf d) ids;
+      let sized = ref 0 in
+      Sorted_ids.iter_deltas
+        (fun d ->
+           Codec.put_varint buf d;
+           sized := !sized + Codec.varint_size d)
+        ids;
       let via_deltas = Buffer.contents buf in
-      via_deltas = Ghost_store.Id_list.encode ids
-      && String.length via_deltas
-         = Sorted_ids.fold_deltas
-             (fun total d -> total + Codec.varint_size d)
-             0 ids)
+      via_deltas = Ghost_store.Id_list.encode ids && String.length via_deltas = !sized)
 
 (* ---- Cursor ---- *)
 
