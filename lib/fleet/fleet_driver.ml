@@ -148,13 +148,17 @@ let run ?(kills = []) ?on_outcome fleet (spec : spec) =
   in
   (* Zipf ranks follow the optimizer's cost order, cheapest first, as
      in the single-device driver: rank the mix by its fleet-wide
-     estimate (sum of the replica-0 per-shard estimates). *)
+     estimate — the sum of the replica-0 per-shard estimates for a
+     scattered query, one shard's for a dimension-only read, which one
+     shard serves. *)
   let order =
     let keyed =
       Array.mapi
         (fun i per_shard ->
            let total =
-             Array.fold_left (fun acc reps -> acc +. snd reps.(0)) 0. per_shard
+             if Fleet.scatters fleet bound.(i) then
+               Array.fold_left (fun acc reps -> acc +. snd reps.(0)) 0. per_shard
+             else snd per_shard.(0).(0)
            in
            (total, i))
         plans
