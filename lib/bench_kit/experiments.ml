@@ -1356,12 +1356,14 @@ let wire_formats ?metrics ?(scale = default_scale) () =
       [
         "compact = interned opcodes + varint-delta id lists + zigzag-varint \
          values + coalesced CRC-framed transfers; verbose = the seed's \
-         fixed-width per-message framing (bit-identical byte counts)";
+         fixed-width per-message framing (bit-identical byte counts); the \
+         result rows take the display link's one compact codec under both";
         "the byte cut is sharpest where data messages dominate the query \
          text; the latency win tracks the byte cut at 12 Mbit/s and fades at \
          480 Mbit/s where the per-transfer latency floor takes over";
         "'est bytes' is the cost model's per-encoding prediction \
-         (Wire.est_id_list_bytes / est_value_stream_bytes) for the same plan";
+         (Wire.est_id_list_bytes / est_value_stream_bytes / est_rows_bytes) \
+         for the same plan";
       ]
     rows
 
