@@ -687,14 +687,14 @@ let estimate cat (plan : Plan.t) =
          root-id order, every other column at its type's expected size *)
       let q = plan.Plan.query in
       let key = (root, (Schema.find_table schema root).Schema.key) in
+      let tys = Array.to_list (Bind.output_types schema q) in
       let root_keys, tys =
         match q.Bind.aggregate with
-        | Some _ -> (0, Array.to_list (Bind.output_types schema q))
+        | Some _ -> (0, tys)
         | None ->
           List.fold_left2
             (fun (k, tys) p ty -> if p = key then (k + 1, tys) else (k, ty :: tys))
-            (0, []) q.Bind.projections
-            (Array.to_list (Bind.output_types schema q))
+            (0, []) q.Bind.projections tys
       in
       ( "emit",
         Wire.est_rows_bytes ~population:(Float.of_int n_root) ~root_keys ~tys emitted )
