@@ -475,13 +475,18 @@ let decode_verbose_values ~ty b ~pos ~len =
    amortized share: small against any list worth predicting *)
 let header_overhead = 10.
 
+(* The mean step between [count] ids drawn from 1..[population]. Fewer
+   than one expected id still steps at most the whole population, so a
+   vanishing count never overflows the varint sizing below. *)
+let est_gap ~population count = Float.max 1. (population /. Float.max 1. count)
+
 let est_id_list_bytes fmt ~population count =
   match fmt with
   | Verbose -> 4. *. count
   | Compact ->
     if count <= 0. then 0.
     else begin
-      let gap = Float.max 1. (population /. count) in
+      let gap = est_gap ~population count in
       let per = Float.of_int (Codec.varint_size (int_of_float gap)) in
       (count *. per) +. header_overhead
     end
@@ -499,7 +504,7 @@ let est_value_bytes = function
 let est_rows_bytes ~population ~root_keys ~tys count =
   if count <= 0. then 0.
   else begin
-    let gap = Float.max 1. (population /. count) in
+    let gap = est_gap ~population count in
     let key_bytes = Float.of_int (Codec.varint_size (2 * int_of_float gap)) in
     count
     *. List.fold_left
@@ -518,7 +523,7 @@ let est_value_stream_bytes fmt ~population ~tys count =
   | Compact ->
     if count <= 0. then 0.
     else begin
-      let gap = Float.max 1. (population /. count) in
+      let gap = est_gap ~population count in
       let gap_bytes = Float.of_int (Codec.varint_size (2 * int_of_float gap)) in
       (* each projected column travels as its own stream, paying its
          own gap varints and frame-amortized header *)
