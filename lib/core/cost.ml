@@ -182,8 +182,9 @@ let climb_us env ~table m =
    [window]-byte reader, as SKT probing and the projection of a root
    hidden column do: dense candidates share the reader's window, so the
    number of Flash reads is the number of windows touched, not the
-   number of candidates. *)
-let window_reads_us env ~window ~n_root ~candidates ~row_bytes =
+   number of candidates. [hit] overrides the global cache hit ratio of
+   each read. *)
+let window_reads_us ?hit env ~window ~n_root ~candidates ~row_bytes =
   if candidates <= 0. || row_bytes <= 0. then 0.
   else begin
     let rows_per_window = Float.max 1. (window /. row_bytes) in
@@ -193,7 +194,7 @@ let window_reads_us env ~window ~n_root ~candidates ~row_bytes =
       Float.min candidates
         (n_windows *. (1. -. Float.pow (1. -. density) rows_per_window))
     in
-    touched *. point_read_us env window
+    touched *. point_read_us ?hit env window
   end
 
 let visible_sel env preds = List.fold_left (fun acc p -> acc *. sel env p) 1. preds
@@ -510,10 +511,19 @@ let estimate cat (plan : Plan.t) =
            else pre_sel := !pre_sel *. hidden_index_sel)
         plan.Plan.groups;
       let candidates = Float.of_int n_root *. !pre_sel in
-      (* SKT access for every candidate, unless the plan is index-only *)
+      (* SKT access for every candidate, unless the plan is index-only:
+         through [Exec]'s 64-byte window, or, when a page cache fronts
+         the SKT, one full-page fill per SKT page the candidates touch,
+         each priced as a miss: the frames hold few SKT pages from one
+         query to the next *)
       if skt_row_bytes > 0. && Plan.reads_skt plan then
         spend "access-skt"
-          (window_reads_us env ~window:64. ~n_root ~candidates ~row_bytes:skt_row_bytes);
+          (if cfg.Device.page_cache_frames > 0 then
+             window_reads_us env ~hit:0.
+               ~window:(Float.of_int cfg.Device.flash_geometry.Flash.page_size)
+               ~n_root ~candidates ~row_bytes:skt_row_bytes
+           else
+             window_reads_us env ~window:64. ~n_root ~candidates ~row_bytes:skt_row_bytes);
       (* Bloom probes + hidden checks per candidate, as AccessSKT
          charges them; none when the plan runs no test, and a counted
          plan has no candidate rows *)

@@ -247,7 +247,7 @@ exception Image_error of string
    sealed and the log lost its format field; to 15 when the USB fault
    config lost its backoff jitter and the device its jitter stream:
    older marshalled images are incompatible. *)
-let image_magic = "GHOSTDB-IMAGE-15\n"
+let image_magic = "GHOSTDB-IMAGE-16\n"
 
 (* Image layout: magic | u64 payload length | payload (marshalled
    instance) | u32 CRC-32 of the payload. Written to [<path>.tmp] and

@@ -167,6 +167,7 @@ let comp_of p =
 let build_skts p =
   let flash = Device.flash p.device in
   let comp = comp_of p in
+  let data_of name = List.assoc name p.datas in
   (* SKTs for tables with children. *)
   List.filter_map
     (fun (name, data) ->
@@ -187,7 +188,8 @@ let build_skts p =
                     | Some arr -> arr.(i))
                   comps))
          in
-         Some (name, Skt.build flash ~root:name ~levels ~rows)
+         let max_ids = List.map (fun d -> (data_of d).n) (List.tl levels) in
+         Some (name, Skt.build flash ~root:name ~levels ~max_ids ~rows)
        end)
     p.datas
 

@@ -1,5 +1,4 @@
 module Codec = Ghost_kernel.Codec
-module Cursor = Ghost_kernel.Cursor
 module Flash = Ghost_flash.Flash
 module Ram = Ghost_device.Ram
 
@@ -7,18 +6,34 @@ type t = {
   flash : Flash.t;
   root : string;
   levels : string array;
+  widths : int array;  (* bits per level below the root; [widths.(0)] is 0 *)
+  offsets : int array;  (* each level's first bit within its row *)
   root_count : int;
   row_width : int;
   segment : Pager.segment;
 }
 
-let build flash ~root ~levels ~rows =
+let build flash ~root ~levels ~max_ids ~rows =
   (match levels with
-   | r :: _ when r = root -> ()
+   | r :: _ :: _ when r = root -> ()
+   | r :: _ when r = root -> invalid_arg "Skt.build: no level below the root"
    | _ -> invalid_arg "Skt.build: levels must start with the root");
   let n_levels = List.length levels in
+  if List.length max_ids <> n_levels - 1 then
+    invalid_arg "Skt.build: max_ids misaligned with the levels below the root";
+  if List.exists (fun m -> m < 0 || m > 0xFFFF_FFFF) max_ids then
+    invalid_arg "Skt.build: a largest id outside 0..2^32-1";
+  (* the root id is the row's position: it takes no bits *)
+  let max_ids = Array.of_list (0 :: max_ids) in
+  let widths = Array.mapi (fun l m -> if l = 0 then 0 else Codec.bits_for m) max_ids in
+  let offsets = Array.make n_levels 0 in
+  for i = 1 to n_levels - 1 do
+    offsets.(i) <- offsets.(i - 1) + widths.(i - 1)
+  done;
+  let row_bits = offsets.(n_levels - 1) + widths.(n_levels - 1) in
+  let row_width = (row_bits + 7) / 8 in
   let w = Pager.Writer.create flash in
-  let cell = Bytes.create 4 in
+  let cell = Bytes.create row_width in
   Array.iteri
     (fun i row ->
        if Array.length row <> n_levels then
@@ -26,18 +41,25 @@ let build flash ~root ~levels ~rows =
                         (Array.length row) n_levels);
        if row.(0) <> i + 1 then
          invalid_arg (Printf.sprintf "Skt.build: row %d has root id %d" i row.(0));
-       Array.iter
-         (fun id ->
-            Codec.put_u32 cell 0 id;
-            Pager.Writer.append_bytes w cell)
-         row)
+       Bytes.fill cell 0 row_width '\000';
+       for l = 1 to n_levels - 1 do
+         let id = row.(l) in
+         if id < 1 || id > max_ids.(l) then
+           invalid_arg
+             (Printf.sprintf "Skt.build: row %d has id %d at level %d, outside 1..%d" i
+                id l max_ids.(l));
+         Codec.put_bits cell ~bit:offsets.(l) ~width:widths.(l) id
+       done;
+       Pager.Writer.append_bytes w cell)
     rows;
   {
     flash;
     root;
     levels = Array.of_list levels;
+    widths;
+    offsets;
     root_count = Array.length rows;
-    row_width = 4 * n_levels;
+    row_width;
     segment = Pager.Writer.finish w;
   }
 
@@ -60,38 +82,28 @@ let pages t = Array.to_list t.segment.Pager.pages
 type reader = {
   skt : t;
   pr : Pager.Reader.t;
-  scratch : Bytes.t;  (* one row, reused across point reads *)
+  scratch : Bytes.t;
+      (* one row, reused across point reads, plus 7 spare bytes so
+         [Codec.get_bits] loads every field in one 64-bit read *)
 }
 
 let open_reader ?ram ?buffer_bytes ?paged ?cache t =
   {
     skt = t;
     pr = Pager.Reader.open_ ?ram ?buffer_bytes ?paged ?cache t.flash t.segment;
-    scratch = Bytes.create t.row_width;
+    scratch = Bytes.make (t.row_width + 7) '\000';
   }
 
 let close_reader r = Pager.Reader.close r.pr
 
-let check_id r id =
-  if id < 1 || id > r.skt.root_count then
-    invalid_arg (Printf.sprintf "Skt: root id %d out of 1..%d" id r.skt.root_count)
-
 let get r id =
-  check_id r id;
-  Pager.Reader.read_into r.pr ~off:((id - 1) * r.skt.row_width)
-    ~len:r.skt.row_width r.scratch ~pos:0;
-  Array.init (Array.length r.skt.levels) (fun i -> Codec.get_u32 r.scratch (4 * i))
-
-let get_level r id ~level =
-  check_id r id;
-  if level < 0 || level >= Array.length r.skt.levels then
-    invalid_arg "Skt.get_level: bad level";
-  Pager.Reader.read_into r.pr ~off:(((id - 1) * r.skt.row_width) + (4 * level))
-    ~len:4 r.scratch ~pos:0;
-  Codec.get_u32 r.scratch 0
-
-let scan r =
-  let id = ref 0 in
-  Cursor.make (fun () ->
-    incr id;
-    if !id > r.skt.root_count then None else Some (get r !id))
+  let t = r.skt in
+  if id < 1 || id > t.root_count then
+    invalid_arg (Printf.sprintf "Skt: root id %d out of 1..%d" id t.root_count);
+  Pager.Reader.read_into r.pr ~off:((id - 1) * t.row_width) ~len:t.row_width r.scratch
+    ~pos:0;
+  let row = Array.make (Array.length t.levels) id in
+  for l = 1 to Array.length row - 1 do
+    row.(l) <- Codec.get_bits r.scratch ~bit:t.offsets.(l) ~width:t.widths.(l)
+  done;
+  row

@@ -244,6 +244,54 @@ let test_hidden_fks_keep_the_clock () =
          (probe sorted sql))
     Queries.all
 
+(* SKT widths are public. Two data sets share every cardinality and
+   every visible column but not their hidden foreign keys: in one every
+   Prescription.VisID is at most 8, in the other they spread over all
+   of Visit. Each level's width comes from its table's cardinality, not
+   from the largest id stored, so both SKTs take the same row width and
+   pages, and a Full BoundScan reads as many pages on the same clock. *)
+let test_skt_widths_public () =
+  let schema = Medical.schema () in
+  let rows = Medical.generate Medical.tiny in
+  let col =
+    Ghost_relation.Schema.column_index
+      (Ghost_relation.Schema.find_table schema "Prescription")
+      "VisID"
+  in
+  let n_visits = List.length (List.assoc "Visit" rows) in
+  let with_visids f =
+    List.map
+      (fun (t, rs) ->
+         if t <> "Prescription" then (t, rs)
+         else
+           ( t,
+             List.mapi
+               (fun k r ->
+                  let r = Array.copy r in
+                  r.(col) <- Value.Int (f k);
+                  r)
+               rs ))
+      rows
+  in
+  let narrow = with_visids (fun k -> 1 + (k mod 8))
+  and wide = with_visids (fun k -> n_visits - (k * 7 mod n_visits)) in
+  let probe rows =
+    let db = Ghost_db.of_schema schema rows in
+    let skt = Option.get (Catalog.skt (Ghost_db.catalog db) "Prescription") in
+    let r = Ghost_db.query db ~oblivious:true Queries.demo in
+    let op = List.find (fun o -> o.Exec.op_label = "BoundScan") r.Exec.ops in
+    ( Ghost_store.Skt.row_width skt,
+      List.length (Ghost_store.Skt.pages skt),
+      op.Exec.usage.Device.flash_page_reads,
+      op.Exec.usage.Device.total_us )
+  in
+  let width, pages, reads, clock = probe narrow in
+  let width', pages', reads', clock' = probe wide in
+  check Alcotest.int "SKT row width" width width';
+  check Alcotest.int "SKT pages" pages pages';
+  check Alcotest.int "Full BoundScan page reads" reads reads';
+  check (Alcotest.float 0.) "Full BoundScan clock" clock clock'
+
 (* ---- correctness: every workload query, also after mutations ---- *)
 
 let test_rows_match_reference () =
@@ -466,6 +514,8 @@ let suite =
       test_trace_equality_hidden_range;
     Alcotest.test_case "hidden foreign keys keep the clock" `Quick
       test_hidden_fks_keep_the_clock;
+    Alcotest.test_case "SKT widths are public: hidden keys move no page" `Quick
+      test_skt_widths_public;
     Alcotest.test_case "rows match reference" `Quick test_rows_match_reference;
     Alcotest.test_case "rows after mutations" `Quick (rows_after_mutations ~leveled:false);
     Alcotest.test_case "rows after mutations: leveled log" `Quick

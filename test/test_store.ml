@@ -162,30 +162,126 @@ let test_column_store_matching_ids () =
 
 (* ---- Skt ---- *)
 
+(* R's subtree R -> A (7 rows) -> B (3 rows): the root id is the row's
+   position, A takes 3 bits and B 2, so a row packs into one byte. *)
 let test_skt_roundtrip () =
   let f = flash () in
   let rows = Array.init 20 (fun i -> [| i + 1; ((i + 1) mod 7) + 1; ((i + 1) mod 3) + 1 |]) in
-  let skt = Skt.build f ~root:"R" ~levels:[ "R"; "A"; "B" ] ~rows in
+  let skt = Skt.build f ~root:"R" ~levels:[ "R"; "A"; "B" ] ~max_ids:[ 7; 3 ] ~rows in
   check Alcotest.int "root count" 20 (Skt.root_count skt);
-  check Alcotest.int "row width" 12 (Skt.row_width skt);
+  check Alcotest.int "row width" 1 (Skt.row_width skt);
+  check Alcotest.int "size" 20 (Skt.size_bytes skt);
   check Alcotest.int "level index" 1 (Skt.level_index skt "A");
   let r = Skt.open_reader skt in
-  check Alcotest.(array int) "row 5" rows.(4) (Skt.get r 5);
-  check Alcotest.int "level read" rows.(9).(2) (Skt.get_level r 10 ~level:2);
-  let all = Cursor.to_list (Skt.scan r) in
-  check Alcotest.int "scan" 20 (List.length all);
+  Array.iteri
+    (fun i row -> check Alcotest.(array int) (Printf.sprintf "row %d" (i + 1)) row
+        (Skt.get r (i + 1)))
+    rows;
+  check Alcotest.(array int) "row 10 again" rows.(9) (Skt.get r 10);
+  Alcotest.check_raises "root id 0" (Invalid_argument "Skt: root id 0 out of 1..20")
+    (fun () -> ignore (Skt.get r 0));
+  Alcotest.check_raises "root id 21" (Invalid_argument "Skt: root id 21 out of 1..20")
+    (fun () -> ignore (Skt.get r 21));
   Skt.close_reader r
 
 let test_skt_validation () =
   let f = flash () in
-  (try
-     ignore (Skt.build f ~root:"R" ~levels:[ "A"; "R" ] ~rows:[||]);
-     Alcotest.fail "expected root-first error"
-   with Invalid_argument _ -> ());
-  try
-    ignore (Skt.build f ~root:"R" ~levels:[ "R" ] ~rows:[| [| 2 |] |]);
-    Alcotest.fail "expected dense-id error"
-  with Invalid_argument _ -> ()
+  let refuses what build =
+    match build () with
+    | (_ : Skt.t) -> Alcotest.failf "expected Invalid_argument: %s" what
+    | exception Invalid_argument _ -> ()
+  in
+  let build ?(levels = [ "R"; "A" ]) ?(max_ids = [ 5 ]) rows () =
+    Skt.build f ~root:"R" ~levels ~max_ids ~rows
+  in
+  refuses "root first" (build ~levels:[ "A"; "R" ] [||]);
+  refuses "no level below the root" (build ~levels:[ "R" ] ~max_ids:[] [||]);
+  refuses "max_ids misaligned" (build ~max_ids:[ 5; 5 ] [||]);
+  refuses "cardinality past 2^32 - 1" (build ~max_ids:[ 1 lsl 32 ] [||]);
+  refuses "dense root ids" (build [| [| 2; 1 |] |]);
+  refuses "row arity" (build [| [| 1; 1; 1 |] |]);
+  (* 6 and 7 fit A's 3 bits, but A has 5 rows: no id is truncated or
+     let past its level's cardinality *)
+  refuses "id above its level's cardinality" (build [| [| 1; 5 |]; [| 2; 6 |] |]);
+  refuses "id 0" (build [| [| 1; 0 |] |]);
+  check Alcotest.int "the largest id fits" 1
+    (Skt.root_count (build [| [| 1; 5 |] |] ()))
+
+(* Random level cardinalities — 1, 2^k - 1, 2^k and up to 2^32 - 1, so
+   a row is 1 to 16 bytes and most rows straddle a 256-byte page — and
+   every id in its level's range, the extremes included. Every reader
+   the executor and [Insert] open must return the rows as built: a
+   64-byte window, a paged window, a row-sized buffer, the page cache,
+   and the same behind sealed pages. *)
+let gen_cardinality =
+  QCheck.Gen.(
+    oneof
+      [
+        return 1;
+        map (fun k -> (1 lsl k) - 1) (1 -- 32);
+        map (fun k -> 1 lsl k) (0 -- 31);
+        int_range 1 0xFFFF_FFFF;
+      ])
+
+let gen_skt =
+  QCheck.Gen.(
+    triple (list_size (1 -- 4) gen_cardinality) (0 -- 300) int >|= fun (maxes, n, seed) ->
+    let st = Random.State.make [| seed |] in
+    let rows =
+      Array.init n (fun i ->
+        Array.of_list
+          ((i + 1)
+           :: List.map
+                (fun m ->
+                   match i mod 5 with
+                   | 0 -> m
+                   | 1 -> 1
+                   | _ -> 1 + Random.State.full_int st m)
+                maxes))
+    in
+    (maxes, rows))
+
+let prop_skt_readers =
+  QCheck.Test.make ~name:"skt rows round-trip through every reader" ~count:60
+    (QCheck.make
+       ~print:(fun (maxes, rows) ->
+         Printf.sprintf "max_ids [%s], %d rows"
+           (String.concat "; " (List.map string_of_int maxes))
+           (Array.length rows))
+       gen_skt)
+    (fun (maxes, rows) ->
+       let levels = "R" :: List.mapi (fun i _ -> Printf.sprintf "L%d" i) maxes in
+       let bits = List.fold_left (fun acc m -> acc + Ghost_kernel.Codec.bits_for m) 0 maxes in
+       let read_all ~authenticated open_reader =
+         let f = flash () in
+         Flash.set_authenticated f authenticated;
+         let skt = Skt.build f ~root:"R" ~levels ~max_ids:maxes ~rows in
+         let r = open_reader f skt in
+         let ok =
+           Skt.row_width skt = (bits + 7) / 8
+           && Skt.size_bytes skt = Array.length rows * Skt.row_width skt
+           && Array.for_all (fun row -> Skt.get r row.(0) = row) rows
+           (* point probes out of order, as [Insert] makes them *)
+           && Array.for_all
+                (fun row -> Skt.get r row.(0) = row)
+                (Array.of_list (List.rev (Array.to_list rows)))
+         in
+         Skt.close_reader r;
+         ok
+       in
+       let cached f skt =
+         let ram = Ram.create ~budget:4096 in
+         let cache = Ghost_device.Page_cache.create ~ram f ~frames:2 in
+         Skt.open_reader ~ram ~buffer_bytes:64 ~cache skt
+       in
+       List.for_all
+         (fun authenticated ->
+            read_all ~authenticated (fun _ skt -> Skt.open_reader ~buffer_bytes:64 skt)
+            && read_all ~authenticated (fun _ skt -> Skt.open_reader ~paged:true skt)
+            && read_all ~authenticated (fun _ skt ->
+              Skt.open_reader ~buffer_bytes:(Skt.row_width skt) skt)
+            && read_all ~authenticated cached)
+         [ false; true ])
 
 (* ---- Climbing_index (sorted) ---- *)
 
@@ -439,6 +535,7 @@ let suite = [
   Alcotest.test_case "column store matching ids" `Quick test_column_store_matching_ids;
   Alcotest.test_case "skt roundtrip" `Quick test_skt_roundtrip;
   Alcotest.test_case "skt validation" `Quick test_skt_validation;
+  qtest prop_skt_readers;
   Alcotest.test_case "climbing index eq" `Quick test_climbing_eq;
   Alcotest.test_case "climbing index ranges" `Quick test_climbing_range;
   qtest prop_climbing_eq_random;
