@@ -185,7 +185,8 @@ let visible_projections schema t =
    baseline accounting. *)
 let emit_row_width schema t =
   match t.query.Bind.aggregate with
-  | Some spec -> 8 * max 1 (List.length spec.Ghost_sql.Aggregate.output)
+  | Some _ ->
+    Array.fold_left (fun acc ty -> acc + Value.ty_width ty) 0 (Bind.output_types schema t.query)
   | None ->
     List.fold_left
       (fun acc (table, column) ->

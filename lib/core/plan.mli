@@ -164,8 +164,9 @@ val visible_projections : Schema.t -> t -> (string * string * Value.ty) list
 val emit_row_width : Schema.t -> t -> int
 (** Bytes one emitted row occupies on the display link: 4 bytes of
     framing per projected column plus the width of each non-key one;
-    8 bytes per output column for an aggregate. A function of the
-    schema and the query alone. *)
+    for an aggregate, the width of each output column's type
+    ({!Bind.output_types}), so a [MIN] over a [CHAR(20)] takes 20. A
+    function of the schema and the query alone. *)
 
 val visible_selections : Schema.t -> t -> string -> Predicate.t list
 (** The query's selections on visible columns of one table, in query

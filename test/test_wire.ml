@@ -599,8 +599,20 @@ let test_empty_rows () =
        | _ -> ())
     (Trace.events (Ghost_db.trace db))
 
-(* The query shapes of the suite and one projecting every column of each
-   table, as (output types, which are keys, fixed row width). *)
+(* Aggregates over INT and CHAR columns, each with a COUNT: the first is
+   the exec digest's. *)
+let aggregate_shapes =
+  [
+    "SELECT COUNT(*), MIN(Pre.Quantity), MAX(Pre.Quantity) FROM Prescription Pre";
+    "SELECT COUNT(*), MIN(Vis.Purpose), MAX(Vis.Purpose) FROM Visit Vis";
+    "SELECT Med.Type, COUNT(*), MIN(Med.Name), MAX(Med.Effect) FROM Medicine Med GROUP BY \
+     Med.Type";
+  ]
+
+(* The query shapes of the suite, one projecting every column of each
+   table and the aggregates above, as (output types, which outputs stay
+   below 2^27, fixed row width). A key or a COUNT never exceeds a
+   table's cardinality. *)
 let row_shapes =
   lazy
     (let db = make_db Wire.Verbose in
@@ -618,33 +630,63 @@ let row_shapes =
        (fun sql ->
           let plan = fst (List.hd (Ghost_db.plans db sql)) in
           let q = plan.Plan.query in
+          let bounded =
+            match q.Ghost_sql.Bind.aggregate with
+            | None ->
+              List.map
+                (fun (t, c) ->
+                   c = (Ghost_relation.Schema.find_table schema t).Ghost_relation.Schema.key)
+                q.Ghost_sql.Bind.projections
+            | Some spec ->
+              let aggs = Array.of_list spec.Ghost_sql.Aggregate.aggs in
+              List.map
+                (function
+                  | `Agg a -> aggs.(a).Ghost_sql.Aggregate.a_fn = Ghost_sql.Aggregate.Count
+                  | `Group _ -> false)
+                spec.Ghost_sql.Aggregate.output
+          in
           ( Ghost_sql.Bind.output_types schema q,
-            Array.of_list
-              (List.map
-                 (fun (t, c) ->
-                    c = (Ghost_relation.Schema.find_table schema t).Ghost_relation.Schema.key)
-                 q.Ghost_sql.Bind.projections),
+            Array.of_list bounded,
             Plan.emit_row_width schema plan ))
        (List.map snd Queries.all
-        @ List.map every_column (Ghost_relation.Schema.tables schema)))
+        @ List.map every_column (Ghost_relation.Schema.tables schema)
+        @ aggregate_shapes))
 
-(* Pad and Full keep the fixed width, so Off never pays more per row:
-   keys below 2^27 take at most 4 varint bytes, the width charges 4 per
-   column plus the Flash width of every non-key one, and any other
-   value (NULL included) fits in that. *)
+(* An aggregate row takes each output's Flash width: 8 bytes for an
+   INT, a FLOAT or a DATE, n for a CHAR(n). *)
+let test_aggregate_row_widths () =
+  let db = make_db Wire.Verbose in
+  let width sql = Plan.emit_row_width (Ghost_db.schema db) (fst (List.hd (Ghost_db.plans db sql))) in
+  List.iter
+    (fun (sql, want) -> check Alcotest.int sql want (width sql))
+    [
+      (List.hd aggregate_shapes, 24);
+      ("SELECT MIN(Vis.Purpose) FROM Visit Vis", 20);
+      ("SELECT Med.Type, MAX(Med.Name) FROM Medicine Med GROUP BY Med.Type", 36);
+      ("SELECT COUNT(*), AVG(Pre.Quantity), MAX(Pre.WhenWritten) FROM Prescription Pre", 24);
+    ]
+
+(* Pad and Full keep the fixed width, so Off never pays more per row.
+   A projected row: keys below 2^27 take at most 4 varint bytes, the
+   width charges 4 per column plus the Flash width of every non-key
+   one, and any other value (NULL included) fits in that. An aggregate
+   row has no framing, only each output's Flash width: its COUNT takes
+   at most 4 of its 8 bytes, and the other 4 cover the length byte of
+   each CHAR(n) beside it and the ninth varint byte of each full-range
+   INT. (Alone, a MIN over a full CHAR(n) takes n + 1 bytes under Off.) *)
 let prop_rows_within_fixed_width =
   QCheck.Test.make ~name:"no row encodes longer than Plan.emit_row_width" ~count:200
     QCheck.(make Gen.(pair (int_bound 1000) (list_size (1 -- 8) (int_bound 1000))))
     (fun (pick, seeds) ->
        let shapes = Lazy.force row_shapes in
-       let tys, keys, width = List.nth shapes (pick mod List.length shapes) in
+       let tys, bounded, width = List.nth shapes (pick mod List.length shapes) in
        let rows =
          List.map
            (fun seed ->
               let st = Random.State.make [| seed |] in
               Array.mapi
                 (fun i ty ->
-                   if keys.(i) then Value.Int (Random.State.int st (1 lsl 27))
+                   if bounded.(i) then Value.Int (Random.State.int st (1 lsl 27))
                    else gen_row_value ty st)
                 tys)
            seeds
@@ -715,6 +757,8 @@ let suite =
     qtest prop_rows_roundtrip;
     Alcotest.test_case "empty result encodes to 0 bytes" `Quick test_empty_rows;
     qtest prop_rows_within_fixed_width;
+    Alcotest.test_case "aggregate rows take their outputs' widths" `Quick
+      test_aggregate_row_widths;
     Alcotest.test_case "Off emission annotated with its byte lengths" `Quick
       test_off_emission_annotation;
   ]
