@@ -516,14 +516,15 @@ let estimate cat (plan : Plan.t) =
          the SKT, one full-page fill per SKT page the candidates touch,
          each priced as a miss: the frames hold few SKT pages from one
          query to the next *)
-      if skt_row_bytes > 0. && Plan.reads_skt plan then
+      if skt_row_bytes > 0. && Plan.reads_skt plan then begin
+        let window, hit =
+          if cfg.Device.page_cache_frames > 0 then
+            (Float.of_int cfg.Device.flash_geometry.Flash.page_size, Some 0.)
+          else (64., None)
+        in
         spend "access-skt"
-          (if cfg.Device.page_cache_frames > 0 then
-             window_reads_us env ~hit:0.
-               ~window:(Float.of_int cfg.Device.flash_geometry.Flash.page_size)
-               ~n_root ~candidates ~row_bytes:skt_row_bytes
-           else
-             window_reads_us env ~window:64. ~n_root ~candidates ~row_bytes:skt_row_bytes);
+          (window_reads_us ?hit env ~window ~n_root ~candidates ~row_bytes:skt_row_bytes)
+      end;
       (* Bloom probes + hidden checks per candidate, as AccessSKT
          charges them; none when the plan runs no test, and a counted
          plan has no candidate rows *)
