@@ -376,21 +376,10 @@ let scale_sweep ?(cardinalities = [ 1_000; 10_000; 50_000; 100_000 ]) () =
 (* ---- E11 inserts ---- *)
 
 let insert_sweep ?(scale = default_scale) () =
-  let module Value = Ghost_kernel.Value in
   let module Rng = Ghost_kernel.Rng in
   let rows_for db rng n =
-    let next =
-      Catalog.total_count (Ghost_db.catalog db) "Prescription" + 1
-    in
-    List.init n (fun i ->
-      [|
-        Value.Int (next + i);
-        Value.Int (Rng.int_in rng 1 10);
-        Value.Int (Rng.int_in rng 1 4);
-        Value.Date (Rng.int_in rng Medical.date_lo Medical.date_hi);
-        Value.Int (1 + Rng.int rng scale.Medical.medicines);
-        Value.Int (1 + Rng.int rng scale.Medical.visits);
-      |])
+    Medical.new_prescriptions scale rng
+      ~first:(Catalog.total_count (Ghost_db.catalog db) "Prescription" + 1) n
   in
   let db = make_db scale in
   let rng = Rng.create 77 in
@@ -437,19 +426,10 @@ let insert_sweep ?(scale = default_scale) () =
 (* ---- E15 robustness: fault injection overhead ---- *)
 
 let robustness ?(scale = default_scale) () =
-  let module Value = Ghost_kernel.Value in
   let module Rng = Ghost_kernel.Rng in
   let insert_rows db rng n =
-    let next = Catalog.total_count (Ghost_db.catalog db) "Prescription" + 1 in
-    List.init n (fun i ->
-      [|
-        Value.Int (next + i);
-        Value.Int (Rng.int_in rng 1 10);
-        Value.Int (Rng.int_in rng 1 4);
-        Value.Date (Rng.int_in rng Medical.date_lo Medical.date_hi);
-        Value.Int (1 + Rng.int rng scale.Medical.medicines);
-        Value.Int (1 + Rng.int rng scale.Medical.visits);
-      |])
+    Medical.new_prescriptions scale rng
+      ~first:(Catalog.total_count (Ghost_db.catalog db) "Prescription" + 1) n
   in
   let flash_faults ~flip ~fail =
     Some { Flash.no_faults with
@@ -622,7 +602,6 @@ let page_cache_sweep ?metrics ?(scale = default_scale) () =
 (* ---- E17 journaled reorganization: rebuild cost + recovery time ---- *)
 
 let reorg_cost ?metrics ?(scale = default_scale) () =
-  let module Value = Ghost_kernel.Value in
   let module Rng = Ghost_kernel.Rng in
   let attach db =
     Option.iter (fun m -> Ghost_db.set_metrics db (Some m)) metrics
@@ -632,17 +611,9 @@ let reorg_cost ?metrics ?(scale = default_scale) () =
   let build pending =
     let db = make_db scale in
     let rng = Rng.create 51 in
-    let next = Catalog.total_count (Ghost_db.catalog db) "Prescription" + 1 in
     Ghost_db.insert db
-      (List.init pending (fun i ->
-         [|
-           Value.Int (next + i);
-           Value.Int (Rng.int_in rng 1 10);
-           Value.Int (Rng.int_in rng 1 4);
-           Value.Date (Rng.int_in rng Medical.date_lo Medical.date_hi);
-           Value.Int (1 + Rng.int rng scale.Medical.medicines);
-           Value.Int (1 + Rng.int rng scale.Medical.visits);
-         |]));
+      (Medical.new_prescriptions scale rng
+         ~first:(Catalog.total_count (Ghost_db.catalog db) "Prescription" + 1) pending);
     let doomed =
       List.init (max 1 (pending / 10)) (fun i ->
         1 + ((i * 37) mod scale.Medical.prescriptions))
@@ -731,24 +702,15 @@ let reorg_cost ?metrics ?(scale = default_scale) () =
 (* ---- E12 lifecycle: deletes + reorganization ---- *)
 
 let lifecycle ?(scale = default_scale) () =
-  let module Value = Ghost_kernel.Value in
   let module Rng = Ghost_kernel.Rng in
   let rng = Rng.create 99 in
   let db = ref (make_db scale) in
   let demo_time () = (Ghost_db.query !db Queries.demo).Exec.elapsed_us in
   let fresh = demo_time () in
   let insert n =
-    let next = Catalog.total_count (Ghost_db.catalog !db) "Prescription" + 1 in
     Ghost_db.insert !db
-      (List.init n (fun i ->
-         [|
-           Value.Int (next + i);
-           Value.Int (Rng.int_in rng 1 10);
-           Value.Int (Rng.int_in rng 1 4);
-           Value.Date (Rng.int_in rng Medical.date_lo Medical.date_hi);
-           Value.Int (1 + Rng.int rng scale.Medical.medicines);
-           Value.Int (1 + Rng.int rng scale.Medical.visits);
-         |]))
+      (Medical.new_prescriptions scale rng
+         ~first:(Catalog.total_count (Ghost_db.catalog !db) "Prescription" + 1) n)
   in
   let delete n =
     (* delete random live loaded rows *)
@@ -919,26 +881,28 @@ let retail_workload () =
 
 (* ---- E18 multi-session scheduler: throughput + tail latency ---- *)
 
+(* The interactive-plus-analyst mix of E18, E19 and E22: three sub-10ms
+   point/join queries and the suite's two full-scan analytical queries
+   (~25x and ~165x the lightest). The full suite's mid-weight joins
+   (~30ms) are left out on purpose: they are frequent enough under any
+   Zipf skew to land inside E18's p95 window, where a preemptive policy
+   charges them N times their service time and drowns the convoy
+   signal. *)
+let interactive_analyst_mix =
+  List.filter
+    (fun (name, _) ->
+       List.mem name
+         [ "single_table_visible"; "demo"; "doctor_patient"; "range_hidden"; "visible_only" ])
+    Queries.all
+
 let sched_throughput ?metrics ?(scale = default_scale) () =
   let module Scheduler = Ghost_sched.Scheduler in
   let module Driver = Ghost_sched.Workload_driver in
-  (* An interactive-plus-analyst mix: three sub-10ms point/join queries
-     and the suite's two full-scan analytical queries (~25x and ~165x
-     the lightest). The full suite's mid-weight joins (~30ms) are left
-     out on purpose: they are frequent enough under any Zipf skew to
-     land inside the p95 window, where a preemptive policy charges them
-     N times their service time and drowns the convoy signal. With a
-     clean light/heavy gap, theta 2.5 gives the heavy tail ~4% of the
-     mass, so p95 measures what FIFO does to the many light queries
-     queued behind a rare analytical scan, not the scans themselves. *)
-  let mix =
-    List.filter
-      (fun (name, _) ->
-         List.mem name
-           [ "single_table_visible"; "demo"; "doctor_patient";
-             "range_hidden"; "visible_only" ])
-      Ghost_workload.Queries.all
-  in
+  (* With a clean light/heavy gap, theta 2.5 gives the heavy tail ~4%
+     of the mass, so p95 measures what FIFO does to the many light
+     queries queued behind a rare analytical scan, not the scans
+     themselves. *)
+  let mix = interactive_analyst_mix in
   let spec clients =
     { Driver.default_spec with
       Driver.clients; queries_per_client = 12; theta = 2.5; mix }
@@ -1013,18 +977,11 @@ let fleet_scaling ?metrics ?(scale = default_scale)
   let module Metrics = Ghost_metrics.Metrics in
   let module Fleet = Ghost_fleet.Fleet in
   let module Driver = Ghost_fleet.Fleet_driver in
-  (* The E18 interactive-plus-analyst mix, so the single-shard row is
-     directly comparable to the single-device scheduler numbers. Two
-     of the five queries touch dimension tables only and route to one
-     shard; the rest scatter to every shard and merge. *)
-  let mix =
-    List.filter
-      (fun (name, _) ->
-         List.mem name
-           [ "single_table_visible"; "demo"; "doctor_patient";
-             "range_hidden"; "visible_only" ])
-      Ghost_workload.Queries.all
-  in
+  (* The E18 mix, so the single-shard row is directly comparable to
+     the single-device scheduler numbers. Two of the five queries touch
+     dimension tables only and route to one shard; the rest scatter to
+     every shard and merge. *)
+  let mix = interactive_analyst_mix in
   let schema = Medical.schema () in
   let data = Medical.generate scale in
   let spec clients =
@@ -1046,10 +1003,7 @@ let fleet_scaling ?metrics ?(scale = default_scale)
   in
   let run_cell (n, r, kill) =
     let fleet =
-      Fleet.create
-        ~topology:
-          { Fleet.shards = n; replicas = r; partitioning = Fleet.Range }
-        schema data
+      Fleet.create ~topology:{ Fleet.shards = n; replicas = r } schema data
     in
     Option.iter (fun m -> Fleet.set_metrics fleet (Some m)) metrics;
     let kills = if kill then [ kill_spec ] else [] in
@@ -1419,7 +1373,7 @@ let integrity_sweep ?metrics ?(scale = default_scale) () =
   let run_cell (rate, scrub, replicas) =
     let fleet =
       Fleet.create ~device_config:config
-        ~topology:{ Fleet.shards; replicas; partitioning = Fleet.Range }
+        ~topology:{ Fleet.shards; replicas }
         schema data
     in
     Option.iter (fun m -> Fleet.set_metrics fleet (Some m)) metrics;
@@ -1577,19 +1531,12 @@ let integrity_sweep ?metrics ?(scale = default_scale) () =
 let oblivious_frontier ?metrics ?(scale = default_scale) () =
   let module Metrics = Ghost_metrics.Metrics in
   let module Oblivious = Ghost_oblivious.Oblivious in
-  (* The E18 interactive-plus-analyst mix prices the overhead; the
-     leakage is measured on a probe family of eight queries that are
-     byte-for-byte identical except for a hidden range bound, so any
-     fingerprint difference between them is access pattern, not the
-     declared query-text leak. *)
-  let mix =
-    List.filter
-      (fun (name, _) ->
-         List.mem name
-           [ "single_table_visible"; "demo"; "doctor_patient";
-             "range_hidden"; "visible_only" ])
-      Ghost_workload.Queries.all
-  in
+  (* The E18 mix prices the overhead; the leakage is measured on a
+     probe family of eight queries that are byte-for-byte identical
+     except for a hidden range bound, so any fingerprint difference
+     between them is access pattern, not the declared query-text
+     leak. *)
+  let mix = interactive_analyst_mix in
   let probe_family =
     List.init 8 (fun i ->
       Printf.sprintf
@@ -1716,28 +1663,17 @@ let oblivious_frontier ?metrics ?(scale = default_scale) () =
       ]
     rows
 
-(* ---- E23 write-heavy: leveled log runs vs the flat delta log ---- *)
+(* ---- E23 write-heavy: a compacted delta log vs one never compacted ---- *)
 
 let write_heavy ?metrics ?(scale = default_scale) () =
-  let module Value = Ghost_kernel.Value in
   let module Rng = Ghost_kernel.Rng in
   let module Metrics = Ghost_metrics.Metrics in
   let module Delta_log = Ghostdb.Delta_log in
   let module Compaction = Ghostdb.Compaction in
   let rounds = 8 and batch = 150 and deletes_per_round = 10 and probes = 12 in
   let rows_for db rng n =
-    let next =
-      Catalog.total_count (Ghost_db.catalog db) "Prescription" + 1
-    in
-    List.init n (fun i ->
-      [|
-        Value.Int (next + i);
-        Value.Int (Rng.int_in rng 1 10);
-        Value.Int (Rng.int_in rng 1 4);
-        Value.Date (Rng.int_in rng Medical.date_lo Medical.date_hi);
-        Value.Int (1 + Rng.int rng scale.Medical.medicines);
-        Value.Int (1 + Rng.int rng scale.Medical.visits);
-      |])
+    Medical.new_prescriptions scale rng
+      ~first:(Catalog.total_count (Ghost_db.catalog db) "Prescription" + 1) n
   in
   (* Probe windows over the base key range: a visible root-key fence
      plus a hidden predicate, so every probe pays a DeltaScan — fenced
@@ -1765,15 +1701,11 @@ let write_heavy ?metrics ?(scale = default_scale) () =
   let mean xs =
     List.fold_left ( +. ) 0. xs /. Float.of_int (List.length xs)
   in
+  (* Both arms run the default device; only the compactor differs. The
+     flat arm's log is never compacted, so it stays all L0. *)
   let run_mode leveled =
     let name = if leveled then "leveled" else "flat" in
-    let device_config =
-      if leveled then
-        { Device.default_config with
-          Device.log_runs = Some Device.default_log_runs }
-      else Device.default_config
-    in
-    let db = make_db ~device_config scale in
+    let db = make_db scale in
     Option.iter (fun m -> Ghost_db.set_metrics db (Some m)) metrics;
     let cat = Ghost_db.catalog db in
     let compactor = if leveled then Some (Compaction.create cat) else None in

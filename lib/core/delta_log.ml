@@ -1,21 +1,18 @@
 module Value = Ghost_kernel.Value
 module Codec = Ghost_kernel.Codec
 module Flash = Ghost_flash.Flash
+module Device = Ghost_device.Device
 module Page_cache = Ghost_device.Page_cache
 module Log_run = Ghost_store.Log_run
 module Append_log = Ghost_store.Append_log
-
-type runs_policy = {
-  l0_spill_pages : int;
-  run_fanout : int;
-}
 
 (* A resumable compaction unit: one output run being built from either
    the current L0 prefix (a spill) or every run of one level (a
    merge). All fields are plain data — no closures — so an in-flight
    compaction survives a marshalled device image. *)
 type source =
-  | S_records of string list  (* spill: decoded L0 records, key order *)
+  | S_records of (int array * string) list
+      (* spill: the L0 records as ids and value part, key order *)
   | S_merge of Log_run.merge
 
 type compaction = {
@@ -29,7 +26,6 @@ type compaction = {
 
 type t = {
   flash : Flash.t;
-  table : string;
   levels : string array;
   max_ids : int array;
       (* the largest id of each level below the root: its table's
@@ -39,7 +35,7 @@ type t = {
   record_bytes : int;  (* ids, then the root's hidden values *)
   cache : Page_cache.t option;
       (* invalidated when compaction programs a recycled Flash page *)
-  runs_policy : runs_policy option;
+  policy : Device.log_runs;
   l0 : Append_log.t;  (* the unspilled recent records *)
   mutable runs : Log_run.t list;  (* ascending min_key = chronological *)
   mutable dropped : int;  (* tombstoned records compaction dropped *)
@@ -47,45 +43,38 @@ type t = {
   mutable compacted_dead : int;  (* bytes of compaction inputs and abandoned builds *)
 }
 
-let create ?cache ?runs flash ~table ~levels ~max_ids ~hidden_cols =
+let create ?cache ~runs flash ~levels ~max_ids ~hidden_cols =
   if List.length max_ids <> List.length levels - 1 then
     invalid_arg "Delta_log.create: max_ids misaligned with the levels below the root";
   if List.exists (fun m -> m < 0 || m > 0xFFFF_FFFF) max_ids then
     invalid_arg "Delta_log.create: a largest id outside 0..2^32-1";
+  if runs.Device.l0_spill_pages < 1 || runs.Device.run_fanout < 2 then
+    invalid_arg "Delta_log.create: spill threshold < 1 or fanout < 2";
   let id_bytes = 4 * List.length levels in
   let value_bytes =
     List.fold_left (fun acc (_, ty) -> acc + Value.ty_width ty) 0 hidden_cols
   in
+  (* the widest id record: a root field of 32 bits *)
+  let id_bits = List.fold_left (fun acc m -> acc + Codec.bits_for m) 32 max_ids in
+  if Log_run.records_per_page flash ~record_bits:(max id_bits (8 * value_bytes)) < 1 then
+    invalid_arg "Delta_log.create: record exceeds a run page";
   let record_bytes = id_bytes + value_bytes in
-  let l0 = Append_log.create ?cache flash ~tag:"GDLT" ~record_bytes in
-  (match runs with
-   | Some p ->
-     if p.l0_spill_pages < 1 || p.run_fanout < 2 then
-       invalid_arg "Delta_log.create: spill threshold < 1 or fanout < 2";
-     (* the widest id record: a root field of 32 bits *)
-     let id_bits = List.fold_left (fun acc m -> acc + Codec.bits_for m) 32 max_ids in
-     let record_bits = max id_bits (8 * value_bytes) in
-     if Log_run.records_per_page flash ~record_bits < 1 then
-       invalid_arg "Delta_log.create: record exceeds a run page"
-   | None -> ());
   {
     flash;
-    table;
     levels = Array.of_list levels;
     max_ids = Array.of_list max_ids;
     hidden_cols = Array.of_list hidden_cols;
     id_bytes;
     record_bytes;
     cache;
-    runs_policy = runs;
-    l0;
+    policy = runs;
+    l0 = Append_log.create ?cache flash ~tag:"GDLT" ~record_bytes;
     runs = [];
     dropped = 0;
     compaction = None;
     compacted_dead = 0;
   }
 
-let table t = t.table
 let count t = Append_log.count t.l0
 let acknowledged t = Append_log.acknowledged t.l0
 let record_bytes t = t.record_bytes
@@ -93,7 +82,6 @@ let needs_recovery t = Append_log.needs_recovery t.l0
 
 let dead_bytes t = Append_log.dead_bytes t.l0 + t.compacted_dead
 
-let runs_enabled t = t.runs_policy <> None
 let has_runs t = t.runs <> []
 let run_count t = List.length t.runs
 let run_pages t = List.fold_left (fun a r -> a + Log_run.page_count r) 0 t.runs
@@ -106,7 +94,7 @@ let l0_pages t = Append_log.page_count t.l0
 let pages t = Append_log.pages t.l0 @ List.concat_map Log_run.pages t.runs
 
 (* Records a sequential scan touches: the logical count minus what
-   compaction folded away. Equal to [count] on a flat log. *)
+   compaction folded away. *)
 let physical_records t = count t - t.dropped
 let dropped_records t = t.dropped
 
@@ -146,27 +134,34 @@ let encode t { ids; hidden } =
 
 let append t rows = Append_log.append t.l0 (List.map (encode t) rows)
 
-(* ---- leveled compaction (runs mode) ---- *)
+let decode_ids t b off =
+  Array.init (Array.length t.levels) (fun i -> Codec.get_u32 b (off + (4 * i)))
+
+let decode_values t b off =
+  let pos = ref off in
+  Array.map
+    (fun (_, ty) ->
+       let v = Value.decode ty b !pos in
+       pos := !pos + Value.ty_width ty;
+       v)
+    t.hidden_cols
+
+(* ---- leveled compaction ---- *)
 
 (* Runs at [level], oldest first (the runs list is chronological). *)
 let runs_at t level = List.filter (fun r -> r.Log_run.level = level) t.runs
 
 let spill_ready t =
-  match t.runs_policy with
-  | None -> false
-  | Some p -> List.length (Append_log.full_pages t.l0) >= p.l0_spill_pages
+  List.length (Append_log.full_pages t.l0) >= t.policy.Device.l0_spill_pages
 
 let merge_level t =
-  match t.runs_policy with
-  | None -> None
-  | Some p ->
-    let rec probe level =
-      match runs_at t level with
-      | [] -> None
-      | rs when List.length rs >= p.run_fanout -> Some level
-      | _ -> probe (level + 1)
-    in
-    probe 1
+  let rec probe level =
+    match runs_at t level with
+    | [] -> None
+    | rs when List.length rs >= t.policy.Device.run_fanout -> Some level
+    | _ -> probe (level + 1)
+  in
+  probe 1
 
 let compaction_pending t =
   (not (needs_recovery t))
@@ -190,10 +185,8 @@ and installed = {
    — while a merge reads its input runs one page at a time through the
    cursor, so RAM stays bounded however deep the tree grows. *)
 let start_compaction t =
-  match t.runs_policy with
-  | None -> None
-  | Some _ when t.compaction <> None -> t.compaction
-  | Some _ ->
+  if t.compaction <> None then t.compaction
+  else
     (* Every width is public: the root's from the keys of the unit's
        inputs, every other level's from its table's cardinality. *)
     let start level source ~inputs ~spill_pages ~keys:(lo, hi) =
@@ -218,10 +211,20 @@ let start_compaction t =
     in
     if spill_ready t then begin
       let pages = Append_log.full_pages t.l0 in
-      let records = List.concat_map (Append_log.full_page_records t.l0) pages in
+      let records =
+        List.concat_map
+          (fun page ->
+             List.map
+               (fun r ->
+                  let b = Bytes.unsafe_of_string r in
+                  (decode_ids t b 0, String.sub r t.id_bytes (t.record_bytes - t.id_bytes)))
+               (Append_log.full_page_records t.l0 page))
+          pages
+      in
+      let key (ids, _) = ids.(0) in
       let last = List.fold_left (fun _ r -> r) (List.hd records) records in
-      let keys = (Log_run.key (List.hd records), Log_run.key last) in
-      start 1 (S_records records) ~inputs:[] ~spill_pages:(List.length pages) ~keys
+      start 1 (S_records records) ~inputs:[] ~spill_pages:(List.length pages)
+        ~keys:(key (List.hd records), key last)
     end
     else
       match merge_level t with
@@ -296,9 +299,9 @@ let compact_step ?(drop = fun _ -> false) t ~max_pages =
        while (not !exhausted) && programmed () < budget do
          match pull t c with
          | None -> exhausted := true
-         | Some record ->
-           if drop (Log_run.key record) then c.c_dropped <- c.c_dropped + 1
-           else Log_run.add ~on_program c.c_builder record
+         | Some (ids, values) ->
+           if drop ids.(0) then c.c_dropped <- c.c_dropped + 1
+           else Log_run.add ~on_program c.c_builder ~ids ~values
        done;
        if !exhausted then begin
          let run =
@@ -357,26 +360,14 @@ let recover t =
     torn_pages = r.torn_pages + !runs_torn;
   }
 
-let decode_ids t b off =
-  Array.init (Array.length t.levels) (fun i -> Codec.get_u32 b (off + (4 * i)))
-
-let decode_values t b off =
-  let pos = ref off in
-  Array.map
-    (fun (_, ty) ->
-       let v = Value.decode ty b !pos in
-       pos := !pos + Value.ty_width ty;
-       v)
-    t.hidden_cols
-
 let scan_range ?lo ?hi ?(values = true) ?(on_unpack = ignore) t f =
   let hidden vb voff = if values then decode_values t vb voff else [||] in
   let fields = Array.length t.levels in
   (* Runs first (they hold the oldest records), then L0: rows stream in
-     ascending root-id order just like the flat log's append order. The
-     bounds skip run pages via their key fences, and an id-only scan
-     reads no value page; the L0 prefix is bounded by the spill
-     threshold, holds whole records, and is always read in full. *)
+     ascending root-id order, the append order. The bounds skip run
+     pages via their key fences, and an id-only scan reads no value
+     page; L0 holds whole records and is always read in full (a
+     compacted log bounds it by the spill threshold). *)
   List.iter
     (fun run ->
        Log_run.iter t.flash ?lo ?hi ~values run (fun ids vb voff ->

@@ -18,12 +18,11 @@ module Flash = Ghost_flash.Flash
 
     {2 Leveled runs}
 
-    A flat log makes every query pay a full scan that grows without
-    bound between reorganizations. When a {!runs_policy} is supplied,
-    the log becomes a miniature LSM tree: the unsorted recent pages
-    (L0, the memtable role) spill into immutable sorted
-    {!Ghost_store.Log_run} runs, runs of a level merge into the next,
-    and reads stream runs + L0 with page-range skipping. A run stores
+    A log read whole makes every query pay a scan that grows without
+    bound between reorganizations. So the log is a miniature LSM tree:
+    the unsorted recent pages (L0, the memtable role) spill into
+    immutable sorted {!Ghost_store.Log_run} runs, runs of a level merge
+    into the next, and reads stream runs + L0 with page-range skipping. A run stores
     each record as two page streams: id pages hold its id vector
     (root id first, carrying the key fences) and value pages its
     hidden values, in the same record order, so a scan whose plan
@@ -41,25 +40,16 @@ module Flash = Ghost_flash.Flash
     power cut mid-spill must not disturb the acknowledged-record
     protocol {!Insert} relies on); it runs in background slices via
     {!compact_step}, typically driven by {!Compaction} under the
-    scheduler. Without a policy the log stays flat. See DESIGN.md
-    section 16. *)
-
-type runs_policy = {
-  l0_spill_pages : int;
-      (** spill the L0 full pages into a level-1 run once this many
-          have accumulated; [>= 1] *)
-  run_fanout : int;
-      (** merge all runs of a level into one run of the next once the
-          level holds this many; [>= 2] *)
-}
+    scheduler. A log that nothing compacts is all L0, so it programs
+    and reads exactly the pages of the paper's append-only log. See
+    DESIGN.md section 16. *)
 
 type t
 
 val create :
   ?cache:Ghost_device.Page_cache.t ->
-  ?runs:runs_policy ->
+  runs:Ghost_device.Device.log_runs ->
   Flash.t ->
-  table:string ->
   levels:string list ->
   max_ids:int list ->
   hidden_cols:(string * Value.ty) list ->
@@ -69,16 +59,16 @@ val create :
     holds, aligned with [List.tl levels] (its table's cardinality: a
     public number), which sizes that level's field on a run's id
     pages; [hidden_cols] — the table's own hidden columns, in
-    declaration order. Raises [Invalid_argument] when [max_ids] is
-    misaligned or outside [0 .. 2^32 - 1]. The L0 pages are a
+    declaration order; [runs] — when compaction spills L0 and merges a
+    level. Raises [Invalid_argument] when [max_ids] is misaligned or
+    outside [0 .. 2^32 - 1], on a spill threshold below 1 or a fanout
+    below 2, or when a record cannot fit a run page. The L0 pages are a
     {!Ghost_store.Append_log} tagged ["GDLT"]: sealed pages,
     recoverable after a power cut. [cache] — the device's shared page
     cache; every append and compaction program invalidates the page it
     programs there, since {!Flash.append} recycles erased pages the
-    cache may still hold. [runs] — omit for a flat log; supply a
-    policy to enable leveled compaction. *)
+    cache may still hold. *)
 
-val table : t -> string
 val count : t -> int
 (** Logical records ever appended (and recovered). Monotonic even
     across compaction — {!Catalog} derives the next dense root id from
@@ -126,9 +116,6 @@ val append : t -> row list -> unit
 
 (** {2 Leveled compaction} *)
 
-val runs_enabled : t -> bool
-(** A {!runs_policy} was supplied at creation. *)
-
 val has_runs : t -> bool
 (** At least one sorted run is installed. *)
 
@@ -153,15 +140,15 @@ val l0_pages : t -> int
 
 val physical_records : t -> int
 (** Records a sequential scan touches: {!count} minus the tombstoned
-    records compaction folded away. Equal to {!count} on a flat log. *)
+    records compaction folded away. *)
 
 val dropped_records : t -> int
 (** Tombstoned records folded away by compaction so far. *)
 
 val compaction_pending : t -> bool
 (** A compaction unit is in flight, the L0 spill threshold is reached,
-    or some level holds [run_fanout] runs. Always false without a
-    policy or while the log {!needs_recovery}. *)
+    or some level holds [run_fanout] runs. Always false while the log
+    {!needs_recovery}. *)
 
 type step =
   | Idle  (** nothing pending *)
@@ -230,7 +217,7 @@ val recover : t -> recovery
 val scan : t -> (row -> unit) -> unit
 (** Sequential metered read of the whole log: installed runs oldest
     first, then the L0 pages — ascending root-id order throughout,
-    matching the flat log's append order. *)
+    which is the append order. *)
 
 val scan_range :
   ?lo:int -> ?hi:int -> ?values:bool -> ?on_unpack:(int -> unit) -> t ->
@@ -245,8 +232,8 @@ val scan_range :
     either way); the ids, and their order, are those of the scan with
     values. [on_unpack n] runs before each row read from a run, with
     the [n] id fields unpacked for it ({!Exec} charges them as CPU
-    work); L0 rows unpack nothing. On a flat log the bounds are
-    ignored and the scan is bit-identical to {!scan}. *)
+    work); L0 rows unpack nothing. On a log with no run the bounds
+    select nothing and the scan is bit-identical to {!scan}. *)
 
 val page_intact : t -> page:int -> bool option
 (** [None] when [page] is not a live page of the log; otherwise

@@ -1153,11 +1153,11 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
                   (Array.map (function Value.Int c -> Value.Int (c + n) | v -> v))
                   grouped
             in
+            (* each group row at its output types' widths, as emitted *)
             let group_bytes =
               max 16
                 (List.length grouped
-                 * 8
-                 * max 1 (List.length spec.Ghost_sql.Aggregate.output))
+                 * Plan.emit_row_width ctx.catalog.Catalog.schema plan)
             in
             Ram.with_alloc ctx.ram ~label:"aggregate-groups" group_bytes (fun _ -> ());
             grouped
@@ -1170,7 +1170,7 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
           | [], None -> out
           | order_by, limit ->
             let n = if full then n_in else List.length out in
-            cpu ctx (n * Ext_sort.log2_ceil n);
+            cpu ctx (n * Ext_sort.log2_floor n);
             Ram.with_alloc ctx.ram ~label:"order-by"
               (max 16 (n * 8))
               (fun _ -> Ghost_sql.Postproc.apply ~order_by ~limit out)

@@ -245,9 +245,12 @@ exception Image_error of string
    page streams; to 13 when run id pages became bit-packed and the
    delta log gained its largest ids; to 14 when every log page became
    sealed and the log lost its format field; to 15 when the USB fault
-   config lost its backoff jitter and the device its jitter stream:
-   older marshalled images are incompatible. *)
-let image_magic = "GHOSTDB-IMAGE-16\n"
+   config lost its backoff jitter and the device its jitter stream; to
+   16 when SKT rows became bit-packed; to 17 when every delta log
+   became leveled and a spill's pending records and a merge cursor's
+   read-ahead became id vectors: older marshalled images are
+   incompatible. *)
+let image_magic = "GHOSTDB-IMAGE-17\n"
 
 (* Image layout: magic | u64 payload length | payload (marshalled
    instance) | u32 CRC-32 of the payload. Written to [<path>.tmp] and

@@ -85,9 +85,11 @@ val tombstone_count : t -> int
 
 val compact : t -> unit
 (** Eagerly drain pending delta-log compaction (see {!Compaction}): L0
-    spills and run merges run to quiescence on the device clock. A
-    no-op unless the device config enables [log_runs]. In production
-    shape compaction runs incrementally in scheduler idle slices
+    spills and run merges run to quiescence on the device clock, at
+    the thresholds of the device config's [log_runs]. Nothing else
+    compacts a log unless a {!Compaction} driver runs: a log never
+    compacted stays all L0. In production shape compaction runs
+    incrementally in scheduler idle slices
     ({!Ghost_sched.Scheduler.set_compactor}); this is the synchronous
     entry point for tests and single-session callers. Raises [Failure]
     while a log {!needs_recovery} or during an interrupted

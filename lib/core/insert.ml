@@ -12,16 +12,6 @@ exception Insert_error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Insert_error s)) fmt
 
-let log_runs cat =
-  match (Device.config cat.Catalog.device).Device.log_runs with
-  | None -> None
-  | Some p ->
-    Some
-      {
-        Delta_log.l0_spill_pages = p.Device.l0_spill_pages;
-        run_fanout = p.Device.run_fanout;
-      }
-
 let delta_log_for cat root =
   match Catalog.delta cat root with
   | Some log -> log
@@ -33,10 +23,13 @@ let delta_log_for cat root =
     let levels = Schema.subtree cat.Catalog.schema root in
     (* [id_vector] bounds every id below the root by its table's count *)
     let max_ids = List.map (Catalog.table_count cat) (List.tl levels) in
+    let runs =
+      Option.value ~default:Device.default_log_runs
+        (Device.config cat.Catalog.device).Device.log_runs
+    in
     let log =
-      Delta_log.create ?cache:(Device.page_cache cat.Catalog.device)
-        ?runs:(log_runs cat) (Device.flash cat.Catalog.device)
-        ~table:root ~levels ~max_ids ~hidden_cols
+      Delta_log.create ?cache:(Device.page_cache cat.Catalog.device) ~runs
+        (Device.flash cat.Catalog.device) ~levels ~max_ids ~hidden_cols
     in
     Hashtbl.replace cat.Catalog.deltas root log;
     log
@@ -96,7 +89,7 @@ let delete_root cat public ids =
     | None ->
       let log =
         Tombstone_log.create ?cache:(Device.page_cache cat.Catalog.device)
-          (Device.flash cat.Catalog.device) ~table:root
+          (Device.flash cat.Catalog.device)
       in
       Hashtbl.replace cat.Catalog.tombstones root log;
       log

@@ -4,19 +4,16 @@ module Flash = Ghost_flash.Flash
 module Append_log = Ghost_store.Append_log
 
 type t = {
-  table : string;
   log : Append_log.t;  (* one 4-byte record per deleted root id *)
   members : (int, unit) Hashtbl.t;
 }
 
-let create ?cache flash ~table =
+let create ?cache flash =
   {
-    table;
     log = Append_log.create ?cache flash ~tag:"GTMB" ~record_bytes:4;
     members = Hashtbl.create 64;
   }
 
-let table t = t.table
 let count t = Append_log.count t.log
 let acknowledged t = Append_log.acknowledged t.log
 let size_bytes t = Append_log.size_bytes t.log

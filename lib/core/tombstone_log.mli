@@ -13,17 +13,12 @@ module Flash = Ghost_flash.Flash
 
 type t
 
-val create :
-  ?cache:Ghost_device.Page_cache.t ->
-  Flash.t ->
-  table:string ->
-  t
+val create : ?cache:Ghost_device.Page_cache.t -> Flash.t -> t
 (** The ids live in a {!Ghost_store.Append_log} of 4-byte records
     tagged ["GTMB"]: sealed pages, recoverable after a power cut.
     [cache] — the device's shared page cache; each program invalidates
     the page it writes there (see {!Delta_log.create}). *)
 
-val table : t -> string
 val count : t -> int
 val size_bytes : t -> int
 val dead_bytes : t -> int

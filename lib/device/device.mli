@@ -68,12 +68,14 @@ type config = {
           checks their seals. Default false: unauthenticated pages,
           unverified reads. *)
   log_runs : log_runs option;
-      (** restructure the delta log into leveled sorted runs: the flat
-          append-only pages become an L0 memtable that background
-          compaction spills into CRC-checksummed sorted runs and
-          merges level by level, bounding merge-on-read depth under
-          sustained writes (DESIGN.md section 16). [None] (the
-          default) keeps the single flat log. *)
+      (** the thresholds of the leveled delta log: its append-only
+          pages are an L0 memtable that background compaction spills
+          into CRC-checksummed sorted runs and merges level by level,
+          bounding merge-on-read depth under sustained writes
+          (DESIGN.md section 16). [None] (the default) means
+          {!default_log_runs}; the option remains only because the
+          ghostbench workload definitions ([bench/e2e/workloads.ml])
+          set [Some]. *)
 }
 
 and log_runs = {

@@ -16,15 +16,12 @@ module Planner = Ghostdb.Planner
 module Cost = Ghostdb.Cost
 module Privacy = Ghostdb.Privacy
 
-type partitioning = Hash | Range
-
 type topology = {
   shards : int;
   replicas : int;
-  partitioning : partitioning;
 }
 
-let default_topology = { shards = 1; replicas = 1; partitioning = Range }
+let default_topology = { shards = 1; replicas = 1 }
 
 (* The health machine: consecutive transport failures before a replica
    turns suspect, then dead; and the straggler budget, as a multiple of
@@ -49,9 +46,12 @@ type replica = {
   mutable probe_failures : int;
 }
 
+(* The shard owns root ids [sh_first .. sh_first + sh_count - 1];
+   local id [l] stands for global id [sh_first + l - 1]. *)
 type shard = {
   sh_index : int;
-  sh_globals : int array;  (* ascending; local l <-> sh_globals.(l-1) *)
+  sh_first : int;
+  sh_count : int;
   sh_replicas : replica array;
 }
 
@@ -67,19 +67,11 @@ type t = {
   single : Ghost_db.t option;  (* N = 1, R = 1 pass-through *)
 }
 
-(* ---------- partitioning ---------- *)
+(* ---------- shard ranges ---------- *)
 
-(* splitmix-style finalizer: deterministic, spreads consecutive ids *)
-let hash_id id =
-  let h = id * 0x9E3779B97F4A7 in
-  let h = h lxor (h lsr 31) in
-  let h = h * 0x2545F4914F6CDD1D in
-  (h lxor (h lsr 29)) land max_int
-
-let shard_of_id partitioning ~shards ~n_root id =
-  match partitioning with
-  | Hash -> hash_id id mod shards
-  | Range -> min (shards - 1) ((id - 1) * shards / n_root)
+(* Shard [s] of [shards] owns the root ids from [first_id s] to
+   [first_id (s + 1) - 1]: contiguous ranges of near-equal size. *)
+let first_id ~shards ~n_root s = 1 + (((s * n_root) + shards - 1) / shards)
 
 let create ?device_config ?per_device_config ?(topology = default_topology)
     schema rows =
@@ -99,72 +91,48 @@ let create ?device_config ?per_device_config ?(topology = default_topology)
     | Some f -> Some (f ~shard ~replica)
     | None -> device_config
   in
-  let id_of tuple =
-    match tuple.(0) with
-    | Value.Int id -> id
-    | _ -> invalid_arg "Fleet.create: root key is not an integer"
-  in
-  (* Per shard: assigned root rows in ascending global-id order,
-     re-keyed to dense 1..k. A single shard keeps the caller's rows
-     untouched, so the one-device fleet is bit-identical to the seed
-     construction. *)
-  let shard_slices =
-    if topology.shards = 1 then
-      [| (Array.of_list (List.map id_of root_rows), root_rows) |]
-    else begin
-      let buckets = Array.make topology.shards [] in
-      List.iter
-        (fun tuple ->
-           let id = id_of tuple in
-           let s =
-             shard_of_id topology.partitioning ~shards:topology.shards ~n_root id
-           in
-           buckets.(s) <- (id, tuple) :: buckets.(s))
-        root_rows;
-      Array.map
-        (fun bucket ->
-           let sorted =
-             List.sort (fun (a, _) (b, _) -> compare a b) (List.rev bucket)
-           in
-           let globals = Array.of_list (List.map fst sorted) in
-           let locals =
-             List.mapi
-               (fun i (_, tuple) ->
-                  let local = Array.copy tuple in
-                  local.(0) <- Value.Int (i + 1);
-                  local)
-               sorted
-           in
-           (globals, locals))
-        buckets
-    end
-  in
+  (* The root rows by id: exactly the ids 1..n, as the loader needs. *)
+  let by_id = Array.make n_root [||] in
+  List.iter
+    (fun tuple ->
+       match tuple.(0) with
+       | Value.Int id when id >= 1 && id <= n_root && Array.length by_id.(id - 1) = 0 ->
+         by_id.(id - 1) <- tuple
+       | _ -> invalid_arg "Fleet.create: root ids are not exactly 1..n")
+    root_rows;
   let other_rows = List.remove_assoc root.Schema.name rows in
   let shards =
-    Array.mapi
-      (fun s (globals, local_rows) ->
-         let shard_rows = (root.Schema.name, local_rows) :: other_rows in
-         let replicas =
-           Array.init topology.replicas (fun r ->
-             {
-               rep_db =
-                 Ghost_db.of_schema
-                   ?device_config:(config_for ~shard:s ~replica:r)
-                   schema shard_rows;
-               rep_shard = s;
-               rep_index = r;
-               state = Healthy;
-               consecutive_failures = 0;
-               forced_down = false;
-               errors = 0;
-               timeouts = 0;
-               integrity_failures = 0;
-               probes = 0;
-               probe_failures = 0;
-             })
-         in
-         { sh_index = s; sh_globals = globals; sh_replicas = replicas })
-      shard_slices
+    Array.init topology.shards (fun s ->
+      let first = first_id ~shards:topology.shards ~n_root s in
+      let count = first_id ~shards:topology.shards ~n_root (s + 1) - first in
+      (* re-keyed to the dense local ids 1..count, order-preserving *)
+      let local_rows =
+        List.init count (fun l ->
+            let tuple = Array.copy by_id.(first - 1 + l) in
+            tuple.(0) <- Value.Int (l + 1);
+            tuple)
+      in
+      let shard_rows = (root.Schema.name, local_rows) :: other_rows in
+      let replicas =
+        Array.init topology.replicas (fun r ->
+          {
+            rep_db =
+              Ghost_db.of_schema
+                ?device_config:(config_for ~shard:s ~replica:r)
+                schema shard_rows;
+            rep_shard = s;
+            rep_index = r;
+            state = Healthy;
+            consecutive_failures = 0;
+            forced_down = false;
+            errors = 0;
+            timeouts = 0;
+            integrity_failures = 0;
+            probes = 0;
+            probe_failures = 0;
+          })
+      in
+      { sh_index = s; sh_first = first; sh_count = count; sh_replicas = replicas })
   in
   let single =
     if topology.shards = 1 && topology.replicas = 1 then
@@ -197,11 +165,9 @@ let replica t ~shard ~replica =
   s.sh_replicas.(replica)
 
 let db t ~shard ~replica:r = (replica t ~shard ~replica:r).rep_db
-let globals t ~shard = Array.copy t.f_shards.(shard).sh_globals
 
 let shard_of_global t id =
-  shard_of_id t.f_topology.partitioning ~shards:t.f_topology.shards
-    ~n_root:t.n_root id
+  min (t.f_topology.shards - 1) ((id - 1) * t.f_topology.shards / t.n_root)
 
 let bind t sql = Bind.bind t.f_schema sql
 
@@ -307,75 +273,69 @@ let replica_stats t ~shard ~replica:r =
 
 (* ---------- scatter-gather plumbing ---------- *)
 
-(* number of assigned global ids <= v *)
-let rank_le g v =
-  let lo = ref 0 and hi = ref (Array.length g) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if g.(mid) <= v then lo := mid + 1 else hi := mid
-  done;
-  !lo
+(* number of the shard's global ids <= v *)
+let rank_le sh v = if v < sh.sh_first then 0 else min sh.sh_count (v - sh.sh_first + 1)
 
-let local_of g v =
-  let k = rank_le g v in
-  if k > 0 && g.(k - 1) = v then Some k else None
+let local_of sh v =
+  if v >= sh.sh_first && v < sh.sh_first + sh.sh_count then Some (v - sh.sh_first + 1)
+  else None
 
 (* Root-key predicates, rewritten through the order-preserving id map:
    local order equals global order, so monotone comparisons become
-   local ranges via the rank of the bound among the shard's assigned
-   ids. An empty local range becomes [In []] (never matches). *)
-let rewrite_cmp g (cmp : Predicate.comparison) =
-  let n = Array.length g in
+   local ranges via the rank of the bound among the shard's ids. An
+   empty local range becomes [In []] (never matches). *)
+let rewrite_cmp sh (cmp : Predicate.comparison) =
+  let n = sh.sh_count in
   let never = Predicate.In [] in
   let always = Predicate.Ge (Value.Int 1) in
   match cmp with
   | Predicate.Eq (Value.Int v) -> (
-    match local_of g v with
+    match local_of sh v with
     | Some l -> Predicate.Eq (Value.Int l)
     | None -> never)
   | Predicate.Ne (Value.Int v) -> (
-    match local_of g v with
+    match local_of sh v with
     | Some l -> Predicate.Ne (Value.Int l)
     | None -> always)
   | Predicate.Lt (Value.Int v) ->
-    let k = rank_le g (v - 1) in
+    let k = rank_le sh (v - 1) in
     if k = 0 then never else Predicate.Le (Value.Int k)
   | Predicate.Le (Value.Int v) ->
-    let k = rank_le g v in
+    let k = rank_le sh v in
     if k = 0 then never else Predicate.Le (Value.Int k)
   | Predicate.Gt (Value.Int v) ->
-    let k = rank_le g v in
+    let k = rank_le sh v in
     if k >= n then never else Predicate.Ge (Value.Int (k + 1))
   | Predicate.Ge (Value.Int v) ->
-    let k = rank_le g (v - 1) in
+    let k = rank_le sh (v - 1) in
     if k >= n then never else Predicate.Ge (Value.Int (k + 1))
   | Predicate.Between (Value.Int a, Value.Int b) ->
-    let lo = rank_le g (a - 1) + 1 in
-    let hi = rank_le g b in
+    let lo = rank_le sh (a - 1) + 1 in
+    let hi = rank_le sh b in
     if lo > hi then never else Predicate.Between (Value.Int lo, Value.Int hi)
   | Predicate.In vs ->
     Predicate.In
       (List.filter_map
          (function
-           | Value.Int v -> Option.map (fun l -> Value.Int l) (local_of g v)
+           | Value.Int v -> Option.map (fun l -> Value.Int l) (local_of sh v)
            | _ -> None)
          vs)
   | other -> other
 
 let subquery t ~shard (q : Bind.query) =
-  let g = t.f_shards.(shard).sh_globals in
+  let sh = t.f_shards.(shard) in
   let selections =
     List.map
       (fun (p : Predicate.t) ->
          if p.Predicate.table = t.root_name && p.Predicate.column = t.root_key
-         then { p with Predicate.cmp = rewrite_cmp g p.Predicate.cmp }
+         then { p with Predicate.cmp = rewrite_cmp sh p.Predicate.cmp }
          else p)
       q.Bind.selections
   in
   { q with Bind.selections; aggregate = None; order_by = []; limit = None }
 
 let remap t (q : Bind.query) ~shard rows =
-  let g = t.f_shards.(shard).sh_globals in
+  let sh = t.f_shards.(shard) in
   let positions =
     List.mapi (fun i p -> (i, p)) q.Bind.projections
     |> List.filter_map (fun (i, (tbl, col)) ->
@@ -389,8 +349,8 @@ let remap t (q : Bind.query) ~shard rows =
          List.iter
            (fun i ->
               match row.(i) with
-              | Value.Int l when l >= 1 && l <= Array.length g ->
-                row.(i) <- Value.Int g.(l - 1)
+              | Value.Int l when l >= 1 && l <= sh.sh_count ->
+                row.(i) <- Value.Int (sh.sh_first + l - 1)
               | _ -> ())
            positions;
          row)

@@ -11,17 +11,19 @@ module Privacy = Ghostdb.Privacy
 
     The paper's single 64 KiB smart-USB stick cannot serve production
     traffic. This module partitions a tree schema's {e root} (fact)
-    table across N shards — by hash or by contiguous range of the root
-    id — with a configurable replication factor R, and runs every
-    query scatter–gather: each shard executes the query over its slice
-    of the root rows (dimension tables are replicated everywhere), and
-    the untrusted terminal merges the per-shard outputs.
+    table across N shards by contiguous range of the root id, with a
+    configurable replication factor R, and runs every query
+    scatter–gather: each shard executes the query over its slice of
+    the root rows (dimension tables are replicated everywhere), and the
+    untrusted terminal merges the per-shard outputs.
 
-    {b Re-keying.} Each shard's root slice is re-keyed to the dense
-    [1..k] ids the loader requires, {e order-preserving}: local id
-    order equals global id order, so monotone root-key predicates map
-    to local ranges and the terminal can translate local ids back with
-    a per-shard sorted array. Root ids are already spy-visible in the
+    {b Partitioning and re-keying.} The root ids are exactly [1..n].
+    Shard [s] owns the ids from [first s] to [first (s + 1) - 1], where
+    [first s = 1 + ⌈s·n/N⌉], and its slice is re-keyed to the dense
+    [1..k] ids the loader requires by subtracting [first s - 1]. The
+    re-key is {e order-preserving}, so monotone root-key predicates map
+    to local ranges and the terminal translates local ids back by
+    adding the offset. Root ids are already spy-visible in the
     single-device protocol (Pre-filter id lists cross the USB link in
     the clear), so holding this mapping on the untrusted side reveals
     nothing new — see {!audit}.
@@ -49,18 +51,13 @@ module Privacy = Ghostdb.Privacy
     pass-through to the single-instance path: rows, trace and clock
     stay bit-identical to the seed. *)
 
-type partitioning =
-  | Hash  (** multiplicative hash of the root id *)
-  | Range  (** contiguous root-id ranges, near-equal cardinality *)
-
 type topology = {
-  shards : int;  (** N, partitions of the root table *)
+  shards : int;  (** N, root-id ranges of the root table *)
   replicas : int;  (** R, identical devices per shard *)
-  partitioning : partitioning;
 }
 
 val default_topology : topology
-(** One shard, one replica, {!Range} — the paper's single device. *)
+(** One shard, one replica — the paper's single device. *)
 
 type health = Healthy | Suspect | Dead
 (** A replica turns suspect after 1 consecutive transport failure and
@@ -79,8 +76,9 @@ val create :
     (shard, replica). [per_device_config] gives each device its own
     config — per-device fault profiles for chaos sweeps — and wins
     over [device_config]. Raises [Invalid_argument] on a non-positive
-    shard or replica count, or when the root table has fewer rows than
-    there are shards. *)
+    shard or replica count, when the root table has fewer rows than
+    there are shards, or when its ids are not exactly [1..n] (a gap, a
+    duplicate or a non-integer key). *)
 
 val topology : t -> topology
 val schema : t -> Schema.t
@@ -90,13 +88,8 @@ val replica_count : t -> int
 val db : t -> shard:int -> replica:int -> Ghost_db.t
 (** The instance backing one replica device. *)
 
-val globals : t -> shard:int -> int array
-(** The shard's assigned global root ids, ascending: local id [l]
-    (dense, 1-based) stands for global id [(globals t ~shard).(l-1)].
-    Held by the untrusted merge layer. *)
-
 val shard_of_global : t -> int -> int
-(** Which shard owns a global root id. *)
+(** Which shard owns a global root id in [1..n]. *)
 
 val bind : t -> string -> Bind.query
 (** Parse + resolve a SELECT against the fleet's schema. *)
@@ -166,13 +159,13 @@ val replica_stats : t -> shard:int -> replica:int -> replica_stats
 
 val subquery : t -> shard:int -> Bind.query -> Bind.query
 (** The query one shard executes: aggregate / ORDER BY / LIMIT
-    stripped, root-key predicates rewritten through the shard's
-    order-preserving id map (an empty local range becomes a
+    stripped, root-key predicates shifted onto the shard's local ids
+    and clipped to its range (an empty local range becomes a
     never-matching predicate). *)
 
 val remap : t -> Bind.query -> shard:int -> Value.t array list -> Value.t array list
 (** Translates root-key projection columns of a shard's output back to
-    global ids. *)
+    global ids, adding the shard's offset. *)
 
 val merge : t -> Bind.query -> Value.t array list -> Value.t array list
 (** Applies the query's aggregate, ORDER BY and LIMIT to the

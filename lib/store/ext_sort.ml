@@ -4,9 +4,9 @@ module Resources = Ghost_kernel.Resources
 module Flash = Ghost_flash.Flash
 module Ram = Ghost_device.Ram
 
-let log2_ceil k =
+let log2_floor k =
   let rec bits n acc = if n <= 1 then acc else bits (n lsr 1) (acc + 1) in
-  max 1 (bits (max 1 k) 0)
+  max 1 (bits k 0)
 
 let page_size scratch = (Flash.geometry scratch).Flash.page_size
 
@@ -45,7 +45,7 @@ let heap_merge ~cpu ~compare cursors =
        | Some r -> Heap.push heap (r, c)
        | None -> ())
     cursors;
-  let log_k = log2_ceil (Heap.size heap) in
+  let log_k = log2_floor (Heap.size heap) in
   Cursor.make (fun () ->
     match Heap.pop heap with
     | None -> None
@@ -106,7 +106,7 @@ let sort ~ram ~scratch ~resources ?(cpu = fun _ -> ()) ~record_bytes ~compare
   in
   let sort_buffer off n =
     let sub = Array.sub buffer off n in
-    cpu (n * log2_ceil n);
+    cpu (n * log2_floor n);
     Array.sort compare sub;
     sub
   in

@@ -12,8 +12,10 @@ module Ram = Ghost_device.Ram
     is exactly the penalty the optimizer weighs. Also the workhorse of
     the grace-hash-join baseline. *)
 
-val log2_ceil : int -> int
-(** Number of comparison levels of a sort of that many items (>= 1). *)
+val log2_floor : int -> int
+(** [log2_floor k] — ⌊log2 k⌋, and 1 when that is smaller (any [k < 4]):
+    the comparisons charged per item of a sort of [k] items and per
+    record a [k]-way heap merge emits, here and in {!Merge_union}. *)
 
 val fits : ram:Ram.t -> scratch:Flash.t -> record_bytes:int -> records:int -> bool
 (** Whether {!sort} of [records] records fits the free arena: in RAM,

@@ -49,21 +49,19 @@ let stream_bytes ~bits pages =
 let size_bytes t =
   stream_bytes ~bits:(id_bits t.id_widths) t.id_pages + (t.count * t.value_bytes)
 
-let key record = Codec.get_u32 (Bytes.unsafe_of_string record) 0
-
 let records_per_page flash ~record_bits =
   ((Flash.geometry flash).Flash.page_size - header_bytes) * 8 / record_bits
 
 (* ---- building ---- *)
 
 (* One page stream of a run being built: the id parts or the value
-   parts of its records. The id stream packs its parts when it
-   programs a page. *)
+   parts of its records, each written straight into the payload of the
+   page it is filling. *)
 type stream = {
   s_tag : string;
   s_bits : int;  (* bits of one record's part on the page *)
   s_per_page : int;
-  mutable s_pending : string list;  (* buffered parts, newest first *)
+  s_payload : bytes;  (* the page being filled, zero past its parts *)
   mutable s_buffered : int;
   mutable s_min : int;  (* key of the oldest buffered part *)
   mutable s_pages : page_meta list;  (* programmed pages, newest first *)
@@ -90,7 +88,7 @@ let open_stream flash ~tag ~bits =
     s_tag = tag;
     s_bits = bits;
     s_per_page = per_page;
-    s_pending = [];
+    s_payload = Bytes.make (payload_bytes ~bits per_page) '\000';
     s_buffered = 0;
     s_min = 0;
     s_pages = [];
@@ -118,41 +116,17 @@ let start flash ~id_widths ~value_bytes ~level =
   }
 
 let streams b = b.b_ids :: Option.to_list b.b_values
-let id_bytes widths = 4 * Array.length widths
 let value_width b = match b.b_values with Some s -> s.s_bits / 8 | None -> 0
 let built_count b = b.b_count
 let programmed_pages b = b.b_programs
 let programmed_bytes b = List.fold_left (fun acc s -> acc + s.s_programmed) 0 (streams b)
-
-(* The packed id payload of [parts] (u32 fields each, oldest first):
-   field 0 as its offset from [base]. [add] has checked that every
-   field fits its width. *)
-let pack widths ~base ~bits parts n =
-  let out = Bytes.make (payload_bytes ~bits n) '\000' in
-  let bit = ref 0 in
-  List.iter
-    (fun part ->
-       let p = Bytes.unsafe_of_string part in
-       Array.iteri
-         (fun f width ->
-            let v = Codec.get_u32 p (4 * f) in
-            Codec.put_bits out ~bit:!bit ~width (if f = 0 then v - base else v);
-            bit := !bit + width)
-         widths)
-    parts;
-  Bytes.unsafe_to_string out
 
 (* Programs the stream's buffered parts as its next page. Every part
    added so far is buffered in both streams until its page fills, so
    the last buffered part of either stream is the builder's last
    record. *)
 let flush ?on_program b s ~final =
-  let parts = List.rev s.s_pending in
-  let payload =
-    if s == b.b_ids then
-      pack b.b_widths ~base:b.b_min_key ~bits:s.s_bits parts s.s_buffered
-    else String.concat "" parts
-  in
+  let payload = Bytes.sub_string s.s_payload 0 (payload_bytes ~bits:s.s_bits s.s_buffered) in
   let data =
     Sealed_page.seal ~tag:s.s_tag ~header_bytes
       (fun page ->
@@ -171,27 +145,26 @@ let flush ?on_program b s ~final =
     :: s.s_pages;
   s.s_ordinal <- s.s_ordinal + 1;
   s.s_programmed <- s.s_programmed + String.length payload;
-  s.s_pending <- [];
+  (* the next page's padding bits must read zero *)
+  Bytes.fill s.s_payload 0 (Bytes.length s.s_payload) '\000';
   s.s_buffered <- 0;
   b.b_programs <- b.b_programs + 1
 
-let push s k part =
+let push s k =
   if s.s_buffered = 0 then s.s_min <- k;
-  s.s_pending <- part :: s.s_pending;
   s.s_buffered <- s.s_buffered + 1
 
-let add ?on_program b record =
-  let id_bytes = id_bytes b.b_widths in
-  if String.length record <> id_bytes + value_width b then
-    invalid_arg "Log_run.add: record width mismatch";
-  let k = key record in
+let add ?on_program b ~ids ~values =
+  if Array.length ids <> Array.length b.b_widths || String.length values <> value_width b
+  then invalid_arg "Log_run.add: record width mismatch";
+  let k = ids.(0) in
   if k < b.b_last_key then invalid_arg "Log_run.add: keys out of order";
   let base = if b.b_count = 0 then k else b.b_min_key in
-  let r = Bytes.unsafe_of_string record in
+  (* the fields as packed: the key as its offset from the run's first key *)
+  let field f = if f = 0 then k - base else ids.(f) in
   Array.iteri
     (fun f width ->
-       let v = Codec.get_u32 r (4 * f) in
-       let v = if f = 0 then v - base else v in
+       let v = field f in
        if v lsr width <> 0 then
          invalid_arg
            (Printf.sprintf "Log_run.add: id field %d (%d) does not fit %d bits" f v width))
@@ -199,8 +172,20 @@ let add ?on_program b record =
   List.iter
     (fun s -> if s.s_buffered = s.s_per_page then flush ?on_program b s ~final:false)
     (streams b);
-  push b.b_ids k (String.sub record 0 id_bytes);
-  Option.iter (fun s -> push s k (String.sub record id_bytes (s.s_bits / 8))) b.b_values;
+  let s = b.b_ids in
+  let bit = ref (s.s_buffered * s.s_bits) in
+  Array.iteri
+    (fun f width ->
+       Codec.put_bits s.s_payload ~bit:!bit ~width (field f);
+       bit := !bit + width)
+    b.b_widths;
+  push s k;
+  Option.iter
+    (fun s ->
+       let n = String.length values in
+       Bytes.blit_string values 0 s.s_payload (s.s_buffered * n) n;
+       push s k)
+    b.b_values;
   b.b_count <- b.b_count + 1;
   b.b_min_key <- base;
   b.b_last_key <- k
@@ -369,7 +354,7 @@ let page_intact flash t ~page =
 
 type front = {
   f_run : t;
-  mutable f_ids : string list;  (* id parts of the current id page *)
+  mutable f_ids : int array list;  (* id vectors of the current id page *)
   mutable f_next_id : int;  (* next id page to read *)
   mutable f_values : string list;  (* value parts of the current value page *)
   mutable f_next_value : int;
@@ -387,18 +372,6 @@ let merge_start runs =
            runs);
   }
 
-let decode_page (b, off) ~width n =
-  List.init n (fun i -> Bytes.sub_string b (off + (i * width)) width)
-
-(* An id page's records as u32 id parts, the form {!add} takes. *)
-let decode_ids t (b, off) n =
-  let bits = id_bits t.id_widths in
-  List.init n (fun r ->
-      let ids = unpack t b ~bit:((8 * off) + (r * bits)) in
-      let part = Bytes.create (id_bytes t.id_widths) in
-      Array.iteri (fun f v -> Codec.put_u32 part (4 * f) v) ids;
-      Bytes.unsafe_to_string part)
-
 (* Refill a front's id read-ahead from its next id page; false when the
    run is exhausted. *)
 let refill flash fr =
@@ -406,27 +379,33 @@ let refill flash fr =
   if fr.f_ids = [] && fr.f_next_id < Array.length r.id_pages then begin
     let i = fr.f_next_id in
     fr.f_next_id <- i + 1;
-    fr.f_ids <- decode_ids r (read_ids flash r i) r.id_pages.(i).pp_count
+    let b, off = read_ids flash r i in
+    let bits = id_bits r.id_widths in
+    fr.f_ids <-
+      List.init r.id_pages.(i).pp_count (fun k -> unpack r b ~bit:((8 * off) + (k * bits)))
   end;
   fr.f_ids <> []
 
-(* Consumes the front's head record: its id part, and its value part,
-   read from the next value page when the current one is used up. *)
+(* Consumes the front's head record: its id vector, and its value
+   part, read from the next value page when the current one is used
+   up. *)
 let pop flash fr =
   let r = fr.f_run in
   let ids = List.hd fr.f_ids in
   fr.f_ids <- List.tl fr.f_ids;
-  if r.value_bytes = 0 then ids
+  if r.value_bytes = 0 then (ids, "")
   else begin
     if fr.f_values = [] then begin
       let i = fr.f_next_value in
       fr.f_next_value <- i + 1;
+      let b, off = read_values flash r i in
       fr.f_values <-
-        decode_page (read_values flash r i) ~width:r.value_bytes r.value_pages.(i).pp_count
+        List.init r.value_pages.(i).pp_count (fun k ->
+            Bytes.sub_string b (off + (k * r.value_bytes)) r.value_bytes)
     end;
     let values = List.hd fr.f_values in
     fr.f_values <- List.tl fr.f_values;
-    ids ^ values
+    (ids, values)
   end
 
 let merge_next flash m =
@@ -437,7 +416,7 @@ let merge_next flash m =
   Array.iteri
     (fun i fr ->
        if refill flash fr then begin
-         let k = key (List.hd fr.f_ids) in
+         let k = (List.hd fr.f_ids).(0) in
          match !best with
          | Some (bk, _) when bk < k -> ()
          | _ -> best := Some (k, i)
@@ -446,13 +425,13 @@ let merge_next flash m =
   match !best with
   | None -> None
   | Some (k, winner) ->
-    let record = ref "" in
+    let record = ref None in
     Array.iteri
       (fun i fr ->
          match fr.f_ids with
-         | head :: _ when key head = k ->
+         | head :: _ when head.(0) = k ->
            let r = pop flash fr in
-           if i = winner then record := r
+           if i = winner then record := Some r
          | _ -> ())
       m.fronts;
-    Some !record
+    !record

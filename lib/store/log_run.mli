@@ -4,9 +4,9 @@ module Flash = Ghost_flash.Flash
 
     A run holds records in ascending key order, where a record is an
     {e id part} followed by a {e value part}. The id part is a vector
-    of id fields, one unsigned 32-bit integer each, and the key is the
-    first (the delta log stores the record's SKT-level ids there, root
-    id first, and the root's hidden column values in the value part).
+    of non-negative id fields, and the key is the first (the delta log
+    stores the record's SKT-level ids there, root id first, and the
+    root's hidden column values in the value part).
     The run stores them as two streams of CRC-checksummed Flash pages
     in the same record order: {e id pages} hold the id parts, {e value
     pages} the value parts, so a scan that needs no value reads the id
@@ -90,15 +90,17 @@ val start :
     32, or a record part (plus header) that exceeds a page. With
     [value_bytes = 0] the run has no value stream. *)
 
-val add : ?on_program:(int -> unit) -> builder -> string -> unit
-(** Buffers one record — its id fields as big-endian u32s, then its
-    value part — first programming each stream's page that is already
-    full, so one record may program a page of each stream.
+val add : ?on_program:(int -> unit) -> builder -> ids:int array -> values:string -> unit
+(** Buffers one record — its id fields [ids], key first, and its
+    value part [values] — packing each part straight into the page its
+    stream is filling, after first programming each stream's page that
+    is already full, so one record may program a page of each stream.
     [on_program] observes every programmed page number (the delta log
     invalidates its page-cache frame, since {!Flash.append} recycles
-    erased pages). Raises [Invalid_argument] on a record of the wrong
-    width, a key below the previous one, or an id field (the key: its
-    offset from the first key) that does not fit its width; nothing is
+    erased pages). Raises [Invalid_argument] when [ids] has not one
+    field per width or [values] is not [value_bytes] long, on a key
+    below the previous one, or on an id field (the key: its offset
+    from the first key) that does not fit its width; nothing is
     buffered then, and no field is ever truncated. *)
 
 val seal : ?on_program:(int -> unit) -> builder -> t
@@ -166,11 +168,9 @@ val page_intact : Flash.t -> t -> page:int -> bool option
 type merge
 
 val merge_start : t list -> merge
-val merge_next : Flash.t -> merge -> string option
-(** The next record, in the form {!add} takes; [None] when every
-    input is exhausted. Page reads are metered as they happen, so a
-    time-sliced compaction charges the device clock only for the work
-    of its own slice. *)
-
-val key : string -> int
-(** The sort key of a record: the u32 at offset 0. *)
+val merge_next : Flash.t -> merge -> (int array * string) option
+(** The next record as its id fields, key first, and its value part
+    (empty when the runs carry none) — the [~ids] and [~values] that
+    {!add} takes; [None] when every input is exhausted. Page reads
+    are metered as they happen, so a time-sliced compaction charges
+    the device clock only for the work of its own slice. *)

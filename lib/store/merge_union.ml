@@ -27,11 +27,7 @@ let heap_merge ~cpu cursors =
        | Some id -> Heap.push heap (id, c)
        | None -> ())
     cursors;
-  let k = max 1 (Heap.size heap) in
-  let log_k =
-    let rec bits n acc = if n <= 1 then acc else bits (n lsr 1) (acc + 1) in
-    max 1 (bits k 0)
-  in
+  let log_k = Ext_sort.log2_floor (Heap.size heap) in
   let last = ref (-1) in
   let rec pull () =
     match Heap.pop heap with

@@ -107,6 +107,17 @@ let effects = [|
 (* A pronounceable-ish deterministic name from an id. *)
 let name_of prefix id = Printf.sprintf "%s-%05d" prefix id
 
+let new_prescriptions scale rng ~first n =
+  List.init n (fun i ->
+    [|
+      Value.Int (first + i);
+      Value.Int (Rng.int_in rng 1 10);
+      Value.Int (Rng.int_in rng 1 4);
+      Value.Date (Rng.int_in rng date_lo date_hi);
+      Value.Int (1 + Rng.int rng scale.medicines);
+      Value.Int (1 + Rng.int rng scale.visits);
+    |])
+
 let generate ?(seed = 20070923) scale =
   let rng = Rng.create seed in
   let zipf_pick (z : Zipf.t) rng (values : string array) =
@@ -158,18 +169,7 @@ let generate ?(seed = 20070923) scale =
         Value.Int (1 + Rng.int rng scale.patients);
       |])
   in
-  let prescriptions =
-    List.init scale.prescriptions (fun i ->
-      let id = i + 1 in
-      [|
-        Value.Int id;
-        Value.Int (Rng.int_in rng 1 10);
-        Value.Int (Rng.int_in rng 1 4);
-        Value.Date (Rng.int_in rng date_lo date_hi);
-        Value.Int (1 + Rng.int rng scale.medicines);
-        Value.Int (1 + Rng.int rng scale.visits);
-      |])
-  in
+  let prescriptions = new_prescriptions scale rng ~first:1 scale.prescriptions in
   [
     ("Doctor", doctors);
     ("Patient", patients);

@@ -59,3 +59,12 @@ val countries : string array
 val generate : ?seed:int -> scale -> (string * Relation.tuple list) list
 (** Full rows per table (key first), dense ids 1..N — ready for both
     the public store and the GhostDB loader. *)
+
+val new_prescriptions :
+  scale -> Ghost_kernel.Rng.t -> first:int -> int -> Relation.tuple list
+(** [new_prescriptions scale rng ~first n] — [n] Prescription rows
+    keyed [first .. first + n - 1], drawn from [rng] as {!generate}
+    draws its own: a uniform Quantity and Frequency, a date in the
+    visit window, and a medicine and a visit of [scale]. Rows to insert
+    after the load; {!generate}'s Prescription table is
+    [new_prescriptions scale rng ~first:1 scale.prescriptions]. *)

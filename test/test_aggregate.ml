@@ -188,6 +188,22 @@ let test_count_star_equals_row_count () =
   | [ [| Value.Int n |] ] -> check Alcotest.int "count = rows" base.Exec.row_count n
   | _ -> Alcotest.fail "COUNT(*) shape"
 
+(* The group table is charged to the arena at the width its rows are
+   emitted at, the output types' widths: at tiny scale Visit.Purpose
+   takes 16 groups of a CHAR(20) key and an INT count, 28 bytes each,
+   so Project's RAM peak is 768 bytes (576 at 8 bytes a column). *)
+let test_group_rows_charged_at_output_width () =
+  let db, _ = Lazy.force instance in
+  let sql =
+    "SELECT Vis.Purpose, COUNT(*) FROM Prescription Pre, Visit Vis WHERE \
+     Vis.VisID = Pre.VisID GROUP BY Vis.Purpose"
+  in
+  let r = Ghost_db.query db sql in
+  check Alcotest.int "groups" 16 r.Exec.row_count;
+  match List.find_opt (fun o -> o.Exec.op_label = "Project") r.Exec.ops with
+  | Some op -> check Alcotest.int "Project RAM peak" 768 op.Exec.ram_peak
+  | None -> Alcotest.fail "no Project operator"
+
 let test_agg_results_stay_private () =
   let db, _ = Lazy.force instance in
   Ghost_db.clear_trace db;
@@ -207,6 +223,8 @@ let suite = [
   Alcotest.test_case "engine aggregates = reference (all plans)" `Slow
     test_engine_agg_matches_reference;
   Alcotest.test_case "COUNT(*) equals row count" `Quick test_count_star_equals_row_count;
+  Alcotest.test_case "group rows charged at their output width" `Quick
+    test_group_rows_charged_at_output_width;
   Alcotest.test_case "aggregates pass the privacy audit" `Quick
     test_agg_results_stay_private;
 ]

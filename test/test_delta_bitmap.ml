@@ -63,17 +63,6 @@ let tiny_leveled =
 
 let small_leveled = { Device.default_config with log_runs = Some Device.default_log_runs }
 
-let new_rows (scale : Medical.scale) rng ~first n =
-  List.init n (fun i ->
-    [|
-      Value.Int (first + i);
-      Value.Int (Rng.int_in rng 1 10);
-      Value.Int (Rng.int_in rng 1 4);
-      Value.Date (Rng.int_in rng Medical.date_lo Medical.date_hi);
-      Value.Int (1 + Rng.int rng scale.Medical.medicines);
-      Value.Int (1 + Rng.int rng scale.Medical.visits);
-    |])
-
 (* A database and the rows it holds, kept in step with its inserts and
    deletes so the reference evaluator can be rebuilt at any point. *)
 type state = {
@@ -92,7 +81,7 @@ let prescriptions st f =
     List.map (fun (t, rs) -> (t, if t = "Prescription" then f rs else rs)) st.rows
 
 let insert st scale rng n =
-  let batch = new_rows scale rng ~first:st.next n in
+  let batch = Medical.new_prescriptions scale rng ~first:st.next n in
   Ghost_db.insert st.db batch;
   st.next <- st.next + n;
   prescriptions st (fun rs -> rs @ batch)
@@ -143,7 +132,8 @@ let check_panels st ~what =
   check Alcotest.bool (what ^ ": some delta scan used a bitmap") true (!bitmapped > 0)
 
 (* Inserts, then deletes of loaded and inserted rows, then compaction,
-   on a flat and a leveled log; the panels are checked after each. *)
+   on the default device and on a leveled one with low thresholds; the
+   panels are checked after each. *)
 let rows_match_reference (scale : Medical.scale) ~leveled ~inserts () =
   List.iter
     (fun (log, device_config) ->
@@ -161,7 +151,7 @@ let rows_match_reference (scale : Medical.scale) ~leveled ~inserts () =
            (Delta_log.run_count
               (Option.get (Catalog.delta (Ghost_db.catalog st.db) "Prescription"))
             > 0))
-    [ ("flat", None); ("leveled", Some leveled) ]
+    [ ("default", None); ("leveled", Some leveled) ]
 
 (* The indexed Purpose join of write_mix, its plan and its run. *)
 let purpose_join st =

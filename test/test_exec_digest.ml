@@ -144,16 +144,7 @@ let ledger_line db ~key run =
 let mutate (scale : Medical.scale) db =
   let rng = Rng.create 11 in
   let next = scale.Medical.prescriptions + 1 in
-  Ghost_db.insert db
-    (List.init 20 (fun i ->
-       [|
-         Value.Int (next + i);
-         Value.Int (Rng.int_in rng 1 10);
-         Value.Int (Rng.int_in rng 1 4);
-         Value.Date (Rng.int_in rng Medical.date_lo Medical.date_hi);
-         Value.Int (1 + Rng.int rng scale.Medical.medicines);
-         Value.Int (1 + Rng.int rng scale.Medical.visits);
-       |]));
+  Ghost_db.insert db (Medical.new_prescriptions scale rng ~first:next 20);
   Ghost_db.delete db [ 1; 7; 42; next + 3 ];
   Ghost_db.compact db
 

@@ -1,7 +1,7 @@
 (* The device fleet: bit-identity of the one-device fleet, partitioned
-   scatter-gather correctness against the reference evaluator (both
-   partitionings, root-key predicate rewriting, aggregates and ORDER
-   BY/LIMIT merged fleet-side), the health state machine, failover at
+   scatter-gather correctness against the reference evaluator (the
+   range re-key at shard edges, root-key predicate rewriting,
+   aggregates and ORDER BY/LIMIT merged fleet-side), the health state machine, failover at
    R>=2 and tagged partial results at R=1, a chaos sweep killing each
    device at every point of the scatter, the multi-device driver under
    mid-workload kills, and the fleet privacy audit. *)
@@ -25,10 +25,8 @@ module Fleet_driver = Ghost_fleet.Fleet_driver
 let schema () = Medical.schema ()
 let rows () = Medical.generate Medical.tiny
 
-let fleet ?device_config ?per_device_config ~shards ~replicas
-    ?(partitioning = Fleet.Range) () =
-  Fleet.create ?device_config ?per_device_config
-    ~topology:{ Fleet.shards; replicas; partitioning }
+let fleet ?device_config ?per_device_config ~shards ~replicas () =
+  Fleet.create ?device_config ?per_device_config ~topology:{ Fleet.shards; replicas }
     (schema ()) (rows ())
 
 let reference_rows sql =
@@ -67,27 +65,68 @@ let test_single_device_bit_identity () =
     (Trace.events (Ghost_db.trace db)
      = Trace.events (Ghost_db.trace (Fleet.db f ~shard:0 ~replica:0)))
 
-(* Every demo query, both partitionings, several shard counts: the
-   merged scatter-gather output equals the trusted reference. *)
+(* Every demo query, several shard counts: the merged scatter-gather
+   output equals the trusted reference. *)
 let test_partitioned_correctness () =
   List.iter
-    (fun partitioning ->
+    (fun shards ->
+       let f = fleet ~shards ~replicas:1 () in
        List.iter
-         (fun shards ->
-            let f = fleet ~shards ~replicas:1 ~partitioning () in
-            List.iter
-              (fun (name, sql) ->
-                 let r = Fleet.query f sql in
-                 Alcotest.(check bool) (name ^ ": complete") true r.Fleet.complete;
-                 check_rows
-                   (Printf.sprintf "%s N=%d %s" name shards
-                      (match partitioning with
-                       | Fleet.Hash -> "hash"
-                       | Fleet.Range -> "range"))
-                   (reference_rows sql) r.Fleet.rows)
-              Queries.all)
-         [ 2; 3; 5 ])
-    [ Fleet.Range; Fleet.Hash ]
+         (fun (name, sql) ->
+            let r = Fleet.query f sql in
+            Alcotest.(check bool) (name ^ ": complete") true r.Fleet.complete;
+            check_rows (Printf.sprintf "%s N=%d" name shards) (reference_rows sql) r.Fleet.rows)
+         Queries.all)
+    [ 2; 3; 5 ]
+
+(* The range re-key at shard edges. Tiny data's 400 root rows are a
+   multiple of neither 3 nor 7, so the shards differ in size; shard s
+   owns 1 + ceil(s * 400 / N) up to the next shard's first id less
+   one. The first and last id of every shard select exactly their own
+   row, owned by that shard. *)
+let test_shard_edges () =
+  let n = Medical.tiny.Medical.prescriptions in
+  List.iter
+    (fun shards ->
+       let f = fleet ~shards ~replicas:1 () in
+       let first s = 1 + (((s * n) + shards - 1) / shards) in
+       for s = 0 to shards - 1 do
+         List.iter
+           (fun id ->
+              let sql =
+                Printf.sprintf
+                  "SELECT Pre.PreID, Pre.Quantity FROM Prescription Pre WHERE Pre.PreID = %d" id
+              in
+              let what = Printf.sprintf "N=%d shard %d id %d" shards s id in
+              Alcotest.(check int) (what ^ ": owner") s (Fleet.shard_of_global f id);
+              let r = Fleet.query f sql in
+              Alcotest.(check (list int)) (what ^ ": the row") [ id ]
+                (List.map (fun row -> match row.(0) with Value.Int i -> i | _ -> -1) r.Fleet.rows);
+              check_rows what (reference_rows sql) r.Fleet.rows)
+           [ first s; first (s + 1) - 1 ]
+       done)
+    [ 3; 7 ]
+
+(* The root ids must be exactly 1..n: a gap or a duplicate is refused. *)
+let test_root_ids_refused () =
+  let with_root_ids f =
+    List.map
+      (fun (t, rs) ->
+         if t = "Prescription" then
+           (t, List.map (fun row -> let row = Array.copy row in f row; row) rs)
+         else (t, rs))
+      (rows ())
+  in
+  let refused what data =
+    match Fleet.create ~topology:{ Fleet.shards = 3; replicas = 1 } (schema ()) data with
+    | _ -> Alcotest.failf "%s: the fleet was built" what
+    | exception Invalid_argument _ -> ()
+  in
+  (* the last row's id moves past the end: a gap at 400 *)
+  refused "a gap"
+    (with_root_ids (fun row -> if row.(0) = Value.Int 400 then row.(0) <- Value.Int 401));
+  refused "a duplicate"
+    (with_root_ids (fun row -> if row.(0) = Value.Int 400 then row.(0) <- Value.Int 399))
 
 (* Aggregates, ORDER BY and LIMIT are stripped from the shard
    sub-queries and re-applied over the merged multiset; the result must
@@ -128,28 +167,21 @@ let test_merge_aggregates_order_limit () =
    single-device instance selects. *)
 let test_root_key_predicates () =
   let db = Ghost_db.of_schema (schema ()) (rows ()) in
+  let f = fleet ~shards:4 ~replicas:1 () in
   List.iter
-    (fun partitioning ->
-       let f = fleet ~shards:4 ~replicas:1 ~partitioning () in
-       List.iter
-         (fun sql ->
-            let r = Fleet.query f sql in
-            check_rows sql (Ghost_db.query db sql).Exec.rows r.Fleet.rows)
-         [
-           "SELECT Pre.PreID, Pre.Quantity FROM Prescription Pre WHERE \
-            Pre.PreID = 123";
-           "SELECT Pre.PreID FROM Prescription Pre WHERE Pre.PreID = 100000";
-           "SELECT Pre.PreID FROM Prescription Pre WHERE Pre.PreID < 17";
-           "SELECT Pre.PreID FROM Prescription Pre WHERE Pre.PreID >= 380";
-           "SELECT Pre.PreID FROM Prescription Pre WHERE Pre.PreID BETWEEN 90 \
-            AND 110";
-           "SELECT Pre.PreID FROM Prescription Pre WHERE Pre.PreID IN (1, 7, \
-            200, 399, 4000)";
-           "SELECT Pre.PreID, Vis.Date FROM Prescription Pre, Visit Vis WHERE \
-            Pre.PreID BETWEEN 50 AND 150 AND Vis.Purpose = 'Diabetes' AND \
-            Vis.VisID = Pre.VisID";
-         ])
-    [ Fleet.Range; Fleet.Hash ]
+    (fun sql ->
+       let r = Fleet.query f sql in
+       check_rows sql (Ghost_db.query db sql).Exec.rows r.Fleet.rows)
+    [
+      "SELECT Pre.PreID, Pre.Quantity FROM Prescription Pre WHERE Pre.PreID = 123";
+      "SELECT Pre.PreID FROM Prescription Pre WHERE Pre.PreID = 100000";
+      "SELECT Pre.PreID FROM Prescription Pre WHERE Pre.PreID < 17";
+      "SELECT Pre.PreID FROM Prescription Pre WHERE Pre.PreID >= 380";
+      "SELECT Pre.PreID FROM Prescription Pre WHERE Pre.PreID BETWEEN 90 AND 110";
+      "SELECT Pre.PreID FROM Prescription Pre WHERE Pre.PreID IN (1, 7, 200, 399, 4000)";
+      "SELECT Pre.PreID, Vis.Date FROM Prescription Pre, Visit Vis WHERE Pre.PreID \
+       BETWEEN 50 AND 150 AND Vis.Purpose = 'Diabetes' AND Vis.VisID = Pre.VisID";
+    ]
 
 (* The health state machine: kill/revive/probe and the organic
    error-driven transitions healthy -> suspect -> dead. *)
@@ -451,6 +483,8 @@ let suite =
       test_merge_aggregates_order_limit;
     Alcotest.test_case "root-key predicates cross the re-key" `Quick
       test_root_key_predicates;
+    Alcotest.test_case "range re-key at shard edges (N=3,7)" `Quick test_shard_edges;
+    Alcotest.test_case "root ids must be exactly 1..n" `Quick test_root_ids_refused;
     Alcotest.test_case "health machine: kill, revive, probe, transitions" `Quick
       test_health_machine;
     Alcotest.test_case "organic failover on a corrupting link" `Quick

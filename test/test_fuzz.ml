@@ -10,6 +10,7 @@ module Medical = Ghost_workload.Medical
 module Value = Ghost_kernel.Value
 module Rng = Ghost_kernel.Rng
 module Flash = Ghost_flash.Flash
+module Device = Ghost_device.Device
 module Delta_log = Ghostdb.Delta_log
 module Tombstone_log = Ghostdb.Tombstone_log
 
@@ -112,7 +113,7 @@ let delta_power_loss_sweep ~max_batch () =
   for crash_at = 1 to 120 do
     let f = small_flash () in
     let log =
-      Delta_log.create f ~table:"R"
+      Delta_log.create ~runs:Device.default_log_runs f
         ~levels:[ "R"; "A" ] ~max_ids:[ 9 ] ~hidden_cols:[ ("v", Value.T_int) ]
     in
     let rng = Rng.create (1000 + crash_at) in
@@ -147,7 +148,7 @@ let delta_power_loss_sweep ~max_batch () =
 let tombstone_power_loss_sweep ~max_batch () =
   for crash_at = 1 to 60 do
     let f = small_flash () in
-    let log = Tombstone_log.create f ~table:"R" in
+    let log = Tombstone_log.create f in
     let rng = Rng.create (9000 + crash_at) in
     let sizes = Rng.create (7000 + crash_at) in
     let i = ref 0 in

@@ -30,17 +30,8 @@ let scale = Medical.tiny
 (* A deterministic batch of new prescriptions referencing loaded
    dimension rows. *)
 let new_prescriptions ?(seed = 5) db n =
-  let rng = Rng.create seed in
-  let next = Medical.tiny.Medical.prescriptions + Ghost_db.delta_count db + 1 in
-  List.init n (fun i ->
-    [|
-      Value.Int (next + i);
-      Value.Int (Rng.int_in rng 1 10);
-      Value.Int (Rng.int_in rng 1 4);
-      Value.Date (Rng.int_in rng Medical.date_lo Medical.date_hi);
-      Value.Int (1 + Rng.int rng scale.Medical.medicines);
-      Value.Int (1 + Rng.int rng scale.Medical.visits);
-    |])
+  Medical.new_prescriptions scale (Rng.create seed)
+    ~first:(scale.Medical.prescriptions + Ghost_db.delta_count db + 1) n
 
 let rows_equal got expected = Reference.sort_rows got = Reference.sort_rows expected
 

@@ -134,17 +134,8 @@ let log_queries =
   ]
 
 let new_prescriptions db rng n =
-  let scale = Medical.tiny in
-  let next = Catalog.total_count (Ghost_db.catalog db) "Prescription" + 1 in
-  List.init n (fun i ->
-    [|
-      Value.Int (next + i);
-      Value.Int (Rng.int_in rng 1 10);
-      Value.Int (Rng.int_in rng 1 4);
-      Value.Date (Rng.int_in rng Medical.date_lo Medical.date_hi);
-      Value.Int (1 + Rng.int rng scale.Medical.medicines);
-      Value.Int (1 + Rng.int rng scale.Medical.visits);
-    |])
+  Medical.new_prescriptions Medical.tiny rng
+    ~first:(Catalog.total_count (Ghost_db.catalog db) "Prescription" + 1) n
 
 (* Inserts, deletes and one compaction step, then more inserts: L0
    pages, both streams of a run and tombstone pages are all live. *)
@@ -427,7 +418,7 @@ let sorted = Reference.sort_rows
 let test_fleet_failover_and_repair () =
   let fleet =
     Fleet.create ~device_config:verified_config
-      ~topology:{ Fleet.shards = 2; replicas = 2; partitioning = Fleet.Range }
+      ~topology:{ Fleet.shards = 2; replicas = 2 }
       (schema ()) (rows ())
   in
   let sql = "SELECT COUNT(*) FROM Prescription Pre WHERE Pre.Quantity >= 1" in
@@ -479,7 +470,7 @@ let test_fleet_failover_and_repair () =
 let test_fleet_degrades_without_replica () =
   let fleet =
     Fleet.create ~device_config:verified_config
-      ~topology:{ Fleet.shards = 2; replicas = 1; partitioning = Fleet.Range }
+      ~topology:{ Fleet.shards = 2; replicas = 1 }
       (schema ()) (rows ())
   in
   let victim = Fleet.db fleet ~shard:0 ~replica:0 in

@@ -4,6 +4,7 @@
 module Value = Ghost_kernel.Value
 module Codec = Ghost_kernel.Codec
 module Flash = Ghost_flash.Flash
+module Device = Ghost_device.Device
 module Delta_log = Ghostdb.Delta_log
 module Tombstone_log = Ghostdb.Tombstone_log
 
@@ -12,7 +13,8 @@ let check = Alcotest.check
 let flash () = Flash.create ~geometry:{ Flash.page_size = 256; pages_per_block = 8 } ()
 
 let make_delta f =
-  Delta_log.create f ~table:"R" ~levels:[ "R"; "A"; "B" ] ~max_ids:[ 63; 127 ]
+  Delta_log.create ~runs:Device.default_log_runs f ~levels:[ "R"; "A"; "B" ]
+    ~max_ids:[ 63; 127 ]
     ~hidden_cols:[ ("q", Value.T_int); ("s", Value.T_char 8) ]
 
 (* The i-th record of the scripts below. *)
@@ -72,7 +74,7 @@ let test_delta_write_amplification () =
 
 let test_tombstones () =
   let f = flash () in
-  let log = Tombstone_log.create f ~table:"R" in
+  let log = Tombstone_log.create f in
   Tombstone_log.append log [ 5; 1; 9 ];
   Tombstone_log.append log [ 2 ];
   check Alcotest.int "count" 4 (Tombstone_log.count log);
@@ -88,7 +90,7 @@ let test_tombstones () =
 
 let test_tombstones_many_pages () =
   let f = flash () in
-  let log = Tombstone_log.create f ~table:"R" in
+  let log = Tombstone_log.create f in
   (* 59 ids per sealed 256-byte page: cross several pages *)
   Tombstone_log.append log (List.init 200 (fun i -> i + 1));
   check Alcotest.int "count" 200 (Tombstone_log.count log);
@@ -163,7 +165,7 @@ let test_delta_power_cut_on_first_append () =
 
 let test_tombstone_power_cut_recovery () =
   let f = flash () in
-  let log = Tombstone_log.create f ~table:"R" in
+  let log = Tombstone_log.create f in
   Tombstone_log.append log [ 5; 1; 9 ];
   (* 59 ids per checksummed page: the next batch of 60 completes the
      tail's page (56 ids) and spills 4 into a fresh one. Tear its 2nd
@@ -223,7 +225,7 @@ let test_tear_on_fresh_page () =
   check Alcotest.int "delta lost" 1 r.Delta_log.lost;
   check Alcotest.int "delta torn pages" 1 r.Delta_log.torn_pages;
   let f = flash () in
-  let log = Tombstone_log.create f ~table:"R" in
+  let log = Tombstone_log.create f in
   (* 59 ids per 236-byte payload: exactly one full page *)
   Tombstone_log.append log (List.init 59 (fun i -> i + 1));
   Flash.arm_power_cut f ~after_programs:1;
@@ -256,7 +258,7 @@ let test_bit_rot_truncates () =
   check Alcotest.(list int) "delta contents" (List.init 8 (fun i -> 101 + i))
     (scanned_ids log);
   let f = flash () in
-  let log = Tombstone_log.create f ~table:"R" in
+  let log = Tombstone_log.create f in
   Tombstone_log.append log (List.init 150 (fun i -> i + 1));  (* 2 pages of 59 + 32 *)
   rot f 1;  (* the 2nd full page *)
   let r = Tombstone_log.recover log in
@@ -311,7 +313,7 @@ let golden_delta () =
 
 let golden_tombstones () =
   let f = flash () in
-  let log = Tombstone_log.create f ~table:"R" in
+  let log = Tombstone_log.create f in
   Tombstone_log.append log (List.init 150 (fun i -> (7 * i) + 1));
   (* 27 ids complete the tail's page, the torn 2nd program holds 13 *)
   tear f 2 (fun () -> Tombstone_log.append log (List.init 40 (fun i -> 2000 + i)));
@@ -325,8 +327,8 @@ let golden_runs () =
   let f = flash () in
   let log =
     Delta_log.create
-      ~runs:{ Delta_log.l0_spill_pages = 2; run_fanout = 2 }
-      f ~table:"R" ~levels:[ "R"; "A"; "B" ] ~max_ids:[ 63; 127 ]
+      ~runs:{ Device.l0_spill_pages = 2; run_fanout = 2 }
+      f ~levels:[ "R"; "A"; "B" ] ~max_ids:[ 63; 127 ]
       ~hidden_cols:[ ("q", Value.T_int); ("s", Value.T_char 8) ]
   in
   let installs = ref [] in

@@ -1,7 +1,7 @@
 (* Leveled delta-log runs: spill/merge mechanics, merge-on-read
-   equivalence with the flat log, crash safety of every compaction
-   program, scheduler coexistence, and a randomized interleaving
-   property against the reference evaluator. *)
+   equivalence with an uncompacted twin, crash safety of every
+   compaction program, scheduler coexistence, and a randomized
+   interleaving property against the reference evaluator. *)
 
 module Value = Ghost_kernel.Value
 module Rng = Ghost_kernel.Rng
@@ -17,7 +17,6 @@ module Catalog = Ghostdb.Catalog
 module Exec = Ghostdb.Exec
 module Scrub = Ghost_scrub.Scrub
 module Scheduler = Ghost_sched.Scheduler
-module Codec = Ghost_kernel.Codec
 module Log_run = Ghost_store.Log_run
 module Planner = Ghostdb.Planner
 
@@ -26,23 +25,21 @@ let check = Alcotest.check
 (* Small pages so a handful of inserts fills L0; aggressive thresholds
    so spills and merges both trigger at test scale. *)
 let small_geometry = { Flash.page_size = 256; pages_per_block = 8 }
-let policy = { Delta_log.l0_spill_pages = 2; run_fanout = 2 }
+let policy = { Device.l0_spill_pages = 2; run_fanout = 2 }
 
 let runs_config =
-  {
-    Device.default_config with
-    Device.flash_geometry = small_geometry;
-    log_runs = Some { Device.l0_spill_pages = 2; run_fanout = 2 };
-  }
+  { Device.default_config with Device.flash_geometry = small_geometry; log_runs = Some policy }
 
+(* The twin that nothing compacts: its log stays all L0, as the
+   paper's append-only log. *)
 let flat_config = { Device.default_config with Device.flash_geometry = small_geometry }
 
 (* ---- unit level ---- *)
 
 let flash () = Flash.create ~geometry:small_geometry ()
 
-let make_log ?(runs = policy) f =
-  Delta_log.create ~runs f ~table:"R"
+let make_log f =
+  Delta_log.create ~runs:policy f
     ~levels:[ "R"; "A"; "B" ] ~max_ids:[ 6; 4 ]
     ~hidden_cols:[ ("q", Value.T_int); ("s", Value.T_char 8) ]
 
@@ -75,7 +72,6 @@ let scanned_roots ?lo ?hi log =
 
 let test_spill_and_merge () =
   let log = make_log (flash ()) in
-  check Alcotest.bool "runs enabled" true (Delta_log.runs_enabled log);
   append_ids log 1 40;
   check Alcotest.bool "spill pending" true (Delta_log.compaction_pending log);
   let installs = drain log in
@@ -135,23 +131,6 @@ let test_tombstone_folding () =
             even ids must be gone *)
          Alcotest.failf "folded id %d still scanned" id)
     (List.init 40 (fun i -> i + 1))
-
-let test_flat_mode_untouched () =
-  let f = flash () in
-  let log =
-    Delta_log.create f ~table:"R"
-      ~levels:[ "R"; "A"; "B" ] ~max_ids:[ 6; 4 ]
-      ~hidden_cols:[ ("q", Value.T_int); ("s", Value.T_char 8) ]
-  in
-  append_ids log 1 50;
-  check Alcotest.bool "no policy, nothing pending" false
-    (Delta_log.compaction_pending log);
-  check Alcotest.bool "flat step is idle" true
-    (Delta_log.compact_step log ~max_pages:1 = Delta_log.Idle);
-  check Alcotest.int "no runs" 0 (Delta_log.run_count log);
-  (* bounds are ignored on a flat log: every record still streams *)
-  check Alcotest.int "flat scan_range = scan" 50
-    (List.length (scanned_roots ~lo:10 ~hi:12 log))
 
 (* ---- two-stream runs ---- *)
 
@@ -314,13 +293,6 @@ let prop_two_stream =
 
 (* ---- packed id pages ---- *)
 
-(* A record in the form [Log_run.add] takes: u32 id fields, then the
-   value part. *)
-let run_record ids value =
-  let b = Bytes.create (4 * Array.length ids) in
-  Array.iteri (fun i v -> Codec.put_u32 b (4 * i) v) ids;
-  Bytes.to_string b ^ value
-
 let run_rows f run =
   let got = ref [] in
   Log_run.iter f run (fun ids vb voff ->
@@ -333,16 +305,16 @@ let run_rows f run =
 let test_id_overflow_refused () =
   let f = flash () in
   let b = Log_run.start f ~id_widths:[| 4; 3 |] ~value_bytes:2 ~level:1 in
-  Log_run.add b (run_record [| 100; 7 |] "ab");
-  let refuse what record =
-    match Log_run.add b record with
+  Log_run.add b ~ids:[| 100; 7 |] ~values:"ab";
+  let refuse what ids =
+    match Log_run.add b ~ids ~values:"cd" with
     | () -> Alcotest.failf "%s was packed" what
     | exception Invalid_argument _ -> ()
   in
-  refuse "an id of 8 in 3 bits" (run_record [| 101; 8 |] "cd");
-  refuse "a key 16 past the first in 4 bits" (run_record [| 116; 0 |] "cd");
+  refuse "an id of 8 in 3 bits" [| 101; 8 |];
+  refuse "a key 16 past the first in 4 bits" [| 116; 0 |];
   check Alcotest.int "nothing buffered" 1 (Log_run.built_count b);
-  Log_run.add b (run_record [| 115; 0 |] "ef");
+  Log_run.add b ~ids:[| 115; 0 |] ~values:"ef";
   let run = Log_run.seal b in
   check
     Alcotest.(list (pair (list int) string))
@@ -386,7 +358,7 @@ let prop_packed_pages =
        in
        let value i = String.make 1 (Char.chr (i land 255)) in
        let b = Log_run.start f ~id_widths:widths ~value_bytes:1 ~level:1 in
-       List.iteri (fun i ids -> Log_run.add b (run_record ids (value i))) recs;
+       List.iteri (fun i ids -> Log_run.add b ~ids ~values:(value i)) recs;
        let run = Log_run.seal b in
        let packed = Log_run.records_per_page f ~record_bits:(Array.fold_left ( + ) 0 widths) in
        let unpacked = Log_run.records_per_page f ~record_bits:(32 * Array.length widths) in
@@ -401,17 +373,8 @@ let prop_packed_pages =
 let scale = Medical.tiny
 
 let new_prescriptions ?(seed = 5) db n =
-  let rng = Rng.create seed in
-  let next = scale.Medical.prescriptions + Ghost_db.delta_count db + 1 in
-  List.init n (fun i ->
-    [|
-      Value.Int (next + i);
-      Value.Int (Rng.int_in rng 1 10);
-      Value.Int (Rng.int_in rng 1 4);
-      Value.Date (Rng.int_in rng Medical.date_lo Medical.date_hi);
-      Value.Int (1 + Rng.int rng scale.Medical.medicines);
-      Value.Int (1 + Rng.int rng scale.Medical.visits);
-    |])
+  Medical.new_prescriptions scale (Rng.create seed)
+    ~first:(scale.Medical.prescriptions + Ghost_db.delta_count db + 1) n
 
 let rows_equal got expected = Reference.sort_rows got = Reference.sort_rows expected
 
@@ -462,6 +425,52 @@ let test_merge_on_read_equivalence () =
   let flat2 = Ghost_db.reorganize flat in
   check Alcotest.int "delta folded" 0 (Ghost_db.delta_count db2);
   check_all_queries ~tag:"post-reorg " db2 flat2
+
+(* Every log is leveled, but nothing compacts it unless asked: on the
+   default device, inserts filling more L0 pages than the spill
+   threshold, and queries over them, install no run, so the log reads
+   exactly the pages of the paper's append-only log. [Ghost_db.compact]
+   then spills it into runs, and every panel plan of every query still
+   returns the reference rows. *)
+let test_default_device_compacts_on_demand () =
+  let rows = Medical.generate scale in
+  let db = Ghost_db.of_schema (Medical.schema ()) rows in
+  let rng = Rng.create 3 in
+  let insert_batch () =
+    let first = scale.Medical.prescriptions + Ghost_db.delta_count db + 1 in
+    let batch = Medical.new_prescriptions scale rng ~first 100 in
+    Ghost_db.insert db batch;
+    batch
+  in
+  let inserted = List.concat (List.init 4 (fun _ -> insert_batch ())) in
+  let log = Option.get (Catalog.delta (Ghost_db.catalog db) "Prescription") in
+  (* L0 pages counts the tail: one more page than the full ones *)
+  let spill = Device.default_log_runs.Device.l0_spill_pages in
+  check Alcotest.bool "more full L0 pages than the spill threshold" true
+    (Delta_log.l0_pages log - 1 > spill);
+  List.iter (fun (_, sql) -> ignore (Ghost_db.query db sql)) Queries.all;
+  check Alcotest.int "no run before compact" 0 (Delta_log.run_count log);
+  check Alcotest.bool "the spill waits for compact" true (Ghost_db.compaction_pending db);
+  Ghost_db.compact db;
+  check Alcotest.bool "compact installs runs" true (Delta_log.run_count log > 0);
+  let schema = Ghost_db.schema db in
+  let reference =
+    Reference.db_of_rows schema
+      (List.map
+         (fun (t, rs) -> (t, if t = "Prescription" then rs @ inserted else rs))
+         rows)
+  in
+  List.iter
+    (fun (name, sql) ->
+       let want = Reference.sort_rows (Reference.run schema reference (Ghost_db.bind db sql)) in
+       List.iter
+         (fun (plan, _) ->
+            let got = (Ghost_db.run_plan db plan).Exec.rows in
+            if Reference.sort_rows got <> want then
+              Alcotest.failf "%s, plan [%s]: %d rows, reference %d" name
+                plan.Ghostdb.Plan.label (List.length got) (List.length want))
+         (Ghost_db.plans db sql))
+    Queries.all
 
 (* Run widths are public. Two devices share a public history — the
    same root ids inserted in the same batches with the same visible
@@ -741,7 +750,8 @@ let suite =
     Alcotest.test_case "spill and merge mechanics" `Quick test_spill_and_merge;
     Alcotest.test_case "fenced scan skips pages" `Quick test_fenced_scan;
     Alcotest.test_case "tombstone folding" `Quick test_tombstone_folding;
-    Alcotest.test_case "flat mode untouched" `Quick test_flat_mode_untouched;
+    Alcotest.test_case "default device: runs only after compact" `Quick
+      test_default_device_compacts_on_demand;
     Alcotest.test_case "merge-on-read = flat reference" `Quick
       test_merge_on_read_equivalence;
     Alcotest.test_case "image roundtrip mid-compaction" `Quick

@@ -340,17 +340,7 @@ let rows_after_mutations ~leveled () =
   let db, _ = fresh ?device_config () in
   let rng = Rng.create 11 in
   let next = Medical.tiny.Medical.prescriptions + 1 in
-  let batch =
-    List.init 20 (fun i ->
-      [|
-        Value.Int (next + i);
-        Value.Int (Rng.int_in rng 1 10);
-        Value.Int (Rng.int_in rng 1 4);
-        Value.Date (Rng.int_in rng Medical.date_lo Medical.date_hi);
-        Value.Int (1 + Rng.int rng Medical.tiny.Medical.medicines);
-        Value.Int (1 + Rng.int rng Medical.tiny.Medical.visits);
-      |])
-  in
+  let batch = Medical.new_prescriptions Medical.tiny rng ~first:next 20 in
   Ghost_db.insert db batch;
   if leveled then Ghost_db.compact db;
   Ghost_db.delete db [ 1; 7; 42; next + 3 ];

@@ -20,7 +20,9 @@ let check = Alcotest.check
 
 (* 512-byte pages, so a write batch spans log pages at tiny scale: 9
    Prescription delta records or 123 tombstones per sealed page. The
-   leveled layout spills every two full L0 pages into a run. *)
+   leveled layout spills every two full L0 pages into a run; the flat
+   one keeps the default thresholds, which these few pages never
+   reach, so its log stays all L0. *)
 let config ~leveled =
   {
     Device.default_config with
@@ -41,17 +43,8 @@ let make ~leveled =
 let scale = Medical.tiny
 
 let new_prescriptions ?(seed = 5) db n =
-  let rng = Rng.create seed in
-  let next = scale.Medical.prescriptions + Ghost_db.delta_count db + 1 in
-  List.init n (fun i ->
-    [|
-      Value.Int (next + i);
-      Value.Int (Rng.int_in rng 1 10);
-      Value.Int (Rng.int_in rng 1 4);
-      Value.Date (Rng.int_in rng Medical.date_lo Medical.date_hi);
-      Value.Int (1 + Rng.int rng scale.Medical.medicines);
-      Value.Int (1 + Rng.int rng scale.Medical.visits);
-    |])
+  Medical.new_prescriptions scale (Rng.create seed)
+    ~first:(scale.Medical.prescriptions + Ghost_db.delta_count db + 1) n
 
 (* Records per sealed log page: the page minus its 20-byte header. *)
 let per_page db ~record_bytes =

@@ -509,7 +509,7 @@ let test_compact_survives_usb_corruption () =
 let test_fleet_compact () =
   let fleet =
     Fleet.create ~device_config:compact_config
-      ~topology:{ Fleet.shards = 2; replicas = 1; partitioning = Fleet.Range }
+      ~topology:{ Fleet.shards = 2; replicas = 1 }
       (Medical.schema ()) (Lazy.force tiny_rows)
   in
   let sql = Queries.demo_with ~date_selectivity:0.3 () in
