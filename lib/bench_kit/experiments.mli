@@ -156,16 +156,16 @@ val oblivious_frontier :
 
 val write_heavy :
   ?metrics:Ghost_metrics.Metrics.t -> ?scale:Medical.scale -> unit -> Report.t
-(** E23 (extension): a sustained write-heavy mix against the flat
-    delta log and against leveled log runs with background
-    compaction. Each round inserts a prescription batch, retires some
-    older inserts, lets the compactor drain, and measures fenced
-    window probes (visible root-key range + hidden predicate). The
-    flat log's probe p95 grows with every round — the DeltaScan reads
-    the whole log — while the leveled log's stays bounded: sorted-run
-    key fences let the probe skip non-overlapping pages and compaction
-    folds tombstoned records away. Rows track log depth (L0 pages,
-    run count and pages, physical records) per round. *)
+(** E23 (extension): a sustained write-heavy mix on the default
+    device, whose delta log no compactor drains in the [flat] arm and
+    one does in the [leveled] arm. Each round inserts a prescription
+    batch, retires some older inserts, lets any compactor drain, and
+    measures fenced window probes (visible root-key range + hidden
+    predicate). The flat arm's p95 grows every round — its log stays
+    all L0 and the DeltaScan reads all of it — while the leveled
+    arm's stays bounded: run key fences skip non-overlapping pages and
+    compaction folds tombstoned records away. Rows track log depth
+    (L0 pages, run count and pages, physical records) per round. *)
 
 (** {2 Ablations of design choices} *)
 

@@ -216,7 +216,7 @@ let emit_bound env =
    ([Plan.reads_delta_values]); an id-only scan touches its id pages
    alone. [fraction] is the expected share of the runs' records, and
    so of their pages, a fenced scan touches (1 for an unfenced or
-   oblivious scan); a flat log is all L0, always read whole. Also
+   oblivious scan); L0 is always read whole. Also
    returns the records scanned, which the per-record hidden tests are
    priced on. *)
 let delta_scan env ~fraction =

@@ -994,9 +994,9 @@ let execute_plan ~exact_post ~bloom_fpr ~scratch catalog public plan =
           (* Merge-on-read bounds: a Pre-filtered root selection fences
              the scan — run pages outside the shipped id range are
              skipped (superset emission; the membership test still
-             decides). A flat log has no runs, so the fence changes
-             nothing there; [Full] never lets the touched page set
-             depend on the selection. *)
+             decides). A log with no run has nothing to skip, so the
+             fence changes nothing there; [Full] never lets the touched
+             page set depend on the selection. *)
           let lo, hi =
             if full then (None, None)
             else begin

@@ -75,7 +75,7 @@ let snapshot cat public =
    | Some log ->
      (* keyed by the record's own root id: under leveled runs
         compaction may have folded tombstoned records away, so scan
-        position no longer equals id (on a flat log they coincide) *)
+        position no longer equals id (they coincide until compaction) *)
      Delta_log.scan log (fun r ->
        let id = r.Delta_log.ids.(0) in
        List.iter
